@@ -8,22 +8,21 @@ group actions the schemes are built to respect.
 
 import numpy as np
 
-from symfd import Grid1D, PdeParams, StepContext, evolve, invariantize_check
-from symfd import sym_step_ibe, sym_step_vbe
+from symfd import Grid1D, PdeParams, StepContext, evolve, invariantize_check, step
 
 rarefaction = lambda t, x: np.asarray(x, dtype=float) / (1.0 + t)
 grid = Grid1D(1.0, 0.25, 9)
 tau = 1e-3
 
 print("== one-step exactness on u = x/(1+t) ==")
-for name, step, params in (
-    ("inviscid", sym_step_ibe, PdeParams(nu=0.0)),
-    ("viscous", sym_step_vbe, PdeParams(nu=1.0 / 12.0)),
+for name, pde, params in (
+    ("inviscid", "ibe", PdeParams(nu=0.0)),
+    ("viscous", "vbe", PdeParams(nu=1.0 / 12.0)),
 ):
     worst = 0.0
     for t0 in (0.0, 0.5):
         ctx = StepContext(grid, params, tau, t0, rarefaction)
-        out = step(rarefaction(t0, grid.x), ctx)
+        out = step(pde, "sym", rarefaction(t0, grid.x), ctx)
         worst = max(worst, float(np.abs(out - rarefaction(t0 + tau, grid.x)).max()))
     print(f"{name:9s} worst one-step defect {worst:.2e}")
 

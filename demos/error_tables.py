@@ -7,7 +7,7 @@ the standard settings; the whole script takes a few seconds.
 
 import math
 
-from symfd import PdeParams, grid_for, run_experiment
+from symfd import PdeParams, evolve, grid_for
 
 RUNS = [
     ("ibe", "inviscid Burgers, Gaussian hump", (-3.0, 3.0), 31, 1e-3, 0.5,
@@ -27,11 +27,11 @@ for pde, title, domain, n, tau, t_final, params, schemes in RUNS:
     print(f"== {title} (n={n}, tau={tau:g}, t={t_final:g}) ==")
     print(f"{'scheme':8s} {'L_inf':>12s} {'RMSE':>12s} {'seconds':>8s}")
     for scheme in schemes:
-        rep = run_experiment(pde, scheme, grid, tau, t_final, params)
+        _, _, rep = evolve(pde, scheme, grid, tau, t_final, params)
         print(f"{scheme:8s} {rep.linf:12.4e} {rep.rmse:12.4e} {rep.wall_time:8.2f}")
     print()
 
 print("note: the invariant schemes match or beat the compact baseline on")
 print("every problem except the viscous front at tau=1e-4, where a")
 print("tau-proportional front displacement dominates; at tau=1e-5 the")
-print("invariant error drops to the compact level (see the test suite).")
+print("invariant error drops to the compact level (DEVIATIONS.md, entry 11).")

@@ -19,28 +19,7 @@ from .analytic import (
     ibe_exact,
     vbe_exact,
 )
-from .baseline_schemes import (
-    StepContext,
-    comp_step_ade1d,
-    comp_step_ade2d,
-    comp_step_ibe,
-    comp_step_vbe,
-    ftcs_step_ade1d,
-    ftcs_step_ade2d,
-    ftcs_step_ibe,
-    ftcs_step_vbe,
-)
-from .compact_ops import (
-    BoundaryPolicy,
-    Grid1D,
-    Grid2D,
-    compact_dx,
-    compact_dx_along_x,
-    compact_dx_along_y,
-    compact_dxx,
-    compact_dxx_along_x,
-    compact_dxx_along_y,
-)
+from .compact_ops import BoundaryPolicy, Grid1D, Grid2D, d1, d2
 from .errors import (
     ConfigInvalid,
     FrameSingularity,
@@ -53,27 +32,22 @@ from .errors import (
     ZeroPivot,
     ZeroState,
 )
-from .invariant_schemes import (
-    MovingFrame,
-    invariantize_check,
-    sym_step_ade1d,
-    sym_step_ade2d,
-    sym_step_ibe,
-    sym_step_vbe,
-)
+from .invariant_schemes import MovingFrame
 from .metrics import (
     PDES,
     SCHEMES_BY_PDE,
     ConvergenceTable,
     ErrorReport,
+    StepContext,
     convergence_study,
     evolve,
     fit_slope,
     galilean_experiment,
     grid_for,
+    invariantize_check,
     linf,
     rmse,
-    run_experiment,
+    step,
 )
 from .tridiag import TriDiagSystem, solve_tridiagonal, solve_tridiagonal_many
 
@@ -101,23 +75,11 @@ __all__ = [
     "ZeroState",
     "ade1d_exact",
     "ade2d_exact",
-    "comp_step_ade1d",
-    "comp_step_ade2d",
-    "comp_step_ibe",
-    "comp_step_vbe",
-    "compact_dx",
-    "compact_dx_along_x",
-    "compact_dx_along_y",
-    "compact_dxx",
-    "compact_dxx_along_x",
-    "compact_dxx_along_y",
     "convergence_study",
+    "d1",
+    "d2",
     "evolve",
     "fit_slope",
-    "ftcs_step_ade1d",
-    "ftcs_step_ade2d",
-    "ftcs_step_ibe",
-    "ftcs_step_vbe",
     "galilean_exact",
     "galilean_experiment",
     "galilean_transform_field",
@@ -127,13 +89,9 @@ __all__ = [
     "invariantize_check",
     "linf",
     "rmse",
-    "run_experiment",
     "solve_tridiagonal",
     "solve_tridiagonal_many",
-    "sym_step_ade1d",
-    "sym_step_ade2d",
-    "sym_step_ibe",
-    "sym_step_vbe",
+    "step",
     "vbe_exact",
 ]
 

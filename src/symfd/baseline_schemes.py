@@ -1,229 +1,73 @@
 """Non-invariant reference schemes: FTCS and the standard compact scheme.
 
-All schemes advance one forward-Euler step and then overwrite the
-Dirichlet boundary nodes with values drawn from the exact solution at the
-new time. FTCS uses second-order central differences; the compact (COMP)
-variants take their spatial derivatives from compact_ops.
+Each function is one forward-Euler update of the interior: it returns the
+new field and leaves the boundary nodes for the caller to refresh. FTCS and
+COMP share one body per problem and differ only in the derivative pair ops
+they are given: Central here, or the compact d1/d2 of compact_ops. The
+inviscid Burgers COMP update keeps its own body for the defect term.
 """
-
-import warnings
-from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
+from . import compact_ops
 from .analytic import PdeParams
-from .compact_ops import (
-    Field,
-    Grid1D,
-    Grid2D,
-    compact_dx,
-    compact_dx_along_x,
-    compact_dx_along_y,
-    compact_dxx,
-    compact_dxx_along_x,
-    compact_dxx_along_y,
-)
-from .errors import NonFinite, ShapeMismatch
+from .compact_ops import Field, Grid, Grid1D, Grid2D
 
 
-@dataclass
-class StepContext:
-    """Everything a single time step needs besides the field itself.
+class Central:
+    """Second-order central differences, the derivative pair of FTCS.
 
-    boundary_provider is the exact solution, called as provider(t, x) in
-    1D and provider(t, x, y) in 2D, to refresh the Dirichlet ends after
-    each step. mesh_velocity is consulted only by the invariant viscous
-    Burgers step, whose nodes may slide as x + mesh_velocity * t; every
-    other scheme is defined on the static mesh.
+    Same call as compact_ops.d1/d2 on 1D and 2D fields; the end nodes along
+    the axis get 0.
     """
 
-    grid: Union[Grid1D, Grid2D]
-    params: PdeParams
-    tau: float
-    t: float
-    boundary_provider: Callable
-    mesh_velocity: float = 0.0
+    @staticmethod
+    def d1(u: Field, grid: Grid, axis: int = 0) -> Field:
+        d = np.zeros_like(u)
+        v, dv = (u.T, d.T) if axis else (u, d)
+        dv[1:-1] = (v[2:] - v[:-2]) / (2.0 * grid.spacing[axis])
+        return d
 
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        spacings = (
-            (self.grid.h,) if isinstance(self.grid, Grid1D) else (self.grid.hx, self.grid.hy)
-        )
-        # Advisory stability screens; forward Euler will show NonFinite
-        # soon enough if these are ignored.
-        for h in spacings:
-            diffusion = self.params.nu * self.tau / (h * h)
-            if diffusion > 0.5:
-                warnings.warn(
-                    f"diffusion number nu tau / h^2 = {diffusion:.3g} exceeds 0.5",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            courant = abs(self.params.alpha) * self.tau / h
-            if courant > 1.0:
-                warnings.warn(
-                    f"Courant number |alpha| tau / h = {courant:.3g} exceeds 1",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+    @staticmethod
+    def d2(u: Field, grid: Grid, axis: int = 0) -> Field:
+        h = grid.spacing[axis]
+        d = np.zeros_like(u)
+        v, dv = (u.T, d.T) if axis else (u, d)
+        dv[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
+        return d
 
 
-def _require_1d(u, ctx):
-    u = np.asarray(u, dtype=float)
-    if not isinstance(ctx.grid, Grid1D) or u.shape != (ctx.grid.n,):
-        raise ShapeMismatch(f"expected a 1D field matching the grid, got shape {u.shape}")
-    return u
+def ibe_ftcs_update(u: Field, grid: Grid1D, params: PdeParams, tau: float) -> Field:
+    """Forward-Euler update of u_t + u u_x = 0, central differences."""
+    return u - tau * u * Central.d1(u, grid)
 
 
-def _require_2d(u, ctx):
-    u = np.asarray(u, dtype=float)
-    if not isinstance(ctx.grid, Grid2D) or u.shape != (ctx.grid.nx, ctx.grid.ny):
-        raise ShapeMismatch(f"expected a 2D field matching the grid, got shape {u.shape}")
-    return u
-
-
-def _check_finite(u):
-    if not np.isfinite(u).all():
-        raise NonFinite("step produced non-finite values; the run is unstable")
-
-
-def apply_dirichlet_1d(values: Field, ctx: StepContext, node_shift: float = 0.0):
-    """Overwrite the two end nodes from the boundary provider at t + tau.
-
-    node_shift displaces the end coordinates (used by the sliding-mesh
-    invariant viscous step); zero for every static-mesh scheme.
-    """
-    g = ctx.grid
-    t_new = ctx.t + ctx.tau
-    values[0] = ctx.boundary_provider(t_new, g.x0 + node_shift)
-    values[-1] = ctx.boundary_provider(t_new, g.x0 + (g.n - 1) * g.h + node_shift)
-
-
-def apply_dirichlet_2d(values: Field, ctx: StepContext):
-    """Overwrite the whole perimeter from the boundary provider at t + tau."""
-    g = ctx.grid
-    t_new = ctx.t + ctx.tau
-    x, y = g.x, g.y
-    provider = ctx.boundary_provider
-    values[0, :] = provider(t_new, x[0], y)
-    values[-1, :] = provider(t_new, x[-1], y)
-    values[:, 0] = provider(t_new, x, y[0])
-    values[:, -1] = provider(t_new, x, y[-1])
-
-
-def _central_dx(u, h):
-    d = np.zeros_like(u)
-    d[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-    return d
-
-
-def _central_dxx(u, h):
-    d = np.zeros_like(u)
-    d[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
-    return d
-
-
-def ftcs_step_ibe(u: Field, ctx: StepContext) -> Field:
-    """Forward-Euler step of u_t + u u_x = 0, central differences."""
-    u = _require_1d(u, ctx)
-    ux = _central_dx(u, ctx.grid.h)
-    out = u - ctx.tau * u * ux
-    apply_dirichlet_1d(out, ctx)
-    _check_finite(out)
-    return out
-
-
-def ftcs_step_ade1d(u: Field, ctx: StepContext) -> Field:
-    """Forward-Euler step of u_t + alpha u_x = nu u_xx, central differences."""
-    u = _require_1d(u, ctx)
-    p = ctx.params
-    h = ctx.grid.h
-    out = u - ctx.tau * (p.alpha * _central_dx(u, h) - p.nu * _central_dxx(u, h))
-    apply_dirichlet_1d(out, ctx)
-    _check_finite(out)
-    return out
-
-
-def ftcs_step_vbe(u: Field, ctx: StepContext) -> Field:
-    """Forward-Euler step of u_t + u u_x = nu u_xx, central differences."""
-    u = _require_1d(u, ctx)
-    h = ctx.grid.h
-    out = u - ctx.tau * (u * _central_dx(u, h) - ctx.params.nu * _central_dxx(u, h))
-    apply_dirichlet_1d(out, ctx)
-    _check_finite(out)
-    return out
-
-
-def ftcs_step_ade2d(u: Field, ctx: StepContext) -> Field:
-    """Forward-Euler step of u_t + alpha u_x + beta u_y = nu laplacian(u)."""
-    u = _require_2d(u, ctx)
-    p = ctx.params
-    g = ctx.grid
-    ux = np.zeros_like(u)
-    uy = np.zeros_like(u)
-    lap = np.zeros_like(u)
-    ux[1:-1, :] = (u[2:, :] - u[:-2, :]) / (2.0 * g.hx)
-    uy[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * g.hy)
-    lap[1:-1, :] += (u[2:, :] - 2.0 * u[1:-1, :] + u[:-2, :]) / (g.hx * g.hx)
-    lap[:, 1:-1] += (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / (g.hy * g.hy)
-    out = u - ctx.tau * (p.alpha * ux + p.beta * uy - p.nu * lap)
-    apply_dirichlet_2d(out, ctx)
-    _check_finite(out)
-    return out
-
-
-def comp_step_ibe(u: Field, ctx: StepContext) -> Field:
-    """Compact step of u_t + u u_x = 0 with the defect correction.
+def ibe_comp_update(u: Field, grid: Grid1D, params: PdeParams, tau: float) -> Field:
+    """Compact update of u_t + u u_x = 0 with the defect correction.
 
     The correction (tau^2/2)(u^2 u_xx + 2 u u_x^2) matches the exact
     second time derivative of the solution, lifting the update to second
     order in time.
     """
-    u = _require_1d(u, ctx)
-    g, tau = ctx.grid, ctx.tau
-    ux = compact_dx(u, g)
-    uxx = compact_dxx(u, g)
-    out = u - tau * u * ux + 0.5 * tau * tau * (u * u * uxx + 2.0 * u * ux * ux)
-    apply_dirichlet_1d(out, ctx)
-    _check_finite(out)
-    return out
+    ux = compact_ops.d1(u, grid)
+    uxx = compact_ops.d2(u, grid)
+    return u - tau * u * ux + 0.5 * tau * tau * (u * u * uxx + 2.0 * u * ux * ux)
 
 
-def comp_step_ade1d(u: Field, ctx: StepContext) -> Field:
-    """Compact step of u_t + alpha u_x = nu u_xx."""
-    u = _require_1d(u, ctx)
-    p = ctx.params
-    out = u - ctx.tau * (
-        p.alpha * compact_dx(u, ctx.grid) - p.nu * compact_dxx(u, ctx.grid)
+def ade1d_update(u: Field, grid: Grid1D, params: PdeParams, tau: float, ops) -> Field:
+    """Forward-Euler update of u_t + alpha u_x = nu u_xx with ops' derivatives."""
+    return u - tau * (params.alpha * ops.d1(u, grid) - params.nu * ops.d2(u, grid))
+
+
+def vbe_update(u: Field, grid: Grid1D, params: PdeParams, tau: float, ops) -> Field:
+    """Forward-Euler update of u_t + u u_x = nu u_xx with ops' derivatives."""
+    return u - tau * (u * ops.d1(u, grid) - params.nu * ops.d2(u, grid))
+
+
+def ade2d_update(u: Field, grid: Grid2D, params: PdeParams, tau: float, ops) -> Field:
+    """Unsplit forward-Euler update of u_t + alpha u_x + beta u_y = nu laplacian(u)."""
+    return u - tau * (
+        params.alpha * ops.d1(u, grid, 0)
+        + params.beta * ops.d1(u, grid, 1)
+        - params.nu * (ops.d2(u, grid, 0) + ops.d2(u, grid, 1))
     )
-    apply_dirichlet_1d(out, ctx)
-    _check_finite(out)
-    return out
-
-
-def comp_step_vbe(u: Field, ctx: StepContext) -> Field:
-    """Compact step of u_t + u u_x = nu u_xx."""
-    u = _require_1d(u, ctx)
-    out = u - ctx.tau * (
-        u * compact_dx(u, ctx.grid) - ctx.params.nu * compact_dxx(u, ctx.grid)
-    )
-    apply_dirichlet_1d(out, ctx)
-    _check_finite(out)
-    return out
-
-
-def comp_step_ade2d(u: Field, ctx: StepContext) -> Field:
-    """Compact step of u_t + alpha u_x + beta u_y = nu laplacian(u), unsplit."""
-    u = _require_2d(u, ctx)
-    p = ctx.params
-    g = ctx.grid
-    out = u - ctx.tau * (
-        p.alpha * compact_dx_along_x(u, g)
-        + p.beta * compact_dx_along_y(u, g)
-        - p.nu * (compact_dxx_along_x(u, g) + compact_dxx_along_y(u, g))
-    )
-    apply_dirichlet_2d(out, ctx)
-    _check_finite(out)
-    return out

@@ -3,14 +3,12 @@
 Configuration is a flat UTF-8 key=value file ('#' starts a comment) plus
 positional key=value overrides, later wins. Data goes to CSV files and
 standard output; diagnostics go to standard error. Exit code 0 iff no
-error. The THREADS environment variable caps how many study cells run in
-parallel (default: sequential).
+error.
 """
 
 import argparse
 import csv
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -18,17 +16,19 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .analytic import PdeParams, galilean_exact
-from .compact_ops import Grid1D, Grid2D
+from .compact_ops import Grid1D
 from .errors import ConfigInvalid, SymfdError
 from .metrics import (
     PDES,
     SCHEMES_BY_PDE,
+    StepContext,
     convergence_study,
     default_exact,
     evolve,
     fit_slope,
     galilean_experiment,
-    run_experiment,
+    grid_for,
+    step,
 )
 
 # Table-run defaults per problem; any key can be overridden.
@@ -81,18 +81,6 @@ class RunConfig:
     L: float
     galilean_c: Optional[float]
     output_path: str
-
-    @property
-    def grid(self):
-        if self.pde == "ade2d":
-            x_lo, x_hi, y_lo, y_hi = self.domain
-            nx, ny = self.n
-            return Grid2D(
-                x_lo, y_lo, (x_hi - x_lo) / (nx - 1), (y_hi - y_lo) / (ny - 1), nx, ny
-            )
-        lo, hi = self.domain
-        nx = self.n[0]
-        return Grid1D(lo, (hi - lo) / (nx - 1), nx)
 
     @property
     def params(self) -> PdeParams:
@@ -222,23 +210,10 @@ def _write_csv(path: str, header, rows):
         writer.writerows(rows)
 
 
-def _workers() -> int:
-    raw = os.environ.get("THREADS")
-    if raw is None or raw == "":
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigInvalid(f"THREADS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ConfigInvalid(f"THREADS must be >= 1, got {workers}")
-    return workers
-
-
 def cmd_run(mapping: dict) -> int:
     """Evolve one configuration; write the profile CSV, print a summary."""
     cfg = build_run_config(mapping)
-    grid = cfg.grid
+    grid = grid_for(cfg.pde, cfg.domain, cfg.n)
     params = cfg.params
     exact = None
     velocity = 0.0
@@ -308,12 +283,9 @@ def cmd_converge(mapping: dict) -> int:
     cfg = build_run_config({**merged, "pde": pde})
     tau = _as_float(merged, "tau")
     t_final = _as_float(merged, "t_final")
-    workers = _workers()
     rows = []
     for scheme in schemes:
-        table = convergence_study(
-            pde, scheme, sizes, tau, t_final, cfg.params, cfg.domain, workers=workers
-        )
+        table = convergence_study(pde, scheme, sizes, tau, t_final, cfg.params, cfg.domain)
         rows.extend(
             (scheme, str(n), _fmt(h), _fmt(err), _fmt(table.slope))
             for n, h, err in table.rows
@@ -344,11 +316,10 @@ def cmd_galilean(mapping: dict) -> int:
     results = galilean_experiment(
         c_values,
         schemes=schemes,
-        grid=cfg.grid,
+        grid=grid_for(cfg.pde, cfg.domain, cfg.n),
         tau=cfg.tau,
         t_final=cfg.t_final,
         params=cfg.params,
-        workers=_workers(),
     )
     rows = [
         (_fmt(c), scheme, _fmt(rep.rmse), _fmt(rep.linf)) for c, scheme, rep in results
@@ -361,9 +332,7 @@ def cmd_galilean(mapping: dict) -> int:
 def _selftest_checks():
     """Quick example checks spanning every module; see cmd_selftest."""
     from .analytic import ade1d_exact, ade2d_exact, ibe_exact, vbe_exact
-    from .baseline_schemes import StepContext
-    from .compact_ops import compact_dx, compact_dxx
-    from .invariant_schemes import sym_step_ibe, sym_step_vbe
+    from .compact_ops import d1, d2
     from .metrics import linf as metric_linf
     from .metrics import rmse as metric_rmse
     from .tridiag import TriDiagSystem, solve_tridiagonal
@@ -382,13 +351,13 @@ def _selftest_checks():
     grid = Grid1D(0.0, 0.1, 11)
 
     def dx_of_constant():
-        return np.abs(compact_dx(np.full(11, 3.7), grid)).max() < 1e-12
+        return np.abs(d1(np.full(11, 3.7), grid)).max() < 1e-12
 
     def dx_of_linear():
-        return np.abs(compact_dx(grid.x.copy(), grid) - 1.0).max() < 1e-12
+        return np.abs(d1(grid.x.copy(), grid) - 1.0).max() < 1e-12
 
     def dxx_of_quadratic():
-        return np.abs(compact_dxx(grid.x**2, grid) - 2.0).max() < 1e-10
+        return np.abs(d2(grid.x**2, grid) - 2.0).max() < 1e-10
 
     def hump_peak():
         return abs(ibe_exact(0.0, 0.0, 0.5) - 1.0 / math.sqrt(0.5 * math.pi)) < 1e-14
@@ -412,16 +381,16 @@ def _selftest_checks():
 
     rarefaction = lambda t, x: np.asarray(x) / (1.0 + t)
 
-    def one_step_exact_ibe():
+    def rarefaction_exact_ibe():
         g = Grid1D(1.0, 0.25, 9)
         ctx = StepContext(g, PdeParams(nu=0.0), 1e-3, 0.0, rarefaction)
-        out = sym_step_ibe(g.x.copy(), ctx)
+        out = step("ibe", "sym", g.x.copy(), ctx)
         return np.abs(out - g.x / 1.001).max() < 1e-12
 
-    def one_step_exact_vbe():
+    def rarefaction_exact_vbe():
         g = Grid1D(1.0, 0.25, 9)
         ctx = StepContext(g, PdeParams(nu=1.0 / 12.0), 1e-3, 0.0, rarefaction)
-        out = sym_step_vbe(g.x.copy(), ctx)
+        out = step("vbe", "sym", g.x.copy(), ctx)
         return np.abs(out - g.x / 1.001).max() < 1e-12
 
     def boost_identity():
@@ -436,9 +405,9 @@ def _selftest_checks():
         hs = np.array([0.4, 0.2, 0.1])
         return abs(fit_slope(hs, 2.5 * hs**3) - 3.0) < 1e-10
 
-    def zero_step_run():
+    def zero_horizon_run():
         p = PdeParams(nu=1.0 / 60.0, L=0.4)
-        rep = run_experiment("ade1d", "comp", Grid1D(-2.0, 0.2, 31), 1e-3, 0.0, p)
+        _, _, rep = evolve("ade1d", "comp", Grid1D(-2.0, 0.2, 31), 1e-3, 0.0, p)
         return rep.rmse == 0.0 and rep.linf == 0.0
 
     return [
@@ -453,11 +422,11 @@ def _selftest_checks():
         ("plane kernel peak at t=0", plane_kernel_peak),
         ("rmse hand value", rmse_hand_value),
         ("linf hand value", linf_hand_value),
-        ("one-step exactness, invariant hump step", one_step_exact_ibe),
-        ("one-step exactness, invariant viscous step", one_step_exact_vbe),
+        ("one-step exactness, invariant hump step", rarefaction_exact_ibe),
+        ("one-step exactness, invariant viscous step", rarefaction_exact_vbe),
         ("zero boost is the identity", boost_identity),
         ("slope recovery on cubic errors", slope_recovery),
-        ("zero-step run has zero error", zero_step_run),
+        ("zero-step run has zero error", zero_horizon_run),
     ]
 
 

@@ -7,11 +7,14 @@ Interior rows couple neighbouring derivative values implicitly:
 
 both fourth-order accurate. The end rows either close the system with
 one-sided third-order compact rows (exact for cubics resp. quartics) or pin
-the end derivatives to caller-supplied exact values. 2D fields are handled
-axis by axis, one tridiagonal solve per grid line.
+the end derivatives to caller-supplied exact values. d1 and d2 take the axis
+to differentiate along; on a 2D field every grid line along that axis shares
+one matrix, so all lines go through one batched tridiagonal solve.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -40,6 +43,14 @@ class Grid1D:
     @property
     def x(self) -> np.ndarray:
         return self.x0 + self.h * np.arange(self.n)
+
+    @cached_property
+    def shape(self) -> Tuple[int]:
+        return (self.n,)
+
+    @cached_property
+    def spacing(self) -> Tuple[float]:
+        return (self.h,)
 
 
 @dataclass(frozen=True)
@@ -70,6 +81,14 @@ class Grid2D:
     @property
     def y(self) -> np.ndarray:
         return self.y0 + self.hy * np.arange(self.ny)
+
+    @cached_property
+    def shape(self) -> Tuple[int, int]:
+        return (self.nx, self.ny)
+
+    @cached_property
+    def spacing(self) -> Tuple[float, float]:
+        return (self.hx, self.hy)
 
 
 @dataclass(frozen=True)
@@ -103,6 +122,7 @@ class BoundaryPolicy:
 
 
 ONE_SIDED = BoundaryPolicy.one_sided()
+Grid = Union[Grid1D, Grid2D]
 
 
 def _first_derivative_rows(u, h, bp):
@@ -152,61 +172,25 @@ def _second_derivative_rows(u, h, bp):
     return lower, diag, upper, rhs
 
 
-def _check_1d(u, grid):
+def _along(rows, u, grid, axis, bp):
+    """Solve the compact system built by rows on every grid line along axis."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (grid.n,):
-        raise ShapeMismatch(f"field shape {u.shape} does not match grid n = {grid.n}")
-    return u
+    if u.shape != grid.shape:
+        raise ShapeMismatch(f"field shape {u.shape} does not match grid {grid.shape}")
+    if not 0 <= axis < u.ndim:
+        raise ValueError(f"axis {axis} out of range for a {u.ndim}D grid")
+    h = grid.spacing[axis]
+    if u.ndim == 1:
+        return solve_tridiagonal(TriDiagSystem(*rows(u, h, bp)))
+    lines = np.ascontiguousarray(u.swapaxes(0, axis))
+    return np.ascontiguousarray(solve_tridiagonal_many(*rows(lines, h, bp)).swapaxes(0, axis))
 
 
-def _check_2d(u, grid):
-    u = np.asarray(u, dtype=float)
-    if u.shape != (grid.nx, grid.ny):
-        raise ShapeMismatch(
-            f"field shape {u.shape} does not match grid ({grid.nx}, {grid.ny})"
-        )
-    return u
+def d1(u: Field, grid: Grid, axis: int = 0, bp: BoundaryPolicy = ONE_SIDED) -> Field:
+    """First derivative along one axis, fourth-order in the interior."""
+    return _along(_first_derivative_rows, u, grid, axis, bp)
 
 
-def compact_dx(u: Field, grid: Grid1D, bp: BoundaryPolicy = ONE_SIDED) -> Field:
-    """First derivative of a 1D field, fourth-order in the interior."""
-    u = _check_1d(u, grid)
-    lower, diag, upper, rhs = _first_derivative_rows(u, grid.h, bp)
-    return solve_tridiagonal(TriDiagSystem(lower, diag, upper, rhs))
-
-
-def compact_dxx(u: Field, grid: Grid1D, bp: BoundaryPolicy = ONE_SIDED) -> Field:
-    """Second derivative of a 1D field, fourth-order in the interior."""
-    u = _check_1d(u, grid)
-    lower, diag, upper, rhs = _second_derivative_rows(u, grid.h, bp)
-    return solve_tridiagonal(TriDiagSystem(lower, diag, upper, rhs))
-
-
-def compact_dx_along_x(u: Field, grid: Grid2D, bp: BoundaryPolicy = ONE_SIDED) -> Field:
-    """d/dx of a 2D field: the 1D operator applied to every x-line."""
-    u = _check_2d(u, grid)
-    lower, diag, upper, rhs = _first_derivative_rows(u, grid.hx, bp)
-    return solve_tridiagonal_many(lower, diag, upper, rhs)
-
-
-def compact_dx_along_y(u: Field, grid: Grid2D, bp: BoundaryPolicy = ONE_SIDED) -> Field:
-    """d/dy of a 2D field: the 1D operator applied to every y-line."""
-    u = _check_2d(u, grid)
-    ut = np.ascontiguousarray(u.T)
-    lower, diag, upper, rhs = _first_derivative_rows(ut, grid.hy, bp)
-    return np.ascontiguousarray(solve_tridiagonal_many(lower, diag, upper, rhs).T)
-
-
-def compact_dxx_along_x(u: Field, grid: Grid2D, bp: BoundaryPolicy = ONE_SIDED) -> Field:
-    """d2/dx2 of a 2D field, axis-wise."""
-    u = _check_2d(u, grid)
-    lower, diag, upper, rhs = _second_derivative_rows(u, grid.hx, bp)
-    return solve_tridiagonal_many(lower, diag, upper, rhs)
-
-
-def compact_dxx_along_y(u: Field, grid: Grid2D, bp: BoundaryPolicy = ONE_SIDED) -> Field:
-    """d2/dy2 of a 2D field, axis-wise."""
-    u = _check_2d(u, grid)
-    ut = np.ascontiguousarray(u.T)
-    lower, diag, upper, rhs = _second_derivative_rows(ut, grid.hy, bp)
-    return np.ascontiguousarray(solve_tridiagonal_many(lower, diag, upper, rhs).T)
+def d2(u: Field, grid: Grid, axis: int = 0, bp: BoundaryPolicy = ONE_SIDED) -> Field:
+    """Second derivative along one axis, fourth-order in the interior."""
+    return _along(_second_derivative_rows, u, grid, axis, bp)

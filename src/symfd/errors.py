@@ -25,7 +25,7 @@ class NonFinite(SymfdError):
 
 
 class FrameSingularity(SymfdError):
-    """The projective factor lambda left its valid chart (|lambda| ~ 0)."""
+    """The projective factor lambda left its valid chart (lambda <= 0)."""
 
 
 class ZeroState(SymfdError):

@@ -1,43 +1,25 @@
 """Symmetry-preserving (SYM) compact schemes.
 
-Each step invariantizes its base compact scheme with a moving frame: the
+Each update invariantizes its base compact scheme with a moving frame: the
 frame normalization fixes per-node group parameters (s1 and friends), the
 base update runs in the transformed coordinates, and the result is mapped
 back. For these four problems the composition collapses to closed-form
-per-node updates in the original variables, implemented below.
+per-node updates in the original variables, implemented below. Like the
+baseline updates they return the new field and leave the boundary nodes to
+the caller.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .baseline_schemes import (
-    StepContext,
-    _check_finite,
-    _require_1d,
-    _require_2d,
-    apply_dirichlet_1d,
-    apply_dirichlet_2d,
-)
-from .compact_ops import (
-    Field,
-    Grid1D,
-    compact_dx,
-    compact_dx_along_x,
-    compact_dx_along_y,
-    compact_dxx,
-    compact_dxx_along_x,
-    compact_dxx_along_y,
-)
+from . import compact_ops
+from .analytic import PdeParams
+from .compact_ops import Field, Grid1D, Grid2D
 from .errors import FrameSingularity, ZeroState
-from .analytic import PdeParams, galilean_exact, ibe_exact, vbe_exact
 
 LAMBDA_TOL = 1e-10
 ZERO_STATE_TOL = 1e-12
-
-_VBE_PARAMS = PdeParams(nu=1.0 / 12.0)
-_IBE_PARAMS = PdeParams(sigma=0.5)
 
 # Frame choices for the 2D advection-diffusion step: "sym1" cancels the
 # streamwise curvature (s1 = u_xx / 2u), "sym2" the full Laplacian
@@ -50,23 +32,11 @@ class MovingFrame:
     """Normalized group parameters of one invariantized step, per node.
 
     s1 is the projective parameter fixed by the scheme's normalization;
-    lambda_next = the projective factor at the new time level. gamma and
-    theta are the (scalar) shifted base-point offsets -alpha tau and
-    -beta tau of the 2D step; 1D steps leave them None.
+    lambda_next = the projective factor at the new time level.
     """
 
     s1: np.ndarray
     lambda_next: np.ndarray
-    gamma: Optional[float] = None
-    theta: Optional[float] = None
-
-
-def _check_lambda(lam, interior):
-    if np.abs(lam[interior]).min() < LAMBDA_TOL:
-        raise FrameSingularity(
-            "projective factor lambda vanished at an interior node; "
-            "the frame left its valid chart"
-        )
 
 
 def _check_lambda_positive(lam, interior):
@@ -88,79 +58,59 @@ _INTERIOR_1D = np.s_[1:-1]
 
 
 def ibe_frame(ux: np.ndarray, tau: float) -> MovingFrame:
-    """Frame for the inviscid Burgers step: s1 = -u_x, lambda = 1 - s1 tau."""
+    """Frame of both Burgers steps: s1 = -u_x, lambda = 1 - s1 tau."""
     s1 = -ux
     return MovingFrame(s1=s1, lambda_next=1.0 - s1 * tau)
 
 
-def sym_step_ibe(u: Field, ctx: StepContext) -> Field:
-    """Invariantized compact step of u_t + u u_x = 0.
+def ibe_sym_update(u: Field, grid: Grid1D, params: PdeParams, tau: float) -> Field:
+    """Invariantized compact update of u_t + u u_x = 0.
 
     u_new = (u + tau^2 u^2 u_xx / (2 lambda^2)) / lambda per node. The
     frame absorbs the advection term entirely; on locally linear data the
     update is exact (see the one-step tests).
     """
-    u = _require_1d(u, ctx)
-    tau = ctx.tau
-    frame = ibe_frame(compact_dx(u, ctx.grid), tau)
+    frame = ibe_frame(compact_ops.d1(u, grid), tau)
     lam = frame.lambda_next
-    _check_lambda(lam, _INTERIOR_1D)
-    uxx = compact_dxx(u, ctx.grid)
-    out = (u + (tau * tau / (2.0 * lam * lam)) * u * u * uxx) / lam
-    apply_dirichlet_1d(out, ctx)
-    _check_finite(out)
-    return out
+    _check_lambda_positive(lam, _INTERIOR_1D)
+    uxx = compact_ops.d2(u, grid)
+    return (u + (tau * tau / (2.0 * lam * lam)) * u * u * uxx) / lam
 
 
-def sym_step_ade1d(u: Field, ctx: StepContext) -> Field:
-    """Invariantized compact step of u_t + alpha u_x = nu u_xx.
+def ade1d_sym_update(u: Field, grid: Grid1D, params: PdeParams, tau: float) -> Field:
+    """Invariantized compact update of u_t + alpha u_x = nu u_xx.
 
     Frame: s1 = nu u_xx / u, lambda = 1 - 2 s1 tau (must stay positive
     for the lambda^(-3/2) branch). The exponent is computed from the
     ratio u_xx / u directly, so the nu -> 0 limit degrades gracefully to
     the plain advection step.
     """
-    u = _require_1d(u, ctx)
-    p, tau = ctx.params, ctx.tau
     _check_zero_state(u, _INTERIOR_1D)
-    ux = compact_dx(u, ctx.grid)
-    uxx = compact_dxx(u, ctx.grid)
+    ux = compact_ops.d1(u, grid)
+    uxx = compact_ops.d2(u, grid)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = uxx / u  # = s1 / nu
-        lam = 1.0 - 2.0 * p.nu * ratio * tau
+        lam = 1.0 - 2.0 * params.nu * ratio * tau
         _check_lambda_positive(lam, _INTERIOR_1D)
-        arg = ratio * p.alpha * p.alpha * tau * tau / (2.0 * lam)
-        out = lam ** (-1.5) * (lam * u - tau * p.alpha * ux) * np.exp(arg)
-    apply_dirichlet_1d(out, ctx)
-    _check_finite(out)
-    return out
+        arg = ratio * params.alpha * params.alpha * tau * tau / (2.0 * lam)
+        return lam ** (-1.5) * (lam * u - tau * params.alpha * ux) * np.exp(arg)
 
 
-def vbe_frame(ux: np.ndarray, tau: float) -> MovingFrame:
-    """Frame for the viscous Burgers step: s1 = -u_x, lambda = 1 - s1 tau."""
-    s1 = -ux
-    return MovingFrame(s1=s1, lambda_next=1.0 - s1 * tau)
-
-
-def sym_step_vbe(u: Field, ctx: StepContext) -> Field:
-    """Invariantized compact step of u_t + u u_x = nu u_xx.
+def vbe_sym_update(
+    u: Field, grid: Grid1D, params: PdeParams, tau: float, dx_nodes: float
+) -> Field:
+    """Invariantized compact update of u_t + u u_x = nu u_xx.
 
     u_new = (u - s1 dx + tau nu u_xx / lambda) / lambda, where dx is the
     node displacement over the step. On the static mesh dx = 0; a
-    Galilean-boosted run slides the nodes with ctx.mesh_velocity, which
+    Galilean-boosted run slides the nodes with the boost speed, which
     keeps the update exactly equivariant under the boost.
     """
-    u = _require_1d(u, ctx)
-    tau = ctx.tau
-    frame = vbe_frame(compact_dx(u, ctx.grid), tau)
+    frame = ibe_frame(compact_ops.d1(u, grid), tau)
     lam = frame.lambda_next
-    _check_lambda(lam, _INTERIOR_1D)
-    uxx = compact_dxx(u, ctx.grid)
-    dx_nodes = ctx.mesh_velocity * tau
-    out = (u - frame.s1 * dx_nodes + (tau * ctx.params.nu / lam) * uxx) / lam
-    apply_dirichlet_1d(out, ctx, node_shift=ctx.mesh_velocity * (ctx.t + tau))
-    _check_finite(out)
-    return out
+    _check_lambda_positive(lam, _INTERIOR_1D)
+    uxx = compact_ops.d2(u, grid)
+    return (u - frame.s1 * dx_nodes + (tau * params.nu / lam) * uxx) / lam
 
 
 def ade2d_frame(u, uxx, uyy, variant: str, params, tau: float) -> MovingFrame:
@@ -171,29 +121,26 @@ def ade2d_frame(u, uxx, uyy, variant: str, params, tau: float) -> MovingFrame:
         s1 = (uxx + uyy) / (4.0 * u)
     else:
         raise ValueError(f"unknown variant {variant!r}, expected one of {ADE2D_VARIANTS}")
-    lam = 1.0 - 4.0 * params.nu * s1 * tau
-    return MovingFrame(
-        s1=s1, lambda_next=lam, gamma=-params.alpha * tau, theta=-params.beta * tau
-    )
+    return MovingFrame(s1=s1, lambda_next=1.0 - 4.0 * params.nu * s1 * tau)
 
 
-def sym_step_ade2d(u: Field, ctx: StepContext, variant: str) -> Field:
-    """Invariantized compact step of u_t + alpha u_x + beta u_y = nu laplacian(u).
+def ade2d_sym_update(
+    u: Field, grid: Grid2D, params: PdeParams, tau: float, variant: str
+) -> Field:
+    """Invariantized compact update of u_t + alpha u_x + beta u_y = nu laplacian(u).
 
     The base scheme runs in the frame-transformed coordinates, where the
     normalization cancels the streamwise curvature ("sym1") or the whole
     Laplacian ("sym2"); the result is mapped back through the projective
     factor lambda and the Gaussian weight of the shifted base point.
     """
-    u = _require_2d(u, ctx)
-    p, tau = ctx.params, ctx.tau
+    p = params
     interior = np.s_[1:-1, 1:-1]
     _check_zero_state(u, interior)
-    g = ctx.grid
-    ux = compact_dx_along_x(u, g)
-    uy = compact_dx_along_y(u, g)
-    uxx = compact_dxx_along_x(u, g)
-    uyy = compact_dxx_along_y(u, g)
+    ux = compact_ops.d1(u, grid, 0)
+    uy = compact_ops.d1(u, grid, 1)
+    uxx = compact_ops.d2(u, grid, 0)
+    uyy = compact_ops.d2(u, grid, 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         frame = ade2d_frame(u, uxx, uyy, variant, p, tau)
         lam = frame.lambda_next
@@ -205,76 +152,4 @@ def sym_step_ade2d(u: Field, ctx: StepContext, variant: str) -> Field:
         if variant == "sym1":
             new_t = new_t + tau_t * p.nu * (uyy - 2.0 * frame.s1 * u)
         back = np.exp(frame.s1 * (p.alpha * p.alpha + p.beta * p.beta) * tau * tau / lam)
-        out = (new_t / lam) * back
-    apply_dirichlet_2d(out, ctx)
-    _check_finite(out)
-    return out
-
-
-def _galilean_deviation(c: float) -> float:
-    """One-step commutation defect of sym_step_vbe under a boost by c."""
-    nu = 1.0 / 12.0
-    tau = 1e-3
-    grid = Grid1D(0.0, 2.0 * np.pi / 40.0, 41)
-    worst = 0.0
-    for t0 in (0.0, 0.1):
-        base = vbe_exact(t0, grid.x, nu)
-        ctx = StepContext(
-            grid,
-            _VBE_PARAMS,
-            tau,
-            t0,
-            lambda t, x: vbe_exact(t, x, nu),
-        )
-        stepped = sym_step_vbe(base, ctx)
-        boosted_exact = galilean_exact(lambda t, x: vbe_exact(t, x, nu), c)
-        ctx_c = StepContext(grid, _VBE_PARAMS, tau, t0, boosted_exact, mesh_velocity=c)
-        stepped_boosted = sym_step_vbe(base + c, ctx_c)
-        worst = max(worst, float(np.abs(stepped_boosted - (stepped + c)).max()))
-    return worst
-
-
-def _scaling_deviation(s: float) -> float:
-    """One-step commutation defect of sym_step_ibe under the scaling
-    (t, x, u) -> (e^{2s} t, e^s x, e^{-s} u) with tau, h rescaled along."""
-    sigma = 0.5
-    tau = 1e-3
-    grid = Grid1D(-3.0, 0.15, 41)
-    scale = float(np.exp(s))
-    worst = 0.0
-    for t0 in (0.0, 0.2):
-        base = ibe_exact(t0, grid.x, sigma)
-        ctx = StepContext(
-            grid,
-            _IBE_PARAMS,
-            tau,
-            t0,
-            lambda t, x: ibe_exact(t, x, sigma),
-        )
-        stepped = sym_step_ibe(base, ctx)
-        grid_s = Grid1D(grid.x0 * scale, grid.h * scale, grid.n)
-
-        def scaled_exact(t, x):
-            return ibe_exact(t / (scale * scale), np.asarray(x) / scale, sigma) / scale
-
-        ctx_s = StepContext(
-            grid_s, _IBE_PARAMS, tau * scale * scale, t0 * scale * scale, scaled_exact
-        )
-        stepped_scaled = sym_step_ibe(base / scale, ctx_s)
-        worst = max(worst, float(np.abs(stepped_scaled - stepped / scale).max()))
-    return worst
-
-
-def invariantize_check(scheme: str, group_params) -> float:
-    """Max step-vs-transform commutation defect over exact-solution stencils.
-
-    scheme "vbe": Galilean boosts, group_params iterable of boost speeds.
-    scheme "ibe": scalings, group_params iterable of log-scales s.
-    A scheme that genuinely preserves the group keeps the returned
-    deviation at roundoff level.
-    """
-    if scheme == "vbe":
-        return max(_galilean_deviation(float(c)) for c in group_params)
-    if scheme == "ibe":
-        return max(_scaling_deviation(float(s)) for s in group_params)
-    raise ValueError(f"unknown scheme {scheme!r}, expected 'ibe' or 'vbe'")
+        return (new_t / lam) * back

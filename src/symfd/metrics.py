@@ -1,7 +1,7 @@
-"""Error measures, experiment driver, convergence and Galilean studies."""
+"""Error measures, the time loop, convergence, Galilean and equivariance studies."""
 
 import time
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -9,6 +9,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import baseline_schemes as base
+from . import compact_ops
 from . import invariant_schemes as inv
 from .analytic import (
     PdeParams,
@@ -18,9 +19,8 @@ from .analytic import (
     ibe_exact,
     vbe_exact,
 )
-from .baseline_schemes import StepContext
-from .compact_ops import Field, Grid1D, Grid2D
-from .errors import ShapeMismatch, StepCountMismatch
+from .compact_ops import Field, Grid, Grid1D, Grid2D
+from .errors import NonFinite, ShapeMismatch, StepCountMismatch
 
 PDES = ("ibe", "ade1d", "vbe", "ade2d")
 
@@ -31,21 +31,68 @@ SCHEMES_BY_PDE = {
     "ade2d": ("ftcs", "comp", "sym1", "sym2"),
 }
 
+# The update of each (pde, scheme) pair, called as update(u, grid, params,
+# tau), plus the node displacement over the step for SLIDING.
 _STEPPERS = {
-    ("ibe", "ftcs"): base.ftcs_step_ibe,
-    ("ibe", "comp"): base.comp_step_ibe,
-    ("ibe", "sym"): inv.sym_step_ibe,
-    ("ade1d", "ftcs"): base.ftcs_step_ade1d,
-    ("ade1d", "comp"): base.comp_step_ade1d,
-    ("ade1d", "sym"): inv.sym_step_ade1d,
-    ("vbe", "ftcs"): base.ftcs_step_vbe,
-    ("vbe", "comp"): base.comp_step_vbe,
-    ("vbe", "sym"): inv.sym_step_vbe,
-    ("ade2d", "ftcs"): base.ftcs_step_ade2d,
-    ("ade2d", "comp"): base.comp_step_ade2d,
-    ("ade2d", "sym1"): partial(inv.sym_step_ade2d, variant="sym1"),
-    ("ade2d", "sym2"): partial(inv.sym_step_ade2d, variant="sym2"),
+    ("ibe", "ftcs"): base.ibe_ftcs_update,
+    ("ibe", "comp"): base.ibe_comp_update,
+    ("ibe", "sym"): inv.ibe_sym_update,
+    ("ade1d", "ftcs"): partial(base.ade1d_update, ops=base.Central),
+    ("ade1d", "comp"): partial(base.ade1d_update, ops=compact_ops),
+    ("ade1d", "sym"): inv.ade1d_sym_update,
+    ("vbe", "ftcs"): partial(base.vbe_update, ops=base.Central),
+    ("vbe", "comp"): partial(base.vbe_update, ops=compact_ops),
+    ("vbe", "sym"): inv.vbe_sym_update,
+    ("ade2d", "ftcs"): partial(base.ade2d_update, ops=base.Central),
+    ("ade2d", "comp"): partial(base.ade2d_update, ops=compact_ops),
+    ("ade2d", "sym1"): partial(inv.ade2d_sym_update, variant="sym1"),
+    ("ade2d", "sym2"): partial(inv.ade2d_sym_update, variant="sym2"),
 }
+# The one pair whose nodes may slide with the mesh velocity.
+SLIDING = ("vbe", "sym")
+
+_VBE_PARAMS = PdeParams(nu=1.0 / 12.0)
+_IBE_PARAMS = PdeParams(sigma=0.5)
+
+
+@dataclass
+class StepContext:
+    """Everything a single time step needs besides the field itself.
+
+    boundary_provider is the exact solution, called as provider(t, x) in
+    1D and provider(t, x, y) in 2D, to refresh the Dirichlet ends after
+    each step. mesh_velocity is consulted only by the invariant viscous
+    Burgers step, whose nodes may slide as x + mesh_velocity * t; every
+    other scheme is defined on the static mesh.
+    """
+
+    grid: Grid
+    params: PdeParams
+    tau: float
+    t: float
+    boundary_provider: Callable
+    mesh_velocity: float = 0.0
+
+    def __post_init__(self):
+        if self.tau <= 0:
+            raise ValueError(f"tau must be positive, got {self.tau}")
+        # Advisory stability screens; forward Euler will show NonFinite
+        # soon enough if these are ignored.
+        for h in self.grid.spacing:
+            diffusion = self.params.nu * self.tau / (h * h)
+            if diffusion > 0.5:
+                warnings.warn(
+                    f"diffusion number nu tau / h^2 = {diffusion:.3g} exceeds 0.5",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            courant = abs(self.params.alpha) * self.tau / h
+            if courant > 1.0:
+                warnings.warn(
+                    f"Courant number |alpha| tau / h = {courant:.3g} exceeds 1",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
 
 
 def rmse(numeric: Field, exact: Field) -> float:
@@ -95,14 +142,6 @@ class ConvergenceTable:
     slope: float
 
 
-def stepper(pde: str, scheme: str) -> Callable:
-    """Look up the step function for a (pde, scheme) pair."""
-    try:
-        return _STEPPERS[(pde, scheme)]
-    except KeyError:
-        raise ValueError(f"no scheme {scheme!r} for pde {pde!r}") from None
-
-
 def default_exact(pde: str, params: PdeParams) -> Callable:
     """The reference solution for a PDE, with parameters baked in."""
     if pde == "ibe":
@@ -116,25 +155,84 @@ def default_exact(pde: str, params: PdeParams) -> Callable:
     raise ValueError(f"unknown pde {pde!r}")
 
 
+def apply_dirichlet_1d(values: Field, ctx: StepContext, node_shift: float):
+    """Overwrite the two end nodes from the boundary provider at t + tau.
+
+    node_shift displaces the end coordinates (the sliding mesh of the
+    invariant viscous step); zero on the static mesh.
+    """
+    g = ctx.grid
+    t_new = ctx.t + ctx.tau
+    values[0] = ctx.boundary_provider(t_new, g.x0 + node_shift)
+    values[-1] = ctx.boundary_provider(t_new, g.x0 + (g.n - 1) * g.h + node_shift)
+
+
+def apply_dirichlet_2d(values: Field, ctx: StepContext):
+    """Overwrite the whole perimeter from the boundary provider at t + tau."""
+    g = ctx.grid
+    t_new = ctx.t + ctx.tau
+    x, y = g.x, g.y
+    provider = ctx.boundary_provider
+    values[0, :] = provider(t_new, x[0], y)
+    values[-1, :] = provider(t_new, x[-1], y)
+    values[:, 0] = provider(t_new, x, y[0])
+    values[:, -1] = provider(t_new, x, y[-1])
+
+
+def _check_finite(u):
+    if not np.isfinite(u).all():
+        raise NonFinite("step produced non-finite values; the run is unstable")
+
+
+def step(pde: str, scheme: str, u: Field, ctx: StepContext) -> Field:
+    """Advance u from ctx.t to ctx.t + ctx.tau with one (pde, scheme) step.
+
+    The scheme's update gives the interior; the boundary nodes are then
+    refreshed from ctx.boundary_provider at the new time, on node positions
+    shifted by mesh_velocity * (t + tau) for the sliding mesh. Raises
+    ShapeMismatch for a field off the grid, ValueError for an unknown pair
+    or a sliding mesh on a static-mesh scheme, and NonFinite when the new
+    field is not finite.
+    """
+    try:
+        update = _STEPPERS[(pde, scheme)]
+    except KeyError:
+        raise ValueError(f"no scheme {scheme!r} for pde {pde!r}") from None
+    u = np.asarray(u, dtype=float)
+    if u.shape != ctx.grid.shape or u.ndim != (2 if pde == "ade2d" else 1):
+        raise ShapeMismatch(
+            f"field shape {u.shape} does not fit pde {pde!r} on grid {ctx.grid.shape}"
+        )
+    if (pde, scheme) == SLIDING:
+        new = update(u, ctx.grid, ctx.params, ctx.tau, ctx.mesh_velocity * ctx.tau)
+    elif ctx.mesh_velocity != 0.0:
+        raise ValueError("only the invariant viscous Burgers step supports a sliding mesh")
+    else:
+        new = update(u, ctx.grid, ctx.params, ctx.tau)
+    if u.ndim == 2:
+        apply_dirichlet_2d(new, ctx)
+    else:
+        apply_dirichlet_1d(new, ctx, ctx.mesh_velocity * (ctx.t + ctx.tau))
+    _check_finite(new)
+    return new
+
+
 def evolve(
     pde: str,
     scheme: str,
-    grid: Union[Grid1D, Grid2D],
+    grid: Grid,
     tau: float,
     t_final: float,
     params: PdeParams,
     exact: Optional[Callable] = None,
     mesh_velocity: float = 0.0,
 ) -> Tuple[Field, Field, ErrorReport]:
-    """March from exact initial data to t_final; also return the fields.
+    """March from exact initial data to t_final with step().
 
     Returns (numeric, reference, report). The reference is the exact
     solution sampled on the final node positions, which differ from the
     initial ones only for the sliding-mesh runs (mesh_velocity != 0).
     """
-    step = stepper(pde, scheme)
-    if mesh_velocity != 0.0 and (pde, scheme) != ("vbe", "sym"):
-        raise ValueError("only the invariant viscous Burgers step supports a sliding mesh")
     if exact is None:
         exact = default_exact(pde, params)
     n_steps = int(round(t_final / tau))
@@ -152,7 +250,7 @@ def evolve(
     ctx = StepContext(grid, params, tau, 0.0, exact, mesh_velocity)
     for k in range(n_steps):
         ctx.t = k * tau
-        u = step(u, ctx)
+        u = step(pde, scheme, u, ctx)
     if two_d:
         ref = exact(t_final, *mesh)
     else:
@@ -171,37 +269,17 @@ def evolve(
     return u, ref, report
 
 
-def run_experiment(
-    pde: str,
-    scheme: str,
-    grid: Union[Grid1D, Grid2D],
-    tau: float,
-    t_final: float,
-    params: PdeParams,
-    exact: Optional[Callable] = None,
-    mesh_velocity: float = 0.0,
-) -> ErrorReport:
-    """March from exact initial data to t_final and report the errors."""
-    return evolve(pde, scheme, grid, tau, t_final, params, exact, mesh_velocity)[2]
+def grid_for(pde: str, domain: Sequence[float], n) -> Grid:
+    """Uniform grid spanning the domain bounds.
 
-
-def _map_cells(fn: Callable, items: Sequence, workers: int) -> list:
-    """Run independent study cells, optionally on a small thread pool."""
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def grid_for(pde: str, domain: Sequence[float], n: int) -> Union[Grid1D, Grid2D]:
-    """Uniform grid with n nodes per axis spanning the domain bounds."""
+    n is the node count of every axis, or a sequence with one count per axis.
+    """
+    lo, hi = domain[0::2], domain[1::2]
+    counts = (n,) * len(lo) if np.ndim(n) == 0 else tuple(n)
+    h = [(b - a) / (c - 1) for a, b, c in zip(lo, hi, counts)]
     if pde == "ade2d":
-        x_lo, x_hi, y_lo, y_hi = domain
-        return Grid2D(
-            x_lo, y_lo, (x_hi - x_lo) / (n - 1), (y_hi - y_lo) / (n - 1), n, n
-        )
-    lo, hi = domain
-    return Grid1D(lo, (hi - lo) / (n - 1), n)
+        return Grid2D(lo[0], lo[1], h[0], h[1], counts[0], counts[1])
+    return Grid1D(lo[0], h[0], counts[0])
 
 
 def fit_slope(hs: Sequence[float], errors: Sequence[float]) -> float:
@@ -217,21 +295,16 @@ def convergence_study(
     t_final: float,
     params: PdeParams,
     domain: Sequence[float],
-    workers: int = 1,
 ) -> ConvergenceTable:
     """One run per grid size at fixed small tau, plus the fitted slope."""
     sizes = sorted(set(int(n) for n in sizes))
     if len(sizes) < 3:
         raise ValueError(f"need at least 3 grid sizes, got {sizes}")
-    reports = _map_cells(
-        lambda n: run_experiment(pde, scheme, grid_for(pde, domain, n), tau, t_final, params),
-        sizes,
-        workers,
-    )
     rows = []
-    for n, rep in zip(sizes, reports):
-        h = rep.h[0] if isinstance(rep.h, tuple) else rep.h
-        rows.append((n, h, rep.linf))
+    for n in sizes:
+        grid = grid_for(pde, domain, n)
+        report = evolve(pde, scheme, grid, tau, t_final, params)[2]
+        rows.append((n, grid.spacing[0], report.linf))
     slope = fit_slope([r[1] for r in rows], [r[2] for r in rows])
     return ConvergenceTable(pde=pde, scheme=scheme, rows=rows, slope=slope)
 
@@ -243,7 +316,6 @@ def galilean_experiment(
     tau: float = 1e-4,
     t_final: float = 0.25,
     params: Optional[PdeParams] = None,
-    workers: int = 1,
 ) -> List[Tuple[float, str, ErrorReport]]:
     """Errors of the viscous Burgers schemes under Galilean-boosted data.
 
@@ -258,16 +330,82 @@ def galilean_experiment(
     if params is None:
         params = PdeParams(nu=1.0 / 12.0)
     plain = default_exact("vbe", params)
+    results = []
+    for c in map(float, c_values):
+        for scheme in schemes:
+            velocity = c if scheme == "sym" else 0.0
+            report = evolve(
+                "vbe", scheme, grid, tau, t_final, params,
+                exact=galilean_exact(plain, c), mesh_velocity=velocity,
+            )[2]
+            results.append((c, scheme, report))
+    return results
 
-    def one_cell(cell):
-        c, scheme = cell
-        boosted = galilean_exact(plain, c)
-        velocity = c if scheme == "sym" else 0.0
-        report = run_experiment(
-            "vbe", scheme, grid, tau, t_final, params,
-            exact=boosted, mesh_velocity=velocity,
+
+def _galilean_deviation(c: float) -> float:
+    """One-step commutation defect of the invariant viscous step under a boost by c."""
+    nu = 1.0 / 12.0
+    tau = 1e-3
+    grid = Grid1D(0.0, 2.0 * np.pi / 40.0, 41)
+    worst = 0.0
+    for t0 in (0.0, 0.1):
+        base_data = vbe_exact(t0, grid.x, nu)
+        ctx = StepContext(
+            grid,
+            _VBE_PARAMS,
+            tau,
+            t0,
+            lambda t, x: vbe_exact(t, x, nu),
         )
-        return (c, scheme, report)
+        stepped = step("vbe", "sym", base_data, ctx)
+        boosted_exact = galilean_exact(lambda t, x: vbe_exact(t, x, nu), c)
+        ctx_c = StepContext(grid, _VBE_PARAMS, tau, t0, boosted_exact, mesh_velocity=c)
+        stepped_boosted = step("vbe", "sym", base_data + c, ctx_c)
+        worst = max(worst, float(np.abs(stepped_boosted - (stepped + c)).max()))
+    return worst
 
-    cells = [(float(c), s) for c in c_values for s in schemes]
-    return _map_cells(one_cell, cells, workers)
+
+def _scaling_deviation(s: float) -> float:
+    """One-step commutation defect of the invariant inviscid step under the
+    scaling (t, x, u) -> (e^{2s} t, e^s x, e^{-s} u) with tau, h rescaled along."""
+    sigma = 0.5
+    tau = 1e-3
+    grid = Grid1D(-3.0, 0.15, 41)
+    scale = float(np.exp(s))
+    worst = 0.0
+    for t0 in (0.0, 0.2):
+        base_data = ibe_exact(t0, grid.x, sigma)
+        ctx = StepContext(
+            grid,
+            _IBE_PARAMS,
+            tau,
+            t0,
+            lambda t, x: ibe_exact(t, x, sigma),
+        )
+        stepped = step("ibe", "sym", base_data, ctx)
+        grid_s = Grid1D(grid.x0 * scale, grid.h * scale, grid.n)
+
+        def scaled_exact(t, x):
+            return ibe_exact(t / (scale * scale), np.asarray(x) / scale, sigma) / scale
+
+        ctx_s = StepContext(
+            grid_s, _IBE_PARAMS, tau * scale * scale, t0 * scale * scale, scaled_exact
+        )
+        stepped_scaled = step("ibe", "sym", base_data / scale, ctx_s)
+        worst = max(worst, float(np.abs(stepped_scaled - stepped / scale).max()))
+    return worst
+
+
+def invariantize_check(scheme: str, group_params) -> float:
+    """Max step-vs-transform commutation defect over exact-solution stencils.
+
+    scheme "vbe": Galilean boosts, group_params iterable of boost speeds.
+    scheme "ibe": scalings, group_params iterable of log-scales s.
+    A scheme that genuinely preserves the group keeps the returned
+    deviation at roundoff level.
+    """
+    if scheme == "vbe":
+        return max(_galilean_deviation(float(c)) for c in group_params)
+    if scheme == "ibe":
+        return max(_scaling_deviation(float(s)) for s in group_params)
+    raise ValueError(f"unknown scheme {scheme!r}, expected 'ibe' or 'vbe'")

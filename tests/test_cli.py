@@ -18,7 +18,7 @@ from symfd.cli import (
     parse_config_file,
 )
 from symfd.errors import ConfigInvalid
-from symfd.metrics import evolve, fit_slope, run_experiment
+from symfd.metrics import evolve, fit_slope, grid_for
 
 
 def read_csv(path):
@@ -71,7 +71,7 @@ class TestBuildRunConfig:
 
     def test_grid_and_params_properties(self):
         cfg = build_run_config({"pde": "ade1d", "nx": "13"})
-        grid = cfg.grid
+        grid = grid_for(cfg.pde, cfg.domain, cfg.n)
         assert isinstance(grid, Grid1D)
         assert grid.n == 13 and grid.x0 == -2.0
         assert grid.h == pytest.approx(6.0 / 12.0)
@@ -80,7 +80,7 @@ class TestBuildRunConfig:
     def test_square_grid_defaults_ny_to_nx(self):
         cfg = build_run_config({"pde": "ade2d", "nx": "11"})
         assert cfg.n == (11, 11)
-        grid = cfg.grid
+        grid = grid_for(cfg.pde, cfg.domain, cfg.n)
         assert isinstance(grid, Grid2D)
         assert grid.hx == pytest.approx(0.4) and grid.hy == pytest.approx(0.4)
 
@@ -126,7 +126,8 @@ class TestRunCommand:
         assert main(["run", *CHEAP_RUN, f"output_path={out}"]) == 0
         cfg = build_run_config(dict(pair.split("=") for pair in CHEAP_RUN))
         numeric, reference, _ = evolve(
-            cfg.pde, cfg.scheme, cfg.grid, cfg.tau, cfg.t_final, cfg.params
+            cfg.pde, cfg.scheme, grid_for(cfg.pde, cfg.domain, cfg.n), cfg.tau, cfg.t_final,
+            cfg.params,
         )
         _, rows = read_csv(out)
         assert np.array_equal(np.array([float(r[1]) for r in rows]), numeric)
@@ -230,7 +231,7 @@ class TestGalileanCommand:
         assert main(["galilean", *args, f"output_path={out}"]) == 0
         _, rows = read_csv(out)
         grid = Grid1D(0.0, 2.0 * math.pi / 40.0, 41)
-        plain = run_experiment("vbe", "comp", grid, 1e-3, 0.05, PdeParams(nu=1.0 / 12.0))
+        _, _, plain = evolve("vbe", "comp", grid, 1e-3, 0.05, PdeParams(nu=1.0 / 12.0))
         assert float(rows[0][3]) == pytest.approx(plain.linf, rel=1e-14)
 
     def test_rejects_other_problems(self, capsys):
@@ -252,22 +253,6 @@ class TestSelftest:
         proc = subprocess.run(cmd, capture_output=True, text=True)
         assert proc.returncode == 0
         assert "0 failure(s)" in proc.stdout
-
-
-class TestWorkerCap:
-    def test_bad_values_rejected(self, tmp_path, capsys, monkeypatch):
-        out = tmp_path / "table.csv"
-        for bad, fragment in (("abc", "integer"), ("0", ">= 1")):
-            monkeypatch.setenv("THREADS", bad)
-            assert main(["converge", *CHEAP_CONVERGE, f"output_path={out}"]) == 1
-            assert fragment in capsys.readouterr().err
-
-    def test_parallel_study_runs(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("THREADS", "2")
-        out = tmp_path / "table.csv"
-        assert main(["converge", *CHEAP_CONVERGE, f"output_path={out}"]) == 0
-        _, rows = read_csv(out)
-        assert len(rows) == 3
 
 
 def test_missing_subcommand_is_usage_error(capsys):

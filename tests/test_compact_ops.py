@@ -5,18 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from symfd import (
-    BoundaryPolicy,
-    Grid1D,
-    Grid2D,
-    compact_dx,
-    compact_dx_along_x,
-    compact_dx_along_y,
-    compact_dxx,
-    compact_dxx_along_x,
-    compact_dxx_along_y,
-    fit_slope,
-)
+from symfd import BoundaryPolicy, Grid1D, Grid2D, d1, d2, fit_slope
 from symfd.errors import ShapeMismatch
 
 
@@ -39,22 +28,22 @@ def grid():
 
 def test_first_derivative_exact_on_cubics_one_sided(grid):
     x = grid.x
-    out = compact_dx(cubic(x), grid)
+    out = d1(cubic(x), grid)
     assert np.abs(out - cubic_dx(x)).max() <= 1e-10
 
 
 def test_first_derivative_exact_on_cubics_pinned_ends(grid):
     x = grid.x
     bp = BoundaryPolicy.exact(cubic_dx(x[0]), cubic_dx(x[-1]))
-    out = compact_dx(cubic(x), grid, bp)
+    out = d1(cubic(x), grid, bp=bp)
     assert np.abs(out - cubic_dx(x)).max() <= 1e-10
 
 
 def test_second_derivative_exact_on_cubics(grid):
     x = grid.x
-    assert np.abs(compact_dxx(cubic(x), grid) - cubic_dxx(x)).max() <= 1e-10
+    assert np.abs(d2(cubic(x), grid) - cubic_dxx(x)).max() <= 1e-10
     bp = BoundaryPolicy.exact(cubic_dxx(x[0]), cubic_dxx(x[-1]))
-    assert np.abs(compact_dxx(cubic(x), grid, bp) - cubic_dxx(x)).max() <= 1e-10
+    assert np.abs(d2(cubic(x), grid, bp=bp) - cubic_dxx(x)).max() <= 1e-10
 
 
 def test_quartic_exactness_boundaries_included(grid):
@@ -62,15 +51,15 @@ def test_quartic_exactness_boundaries_included(grid):
     # closure are both exact one degree beyond cubics
     x = grid.x
     bp = BoundaryPolicy.exact(4.0 * x[0] ** 3, 4.0 * x[-1] ** 3)
-    assert np.abs(compact_dx(x**4, grid, bp) - 4.0 * x**3).max() <= 1e-9
-    assert np.abs(compact_dxx(x**4, grid) - 12.0 * x**2).max() <= 1e-9
+    assert np.abs(d1(x**4, grid, bp=bp) - 4.0 * x**3).max() <= 1e-9
+    assert np.abs(d2(x**4, grid) - 12.0 * x**2).max() <= 1e-9
 
 
 def test_one_sided_first_derivative_closure_is_third_order(grid):
     # on a quartic the end rows leave an O(h^3) defect while the pinned-end
     # variant stays exact; keeps the two policies honestly distinct
     x = grid.x
-    err = np.abs(compact_dx(x**4, grid) - 4.0 * x**3).max()
+    err = np.abs(d1(x**4, grid) - 4.0 * x**3).max()
     assert 1e-6 < err < 1.0
 
 
@@ -79,13 +68,13 @@ def test_linearity(grid):
     u = rng.normal(size=grid.n)
     v = rng.normal(size=grid.n)
     a, b = 0.7, -1.3
-    for op in (compact_dx, compact_dxx):
+    for op in (d1, d2):
         combined = op(a * u + b * v, grid)
         assert np.abs(combined - (a * op(u, grid) + b * op(v, grid))).max() <= 1e-11
         pinned = BoundaryPolicy.exact(0.0, 0.0)
-        combined = op(a * u + b * v, grid, pinned)
+        combined = op(a * u + b * v, grid, bp=pinned)
         assert (
-            np.abs(combined - (a * op(u, grid, pinned) + b * op(v, grid, pinned))).max()
+            np.abs(combined - (a * op(u, grid, bp=pinned) + b * op(v, grid, bp=pinned))).max()
             <= 1e-11
         )
 
@@ -99,7 +88,7 @@ def refinement_errors(op, ref_fn, exact_ends, core_only):
             bp = BoundaryPolicy.exact(ref_fn(x[0]), ref_fn(x[-1]))
         else:
             bp = BoundaryPolicy.one_sided()
-        err = np.abs(op(np.sin(x), g, bp) - ref_fn(x))
+        err = np.abs(op(np.sin(x), g, bp=bp) - ref_fn(x))
         if core_only:
             err = err[n // 3 : 2 * n // 3 + 1]
         hs.append(g.h)
@@ -109,7 +98,7 @@ def refinement_errors(op, ref_fn, exact_ends, core_only):
 
 @pytest.mark.parametrize(
     "op,ref",
-    [(compact_dx, np.cos), (compact_dxx, lambda x: -np.sin(x))],
+    [(d1, np.cos), (d2, lambda x: -np.sin(x))],
     ids=["dx", "dxx"],
 )
 def test_fourth_order_slope_pinned_ends(op, ref):
@@ -119,7 +108,7 @@ def test_fourth_order_slope_pinned_ends(op, ref):
 
 @pytest.mark.parametrize(
     "op,ref",
-    [(compact_dx, np.cos), (compact_dxx, lambda x: -np.sin(x))],
+    [(d1, np.cos), (d2, lambda x: -np.sin(x))],
     ids=["dx", "dxx"],
 )
 def test_fourth_order_slope_interior_one_sided(op, ref):
@@ -139,35 +128,37 @@ def test_axis_operators_match_per_line_solves(grid2):
     u = rng.normal(size=(grid2.nx, grid2.ny))
     gx = Grid1D(grid2.x0, grid2.hx, grid2.nx)
     gy = Grid1D(grid2.y0, grid2.hy, grid2.ny)
-    ref_x = np.stack([compact_dx(u[:, j], gx) for j in range(grid2.ny)], axis=1)
-    assert np.abs(compact_dx_along_x(u, grid2) - ref_x).max() <= 1e-13
-    ref_y = np.stack([compact_dx(u[i, :], gy) for i in range(grid2.nx)], axis=0)
-    assert np.abs(compact_dx_along_y(u, grid2) - ref_y).max() <= 1e-13
-    ref_xx = np.stack([compact_dxx(u[:, j], gx) for j in range(grid2.ny)], axis=1)
-    assert np.abs(compact_dxx_along_x(u, grid2) - ref_xx).max() <= 1e-13
-    ref_yy = np.stack([compact_dxx(u[i, :], gy) for i in range(grid2.nx)], axis=0)
-    assert np.abs(compact_dxx_along_y(u, grid2) - ref_yy).max() <= 1e-13
+    ref_x = np.stack([d1(u[:, j], gx) for j in range(grid2.ny)], axis=1)
+    assert np.abs(d1(u, grid2, 0) - ref_x).max() <= 1e-13
+    ref_y = np.stack([d1(u[i, :], gy) for i in range(grid2.nx)], axis=0)
+    assert np.abs(d1(u, grid2, 1) - ref_y).max() <= 1e-13
+    ref_xx = np.stack([d2(u[:, j], gx) for j in range(grid2.ny)], axis=1)
+    assert np.abs(d2(u, grid2, 0) - ref_xx).max() <= 1e-13
+    ref_yy = np.stack([d2(u[i, :], gy) for i in range(grid2.nx)], axis=0)
+    assert np.abs(d2(u, grid2, 1) - ref_yy).max() <= 1e-13
 
 
 def test_axis_operators_on_polynomial_fields(grid2):
     x = grid2.x[:, None]
     y = grid2.y[None, :]
     u = x + 2.0 * y
-    assert np.abs(compact_dx_along_x(u, grid2) - 1.0).max() <= 1e-11
-    assert np.abs(compact_dx_along_y(u, grid2) - 2.0).max() <= 1e-11
+    assert np.abs(d1(u, grid2, 0) - 1.0).max() <= 1e-11
+    assert np.abs(d1(u, grid2, 1) - 2.0).max() <= 1e-11
     v = x**2 * y**2
-    assert np.abs(compact_dx_along_x(v, grid2) - 2.0 * x * y**2).max() <= 1e-9
-    assert np.abs(compact_dxx_along_x(v, grid2) - 2.0 * y**2).max() <= 1e-9
-    assert np.abs(compact_dxx_along_y(v, grid2) - 2.0 * x**2).max() <= 1e-9
+    assert np.abs(d1(v, grid2, 0) - 2.0 * x * y**2).max() <= 1e-9
+    assert np.abs(d2(v, grid2, 0) - 2.0 * y**2).max() <= 1e-9
+    assert np.abs(d2(v, grid2, 1) - 2.0 * x**2).max() <= 1e-9
 
 
 def test_shape_mismatch(grid, grid2):
     with pytest.raises(ShapeMismatch):
-        compact_dx(np.zeros(grid.n + 1), grid)
+        d1(np.zeros(grid.n + 1), grid)
     with pytest.raises(ShapeMismatch):
-        compact_dxx(np.zeros((grid.n, 2)), grid)
+        d2(np.zeros((grid.n, 2)), grid)
     with pytest.raises(ShapeMismatch):
-        compact_dx_along_x(np.zeros((grid2.ny, grid2.nx)), grid2)  # transposed
+        d1(np.zeros((grid2.ny, grid2.nx)), grid2, 0)  # transposed
+    with pytest.raises(ValueError):
+        d1(np.zeros(grid.n), grid, 1)  # no second axis on a 1D grid
 
 
 def test_grid_validation():

@@ -14,18 +14,13 @@ from symfd import (
     PdeParams,
     StepContext,
     ZeroState,
-    comp_step_ade1d,
-    comp_step_ade2d,
     evolve,
     galilean_exact,
     invariantize_check,
-    sym_step_ade1d,
-    sym_step_ade2d,
-    sym_step_ibe,
-    sym_step_vbe,
+    step,
     vbe_exact,
 )
-from symfd.invariant_schemes import ade2d_frame, ibe_frame, vbe_frame
+from symfd.invariant_schemes import ade2d_frame, ibe_frame
 
 TAU = 1e-3
 VBE_NU = 1.0 / 12.0
@@ -42,11 +37,10 @@ def make_ctx(grid, tau, t, provider, nu=0.0, mesh_velocity=0.0):
 class TestFrames:
     def test_zero_slope_gives_identity_frame(self):
         zeros = np.zeros(7)
-        for frame_fn in (ibe_frame, vbe_frame):
-            frame = frame_fn(zeros, TAU)
-            assert isinstance(frame, MovingFrame)
-            assert np.array_equal(frame.s1, zeros)
-            assert np.array_equal(frame.lambda_next, np.ones(7))
+        frame = ibe_frame(zeros, TAU)
+        assert isinstance(frame, MovingFrame)
+        assert np.array_equal(frame.s1, zeros)
+        assert np.array_equal(frame.lambda_next, np.ones(7))
 
     def test_plane_frame_normalizations(self):
         rng = np.random.default_rng(11)
@@ -61,8 +55,6 @@ class TestFrames:
         # the second cancels the whole curvature sum
         assert np.abs((uxx + uyy) - 4.0 * f2.s1 * u).max() <= 1e-13
         for f in (f1, f2):
-            assert f.gamma == pytest.approx(-p.alpha * TAU, abs=0)
-            assert f.theta == pytest.approx(-p.beta * TAU, abs=0)
             assert np.allclose(f.lambda_next, 1.0 - 4.0 * p.nu * f.s1 * TAU, atol=0)
 
     def test_unknown_variant_rejected(self):
@@ -75,8 +67,8 @@ class TestFixedPointsAndExactness:
         grid = Grid1D(0.5, 0.25, 9)
         const = lambda t, x: np.full_like(np.asarray(x, float), 2.5)
         u = np.full(9, 2.5)
-        for step, nu in ((sym_step_ibe, 0.0), (sym_step_ade1d, 0.1), (sym_step_vbe, 0.1)):
-            out = step(u.copy(), make_ctx(grid, TAU, 0.0, const, nu=nu))
+        for pde, nu in (("ibe", 0.0), ("ade1d", 0.1), ("vbe", 0.1)):
+            out = step(pde, "sym", u.copy(), make_ctx(grid, TAU, 0.0, const, nu=nu))
             assert np.abs(out - 2.5).max() <= 1e-13
 
     def test_constants_are_fixed_points_2d(self):
@@ -85,17 +77,17 @@ class TestFixedPointsAndExactness:
         u = np.full((8, 8), 1.5)
         for variant in ("sym1", "sym2"):
             ctx = StepContext(grid, PdeParams(nu=0.1), TAU, 0.0, const)
-            out = sym_step_ade2d(u.copy(), ctx, variant)
+            out = step("ade2d", variant, u.copy(), ctx)
             assert np.abs(out - 1.5).max() <= 1e-13
 
     def test_one_step_exact_on_expanding_linear_profile(self):
         # u = x / (1 + t) solves both 1d Burgers problems; the frame turns
         # one invariant step into the exact update
         grid = Grid1D(1.0, 0.25, 9)
-        for step, nu in ((sym_step_ibe, 0.0), (sym_step_vbe, VBE_NU)):
+        for pde, nu in (("ibe", 0.0), ("vbe", VBE_NU)):
             for t0 in (0.0, 0.5):
                 u0 = rarefaction(t0, grid.x)
-                out = step(u0, make_ctx(grid, TAU, t0, rarefaction, nu=nu))
+                out = step(pde, "sym", u0, make_ctx(grid, TAU, t0, rarefaction, nu=nu))
                 assert np.abs(out - rarefaction(t0 + TAU, grid.x)).max() <= 1e-12
 
     def test_many_steps_stay_exact_on_expanding_profile(self):
@@ -113,7 +105,7 @@ class TestFixedPointsAndExactness:
         boosted = galilean_exact(rarefaction, c)
         u0 = boosted(0.0, grid.x)
         ctx = make_ctx(grid, TAU, 0.0, boosted, nu=VBE_NU, mesh_velocity=c)
-        out = sym_step_vbe(u0, ctx)
+        out = step("vbe", "sym", u0, ctx)
         assert np.abs(out - boosted(TAU, grid.x + c * TAU)).max() <= 1e-12
 
     def test_advection_reduction_matches_base_scheme_on_linear_data(self):
@@ -124,8 +116,8 @@ class TestFixedPointsAndExactness:
         u = linear(0.0, grid.x)
         p = PdeParams(alpha=1.0, nu=1.0 / 60.0)
         ctx = StepContext(grid, p, TAU, 0.0, linear)
-        out_sym = sym_step_ade1d(u.copy(), ctx)
-        out_comp = comp_step_ade1d(u.copy(), ctx)
+        out_sym = step("ade1d", "sym", u.copy(), ctx)
+        out_comp = step("ade1d", "comp", u.copy(), ctx)
         assert np.abs(out_sym - out_comp).max() <= 1e-12
 
     def test_advection_reduction_matches_base_scheme_on_linear_data_2d(self):
@@ -134,9 +126,9 @@ class TestFixedPointsAndExactness:
         u = plane(0.0, grid.x[:, None], grid.y[None, :])
         p = PdeParams(alpha=1.0, beta=1.0, nu=1.0 / 60.0)
         ctx = StepContext(grid, p, TAU, 0.0, plane)
-        out_comp = comp_step_ade2d(u.copy(), ctx)
+        out_comp = step("ade2d", "comp", u.copy(), ctx)
         for variant in ("sym1", "sym2"):
-            out_sym = sym_step_ade2d(u.copy(), ctx, variant)
+            out_sym = step("ade2d", variant, u.copy(), ctx)
             assert np.abs(out_sym - out_comp).max() <= 1e-12
 
 
@@ -147,9 +139,19 @@ class TestGuards:
         u = -10.0 * grid.x
         ctx = make_ctx(grid, 0.1, 0.0, lambda t, x: -10.0 * np.asarray(x, float))
         with pytest.raises(FrameSingularity):
-            sym_step_ibe(u, ctx)
+            step("ibe", "sym", u, ctx)
         with pytest.raises(FrameSingularity):
-            sym_step_vbe(u, make_ctx(grid, 0.1, 0.0, lambda t, x: -10.0 * np.asarray(x, float), nu=VBE_NU))
+            step("vbe", "sym", u, make_ctx(grid, 0.1, 0.0, lambda t, x: -10.0 * np.asarray(x, float), nu=VBE_NU))
+
+    def test_negative_projective_factor_is_detected(self):
+        # tau = 0.2 takes lambda = 1 - 10 tau through zero to -1; the Burgers
+        # frames have no chart there, so the step must fail, not flip the sign
+        grid = Grid1D(0.0, 0.25, 9)
+        provider = lambda t, x: -10.0 * np.asarray(x, float)
+        u = provider(0.0, grid.x)
+        for pde, nu in (("ibe", 0.0), ("vbe", VBE_NU)):
+            with pytest.raises(FrameSingularity):
+                step(pde, "sym", u, make_ctx(grid, 0.2, 0.0, provider, nu=nu))
 
     def test_positive_branch_violation_is_detected(self):
         # strong positive curvature with large diffusion flips the factor
@@ -159,7 +161,7 @@ class TestGuards:
         u = steep(0.0, grid.x)
         ctx = StepContext(grid, PdeParams(alpha=1.0, nu=1.0), 0.01, 0.0, steep)
         with pytest.raises(FrameSingularity):
-            sym_step_ade1d(u, ctx)
+            step("ade1d", "sym", u, ctx)
 
     def test_positive_branch_violation_is_detected_2d(self):
         grid = Grid2D(0.0, 0.0, 0.2, 0.2, 11, 6)
@@ -167,14 +169,14 @@ class TestGuards:
         u = steep(0.0, grid.x[:, None], grid.y[None, :])
         ctx = StepContext(grid, PdeParams(alpha=1.0, beta=1.0, nu=1.0), 0.01, 0.0, steep)
         with pytest.raises(FrameSingularity):
-            sym_step_ade2d(u, ctx, "sym1")
+            step("ade2d", "sym1", u, ctx)
 
     def test_zero_state_is_detected(self):
         grid = Grid1D(-1.0, 0.2, 11)  # node 5 sits exactly at zero
         sign_change = lambda t, x: np.asarray(x, float)
         ctx = StepContext(grid, PdeParams(alpha=1.0, nu=0.01), TAU, 0.0, sign_change)
         with pytest.raises(ZeroState):
-            sym_step_ade1d(grid.x.copy(), ctx)
+            step("ade1d", "sym", grid.x.copy(), ctx)
 
     def test_zero_state_is_detected_2d(self):
         grid = Grid2D(0.0, 0.0, 0.2, 0.2, 8, 8)
@@ -183,7 +185,7 @@ class TestGuards:
         const = lambda t, x, y: np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, 1.0)
         ctx = StepContext(grid, PdeParams(nu=0.1), TAU, 0.0, const)
         with pytest.raises(ZeroState):
-            sym_step_ade2d(u, ctx, "sym2")
+            step("ade2d", "sym2", u, ctx)
 
     def test_non_finite_output_is_detected(self):
         grid = Grid1D(0.0, 0.25, 9)
@@ -191,7 +193,7 @@ class TestGuards:
         bad[4] = np.nan
         ctx = make_ctx(grid, TAU, 0.0, lambda t, x: np.ones_like(np.asarray(x, float)), nu=VBE_NU)
         with pytest.raises(NonFinite):
-            sym_step_vbe(bad, ctx)
+            step("vbe", "sym", bad, ctx)
 
 
 class TestEquivariance:

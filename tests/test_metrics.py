@@ -1,4 +1,4 @@
-"""Tests for error measures, the experiment driver, and the studies."""
+"""Tests for error measures, the time loop, and the studies."""
 
 import math
 
@@ -11,6 +11,7 @@ from symfd import (
     Grid1D,
     Grid2D,
     PdeParams,
+    StepContext,
     StepCountMismatch,
     convergence_study,
     evolve,
@@ -19,10 +20,10 @@ from symfd import (
     grid_for,
     linf,
     rmse,
-    run_experiment,
+    step,
 )
 from symfd.errors import ShapeMismatch
-from symfd.metrics import PDES, SCHEMES_BY_PDE, default_exact, stepper
+from symfd.metrics import _STEPPERS, PDES, SCHEMES_BY_PDE, default_exact
 
 ADE_PARAMS = PdeParams(alpha=1.0, nu=1.0 / 60.0, L=0.4)
 
@@ -69,13 +70,15 @@ class TestErrorMeasures:
 
 class TestLookups:
     def test_every_registered_pair_resolves(self):
-        for pde in PDES:
-            for scheme in SCHEMES_BY_PDE[pde]:
-                assert callable(stepper(pde, scheme))
+        pairs = {(pde, scheme) for pde in PDES for scheme in SCHEMES_BY_PDE[pde]}
+        assert set(_STEPPERS) == pairs
+        assert all(callable(update) for update in _STEPPERS.values())
 
     def test_unknown_pairs_rejected(self):
+        grid = Grid1D(0.0, 0.1, 11)
+        ctx = StepContext(grid, PdeParams(), 1e-3, 0.0, lambda t, x: x)
         with pytest.raises(ValueError):
-            stepper("ibe", "sym2")
+            step("ibe", "sym2", grid.x, ctx)
         with pytest.raises(ValueError):
             default_exact("wave", PdeParams())
 
@@ -88,15 +91,19 @@ class TestLookups:
         assert isinstance(g2, Grid2D)
         assert (g2.nx, g2.ny) == (26, 26)
         assert g2.hx == pytest.approx(0.16, abs=1e-15)
+        g3 = grid_for("ade2d", (-1.92, 2.08, -1.92, 2.08), (26, 21))
+        assert (g3.nx, g3.ny) == (26, 21)
+        assert g3.hy == pytest.approx(0.2, abs=1e-15)
+        assert grid_for("vbe", (0.0, 1.0), (11,)) == Grid1D(0.0, 0.1, 11)
 
 
 class TestEvolve:
     def test_zero_steps_returns_exact_data(self):
-        rep = run_experiment("ade1d", "comp", Grid1D(-2.0, 0.2, 31), 1e-3, 0.0, ADE_PARAMS)
+        _, _, rep = evolve("ade1d", "comp", Grid1D(-2.0, 0.2, 31), 1e-3, 0.0, ADE_PARAMS)
         assert rep.rmse == 0.0 and rep.linf == 0.0
 
     def test_report_fields(self):
-        rep = run_experiment("ade1d", "comp", Grid1D(-2.0, 0.2, 31), 1e-3, 0.05, ADE_PARAMS)
+        _, _, rep = evolve("ade1d", "comp", Grid1D(-2.0, 0.2, 31), 1e-3, 0.05, ADE_PARAMS)
         assert isinstance(rep, ErrorReport)
         assert rep.scheme == "comp" and rep.pde == "ade1d"
         assert rep.n == 31 and rep.h == pytest.approx(0.2)
@@ -105,8 +112,8 @@ class TestEvolve:
         assert rep.wall_time >= 0.0
 
     def test_determinism(self):
-        a = run_experiment("ade1d", "comp", Grid1D(-2.0, 0.2, 31), 1e-3, 0.05, ADE_PARAMS)
-        b = run_experiment("ade1d", "comp", Grid1D(-2.0, 0.2, 31), 1e-3, 0.05, ADE_PARAMS)
+        _, _, a = evolve("ade1d", "comp", Grid1D(-2.0, 0.2, 31), 1e-3, 0.05, ADE_PARAMS)
+        _, _, b = evolve("ade1d", "comp", Grid1D(-2.0, 0.2, 31), 1e-3, 0.05, ADE_PARAMS)
         assert a.linf == b.linf and a.rmse == b.rmse
 
     def test_step_count_mismatch(self):
@@ -121,7 +128,7 @@ class TestEvolve:
 
     def test_two_dimensional_report_shapes(self):
         g = grid_for("ade2d", (-1.92, 2.08, -1.92, 2.08), 8)
-        rep = run_experiment("ade2d", "comp", g, 1e-3, 0.005, ADE_PARAMS)
+        _, _, rep = evolve("ade2d", "comp", g, 1e-3, 0.005, ADE_PARAMS)
         assert rep.n == (8, 8)
         assert rep.h[0] == pytest.approx(4.0 / 7.0)
 
@@ -149,16 +156,6 @@ class TestConvergenceStudy:
         errs = [r[2] for r in table.rows]
         assert table.slope == pytest.approx(fit_slope(hs, errs), abs=1e-12)
 
-    def test_parallel_cells_match_sequential(self):
-        seq = convergence_study(
-            "ade1d", "comp", [11, 16, 21], 5e-3, 0.05, ADE_PARAMS, (-2.0, 4.0), workers=1
-        )
-        par = convergence_study(
-            "ade1d", "comp", [11, 16, 21], 5e-3, 0.05, ADE_PARAMS, (-2.0, 4.0), workers=3
-        )
-        assert seq.rows == par.rows
-        assert seq.slope == par.slope
-
 
 class TestGalileanExperiment:
     def test_invariant_scheme_error_is_boost_independent(self):
@@ -177,5 +174,5 @@ class TestGalileanExperiment:
         results = galilean_experiment(
             [0.0], schemes=("comp",), grid=grid, tau=1e-3, t_final=0.05, params=params
         )
-        plain = run_experiment("vbe", "comp", grid, 1e-3, 0.05, params)
+        _, _, plain = evolve("vbe", "comp", grid, 1e-3, 0.05, params)
         assert results[0][2].linf == pytest.approx(plain.linf, rel=1e-14)
