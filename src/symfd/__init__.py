@@ -49,7 +49,7 @@ from .metrics import (
     rmse,
     step,
 )
-from .tridiag import TriDiagSystem, solve_tridiagonal, solve_tridiagonal_many
+from .tridiag import TriDiagSystem, solve_tridiagonal
 
 __all__ = [
     "BoundaryPolicy",
@@ -90,7 +90,6 @@ __all__ = [
     "linf",
     "rmse",
     "solve_tridiagonal",
-    "solve_tridiagonal_many",
     "step",
     "vbe_exact",
 ]

@@ -259,9 +259,12 @@ def cmd_run(mapping: dict) -> int:
 
 def _parse_list(text: str, kind, field_name: str) -> list:
     try:
-        return [kind(part) for part in str(text).split(",") if part.strip() != ""]
+        values = [kind(part) for part in str(text).split(",") if part.strip() != ""]
     except ValueError:
         raise ConfigInvalid(f"field {field_name!r} must be comma-separated, got {text!r}") from None
+    if kind is float and not all(map(math.isfinite, values)):
+        raise ConfigInvalid(f"field {field_name!r} must list finite numbers, got {text!r}")
+    return values
 
 
 def cmd_converge(mapping: dict) -> int:

@@ -8,18 +8,24 @@ Interior rows couple neighbouring derivative values implicitly:
 both fourth-order accurate. The end rows either close the system with
 one-sided third-order compact rows (exact for cubics resp. quartics) or pin
 the end derivatives to caller-supplied exact values. d1 and d2 take the axis
-to differentiate along; on a 2D field every grid line along that axis shares
-one matrix, so all lines go through one batched tridiagonal solve.
+to differentiate along.
+
+The matrix depends only on the derivative order, the line length n and the
+closure kind; h and the pinned end values enter only the right-hand side. So
+each (order, n, kind) is factored once, on first use, and cached, and a call
+builds the right-hand side and applies the factor (see tridiag). On a 2D
+field every grid line along the axis shares that factor, and all lines go
+through one solve.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Tuple, Union
 
 import numpy as np
 
 from .errors import ShapeMismatch
-from .tridiag import TriDiagSystem, solve_tridiagonal, solve_tridiagonal_many
+from .tridiag import factor, solve
 
 # A field is a plain array of node values: shape (n,) on Grid1D and
 # row-major (nx, ny) on Grid2D.
@@ -125,72 +131,86 @@ ONE_SIDED = BoundaryPolicy.one_sided()
 Grid = Union[Grid1D, Grid2D]
 
 
-def _first_derivative_rows(u, h, bp):
-    """Bands and right-hand side(s) for the U' system; u may be (n,) or (n, m)."""
-    n = u.shape[0]
-    lower = np.full(n - 1, 1.0 / 6.0)
-    diag = np.full(n, 2.0 / 3.0)
-    upper = np.full(n - 1, 1.0 / 6.0)
-    rhs = np.empty_like(u)
-    rhs[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
+def _bands(order, n, kind):
+    """Lower, main and upper diagonals of the order-1 or order-2 system."""
+    if order == 1:
+        off, mid, closure = 1.0 / 6.0, 2.0 / 3.0, 2.0
+    else:
+        off, mid, closure = 1.0 / 12.0, 5.0 / 6.0, 11.0
+    lower = np.full(n - 1, off)
+    diag = np.full(n, mid)
+    upper = np.full(n - 1, off)
     diag[0] = diag[-1] = 1.0
+    # one-sided end rows couple the end value to its neighbour; exact ones pin it
+    upper[0] = lower[-1] = closure if kind == "one_sided" else 0.0
+    return lower, diag, upper
+
+
+# A bound, so a process that visits many grid sizes does not keep every
+# inverse (0.5 MiB at n = 256); a study's few sizes and both orders fit.
+@lru_cache(maxsize=32)
+def _operator(order, n, kind):
+    """The factored system, built on first use; it depends on neither h nor
+    the pinned end values, so those never enter the key. Shared by every
+    caller, hence read-only (see tridiag.Factor)."""
+    return factor(*_bands(order, n, kind))
+
+
+def _first_derivative_rhs(u, h, bp):
+    """Right-hand side(s) of the U' system; u may be (n,) or (n, m)."""
+    rhs = np.empty_like(u)
+    inner = rhs[1:-1]  # (U_{i+1} - U_{i-1}) / (2h), written in place
+    np.subtract(u[2:], u[:-2], out=inner)
+    inner /= 2.0 * h
     if bp.kind == "one_sided":
         # U'_1 + 2 U'_2 = (-5 U_1 + 4 U_2 + U_3) / (2h), mirrored on the right
-        upper[0] = 2.0
-        lower[-1] = 2.0
         rhs[0] = (-5.0 * u[0] + 4.0 * u[1] + u[2]) / (2.0 * h)
         rhs[-1] = (5.0 * u[-1] - 4.0 * u[-2] - u[-3]) / (2.0 * h)
     else:
-        upper[0] = 0.0
-        lower[-1] = 0.0
         rhs[0] = bp.left
         rhs[-1] = bp.right
-    return lower, diag, upper, rhs
+    return rhs
 
 
-def _second_derivative_rows(u, h, bp):
-    """Bands and right-hand side(s) for the U'' system."""
-    n = u.shape[0]
+def _second_derivative_rhs(u, h, bp):
+    """Right-hand side(s) of the U'' system."""
     h2 = h * h
-    lower = np.full(n - 1, 1.0 / 12.0)
-    diag = np.full(n, 5.0 / 6.0)
-    upper = np.full(n - 1, 1.0 / 12.0)
     rhs = np.empty_like(u)
-    rhs[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h2
-    diag[0] = diag[-1] = 1.0
+    inner = rhs[1:-1]  # (U_{i+1} - 2 U_i + U_{i-1}) / h^2, written in place
+    np.multiply(u[1:-1], 2.0, out=inner)
+    np.subtract(u[2:], inner, out=inner)
+    inner += u[:-2]
+    inner /= h2
     if bp.kind == "one_sided":
         # U''_1 + 11 U''_2 = (13 U_1 - 27 U_2 + 15 U_3 - U_4) / h^2, mirrored
-        upper[0] = 11.0
-        lower[-1] = 11.0
         rhs[0] = (13.0 * u[0] - 27.0 * u[1] + 15.0 * u[2] - u[3]) / h2
         rhs[-1] = (13.0 * u[-1] - 27.0 * u[-2] + 15.0 * u[-3] - u[-4]) / h2
     else:
-        upper[0] = 0.0
-        lower[-1] = 0.0
         rhs[0] = bp.left
         rhs[-1] = bp.right
-    return lower, diag, upper, rhs
+    return rhs
 
 
-def _along(rows, u, grid, axis, bp):
-    """Solve the compact system built by rows on every grid line along axis."""
+def _along(order, rhs_of, u, grid, axis, bp):
+    """Solve the order's compact system on every grid line along axis."""
     u = np.asarray(u, dtype=float)
     if u.shape != grid.shape:
         raise ShapeMismatch(f"field shape {u.shape} does not match grid {grid.shape}")
     if not 0 <= axis < u.ndim:
         raise ValueError(f"axis {axis} out of range for a {u.ndim}D grid")
     h = grid.spacing[axis]
+    op = _operator(order, u.shape[axis], bp.kind)
     if u.ndim == 1:
-        return solve_tridiagonal(TriDiagSystem(*rows(u, h, bp)))
+        return solve(op, rhs_of(u, h, bp))
     lines = np.ascontiguousarray(u.swapaxes(0, axis))
-    return np.ascontiguousarray(solve_tridiagonal_many(*rows(lines, h, bp)).swapaxes(0, axis))
+    return np.ascontiguousarray(solve(op, rhs_of(lines, h, bp)).swapaxes(0, axis))
 
 
 def d1(u: Field, grid: Grid, axis: int = 0, bp: BoundaryPolicy = ONE_SIDED) -> Field:
     """First derivative along one axis, fourth-order in the interior."""
-    return _along(_first_derivative_rows, u, grid, axis, bp)
+    return _along(1, _first_derivative_rhs, u, grid, axis, bp)
 
 
 def d2(u: Field, grid: Grid, axis: int = 0, bp: BoundaryPolicy = ONE_SIDED) -> Field:
     """Second derivative along one axis, fourth-order in the interior."""
-    return _along(_second_derivative_rows, u, grid, axis, bp)
+    return _along(2, _second_derivative_rhs, u, grid, axis, bp)

@@ -238,6 +238,14 @@ class TestGalileanCommand:
         assert main(["galilean", "pde=ade1d"]) == 1
         assert "'vbe'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("speed", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_speeds(self, speed, tmp_path, capsys):
+        out = tmp_path / "boost.csv"
+        assert main(["galilean", f"c_values=0,{speed}", f"output_path={out}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'c_values'" in err and "finite" in err
+        assert not out.exists()
+
 
 class TestSelftest:
     def test_all_checks_pass(self, capsys):

@@ -1,12 +1,14 @@
 """Tests for the compact derivative operators and grid types."""
 
-import math
+import dataclasses
 
 import numpy as np
 import pytest
 
 from symfd import BoundaryPolicy, Grid1D, Grid2D, d1, d2, fit_slope
+from symfd.compact_ops import _operator
 from symfd.errors import ShapeMismatch
+from symfd.tridiag import DENSE_MAX
 
 
 def cubic(x):
@@ -185,3 +187,97 @@ def test_boundary_policy_validation():
         BoundaryPolicy("mystery")
     assert BoundaryPolicy.exact(1.0, -1.0).kind == "exact"
     assert BoundaryPolicy.one_sided().kind == "one_sided"
+
+
+def dense_system(op, u, h, bp):
+    """The compact system of one line as a dense matrix and its rhs."""
+    n = u.shape[0]
+    if op is d1:
+        a = np.diag(np.full(n, 2.0 / 3.0)) + np.diag(np.full(n - 1, 1.0 / 6.0), 1)
+        a += np.diag(np.full(n - 1, 1.0 / 6.0), -1)
+        rhs = np.zeros(n)
+        rhs[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
+        closure = 2.0
+        ends = ((-5.0 * u[0] + 4.0 * u[1] + u[2]) / (2.0 * h),
+                (5.0 * u[-1] - 4.0 * u[-2] - u[-3]) / (2.0 * h))
+    else:
+        a = np.diag(np.full(n, 5.0 / 6.0)) + np.diag(np.full(n - 1, 1.0 / 12.0), 1)
+        a += np.diag(np.full(n - 1, 1.0 / 12.0), -1)
+        rhs = np.zeros(n)
+        rhs[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
+        closure = 11.0
+        ends = ((13.0 * u[0] - 27.0 * u[1] + 15.0 * u[2] - u[3]) / h**2,
+                (13.0 * u[-1] - 27.0 * u[-2] + 15.0 * u[-3] - u[-4]) / h**2)
+    a[0, :] = 0.0
+    a[-1, :] = 0.0
+    a[0, 0] = a[-1, -1] = 1.0
+    if bp.kind == "one_sided":
+        a[0, 1] = a[-1, -2] = closure
+        rhs[0], rhs[-1] = ends
+    else:
+        rhs[0], rhs[-1] = bp.left, bp.right
+    return a, rhs
+
+
+def assert_matches_oracle(op, line, out, h, bp):
+    a, rhs = dense_system(op, line, h, bp)
+    ref = np.linalg.solve(a, rhs)
+    assert np.abs(out - ref).max() <= 1e-13 * (1.0 + np.abs(rhs).max())
+
+
+@pytest.mark.parametrize("axis", [None, 0, 1], ids=["1d", "axis0", "axis1"])
+@pytest.mark.parametrize("kind", ["one_sided", "exact"])
+@pytest.mark.parametrize("n", [5, 26, 101, DENSE_MAX, DENSE_MAX + 1, 801])
+@pytest.mark.parametrize("op", [d1, d2], ids=["d1", "d2"])
+def test_matches_dense_solve_oracle(op, n, kind, axis):
+    # covers both solve paths: the stored inverse up to DENSE_MAX, substitution above
+    rng = np.random.default_rng(n)
+    bp = BoundaryPolicy.exact(0.3, -0.7) if kind == "exact" else BoundaryPolicy.one_sided()
+    h = 1.0 / (n - 1)
+    if axis is None:
+        u = rng.normal(size=n)
+        assert_matches_oracle(op, u, op(u, Grid1D(0.0, h, n), bp=bp), h, bp)
+        return
+    m = 5
+    grid = Grid2D(0.0, 0.0, h, 0.25, n, m) if axis == 0 else Grid2D(0.0, 0.0, 0.25, h, m, n)
+    u = rng.normal(size=grid.shape)
+    out = op(u, grid, axis, bp)
+    for k in range(m):
+        line = (slice(None), k) if axis == 0 else (k, slice(None))
+        assert_matches_oracle(op, u[line], out[line], h, bp)
+
+
+@pytest.mark.parametrize("n", [26, DENSE_MAX + 1])
+def test_2d_inputs_are_left_untouched(n):
+    rng = np.random.default_rng(11)
+    grid = Grid2D(0.0, 0.0, 0.1, 0.2, n, 7)
+    u = rng.normal(size=grid.shape)
+    strided = np.asfortranarray(u)
+    before = u.copy()
+    for op in (d1, d2):
+        for axis in (0, 1):
+            for field in (u, strided):
+                op(field, grid, axis)
+                assert np.array_equal(field, before)
+
+
+def test_exact_policies_share_one_factor():
+    # the factor depends on the policy's kind, never on its pinned values
+    grid = Grid1D(0.0, 0.1, 17)
+    u = np.sin(grid.x)
+    _operator.cache_clear()
+    for k in range(100):
+        out = d1(u, grid, bp=BoundaryPolicy.exact(float(k), -0.5 * k))
+        assert (out[0], out[-1]) == (k, -0.5 * k)
+    assert _operator.cache_info().currsize == 1
+
+
+def test_cached_factor_is_read_only():
+    f = _operator(2, 26, "one_sided")
+    assert f is _operator(2, 26, "one_sided")
+    assert not f.inverse.flags.writeable
+    with pytest.raises(ValueError):
+        f.inverse[0, 0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.inverse = None
+    assert all(type(v) is tuple for v in (f.multipliers, f.pivots, f.upper))

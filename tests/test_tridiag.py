@@ -1,10 +1,11 @@
-"""Tests for the tridiagonal systems and the Thomas-style solver."""
+"""Tests for the tridiagonal factor/solve pair and the one-system wrapper."""
 
 import numpy as np
 import pytest
 
-from symfd import TriDiagSystem, ZeroPivot, solve_tridiagonal, solve_tridiagonal_many
+from symfd import TriDiagSystem, ZeroPivot, solve_tridiagonal
 from symfd.errors import ShapeMismatch
+from symfd.tridiag import DENSE_MAX, factor, solve
 
 
 def dense(sys):
@@ -56,7 +57,7 @@ def test_many_rhs_matches_column_by_column():
     upper = rng.uniform(-1.0, 1.0, n - 1)
     diag = rng.uniform(3.0, 5.0, n)
     rhs = rng.uniform(-4.0, 4.0, (n, m))
-    block = solve_tridiagonal_many(lower, diag, upper, rhs)
+    block = solve(factor(lower, diag, upper), rhs)
     for j in range(m):
         single = solve_tridiagonal(TriDiagSystem(lower, diag, upper, rhs[:, j]))
         assert np.abs(block[:, j] - single).max() <= 1e-13
@@ -78,10 +79,9 @@ def test_zero_pivot_detected_in_last_row():
 
 
 def test_many_rhs_zero_pivot():
+    # raised when the matrix is factored, before any right-hand side
     with pytest.raises(ZeroPivot):
-        solve_tridiagonal_many(
-            np.zeros(2), np.array([1.0, 0.0, 1.0]), np.zeros(2), np.ones((3, 2))
-        )
+        factor(np.zeros(2), np.array([1.0, 0.0, 1.0]), np.zeros(2))
 
 
 def test_shape_validation():
@@ -92,4 +92,69 @@ def test_shape_validation():
     with pytest.raises(ShapeMismatch):
         TriDiagSystem([1.0], [1.0, 1.0], [1.0], [1.0, 1.0, 1.0])  # rhs too long
     with pytest.raises(ShapeMismatch):
-        solve_tridiagonal_many(np.zeros(3), np.ones(3), np.zeros(2), np.ones((3, 2)))
+        factor(np.zeros(3), np.ones(3), np.zeros(2))  # lower too long
+    with pytest.raises(ShapeMismatch):
+        solve(factor(np.zeros(2), np.ones(3), np.zeros(2)), np.ones((4, 2)))  # rhs too long
+
+
+def thomas(lower, diag, upper, rhs):
+    """Elimination from scratch, one rhs; the reference for the factored solve."""
+    a, b, c, d = (list(map(float, v)) for v in (lower, diag, upper, rhs))
+    n = len(b)
+    for i in range(1, n):
+        w = a[i - 1] / b[i - 1]
+        b[i] -= w * c[i - 1]
+        d[i] -= w * d[i - 1]
+    x = [0.0] * n
+    x[n - 1] = d[n - 1] / b[n - 1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (d[i] - c[i] * x[i + 1]) / b[i]
+    return np.array(x)
+
+
+def random_bands(rng, n):
+    lower = rng.uniform(-1.0, 1.0, n - 1)
+    upper = rng.uniform(-1.0, 1.0, n - 1)
+    diag = rng.uniform(2.5, 4.0, n) * rng.choice([-1.0, 1.0], n)
+    return lower, diag, upper
+
+
+@pytest.mark.parametrize("n", [DENSE_MAX + 1, 801])
+def test_substitution_is_bit_identical_to_elimination(n):
+    rng = np.random.default_rng(n)
+    bands = random_bands(rng, n)
+    f = factor(*bands)
+    assert f.inverse is None
+    rhs = rng.uniform(-10.0, 10.0, (n, 3))
+    block = solve(f, rhs)
+    for j in range(3):
+        ref = thomas(*bands, rhs[:, j])
+        assert np.array_equal(solve(f, rhs[:, j]), ref)
+        assert np.array_equal(block[:, j], ref)
+
+
+@pytest.mark.parametrize("n", [2, 26, DENSE_MAX])
+def test_dense_inverse_matches_elimination(n):
+    rng = np.random.default_rng(n)
+    bands = random_bands(rng, n)
+    f = factor(*bands)
+    assert f.inverse.shape == (n, n)
+    assert not f.inverse.flags.writeable
+    rhs = rng.uniform(-10.0, 10.0, (n, 4))
+    block = solve(f, rhs)
+    for j in range(4):
+        single = solve(f, rhs[:, j])
+        assert np.array_equal(block[:, j], single)  # same sums, one column or many
+        ref = thomas(*bands, rhs[:, j])
+        assert np.abs(single - ref).max() <= 1e-13 * (1.0 + np.abs(rhs[:, j]).max())
+
+
+def test_solve_leaves_rhs_untouched():
+    rng = np.random.default_rng(5)
+    for n in (12, DENSE_MAX + 1):
+        f = factor(*random_bands(rng, n))
+        rhs = rng.uniform(-1.0, 1.0, (n, 3))
+        before = rhs.copy()
+        solve(f, rhs)
+        solve(f, rhs[:, 1])
+        assert np.array_equal(rhs, before)
