@@ -2,7 +2,10 @@
 
 These closed-form (or implicitly defined) solutions provide initial data,
 Dirichlet boundary data at every step, and the baseline for error
-measurement. All accept scalar or array coordinates.
+measurement. All accept scalar or array coordinates, and t may be an array
+too: t and the coordinates broadcast against each other, so one call can
+evaluate a block of times on a set of nodes. A guard on t raises when any
+entry of t is out of range.
 """
 
 import math
@@ -46,25 +49,32 @@ def ibe_breaking_time(sigma: float) -> float:
     return sigma * sigma * math.sqrt(2.0 * math.pi * math.e)
 
 
-def _hump(x: float, sigma: float) -> float:
+def _hump(x, sigma: float):
     amp = 1.0 / math.sqrt(2.0 * math.pi * sigma * sigma)
-    return amp * math.exp(-x * x / (2.0 * sigma * sigma))
+    return amp * np.exp(-x * x / (2.0 * sigma * sigma))
+
+
+# Fixed-point iterations before a node falls back to bisection, and the
+# tolerances of the fixed point; shared by the scalar and array paths.
+_FIXED_POINT_STEPS = 60
+_SETTLED_REL = 1e-14
+_RESIDUAL = 1e-13
 
 
 def _ibe_scalar(t: float, x: float, sigma: float) -> float:
     u = _hump(x, sigma)
     if t == 0.0:
-        return u
+        return float(u)
     # Fixed point u <- f(x - u t) contracts with ratio t / t_b < 1
     # before breaking; start from the t = 0 profile.
     steps = 0
-    while steps < 60:
+    while steps < _FIXED_POINT_STEPS:
         steps += 1
         nxt = _hump(x - u * t, sigma)
-        if abs(nxt - u) <= 1e-14 * (1.0 + abs(nxt)):
+        if abs(nxt - u) <= _SETTLED_REL * (1.0 + abs(nxt)):
             u = nxt
-            if abs(u - _hump(x - u * t, sigma)) <= 1e-13:
-                return u
+            if abs(u - _hump(x - u * t, sigma)) <= _RESIDUAL:
+                return float(u)
             break
         u = nxt
     # Close to breaking the contraction degrades; bisect F(u) = u - f(x - u t)
@@ -75,8 +85,8 @@ def _ibe_scalar(t: float, x: float, sigma: float) -> float:
         steps += 1
         mid = 0.5 * (lo + hi)
         fmid = mid - _hump(x - mid * t, sigma)
-        if abs(fmid) <= 1e-13:
-            return mid
+        if abs(fmid) <= _RESIDUAL:
+            return float(mid)
         if fmid <= 0.0:
             lo = mid
         else:
@@ -91,24 +101,42 @@ def ibe_exact(t, x, sigma: float = 0.5):
 
     Solves u = f(x - u t) with f the normalized Gaussian of width sigma;
     single-valued only before the breaking time, after which
-    PostBreakingTime is raised.
+    PostBreakingTime is raised. The fixed point runs over all nodes at
+    once, each node stopping as _ibe_scalar would; a node whose fixed point
+    does not settle, or settles off the root, is handed to _ibe_scalar,
+    which bisects it. So every node gets the value _ibe_scalar gives it.
     """
-    if t >= ibe_breaking_time(sigma):
+    t_max = np.max(t)
+    if t_max >= ibe_breaking_time(sigma):
         raise PostBreakingTime(
-            f"t = {t} is at or past breaking, t_b = {ibe_breaking_time(sigma):.6f}"
+            f"t = {t_max} is at or past breaking, t_b = {ibe_breaking_time(sigma):.6f}"
         )
-    if np.ndim(x) == 0:
-        return _ibe_scalar(float(t), float(x), sigma)
-    x = np.asarray(x, dtype=float)
-    out = np.array([_ibe_scalar(float(t), xx, sigma) for xx in x.ravel()])
-    return out.reshape(x.shape)
+    tt, xx = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+    shape = tt.shape
+    tt, xx = tt.ravel(), xx.ravel()
+    out = _hump(xx, sigma)
+    # A node iterates while active and keeps its value once it settles.
+    active = tt != 0.0
+    for _ in range(_FIXED_POINT_STEPS):
+        if not active.any():
+            break
+        nxt = _hump(xx - out * tt, sigma)
+        settled = np.abs(nxt - out) <= _SETTLED_REL * (1.0 + np.abs(nxt))
+        out = np.where(active, nxt, out)
+        active &= ~settled
+    unsettled = active | ~(np.abs(out - _hump(xx - out * tt, sigma)) <= _RESIDUAL)
+    for i in np.flatnonzero(unsettled):
+        out[i] = _ibe_scalar(tt[i], xx[i], sigma)
+    if not shape:
+        return float(out[0])
+    return out.reshape(shape)
 
 
 def ade1d_exact(t, x, params: PdeParams):
     """Drifting, spreading Gaussian solving u_t + alpha u_x = nu u_xx."""
     d = params.L * params.L + params.nu * t
-    if d <= 0:
-        raise ValueError(f"kernel variance L^2 + nu t = {d} must be positive")
+    if np.any(d <= 0):
+        raise ValueError(f"kernel variance L^2 + nu t = {np.min(d)} must be positive")
     xi = np.asarray(x, dtype=float) - params.alpha * t
     return np.exp(-xi * xi / (4.0 * d)) / np.sqrt(4.0 * math.pi * d)
 
@@ -122,8 +150,8 @@ def vbe_exact(t, x, nu: float):
     """
     if nu <= 0:
         raise ValueError(f"nu must be positive, got {nu}")
-    if t <= -1.0:
-        raise ValueError(f"t must exceed -1, got {t}")
+    if np.any(np.asarray(t) <= -1.0):
+        raise ValueError(f"t must exceed -1, got {np.min(t)}")
     big_t = t + 1.0
     xi = np.asarray(x, dtype=float) - 4.0 * t
     xi2 = xi - 2.0 * math.pi
@@ -142,8 +170,8 @@ def ade2d_exact(t, x, y, params: PdeParams):
     a square-root prefactor would not satisfy the equation in 2D.
     """
     d = params.L * params.L + params.nu * t
-    if d <= 0:
-        raise ValueError(f"kernel variance L^2 + nu t = {d} must be positive")
+    if np.any(d <= 0):
+        raise ValueError(f"kernel variance L^2 + nu t = {np.min(d)} must be positive")
     xi = np.asarray(x, dtype=float) - params.alpha * t
     eta = np.asarray(y, dtype=float) - params.beta * t
     return np.exp(-(xi * xi + eta * eta) / (4.0 * d)) / (4.0 * math.pi * d)

@@ -32,6 +32,11 @@ from .tridiag import factor, solve
 Field = np.ndarray
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform 1D mesh: nodes x0 + i*h for i = 0 .. n-1."""
@@ -57,6 +62,13 @@ class Grid1D:
     @cached_property
     def spacing(self) -> Tuple[float]:
         return (self.h,)
+
+    @cached_property
+    def dirichlet(self) -> Tuple[tuple, Tuple[np.ndarray]]:
+        """The Dirichlet nodes, both ends: (index, (x,)); values[index] are theirs."""
+        index = (_read_only(np.array([0, self.n - 1])),)
+        x = np.array([self.x0, self.x0 + (self.n - 1) * self.h])
+        return index, (_read_only(x),)
 
 
 @dataclass(frozen=True)
@@ -95,6 +107,19 @@ class Grid2D:
     @cached_property
     def spacing(self) -> Tuple[float, float]:
         return (self.hx, self.hy)
+
+    @cached_property
+    def dirichlet(self) -> Tuple[tuple, Tuple[np.ndarray, np.ndarray]]:
+        """The Dirichlet nodes, the perimeter with each node once:
+        (index, (x, y)); values[index] are theirs."""
+        nx, ny = self.nx, self.ny
+        inner = np.arange(1, nx - 1)
+        ix = np.concatenate([np.zeros(ny, int), np.full(ny, nx - 1), inner, inner])
+        iy = np.concatenate(
+            [np.arange(ny), np.arange(ny), np.zeros(nx - 2, int), np.full(nx - 2, ny - 1)]
+        )
+        index = (_read_only(ix), _read_only(iy))
+        return index, (_read_only(self.x[ix]), _read_only(self.y[iy]))
 
 
 @dataclass(frozen=True)

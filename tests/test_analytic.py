@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from symfd import analytic
 from symfd import (
     PdeParams,
     PostBreakingTime,
@@ -209,3 +210,58 @@ def test_params_validation():
         PdeParams(sigma=0.0)
     with pytest.raises(ValueError):
         PdeParams(L=-1.0)
+
+
+class TestArrayTimes:
+    """t may be an array that broadcasts against the coordinates."""
+
+    def test_vectorised_hump_matches_scalar_path(self, monkeypatch):
+        # Close to breaking some nodes do not settle in the fixed point and
+        # fall back to _ibe_scalar; every node must still match it.
+        fallback = []
+        scalar = analytic._ibe_scalar
+
+        def counted(t, x, sigma):
+            fallback.append((t, x))
+            return scalar(t, x, sigma)
+
+        monkeypatch.setattr(analytic, "_ibe_scalar", counted)
+        t_b = ibe_breaking_time(0.5)
+        ts = np.array([0.0, 0.3, 0.9 * t_b, 0.999 * t_b])
+        xs = np.linspace(-3.0, 3.0, 241)
+        got = ibe_exact(ts[:, None], xs, 0.5)
+        assert got.shape == (4, 241)
+        assert 0 < len(fallback) < xs.size
+        for t, row in zip(ts, got):
+            want = np.array([scalar(t, x, 0.5) for x in xs])
+            assert np.abs(row - want).max() <= 1e-15
+
+    def test_broadcast_shapes(self):
+        ts = np.array([[0.1], [0.2]])
+        xs = np.linspace(-1.0, 1.0, 5)
+        assert ibe_exact(ts, xs, 0.5).shape == (2, 5)
+        assert ade1d_exact(ts, xs, ADE_PARAMS).shape == (2, 5)
+        assert vbe_exact(ts, xs, 1.0 / 12.0).shape == (2, 5)
+        assert ade2d_exact(ts, xs, 0.3, ADE_PARAMS).shape == (2, 5)
+        for k, t in enumerate((0.1, 0.2)):
+            assert np.array_equal(vbe_exact(ts, xs, 1.0 / 12.0)[k], vbe_exact(t, xs, 1.0 / 12.0))
+            assert np.array_equal(ade1d_exact(ts, xs, ADE_PARAMS)[k], ade1d_exact(t, xs, ADE_PARAMS))
+
+    def test_hump_guard_fires_on_one_entry(self):
+        t_b = ibe_breaking_time(0.5)
+        with pytest.raises(PostBreakingTime):
+            ibe_exact(np.array([0.1, t_b, 0.2]), 0.0, 0.5)
+        with pytest.raises(PostBreakingTime):
+            ibe_exact(np.array([[0.1], [0.2], [t_b + 0.1]]), np.zeros(3), 0.5)
+
+    def test_front_guard_fires_on_one_entry(self):
+        with pytest.raises(ValueError, match="exceed -1"):
+            vbe_exact(np.array([0.0, -1.0, 0.5]), 1.0, 1.0 / 12.0)
+
+    def test_kernel_variance_guards_fire_on_one_entry(self):
+        # L^2 + nu t <= 0 from t = -L^2 / nu = -9.6 on
+        ts = np.array([[0.0], [-20.0], [1.0]])
+        with pytest.raises(ValueError, match="variance"):
+            ade1d_exact(ts, np.zeros(4), ADE_PARAMS)
+        with pytest.raises(ValueError, match="variance"):
+            ade2d_exact(ts, np.zeros(4), 0.0, ADE_PARAMS)

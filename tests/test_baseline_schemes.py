@@ -157,6 +157,15 @@ def test_tau_must_be_positive():
         StepContext(grid, PdeParams(), 0.0, 0.0, lambda t, x: x)
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+def test_tau_must_be_finite(tau):
+    grid = Grid1D(0.0, 0.1, 11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="finite"):
+            StepContext(grid, PdeParams(), tau, 0.0, lambda t, x: x)
+
+
 def test_non_finite_input_is_rejected():
     grid, ctx = ctx_1d(0.0)
     bad = np.zeros(grid.n)

@@ -2,13 +2,16 @@
 
 import csv
 import math
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import symfd
 from symfd import Grid1D, Grid2D, PdeParams
 from symfd.cli import (
     DEFAULTS,
@@ -181,6 +184,13 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'tau'" in err
 
+    def test_fractional_step_count_exits_nonzero(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        args = ["pde=ade1d", "scheme=ftcs", "tau=1e-10", "t_final=1.5e-10", f"output_path={out}"]
+        assert main(["run", *args]) == 1
+        assert "whole number of steps" in capsys.readouterr().err
+        assert not out.exists()
+
 
 CHEAP_CONVERGE = ["pde=ade1d", "sizes=11,16,21", "tau=5e-3", "t_final=0.05", "schemes=comp"]
 
@@ -258,7 +268,12 @@ class TestSelftest:
     def test_installed_entry_point(self):
         exe = shutil.which("symfd")
         cmd = [exe, "selftest"] if exe else [sys.executable, "-m", "symfd.cli", "selftest"]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        # Without an installed entry point, run the package these tests import,
+        # which pytest may have put on sys.path itself (pyproject's pythonpath).
+        src = str(Path(symfd.__file__).resolve().parent.parent)
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "0 failure(s)" in proc.stdout
 

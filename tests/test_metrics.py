@@ -16,6 +16,7 @@ from symfd import (
     convergence_study,
     evolve,
     fit_slope,
+    galilean_exact,
     galilean_experiment,
     grid_for,
     linf,
@@ -23,7 +24,14 @@ from symfd import (
     step,
 )
 from symfd.errors import ShapeMismatch
-from symfd.metrics import _STEPPERS, PDES, SCHEMES_BY_PDE, default_exact
+from symfd.metrics import (
+    _STEPPERS,
+    BOUNDARY_BLOCK,
+    PDES,
+    SCHEMES_BY_PDE,
+    boundary_values,
+    default_exact,
+)
 
 ADE_PARAMS = PdeParams(alpha=1.0, nu=1.0 / 60.0, L=0.4)
 
@@ -101,6 +109,7 @@ class TestEvolve:
     def test_zero_steps_returns_exact_data(self):
         _, _, rep = evolve("ade1d", "comp", Grid1D(-2.0, 0.2, 31), 1e-3, 0.0, ADE_PARAMS)
         assert rep.rmse == 0.0 and rep.linf == 0.0
+        assert rep.n_steps == 0
 
     def test_report_fields(self):
         _, _, rep = evolve("ade1d", "comp", Grid1D(-2.0, 0.2, 31), 1e-3, 0.05, ADE_PARAMS)
@@ -108,6 +117,7 @@ class TestEvolve:
         assert rep.scheme == "comp" and rep.pde == "ade1d"
         assert rep.n == 31 and rep.h == pytest.approx(0.2)
         assert rep.tau == 1e-3 and rep.t_final == 0.05
+        assert rep.n_steps == 50
         assert 0.0 < rep.rmse <= rep.linf
         assert rep.wall_time >= 0.0
 
@@ -119,6 +129,13 @@ class TestEvolve:
     def test_step_count_mismatch(self):
         with pytest.raises(StepCountMismatch):
             evolve("ade1d", "comp", Grid1D(-2.0, 0.2, 31), 3e-3, 0.05, ADE_PARAMS)
+
+    def test_step_count_tolerance_is_relative_to_tau(self):
+        # 1.5 steps of a tiny tau must not round to 2 steps and pass
+        with pytest.raises(StepCountMismatch):
+            evolve("ade1d", "ftcs", Grid1D(-2.0, 0.2, 31), 1e-10, 1.5e-10, ADE_PARAMS)
+        _, _, rep = evolve("ade1d", "ftcs", Grid1D(-2.0, 0.2, 31), 1e-10, 3e-10, ADE_PARAMS)
+        assert rep.n_steps == 3
 
     def test_sliding_mesh_restricted_to_invariant_viscous_step(self):
         with pytest.raises(ValueError):
@@ -176,3 +193,126 @@ class TestGalileanExperiment:
         )
         _, _, plain = evolve("vbe", "comp", grid, 1e-3, 0.05, params)
         assert results[0][2].linf == pytest.approx(plain.linf, rel=1e-14)
+
+
+def per_piece_boundary(provider, grid, t, shift=0.0):
+    """The Dirichlet values at time t written as one provider call per end
+    (1D) or per side (2D), on a full field; the nodes off the boundary are
+    NaN."""
+    if isinstance(grid, Grid2D):
+        x, y = grid.x, grid.y
+        field = np.full(grid.shape, np.nan)
+        field[0, :] = provider(t, x[0], y)
+        field[-1, :] = provider(t, x[-1], y)
+        field[:, 0] = provider(t, x, y[0])
+        field[:, -1] = provider(t, x, y[-1])
+        return field
+    field = np.full(grid.n, np.nan)
+    field[0] = provider(t, grid.x0 + shift)
+    field[-1] = provider(t, grid.x0 + (grid.n - 1) * grid.h + shift)
+    return field
+
+
+BLOCK_GRIDS = {
+    "ibe": Grid1D(-3.0, 0.2, 31),
+    "ade1d": Grid1D(-2.0, 0.2, 31),
+    "vbe": Grid1D(0.0, 2.0 * math.pi / 20.0, 21),
+    "ade2d": Grid2D(-1.92, -1.6, 0.32, 0.4, 13, 9),
+}
+
+
+class TestBoundaryBlock:
+    """evolve draws the Dirichlet values of BOUNDARY_BLOCK steps from one
+    provider call; they must be the per-step values bit for bit."""
+
+    @pytest.mark.parametrize("pde", ["ibe", "ade1d", "vbe", "ade2d"])
+    def test_nodes_are_the_boundary_once_each(self, pde):
+        grid = BLOCK_GRIDS[pde]
+        index, coords = grid.dirichlet
+        mask = np.zeros(grid.shape, bool)
+        mask[index] = True
+        expected = ~np.isnan(per_piece_boundary(lambda t, *c: 0.0, grid, 0.0))
+        assert np.array_equal(mask, expected)
+        assert len(index[0]) == expected.sum()
+        assert all(len(c) == len(index[0]) for c in coords)
+
+    @pytest.mark.parametrize("pde", ["ibe", "ade1d", "vbe", "ade2d"])
+    def test_block_equals_per_step_values(self, pde):
+        params = PdeParams(nu=1.0 / 12.0) if pde == "vbe" else ADE_PARAMS
+        exact = default_exact(pde, params)
+        grid = BLOCK_GRIDS[pde]
+        tau = 1e-3
+        ctx = StepContext(grid, params, tau, 0.0, exact)
+        block = boundary_values(ctx, np.arange(40, 90) * tau + tau)
+        for k in range(40, 90):
+            field = per_piece_boundary(exact, grid, k * tau + tau)
+            assert np.array_equal(block[k - 40], field[grid.dirichlet[0]])
+
+    def test_block_equals_per_step_values_on_sliding_mesh(self):
+        params = PdeParams(nu=1.0 / 12.0)
+        c = 0.7
+        exact = galilean_exact(default_exact("vbe", params), c)
+        grid = BLOCK_GRIDS["vbe"]
+        tau = 1e-3
+        ctx = StepContext(grid, params, tau, 0.0, exact, mesh_velocity=c)
+        block = boundary_values(ctx, np.arange(0, 30) * tau + tau)
+        for k in range(30):
+            t = k * tau + tau
+            field = per_piece_boundary(exact, grid, t, shift=c * t)
+            assert np.array_equal(block[k], field[[0, -1]])
+
+    @pytest.mark.parametrize(
+        "pde, scheme, velocity",
+        [("vbe", "sym", 0.7), ("ade1d", "ftcs", 0.0), ("ade2d", "comp", 0.0)],
+    )
+    def test_run_off_a_block_multiple_matches_single_steps(self, pde, scheme, velocity):
+        params = PdeParams(nu=1.0 / 12.0) if pde == "vbe" else ADE_PARAMS
+        exact = default_exact(pde, params)
+        if velocity:
+            exact = galilean_exact(exact, velocity)
+        grid = BLOCK_GRIDS[pde]
+        tau = 1e-4
+        n_steps = BOUNDARY_BLOCK + 7
+        calls = []
+
+        def provider(*args):
+            calls.append(args[0])
+            return exact(*args)
+
+        u, _, rep = evolve(pde, scheme, grid, tau, n_steps * tau, params,
+                           exact=provider, mesh_velocity=velocity)
+        assert rep.n_steps == n_steps
+        # the initial data, two blocks of boundary values, the reference
+        assert len(calls) == 4
+        assert [np.size(t) for t in calls[1:3]] == [BOUNDARY_BLOCK, 7]
+
+        if pde == "ade2d":
+            v = exact(0.0, *np.meshgrid(grid.x, grid.y, indexing="ij"))
+        else:
+            v = exact(0.0, grid.x)
+        ctx = StepContext(grid, params, tau, 0.0, exact, mesh_velocity=velocity)
+        for k in range(n_steps):
+            ctx.t = k * tau
+            v = step(pde, scheme, v, ctx)
+        assert np.array_equal(u, v)
+
+    @pytest.mark.parametrize("pde, scheme", [("vbe", "sym"), ("ade2d", "ftcs")])
+    def test_single_step_refreshes_from_the_provider(self, pde, scheme):
+        params = PdeParams(nu=1.0 / 12.0) if pde == "vbe" else ADE_PARAMS
+        velocity = 0.7 if pde == "vbe" else 0.0
+        exact = default_exact(pde, params)
+        if velocity:
+            exact = galilean_exact(exact, velocity)
+        grid = BLOCK_GRIDS[pde]
+        t0, tau = 0.1, 1e-3
+        if pde == "ade2d":
+            u = exact(t0, *np.meshgrid(grid.x, grid.y, indexing="ij"))
+        else:
+            u = exact(t0, grid.x + velocity * t0)
+        ctx = StepContext(grid, params, tau, t0, exact, mesh_velocity=velocity)
+        out = step(pde, scheme, u, ctx)
+        index = grid.dirichlet[0]
+        field = per_piece_boundary(exact, grid, t0 + tau, shift=velocity * (t0 + tau))
+        assert np.array_equal(out[index], field[index])
+        row = boundary_values(ctx, np.array([t0 + tau]))[0]
+        assert np.array_equal(step(pde, scheme, u, ctx, row), out)
