@@ -49,7 +49,6 @@ from .metrics import (
     rmse,
     step,
 )
-from .tridiag import TriDiagSystem, solve_tridiagonal
 
 __all__ = [
     "BoundaryPolicy",
@@ -70,7 +69,6 @@ __all__ = [
     "StepContext",
     "StepCountMismatch",
     "SymfdError",
-    "TriDiagSystem",
     "ZeroPivot",
     "ZeroState",
     "ade1d_exact",
@@ -89,7 +87,6 @@ __all__ = [
     "invariantize_check",
     "linf",
     "rmse",
-    "solve_tridiagonal",
     "step",
     "vbe_exact",
 ]

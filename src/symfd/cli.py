@@ -66,27 +66,22 @@ CONVERGE_DEFAULTS = {
 
 @dataclass
 class RunConfig:
-    """Validated settings of one experiment run."""
+    """Validated settings of one command: a run, or a study over schemes."""
 
     pde: str
-    scheme: str
+    schemes: Tuple[str, ...]  # the one scheme of a run, or a study's schemes
     domain: Tuple[float, ...]  # (x_lo, x_hi) or (x_lo, x_hi, y_lo, y_hi)
     n: Tuple[int, ...]  # (nx,) or (nx, ny)
+    sizes: Tuple[int, ...]  # node counts of a convergence study, else ()
     tau: float
     t_final: float
-    alpha: float
-    beta: float
-    nu: float
-    sigma: float
-    L: float
+    params: PdeParams
     galilean_c: Optional[float]
     output_path: str
 
     @property
-    def params(self) -> PdeParams:
-        return PdeParams(
-            alpha=self.alpha, beta=self.beta, nu=self.nu, sigma=self.sigma, L=self.L
-        )
+    def scheme(self) -> str:
+        return self.schemes[0]
 
 
 def parse_config_file(path: str) -> dict:
@@ -132,19 +127,44 @@ def _as_int(mapping: dict, key: str) -> int:
         raise ConfigInvalid(f"field {key!r} must be an integer, got {mapping[key]!r}") from None
 
 
-def build_run_config(mapping: dict) -> RunConfig:
-    """Layer defaults under the mapping and validate every field."""
-    pde = mapping.get("pde")
-    if pde not in PDES:
-        raise ConfigInvalid(f"field 'pde' must be one of {PDES}, got {pde!r}")
+def _parse_list(text: str, kind, field_name: str) -> list:
+    try:
+        values = [kind(part) for part in str(text).split(",") if part.strip() != ""]
+    except ValueError:
+        raise ConfigInvalid(f"field {field_name!r} must be comma-separated, got {text!r}") from None
+    if kind is float and not all(map(math.isfinite, values)):
+        raise ConfigInvalid(f"field {field_name!r} must list finite numbers, got {text!r}")
+    return values
+
+
+def build_run_config(mapping: dict, command: str = "run") -> RunConfig:
+    """Layer the command's defaults under the mapping and validate every field.
+
+    command is the subcommand: "run" reads one 'scheme', the studies
+    ("converge", "galilean") a 'schemes' list, and "converge" also 'sizes'.
+    """
+    pde = mapping.get("pde", "vbe" if command == "galilean" else None)
+    allowed = ("vbe",) if command == "galilean" else PDES
+    if pde not in allowed:
+        raise ConfigInvalid(f"field 'pde' must be one of {allowed} for {command}, got {pde!r}")
     merged = dict(DEFAULTS[pde])
+    if command == "converge":
+        merged.update(CONVERGE_DEFAULTS[pde])
     merged.update(mapping)
-    scheme = merged.get("scheme")
-    if scheme not in SCHEMES_BY_PDE[pde]:
-        raise ConfigInvalid(
-            f"field 'scheme' must be one of {SCHEMES_BY_PDE[pde]} for pde {pde!r}, "
-            f"got {scheme!r}"
-        )
+    valid = SCHEMES_BY_PDE[pde]
+    if command == "run":
+        schemes = [merged.get("scheme")]
+        if schemes[0] not in valid:
+            raise ConfigInvalid(
+                f"field 'scheme' must be one of {valid} for pde {pde!r}, got {schemes[0]!r}"
+            )
+    else:
+        schemes = _parse_list(merged.get("schemes", ",".join(valid)), str, "schemes")
+        if not schemes:
+            raise ConfigInvalid("field 'schemes' must list at least one scheme")
+        for scheme in schemes:
+            if scheme not in valid:
+                raise ConfigInvalid(f"field 'schemes' contains {scheme!r}, invalid for {pde!r}")
     merged.setdefault("sigma", 0.5)
     merged.setdefault("L", 0.4)
     if pde == "ade2d":
@@ -155,9 +175,15 @@ def build_run_config(mapping: dict) -> RunConfig:
     else:
         domain = (_as_float(merged, "x_lo"), _as_float(merged, "x_hi"))
         n = (_as_int(merged, "nx"),)
+    sizes = []
+    if command == "converge":
+        sizes = _parse_list(merged["sizes"], int, "sizes")
+        if len(set(sizes)) < 3:
+            raise ConfigInvalid(f"field 'sizes' needs at least 3 distinct grid sizes, got {sizes}")
+    for name, count in [*zip(("nx", "ny"), n), *(("sizes", size) for size in sizes)]:
+        if count < 5:
+            raise ConfigInvalid(f"field {name!r} must be >= 5, got {count}")
     for axis in range(len(n)):
-        if n[axis] < 5:
-            raise ConfigInvalid(f"field 'nx'/'ny' must be >= 5, got {n[axis]}")
         if domain[2 * axis + 1] <= domain[2 * axis]:
             raise ConfigInvalid(
                 f"domain bounds {domain[2 * axis]} .. {domain[2 * axis + 1]} are not increasing"
@@ -182,20 +208,25 @@ def build_run_config(mapping: dict) -> RunConfig:
     nu = _as_float(merged, "nu")
     if nu < 0:
         raise ConfigInvalid(f"field 'nu' must be nonnegative, got {nu}")
+    default_output = {
+        "run": f"{pde}_{schemes[0]}_profile.csv",
+        "converge": f"{pde}_convergence.csv",
+        "galilean": "vbe_galilean.csv",
+    }[command]
     return RunConfig(
         pde=pde,
-        scheme=scheme,
+        schemes=tuple(schemes),
         domain=domain,
         n=n,
+        sizes=tuple(sizes),
         tau=tau,
         t_final=t_final,
-        alpha=_as_float(merged, "alpha"),
-        beta=_as_float(merged, "beta"),
-        nu=nu,
-        sigma=sigma,
-        L=big_l,
+        params=PdeParams(
+            alpha=_as_float(merged, "alpha"), beta=_as_float(merged, "beta"), nu=nu,
+            sigma=sigma, L=big_l,
+        ),
         galilean_c=galilean_c,
-        output_path=str(merged.get("output_path", f"{pde}_{scheme}_profile.csv")),
+        output_path=str(merged.get("output_path", default_output)),
     )
 
 
@@ -210,45 +241,30 @@ def _write_csv(path: str, header, rows):
         writer.writerows(rows)
 
 
-def cmd_run(mapping: dict) -> int:
+def cmd_run(cfg: RunConfig) -> int:
     """Evolve one configuration; write the profile CSV, print a summary."""
-    cfg = build_run_config(mapping)
     grid = grid_for(cfg.pde, cfg.domain, cfg.n)
-    params = cfg.params
     exact = None
     velocity = 0.0
     if cfg.galilean_c is not None:
-        exact = galilean_exact(default_exact("vbe", params), cfg.galilean_c)
+        exact = galilean_exact(default_exact("vbe", cfg.params), cfg.galilean_c)
         if cfg.scheme == "sym":
             velocity = cfg.galilean_c
     numeric, reference, report = evolve(
-        cfg.pde, cfg.scheme, grid, cfg.tau, cfg.t_final, params,
+        cfg.pde, cfg.scheme, grid, cfg.tau, cfg.t_final, cfg.params,
         exact=exact, mesh_velocity=velocity,
     )
-    if cfg.pde == "ade2d":
-        mesh_x, mesh_y = np.meshgrid(grid.x, grid.y, indexing="ij")
-        rows = [
-            (_fmt(x), _fmt(y), _fmt(un), _fmt(ue), _fmt(un - ue))
-            for x, y, un, ue in zip(
-                mesh_x.ravel(), mesh_y.ravel(), numeric.ravel(), reference.ravel()
-            )
-        ]
-        header = ("x", "y", "u_numeric", "u_exact", "error")
-    else:
-        xs = grid.x + velocity * cfg.t_final
-        rows = [
-            (_fmt(x), _fmt(un), _fmt(ue), _fmt(un - ue))
-            for x, un, ue in zip(xs, numeric, reference)
-        ]
-        header = ("x", "u_numeric", "u_exact", "error")
-    _write_csv(cfg.output_path, header, rows)
-    n_txt = "x".join(str(v) for v in (report.n if isinstance(report.n, tuple) else (report.n,)))
-    h_txt = "x".join(_fmt(v) for v in (report.h if isinstance(report.h, tuple) else (report.h,)))
+    # The final node positions, which the sliding mesh has moved.
+    axes = (grid.x, grid.y) if cfg.pde == "ade2d" else (grid.x + velocity * cfg.t_final,)
+    columns = [*np.meshgrid(*axes, indexing="ij"), numeric, reference, numeric - reference]
+    header = ("x", "y")[: len(axes)] + ("u_numeric", "u_exact", "error")
+    _write_csv(cfg.output_path, header, zip(*(map(_fmt, c.ravel()) for c in columns)))
     print("scheme,pde,n,h,tau,t_final,rmse,linf,wall_time")
     print(
         ",".join(
             (
-                report.scheme, report.pde, n_txt, h_txt, _fmt(report.tau),
+                report.scheme, report.pde, "x".join(map(str, grid.shape)),
+                "x".join(map(_fmt, grid.spacing)), _fmt(report.tau),
                 _fmt(report.t_final), _fmt(report.rmse), _fmt(report.linf),
                 _fmt(report.wall_time),
             )
@@ -257,68 +273,33 @@ def cmd_run(mapping: dict) -> int:
     return 0
 
 
-def _parse_list(text: str, kind, field_name: str) -> list:
-    try:
-        values = [kind(part) for part in str(text).split(",") if part.strip() != ""]
-    except ValueError:
-        raise ConfigInvalid(f"field {field_name!r} must be comma-separated, got {text!r}") from None
-    if kind is float and not all(map(math.isfinite, values)):
-        raise ConfigInvalid(f"field {field_name!r} must list finite numbers, got {text!r}")
-    return values
-
-
-def cmd_converge(mapping: dict) -> int:
+def cmd_converge(cfg: RunConfig) -> int:
     """Grid-refinement study per scheme; CSV rows (scheme, n, h, linf, slope)."""
-    pde = mapping.get("pde")
-    if pde not in PDES:
-        raise ConfigInvalid(f"field 'pde' must be one of {PDES}, got {pde!r}")
-    merged = dict(DEFAULTS[pde])
-    merged.update(CONVERGE_DEFAULTS[pde])
-    merged.update(mapping)
-    sizes = _parse_list(merged["sizes"], int, "sizes")
-    if len(set(sizes)) < 3:
-        raise ConfigInvalid(f"field 'sizes' needs at least 3 distinct grid sizes, got {sizes}")
-    schemes = _parse_list(merged.get("schemes", ",".join(SCHEMES_BY_PDE[pde])), str, "schemes")
-    for scheme in schemes:
-        if scheme not in SCHEMES_BY_PDE[pde]:
-            raise ConfigInvalid(f"field 'schemes' contains {scheme!r}, invalid for {pde!r}")
-    merged.setdefault("scheme", schemes[0])
-    cfg = build_run_config({**merged, "pde": pde})
-    tau = _as_float(merged, "tau")
-    t_final = _as_float(merged, "t_final")
     rows = []
-    for scheme in schemes:
-        table = convergence_study(pde, scheme, sizes, tau, t_final, cfg.params, cfg.domain)
+    for scheme in cfg.schemes:
+        table = convergence_study(
+            cfg.pde, scheme, cfg.sizes, cfg.tau, cfg.t_final, cfg.params, cfg.domain
+        )
         rows.extend(
             (scheme, str(n), _fmt(h), _fmt(err), _fmt(table.slope))
             for n, h, err in table.rows
         )
-        print(f"{pde} {scheme}: slope {table.slope:.3f}", file=sys.stderr)
-    out = str(merged.get("output_path", f"{pde}_convergence.csv"))
-    _write_csv(out, ("scheme", "n", "h", "linf", "slope"), rows)
+        print(f"{cfg.pde} {scheme}: slope {table.slope:.3f}", file=sys.stderr)
+    _write_csv(cfg.output_path, ("scheme", "n", "h", "linf", "slope"), rows)
     return 0
 
 
-def cmd_galilean(mapping: dict) -> int:
-    """Boost study for the viscous Burgers schemes; CSV rows (c, scheme, rmse, linf)."""
-    pde = mapping.get("pde", "vbe")
-    if pde != "vbe":
-        raise ConfigInvalid(f"field 'pde' must be 'vbe' for the galilean study, got {pde!r}")
-    merged = dict(DEFAULTS["vbe"])
-    merged.update(mapping)
-    merged["pde"] = "vbe"
-    c_values = _parse_list(merged.get("c_values", "0,0.5,1.0"), float, "c_values")
+def cmd_galilean(cfg: RunConfig, c_text: str) -> int:
+    """Boost study for the viscous Burgers schemes; CSV rows (c, scheme, rmse, linf).
+
+    c_text is the comma-separated list of boost speeds ('c_values').
+    """
+    c_values = _parse_list(c_text, float, "c_values")
     if not c_values:
         raise ConfigInvalid("field 'c_values' must list at least one boost speed")
-    schemes = _parse_list(merged.get("schemes", "ftcs,comp,sym"), str, "schemes")
-    for scheme in schemes:
-        if scheme not in SCHEMES_BY_PDE["vbe"]:
-            raise ConfigInvalid(f"field 'schemes' contains {scheme!r}, invalid for 'vbe'")
-    merged.setdefault("scheme", schemes[0])
-    cfg = build_run_config(merged)
     results = galilean_experiment(
         c_values,
-        schemes=schemes,
+        schemes=cfg.schemes,
         grid=grid_for(cfg.pde, cfg.domain, cfg.n),
         tau=cfg.tau,
         t_final=cfg.t_final,
@@ -327,8 +308,7 @@ def cmd_galilean(mapping: dict) -> int:
     rows = [
         (_fmt(c), scheme, _fmt(rep.rmse), _fmt(rep.linf)) for c, scheme, rep in results
     ]
-    out = str(merged.get("output_path", "vbe_galilean.csv"))
-    _write_csv(out, ("c", "scheme", "rmse", "linf"), rows)
+    _write_csv(cfg.output_path, ("c", "scheme", "rmse", "linf"), rows)
     return 0
 
 
@@ -338,17 +318,14 @@ def _selftest_checks():
     from .compact_ops import d1, d2
     from .metrics import linf as metric_linf
     from .metrics import rmse as metric_rmse
-    from .tridiag import TriDiagSystem, solve_tridiagonal
+    from .tridiag import factor, solve
 
     def tridiag_identity():
         r = np.array([4.0, -1.0, 2.5])
-        x = solve_tridiagonal(TriDiagSystem(np.zeros(2), np.ones(3), np.zeros(2), r))
-        return np.array_equal(x, r)
+        return np.array_equal(solve(factor(np.zeros(2), np.ones(3), np.zeros(2)), r), r)
 
     def tridiag_dense_oracle():
-        x = solve_tridiagonal(
-            TriDiagSystem([1.0, 1.0], [2.0, 2.0, 2.0], [1.0, 1.0], [1.0, 2.0, 3.0])
-        )
+        x = solve(factor([1.0, 1.0], [2.0, 2.0, 2.0], [1.0, 1.0]), [1.0, 2.0, 3.0])
         return np.allclose(x, [0.5, 0.0, 1.5], rtol=0, atol=1e-13)
 
     grid = Grid1D(0.0, 0.1, 11)
@@ -476,11 +453,12 @@ def main(argv=None) -> int:
         if args.config:
             mapping.update(parse_config_file(args.config))
         mapping = apply_overrides(mapping, args.overrides)
+        cfg = build_run_config(mapping, args.command)
         if args.command == "run":
-            return cmd_run(mapping)
+            return cmd_run(cfg)
         if args.command == "converge":
-            return cmd_converge(mapping)
-        return cmd_galilean(mapping)
+            return cmd_converge(cfg)
+        return cmd_galilean(cfg, mapping.get("c_values", "0,0.5,1.0"))
     except (SymfdError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

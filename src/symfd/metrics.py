@@ -23,17 +23,9 @@ from .analytic import (
 from .compact_ops import Field, Grid, Grid1D, Grid2D
 from .errors import NonFinite, ShapeMismatch, StepCountMismatch
 
-PDES = ("ibe", "ade1d", "vbe", "ade2d")
-
-SCHEMES_BY_PDE = {
-    "ibe": ("ftcs", "comp", "sym"),
-    "ade1d": ("ftcs", "comp", "sym"),
-    "vbe": ("ftcs", "comp", "sym"),
-    "ade2d": ("ftcs", "comp", "sym1", "sym2"),
-}
-
 # The update of each (pde, scheme) pair, called as update(u, grid, params,
-# tau), plus the node displacement over the step for SLIDING.
+# tau), plus the node displacement over the step for SLIDING. The table's
+# order is the order of PDES and SCHEMES_BY_PDE, and so of the studies' rows.
 _STEPPERS = {
     ("ibe", "ftcs"): base.ibe_ftcs_update,
     ("ibe", "comp"): base.ibe_comp_update,
@@ -49,6 +41,8 @@ _STEPPERS = {
     ("ade2d", "sym1"): partial(inv.ade2d_sym_update, variant="sym1"),
     ("ade2d", "sym2"): partial(inv.ade2d_sym_update, variant="sym2"),
 }
+PDES = tuple(dict.fromkeys(pde for pde, _ in _STEPPERS))
+SCHEMES_BY_PDE = {pde: tuple(s for p, s in _STEPPERS if p == pde) for pde in PDES}
 # The one pair whose nodes may slide with the mesh velocity.
 SLIDING = ("vbe", "sym")
 
@@ -298,8 +292,16 @@ def grid_for(pde: str, domain: Sequence[float], n) -> Grid:
 
 
 def fit_slope(hs: Sequence[float], errors: Sequence[float]) -> float:
-    """Least-squares slope of log(error) against log(h)."""
-    return float(np.polyfit(np.log(np.asarray(hs, float)), np.log(np.asarray(errors, float)), 1)[0])
+    """Least-squares slope of log(error) against log(h).
+
+    Raises ValueError unless every h and every error is positive and finite,
+    since a zero, negative or non-finite entry has no logarithm to fit.
+    """
+    hs, errors = np.asarray(hs, float), np.asarray(errors, float)
+    for name, values in (("h", hs), ("error", errors)):
+        if not (np.isfinite(values) & (values > 0)).all():
+            raise ValueError(f"slope fit needs every {name} positive and finite, got {values}")
+    return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
 
 
 def convergence_study(

@@ -123,44 +123,3 @@ def _substitute(f: Factor, rhs: np.ndarray) -> np.ndarray:
     for i in range(n - 2, -1, -1):
         d[i] = (d[i] - c[i] * d[i + 1]) / piv[i]
     return np.array(d)
-
-
-@dataclass
-class TriDiagSystem:
-    """A x = rhs with tridiagonal A stored as three diagonals.
-
-    lower[i] multiplies x[i] in row i+1; upper[i] multiplies x[i+1] in
-    row i. Lengths must be n-1, n, n-1, n for a single n >= 2.
-    """
-
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        self.lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        self.diag = np.atleast_1d(np.asarray(self.diag, dtype=float))
-        self.upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        self.rhs = np.atleast_1d(np.asarray(self.rhs, dtype=float))
-        n = self.diag.shape[0]
-        if n < 2:
-            raise ShapeMismatch(f"need n >= 2 rows, got n = {n}")
-        for name, band, want in (
-            ("lower", self.lower, n - 1),
-            ("upper", self.upper, n - 1),
-            ("rhs", self.rhs, n),
-        ):
-            if band.shape != (want,):
-                raise ShapeMismatch(
-                    f"{name} has shape {band.shape}, expected ({want},) for n = {n}"
-                )
-
-    @property
-    def n(self):
-        return self.diag.shape[0]
-
-
-def solve_tridiagonal(sys: TriDiagSystem) -> np.ndarray:
-    """Solve one tridiagonal system: factor, then solve."""
-    return solve(factor(sys.lower, sys.diag, sys.upper), sys.rhs)

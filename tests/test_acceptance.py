@@ -20,7 +20,6 @@ from symfd import (
     Grid1D,
     PdeParams,
     StepContext,
-    TriDiagSystem,
     convergence_study,
     d1,
     d2,
@@ -29,9 +28,9 @@ from symfd import (
     galilean_experiment,
     grid_for,
     invariantize_check,
-    solve_tridiagonal,
     step,
 )
+from symfd.tridiag import factor, solve
 
 IBE_PARAMS = PdeParams(sigma=0.5)
 ADE_PARAMS = PdeParams(alpha=1.0, beta=1.0, nu=1.0 / 60.0, L=0.4)
@@ -293,7 +292,7 @@ def test_criterion_7_operator_property_suite():
     lower, upper = rng.normal(size=(2, 39))
     diag = 4.0 + rng.random(40)
     rhs = rng.normal(size=40)
-    x = solve_tridiagonal(TriDiagSystem(lower, diag, upper, rhs))
+    x = solve(factor(lower, diag, upper), rhs)
     residual = diag * x
     residual[:-1] += upper * x[1:]
     residual[1:] += lower * x[:-1]

@@ -14,6 +14,7 @@ import pytest
 import symfd
 from symfd import Grid1D, Grid2D, PdeParams
 from symfd.cli import (
+    CONVERGE_DEFAULTS,
     DEFAULTS,
     apply_overrides,
     build_run_config,
@@ -64,13 +65,27 @@ class TestConfigFile:
 class TestBuildRunConfig:
     def test_defaults_fill_in(self):
         cfg = build_run_config({"pde": "vbe"})
-        assert cfg.scheme == "sym"
+        assert cfg.scheme == "sym" and cfg.schemes == ("sym",)
         assert cfg.domain == (0.0, 2.0 * math.pi)
-        assert cfg.n == (101,)
+        assert cfg.n == (101,) and cfg.sizes == ()
         assert cfg.tau == 1e-4 and cfg.t_final == 0.25
-        assert cfg.nu == pytest.approx(1.0 / 12.0)
+        assert cfg.params.nu == pytest.approx(1.0 / 12.0)
         assert cfg.galilean_c is None
         assert cfg.output_path == "vbe_sym_profile.csv"
+
+    def test_converge_layers_its_defaults(self):
+        cfg = build_run_config({"pde": "ade1d", "t_final": "0.1"}, "converge")
+        assert cfg.schemes == ("ftcs", "comp", "sym")
+        assert cfg.sizes == (31, 41, 61)
+        assert cfg.tau == CONVERGE_DEFAULTS["ade1d"]["tau"] and cfg.t_final == 0.1
+        assert cfg.n == (DEFAULTS["ade1d"]["nx"],)
+        assert cfg.output_path == "ade1d_convergence.csv"
+
+    def test_galilean_defaults_to_vbe(self):
+        cfg = build_run_config({"schemes": "sym,comp"}, "galilean")
+        assert cfg.pde == "vbe" and cfg.schemes == ("sym", "comp")
+        assert cfg.tau == DEFAULTS["vbe"]["tau"] and cfg.sizes == ()
+        assert cfg.output_path == "vbe_galilean.csv"
 
     def test_grid_and_params_properties(self):
         cfg = build_run_config({"pde": "ade1d", "nx": "13"})
@@ -108,6 +123,24 @@ class TestBuildRunConfig:
     def test_invalid_fields_rejected(self, mapping, fragment):
         with pytest.raises(ConfigInvalid, match=fragment):
             build_run_config(mapping)
+
+    @pytest.mark.parametrize(
+        "command, mapping, fragment",
+        [
+            ("converge", {"pde": "ade1d", "sizes": "1,11,21"}, "'sizes' must be >= 5, got 1"),
+            ("converge", {"pde": "ade2d", "sizes": "11,4,21"}, "'sizes' must be >= 5, got 4"),
+            ("converge", {"pde": "ade1d", "sizes": "11,11,21"}, "at least 3 distinct"),
+            ("converge", {"pde": "ade1d", "schemes": ""}, "at least one scheme"),
+            ("converge", {"pde": "ibe", "schemes": "ftcs,sym1"}, "'sym1'"),
+            ("converge", {"pde": "ade1d", "nx": "4"}, "'nx' must be >= 5"),
+            ("galilean", {"pde": "ade1d"}, "'vbe'"),
+            ("galilean", {"schemes": "sym2"}, "'sym2'"),
+            ("galilean", {"nx": "3"}, "'nx' must be >= 5"),
+        ],
+    )
+    def test_invalid_study_fields_rejected(self, command, mapping, fragment):
+        with pytest.raises(ConfigInvalid, match=fragment):
+            build_run_config(mapping, command)
 
 
 CHEAP_RUN = ["pde=ade1d", "scheme=comp", "tau=0.01", "t_final=0.02", "nx=21"]
@@ -165,15 +198,36 @@ class TestRunCommand:
         assert main(["run", *args]) == 0
         _, rows = read_csv(out)
         assert float(rows[0][0]) == pytest.approx(0.5 * 0.05, abs=1e-15)
+        cfg = build_run_config(dict(arg.split("=", 1) for arg in args))
+        grid = grid_for(cfg.pde, cfg.domain, cfg.n)
+        xs = np.array([float(r[0]) for r in rows])
+        assert np.array_equal(xs, grid.x + 0.5 * 0.05)
 
-    def test_square_profile_has_coordinate_pair(self, tmp_path):
+    def test_square_profile_has_coordinate_pair(self, tmp_path, capsys):
         out = tmp_path / "square.csv"
-        args = ["pde=ade2d", "scheme=comp", "nx=8", "tau=1e-3", "t_final=0.002",
+        args = ["pde=ade2d", "scheme=comp", "nx=8", "ny=11", "tau=1e-3", "t_final=0.002",
                 f"output_path={out}"]
         assert main(["run", *args]) == 0
         header, rows = read_csv(out)
         assert header == ["x", "y", "u_numeric", "u_exact", "error"]
-        assert len(rows) == 64
+        assert len(rows) == 88
+        cfg = build_run_config(dict(arg.split("=", 1) for arg in args))
+        grid = grid_for(cfg.pde, cfg.domain, cfg.n)
+        assert (grid.nx, grid.ny) == (8, 11)
+        numeric, reference, _ = evolve(
+            cfg.pde, cfg.scheme, grid, cfg.tau, cfg.t_final, cfg.params
+        )
+        table = np.array([[float(v) for v in row] for row in rows])
+        mesh_x, mesh_y = np.meshgrid(grid.x, grid.y, indexing="ij")
+        assert np.array_equal(table[:, 0], mesh_x.ravel())
+        assert np.array_equal(table[:, 1], mesh_y.ravel())
+        assert np.array_equal(table[:, 2], numeric.ravel())
+        assert np.array_equal(table[:, 3], reference.ravel())
+        assert np.array_equal(table[:, 4], (numeric - reference).ravel())
+        summary = capsys.readouterr().out.splitlines()[1].split(",")
+        assert summary[2] == "8x11"
+        assert summary[3] == f"{grid.hx:.17g}x{grid.hy:.17g}"
+        assert [float(h) for h in summary[3].split("x")] == [grid.hx, grid.hy]
 
     def test_missing_config_file_fails_cleanly(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
@@ -220,6 +274,29 @@ class TestConvergeCommand:
         code = main(["converge", *CHEAP_CONVERGE[:-1], "schemes=comp,sym2"])
         assert code == 1
         assert "'sym2'" in capsys.readouterr().err
+
+    def test_too_small_size_exits_nonzero(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        args = ["pde=ade1d", "sizes=1,11,21", "schemes=ftcs", f"output_path={out}"]
+        assert main(["converge", *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'sizes'" in err and ">= 5" in err
+        assert not out.exists()
+
+    def test_empty_scheme_list_exits_nonzero(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        assert main(["converge", *CHEAP_CONVERGE[:-1], "schemes=", f"output_path={out}"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_zero_horizon_exits_nonzero(self, tmp_path, capsys):
+        # every error is 0, which has no logarithm: no slope, no CSV of NaNs
+        out = tmp_path / "table.csv"
+        args = ["pde=ade1d", "t_final=0", "schemes=ftcs", f"output_path={out}"]
+        assert main(["converge", *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "positive and finite" in err
+        assert not out.exists()
 
 
 CHEAP_GALILEAN = ["c_values=0,0.4", "schemes=sym", "nx=41", "tau=1e-3", "t_final=0.05"]

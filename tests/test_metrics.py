@@ -78,8 +78,14 @@ class TestErrorMeasures:
 
 class TestLookups:
     def test_every_registered_pair_resolves(self):
-        pairs = {(pde, scheme) for pde in PDES for scheme in SCHEMES_BY_PDE[pde]}
-        assert set(_STEPPERS) == pairs
+        pairs = [
+            ("ibe", "ftcs"), ("ibe", "comp"), ("ibe", "sym"),
+            ("ade1d", "ftcs"), ("ade1d", "comp"), ("ade1d", "sym"),
+            ("vbe", "ftcs"), ("vbe", "comp"), ("vbe", "sym"),
+            ("ade2d", "ftcs"), ("ade2d", "comp"), ("ade2d", "sym1"), ("ade2d", "sym2"),
+        ]
+        assert list(_STEPPERS) == pairs
+        assert [(pde, scheme) for pde in PDES for scheme in SCHEMES_BY_PDE[pde]] == pairs
         assert all(callable(update) for update in _STEPPERS.values())
 
     def test_unknown_pairs_rejected(self):
@@ -156,6 +162,22 @@ class TestSlopeFit:
         hs = np.array([0.4, 0.2, 0.1, 0.05])
         errs = 2.5 * hs**p
         assert fit_slope(hs, errs) == pytest.approx(p, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "hs, errs",
+        [
+            ([0.4, 0.2, 0.1], [1e-2, 0.0, 1e-4]),
+            ([0.4, 0.2, 0.1], [1e-2, -1e-3, 1e-4]),
+            ([0.4, 0.2, 0.1], [1e-2, np.nan, 1e-4]),
+            ([0.4, 0.2, 0.1], [1e-2, np.inf, 1e-4]),
+            ([0.4, 0.0, 0.1], [1e-2, 1e-3, 1e-4]),
+            ([0.4, np.nan, 0.1], [1e-2, 1e-3, 1e-4]),
+        ],
+    )
+    def test_rejects_non_positive_or_non_finite_entries(self, hs, errs):
+        # a zero error (say, a zero-step run) must not become a silent NaN slope
+        with pytest.raises(ValueError, match="positive and finite"):
+            fit_slope(hs, errs)
 
 
 class TestConvergenceStudy:

@@ -1,28 +1,25 @@
-"""Tests for the tridiagonal factor/solve pair and the one-system wrapper."""
+"""Tests for the tridiagonal factor/solve pair."""
 
 import numpy as np
 import pytest
 
-from symfd import TriDiagSystem, ZeroPivot, solve_tridiagonal
+from symfd import ZeroPivot
 from symfd.errors import ShapeMismatch
 from symfd.tridiag import DENSE_MAX, factor, solve
 
 
-def dense(sys):
-    a = np.diag(sys.diag) + np.diag(sys.lower, -1) + np.diag(sys.upper, 1)
-    return a
+def dense(lower, diag, upper):
+    return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
 
 
 def test_identity_system_returns_rhs():
     rhs = np.array([4.0, -1.0, 2.5, 0.25])
-    sys = TriDiagSystem(np.zeros(3), np.ones(4), np.zeros(3), rhs)
-    assert np.array_equal(solve_tridiagonal(sys), rhs)
+    assert np.array_equal(solve(factor(np.zeros(3), np.ones(4), np.zeros(3)), rhs), rhs)
 
 
 def test_three_by_three_hand_oracle():
     # [[2,1,0],[1,2,1],[0,1,2]] x = [1,2,3] has x = (1/2, 0, 3/2)
-    sys = TriDiagSystem([1.0, 1.0], [2.0, 2.0, 2.0], [1.0, 1.0], [1.0, 2.0, 3.0])
-    x = solve_tridiagonal(sys)
+    x = solve(factor([1.0, 1.0], [2.0, 2.0, 2.0], [1.0, 1.0]), [1.0, 2.0, 3.0])
     assert x == pytest.approx([0.5, 0.0, 1.5], abs=1e-14)
 
 
@@ -33,20 +30,20 @@ def test_random_diagonally_dominant_residual(n):
     upper = rng.uniform(-1.0, 1.0, n - 1)
     diag = rng.uniform(2.5, 4.0, n) * rng.choice([-1.0, 1.0], n)
     rhs = rng.uniform(-10.0, 10.0, n)
-    sys = TriDiagSystem(lower, diag, upper, rhs)
-    x = solve_tridiagonal(sys)
-    residual = np.abs(dense(sys) @ x - rhs).max()
+    x = solve(factor(lower, diag, upper), rhs)
+    residual = np.abs(dense(lower, diag, upper) @ x - rhs).max()
     assert residual <= 1e-12 * (1.0 + np.abs(rhs).max())
     if n <= 10:
-        ref = np.linalg.solve(dense(sys), rhs)
+        ref = np.linalg.solve(dense(lower, diag, upper), rhs)
         assert np.abs(x - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
 
 
 def test_inputs_are_left_untouched():
-    sys = TriDiagSystem([1.0, 1.0], [3.0, 3.0, 3.0], [1.0, 1.0], [1.0, 2.0, 3.0])
-    snapshots = [band.copy() for band in (sys.lower, sys.diag, sys.upper, sys.rhs)]
-    solve_tridiagonal(sys)
-    for band, before in zip((sys.lower, sys.diag, sys.upper, sys.rhs), snapshots):
+    lower, diag, upper = np.ones(2), np.full(3, 3.0), np.ones(2)
+    rhs = np.array([1.0, 2.0, 3.0])
+    snapshots = [band.copy() for band in (lower, diag, upper, rhs)]
+    solve(factor(lower, diag, upper), rhs)
+    for band, before in zip((lower, diag, upper, rhs), snapshots):
         assert np.array_equal(band, before)
 
 
@@ -59,23 +56,21 @@ def test_many_rhs_matches_column_by_column():
     rhs = rng.uniform(-4.0, 4.0, (n, m))
     block = solve(factor(lower, diag, upper), rhs)
     for j in range(m):
-        single = solve_tridiagonal(TriDiagSystem(lower, diag, upper, rhs[:, j]))
+        single = solve(factor(lower, diag, upper), rhs[:, j])
         assert np.abs(block[:, j] - single).max() <= 1e-13
 
 
 def test_zero_pivot_detected_mid_elimination():
     # zero inner diagonal entry with decoupled rows hits the pivot guard
-    sys = TriDiagSystem([0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0], [1.0, 1.0, 1.0])
     with pytest.raises(ZeroPivot) as err:
-        solve_tridiagonal(sys)
+        factor([0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0])
     assert "zero pivot" in str(err.value)
     assert err.value.index == 1
 
 
 def test_zero_pivot_detected_in_last_row():
-    sys = TriDiagSystem([0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0], [1.0, 1.0, 1.0])
     with pytest.raises(ZeroPivot):
-        solve_tridiagonal(sys)
+        factor([0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0])
 
 
 def test_many_rhs_zero_pivot():
@@ -86,11 +81,11 @@ def test_many_rhs_zero_pivot():
 
 def test_shape_validation():
     with pytest.raises(ShapeMismatch):
-        TriDiagSystem([], [1.0], [], [1.0])  # n < 2
+        factor([], [1.0], [])  # n < 2
     with pytest.raises(ShapeMismatch):
-        TriDiagSystem([1.0, 1.0], [1.0, 1.0], [1.0], [1.0, 1.0])  # lower too long
+        factor([1.0, 1.0], [1.0, 1.0], [1.0])  # lower too long
     with pytest.raises(ShapeMismatch):
-        TriDiagSystem([1.0], [1.0, 1.0], [1.0], [1.0, 1.0, 1.0])  # rhs too long
+        solve(factor([1.0], [2.0, 2.0], [1.0]), [1.0, 1.0, 1.0])  # rhs too long
     with pytest.raises(ShapeMismatch):
         factor(np.zeros(3), np.ones(3), np.zeros(2))  # lower too long
     with pytest.raises(ShapeMismatch):
