@@ -23,17 +23,19 @@ class Central:
 
     @staticmethod
     def d1(u: Field, grid: Grid, axis: int = 0) -> Field:
-        d = np.zeros_like(u)
+        d = np.empty_like(u)
         v, dv = (u.T, d.T) if axis else (u, d)
         dv[1:-1] = (v[2:] - v[:-2]) / (2.0 * grid.spacing[axis])
+        dv[0] = dv[-1] = 0.0
         return d
 
     @staticmethod
     def d2(u: Field, grid: Grid, axis: int = 0) -> Field:
         h = grid.spacing[axis]
-        d = np.zeros_like(u)
+        d = np.empty_like(u)
         v, dv = (u.T, d.T) if axis else (u, d)
         dv[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
+        dv[0] = dv[-1] = 0.0
         return d
 
 

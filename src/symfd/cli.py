@@ -63,6 +63,18 @@ CONVERGE_DEFAULTS = {
     "ade2d": dict(tau=1e-5, t_final=0.05, sizes="16,21,26"),
 }
 
+# The keys each command reads; any other key is a typo or belongs to another
+# command, and is rejected rather than silently left at its default.
+_COMMON_KEYS = {
+    "pde", "x_lo", "x_hi", "y_lo", "y_hi", "nx", "ny", "tau", "t_final",
+    "alpha", "beta", "nu", "sigma", "L", "output_path",
+}
+KEYS = {
+    "run": _COMMON_KEYS | {"scheme", "galilean_c"},
+    "converge": _COMMON_KEYS | {"schemes", "sizes"},
+    "galilean": _COMMON_KEYS | {"schemes", "c_values"},
+}
+
 
 @dataclass
 class RunConfig:
@@ -140,9 +152,11 @@ def _parse_list(text: str, kind, field_name: str) -> list:
 def build_run_config(mapping: dict, command: str = "run") -> RunConfig:
     """Layer the command's defaults under the mapping and validate every field.
 
-    command is the subcommand: "run" reads one 'scheme', the studies
-    ("converge", "galilean") a 'schemes' list, and "converge" also 'sizes'.
+    command is the subcommand; a key outside KEYS[command] raises ConfigInvalid.
     """
+    unknown = sorted(set(mapping) - KEYS[command])
+    if unknown:
+        raise ConfigInvalid(f"unknown field(s) for {command}: {', '.join(map(repr, unknown))}")
     pde = mapping.get("pde", "vbe" if command == "galilean" else None)
     allowed = ("vbe",) if command == "galilean" else PDES
     if pde not in allowed:

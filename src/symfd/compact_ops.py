@@ -10,12 +10,13 @@ one-sided third-order compact rows (exact for cubics resp. quartics) or pin
 the end derivatives to caller-supplied exact values. d1 and d2 take the axis
 to differentiate along.
 
-The matrix depends only on the derivative order, the line length n and the
-closure kind; h and the pinned end values enter only the right-hand side. So
-each (order, n, kind) is factored once, on first use, and cached, and a call
-builds the right-hand side and applies the factor (see tridiag). On a 2D
-field every grid line along the axis shares that factor, and all lines go
-through one solve.
+Written as A U' = B U (Lele, J. Comput. Phys. 103, 1992), the one-sided
+operator along an axis of n <= DENSE_MAX nodes is stored in explicit form,
+D = A^-1 B, on the grid: built on first use per (order, axis), read-only,
+and freed with the grid. A derivative is then one product of D with every
+grid line along the axis. Longer lines and the pinned-end closure build the
+right-hand side B U and apply the factor of A (see tridiag), which depends
+only on (order, n, kind) and is shared by every grid.
 """
 
 from dataclasses import dataclass
@@ -32,13 +33,27 @@ from .tridiag import factor, solve
 Field = np.ndarray
 
 
+# Largest line length whose operator is stored as a dense D, a memory bound:
+# D takes 8 n^2 bytes per (order, axis) of a grid, 0.5 MiB at n = 256, but
+# 1.2 / 4.9 MiB at n = 401 / 801, about 12 MiB for a study up to 801 nodes.
+# Longer lines keep the prefactored substitution, bit for bit elimination.
+DENSE_MAX = 256
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
+class _OperatorCache:
+    @cached_property
+    def derivative_matrices(self) -> dict:
+        """Read-only D = A^-1 B per (order, axis), built by d1/d2 on first use."""
+        return {}
+
+
 @dataclass(frozen=True)
-class Grid1D:
+class Grid1D(_OperatorCache):
     """Uniform 1D mesh: nodes x0 + i*h for i = 0 .. n-1."""
 
     x0: float
@@ -72,7 +87,7 @@ class Grid1D:
 
 
 @dataclass(frozen=True)
-class Grid2D:
+class Grid2D(_OperatorCache):
     """Uniform tensor-product mesh; fields are indexed values[ix, iy]."""
 
     x0: float
@@ -172,7 +187,7 @@ def _bands(order, n, kind):
 
 
 # A bound, so a process that visits many grid sizes does not keep every
-# inverse (0.5 MiB at n = 256); a study's few sizes and both orders fit.
+# factor (3n floats each); a study's few sizes and both orders fit.
 @lru_cache(maxsize=32)
 def _operator(order, n, kind):
     """The factored system, built on first use; it depends on neither h nor
@@ -217,18 +232,26 @@ def _second_derivative_rhs(u, h, bp):
 
 
 def _along(order, rhs_of, u, grid, axis, bp):
-    """Solve the order's compact system on every grid line along axis."""
+    """Apply the order's compact operator to every grid line along axis."""
     u = np.asarray(u, dtype=float)
     if u.shape != grid.shape:
         raise ShapeMismatch(f"field shape {u.shape} does not match grid {grid.shape}")
     if not 0 <= axis < u.ndim:
         raise ValueError(f"axis {axis} out of range for a {u.ndim}D grid")
-    h = grid.spacing[axis]
-    op = _operator(order, u.shape[axis], bp.kind)
-    if u.ndim == 1:
-        return solve(op, rhs_of(u, h, bp))
-    lines = np.ascontiguousarray(u.swapaxes(0, axis))
-    return np.ascontiguousarray(solve(op, rhs_of(lines, h, bp)).swapaxes(0, axis))
+    n, h = u.shape[axis], grid.spacing[axis]
+    if bp.kind == "exact" or n > DENSE_MAX:
+        lines = np.ascontiguousarray(u.swapaxes(0, axis))
+        out = solve(_operator(order, n, bp.kind), rhs_of(lines, h, bp))
+        return np.ascontiguousarray(out.swapaxes(0, axis))
+    d = grid.derivative_matrices.get((order, axis))
+    if d is None:
+        d = solve(_operator(order, n, bp.kind), rhs_of(np.eye(n), h, bp))
+        grid.derivative_matrices[order, axis] = _read_only(d)
+    # On contiguous rows, einsum sums a line's outputs in the same order alone
+    # as among many lines, so its bits do not depend on the field; BLAS does not.
+    if u.ndim == 2 and axis == 0:
+        return np.einsum("kj,ij->ik", np.ascontiguousarray(u.T), d)
+    return np.einsum("...j,ij->...i", np.ascontiguousarray(u), d)
 
 
 def d1(u: Field, grid: Grid, axis: int = 0, bp: BoundaryPolicy = ONE_SIDED) -> Field:

@@ -104,22 +104,21 @@ class StepContext:
                 )
 
 
-def rmse(numeric: Field, exact: Field) -> float:
-    """Root mean square difference over all nodes."""
-    a = np.asarray(numeric, dtype=float)
-    b = np.asarray(exact, dtype=float)
+def _difference(numeric: Field, exact: Field) -> np.ndarray:
+    a, b = np.asarray(numeric, dtype=float), np.asarray(exact, dtype=float)
     if a.shape != b.shape:
         raise ShapeMismatch(f"shapes {a.shape} and {b.shape} differ")
-    return float(np.sqrt(np.mean((a - b) ** 2)))
+    return a - b
+
+
+def rmse(numeric: Field, exact: Field) -> float:
+    """Root mean square difference over all nodes."""
+    return float(np.sqrt(np.mean(_difference(numeric, exact) ** 2)))
 
 
 def linf(numeric: Field, exact: Field) -> float:
     """Max absolute difference over all nodes."""
-    a = np.asarray(numeric, dtype=float)
-    b = np.asarray(exact, dtype=float)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"shapes {a.shape} and {b.shape} differ")
-    return float(np.max(np.abs(a - b)))
+    return float(np.max(np.abs(_difference(numeric, exact))))
 
 
 @dataclass
@@ -361,22 +360,14 @@ def galilean_experiment(
 
 def _galilean_deviation(c: float) -> float:
     """One-step commutation defect of the invariant viscous step under a boost by c."""
-    nu = 1.0 / 12.0
     tau = 1e-3
     grid = Grid1D(0.0, 2.0 * np.pi / 40.0, 41)
+    plain = default_exact("vbe", _VBE_PARAMS)
     worst = 0.0
     for t0 in (0.0, 0.1):
-        base_data = vbe_exact(t0, grid.x, nu)
-        ctx = StepContext(
-            grid,
-            _VBE_PARAMS,
-            tau,
-            t0,
-            lambda t, x: vbe_exact(t, x, nu),
-        )
-        stepped = step("vbe", "sym", base_data, ctx)
-        boosted_exact = galilean_exact(lambda t, x: vbe_exact(t, x, nu), c)
-        ctx_c = StepContext(grid, _VBE_PARAMS, tau, t0, boosted_exact, mesh_velocity=c)
+        base_data = plain(t0, grid.x)
+        stepped = step("vbe", "sym", base_data, StepContext(grid, _VBE_PARAMS, tau, t0, plain))
+        ctx_c = StepContext(grid, _VBE_PARAMS, tau, t0, galilean_exact(plain, c), mesh_velocity=c)
         stepped_boosted = step("vbe", "sym", base_data + c, ctx_c)
         worst = max(worst, float(np.abs(stepped_boosted - (stepped + c)).max()))
     return worst
@@ -385,25 +376,18 @@ def _galilean_deviation(c: float) -> float:
 def _scaling_deviation(s: float) -> float:
     """One-step commutation defect of the invariant inviscid step under the
     scaling (t, x, u) -> (e^{2s} t, e^s x, e^{-s} u) with tau, h rescaled along."""
-    sigma = 0.5
     tau = 1e-3
     grid = Grid1D(-3.0, 0.15, 41)
+    plain = default_exact("ibe", _IBE_PARAMS)
     scale = float(np.exp(s))
     worst = 0.0
     for t0 in (0.0, 0.2):
-        base_data = ibe_exact(t0, grid.x, sigma)
-        ctx = StepContext(
-            grid,
-            _IBE_PARAMS,
-            tau,
-            t0,
-            lambda t, x: ibe_exact(t, x, sigma),
-        )
-        stepped = step("ibe", "sym", base_data, ctx)
+        base_data = plain(t0, grid.x)
+        stepped = step("ibe", "sym", base_data, StepContext(grid, _IBE_PARAMS, tau, t0, plain))
         grid_s = Grid1D(grid.x0 * scale, grid.h * scale, grid.n)
 
         def scaled_exact(t, x):
-            return ibe_exact(t / (scale * scale), np.asarray(x) / scale, sigma) / scale
+            return plain(t / (scale * scale), np.asarray(x) / scale) / scale
 
         ctx_s = StepContext(
             grid_s, _IBE_PARAMS, tau * scale * scale, t0 * scale * scale, scaled_exact

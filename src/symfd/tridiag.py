@@ -5,14 +5,13 @@ length, derivative order, closure), shared by every grid line and every time
 step; only the right-hand side changes. factor() runs the Thomas elimination
 of the matrix once (no pivoting, which the strictly dominant compact matrices
 never need) and raises ZeroPivot if a pivot vanishes. solve() then applies
-the factor to one right-hand side (n,) or to many as the columns of (n, m):
-by one product with the stored inverse for n <= DENSE_MAX, and otherwise by
-forward and back substitution with the stored multipliers, which is
+the factor to one right-hand side (n,) or to many as the columns of (n, m),
+by forward and back substitution with the stored multipliers, which is
 arithmetically the same as eliminating from scratch.
 """
 
-from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -21,27 +20,18 @@ from .errors import ShapeMismatch, ZeroPivot
 # Elimination aborts rather than divides when a pivot falls below this.
 PIVOT_TOL = 1e-14
 
-# Largest n whose factor stores the dense inverse. Timed on the compact
-# operators on a 2-core x86-64 host with numpy 2.4, the product beats
-# substitution up to about 500 rows (22 against 53 us at n = 256, 106 against
-# 120 us at 512), but the inverse grows as n^2: 0.5 MiB at n = 256. Above
-# this, results are bit for bit those of elimination.
-DENSE_MAX = 256
-
 
 @dataclass(frozen=True)
 class Factor:
     """Thomas elimination of one tridiagonal matrix.
 
     multipliers[i] is lower[i] / pivots[i]; pivots are the eliminated
-    diagonal; upper is the matrix's own upper band. inverse is the dense,
-    read-only inverse when n <= DENSE_MAX, else None.
+    diagonal; upper is the matrix's own upper band.
     """
 
     multipliers: Tuple[float, ...]
     pivots: Tuple[float, ...]
     upper: Tuple[float, ...]
-    inverse: Optional[np.ndarray]
 
     @property
     def n(self):
@@ -73,12 +63,7 @@ def factor(lower, diag, upper) -> Factor:
         b[i] -= w[i - 1] * c[i - 1]
     if abs(b[n - 1]) < PIVOT_TOL:
         raise ZeroPivot(n - 1, abs(b[n - 1]))
-    f = Factor(tuple(w), tuple(b), tuple(c), None)
-    if n <= DENSE_MAX:
-        inverse = _substitute(f, np.eye(n))
-        inverse.flags.writeable = False
-        f = replace(f, inverse=inverse)
-    return f
+    return Factor(tuple(w), tuple(b), tuple(c))
 
 
 def solve(f: Factor, rhs) -> np.ndarray:
@@ -92,15 +77,7 @@ def solve(f: Factor, rhs) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     if rhs.ndim not in (1, 2) or rhs.shape[0] != f.n:
         raise ShapeMismatch(f"rhs has shape {rhs.shape}, expected ({f.n},) or ({f.n}, m)")
-    if f.inverse is None:
-        return _substitute(f, rhs)
-    # On contiguous rows of the inverse and the right-hand side(s), einsum sums
-    # every output in the same order whether a column comes alone or with
-    # others, so a line's result does not depend on how many lines share the
-    # call. BLAS matmul, or einsum on strided operands, does not keep that.
-    if rhs.ndim == 1:
-        return np.einsum("ij,j->i", f.inverse, np.ascontiguousarray(rhs))
-    return np.einsum("ij,kj->ki", f.inverse, np.ascontiguousarray(rhs.T)).T
+    return _substitute(f, rhs)
 
 
 def _substitute(f: Factor, rhs: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from symfd import Grid1D, Grid2D, PdeParams
 from symfd.cli import (
     CONVERGE_DEFAULTS,
     DEFAULTS,
+    KEYS,
     apply_overrides,
     build_run_config,
     main,
@@ -142,6 +143,37 @@ class TestBuildRunConfig:
         with pytest.raises(ConfigInvalid, match=fragment):
             build_run_config(mapping, command)
 
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("run", "tua"),
+            ("run", "sizes"),
+            ("run", "c_values"),
+            ("run", "schemes"),
+            ("converge", "scheme"),
+            ("converge", "galilean_c"),
+            ("converge", "c_values"),
+            ("galilean", "galilean_c"),
+            ("galilean", "sizes"),
+            ("galilean", "scheme"),
+        ],
+    )
+    def test_keys_no_command_or_only_another_reads_are_rejected(self, command, key):
+        with pytest.raises(ConfigInvalid, match=f"'{key}'"):
+            build_run_config({"pde": "vbe", key: "1"}, command)
+
+    @pytest.mark.parametrize("command", ["run", "converge", "galilean"])
+    def test_every_key_a_command_reads_is_accepted(self, command):
+        values = dict(
+            pde="vbe", x_lo="0", x_hi="6", y_lo="0", y_hi="1", nx="21", ny="21", tau="1e-3",
+            t_final="0.01", alpha="1", beta="1", nu="0.1", sigma="0.5", L="0.4",
+            output_path="out.csv", scheme="sym", galilean_c="0.5", schemes="sym",
+            sizes="11,16,21", c_values="0",
+        )
+        assert set(values) == set().union(*KEYS.values())
+        cfg = build_run_config({k: values[k] for k in KEYS[command]}, command)
+        assert cfg.tau == 1e-3 and cfg.n == (21,) and cfg.output_path == "out.csv"
+
 
 CHEAP_RUN = ["pde=ade1d", "scheme=comp", "tau=0.01", "t_final=0.02", "nx=21"]
 
@@ -237,6 +269,26 @@ class TestRunCommand:
         assert main(["run", "pde=ade1d", "tau=-1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'tau'" in err
+
+    def test_misspelt_keys_exit_nonzero(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        args = ["pde=ade1d", "scheme=ftcs", "tua=0.5", "t_fianl=9", f"output_path={out}"]
+        assert main(["run", *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'tua'" in err and "'t_fianl'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("run", "sizes=11,16,21"), ("run", "c_values=0,0.5"), ("galilean", "galilean_c=0.5"),
+         ("galilean", "sizes=11,16,21"), ("converge", "scheme=comp")],
+    )
+    def test_key_of_another_command_exits_nonzero(self, command, key, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main([command, "pde=vbe", key, f"output_path={out}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(key.split("=")[0]) in err
+        assert not out.exists()
 
     def test_fractional_step_count_exits_nonzero(self, tmp_path, capsys):
         out = tmp_path / "p.csv"

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from symfd import BoundaryPolicy, Grid1D, Grid2D, d1, d2, fit_slope
-from symfd.compact_ops import _operator
+from symfd import compact_ops
+from symfd.compact_ops import DENSE_MAX, _operator
 from symfd.errors import ShapeMismatch
-from symfd.tridiag import DENSE_MAX
 
 
 def cubic(x):
@@ -230,7 +230,7 @@ def assert_matches_oracle(op, line, out, h, bp):
 @pytest.mark.parametrize("n", [5, 26, 101, DENSE_MAX, DENSE_MAX + 1, 801])
 @pytest.mark.parametrize("op", [d1, d2], ids=["d1", "d2"])
 def test_matches_dense_solve_oracle(op, n, kind, axis):
-    # covers both solve paths: the stored inverse up to DENSE_MAX, substitution above
+    # covers both paths: the stored D = A^-1 B up to DENSE_MAX, substitution above
     rng = np.random.default_rng(n)
     bp = BoundaryPolicy.exact(0.3, -0.7) if kind == "exact" else BoundaryPolicy.one_sided()
     h = 1.0 / (n - 1)
@@ -275,9 +275,61 @@ def test_exact_policies_share_one_factor():
 def test_cached_factor_is_read_only():
     f = _operator(2, 26, "one_sided")
     assert f is _operator(2, 26, "one_sided")
-    assert not f.inverse.flags.writeable
-    with pytest.raises(ValueError):
-        f.inverse[0, 0] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
-        f.inverse = None
+        f.pivots = ()
     assert all(type(v) is tuple for v in (f.multipliers, f.pivots, f.upper))
+
+
+def test_derivative_matrix_is_read_only():
+    grid = Grid1D(0.0, 0.1, 26)
+    d2(np.sin(grid.x), grid)
+    d = grid.derivative_matrices[2, 0]
+    assert d.shape == (26, 26) and not d.flags.writeable
+    with pytest.raises(ValueError):
+        d[0, 0] = 0.0
+
+
+def test_derivative_matrices_built_once_per_grid(monkeypatch):
+    builds = []
+    real_solve = compact_ops.solve
+
+    def counting_solve(f, rhs):
+        builds.append(f.n)
+        return real_solve(f, rhs)
+
+    monkeypatch.setattr(compact_ops, "solve", counting_solve)
+    grid = Grid2D(0.0, 0.0, 0.1, 0.2, 9, 7)
+    u = np.random.default_rng(2).normal(size=grid.shape)
+    stored = []
+    for _ in range(3):
+        for op in (d1, d2):
+            for axis in (0, 1):
+                op(u, grid, axis)
+        stored.append(dict(grid.derivative_matrices))
+    assert sorted(builds) == [7, 7, 9, 9]
+    assert set(stored[0]) == {(1, 0), (1, 1), (2, 0), (2, 1)}
+    assert all(later[k] is d for later in stored for k, d in stored[0].items())
+    # grids that differ only in h share no D: a cache keyed without h fails here
+    fine, coarse = Grid1D(0.0, 0.1, 17), Grid1D(0.0, 0.2, 17)
+    v = np.sin(fine.x)
+    for op, order in ((d1, 1), (d2, 2)):
+        assert not np.array_equal(op(v, fine), op(v, coarse))
+        assert not np.array_equal(
+            fine.derivative_matrices[order, 0], coarse.derivative_matrices[order, 0]
+        )
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("n", [5, 26, 101, DENSE_MAX])
+@pytest.mark.parametrize("op", [d1, d2], ids=["d1", "d2"])
+def test_2d_lines_are_bit_identical_to_1d_calls(op, n, axis):
+    # a line's derivative does not depend on the other lines or the memory order
+    m = 7
+    grid = Grid2D(0.0, 0.0, 0.1, 0.3, n, m) if axis == 0 else Grid2D(0.0, 0.0, 0.3, 0.1, m, n)
+    line_grid = Grid1D(0.0, 0.1, n)
+    u = np.random.default_rng(n).normal(size=grid.shape)
+    for field in (u, np.asfortranarray(u)):
+        out = op(field, grid, axis)
+        for k in range(m):
+            line = (slice(None), k) if axis == 0 else (k, slice(None))
+            assert np.array_equal(out[line], op(u[line], line_grid))

@@ -5,11 +5,13 @@ the default `symfd galilean` study, written as float.hex literals. A
 refactor that keeps the arithmetic must reproduce them exactly; the relative
 tolerance only absorbs last-bit differences of libm on other hosts.
 
-The compact and sym pins come from the prefactored compact operator, whose
-dense inverse for short lines sums in another order than elimination did.
-The values before that change are kept in PARENT_RUN and PARENT_GALILEAN
-(the FTCS pins did not change), and every error must stay within PARITY of
-them, so re-pinning can absorb roundoff but not a change of the scheme.
+The compact and sym pins come from the differentiation matrix D = A^-1 B
+stored per grid, which sums in another order than the operators before it.
+Those earlier values are kept beside them: INVERSE_RUN and INVERSE_GALILEAN
+from the stored inverse of A applied to the assembled B u, and PARENT_RUN
+and PARENT_GALILEAN from elimination from scratch (the FTCS pins never
+changed). Every error must stay within PARITY of both sets, so re-pinning
+can absorb roundoff but not a change of the scheme.
 """
 
 import csv
@@ -24,32 +26,54 @@ PARITY = 1e-13  # absolute
 # (pde, scheme) -> (rmse, linf) of `symfd run pde=... scheme=...`, as float.hex
 RUN = {
     ("ibe", "ftcs"): ("0x1.3b0aa08a1ddfbp-7", "0x1.4809c5b631100p-5"),
-    ("ibe", "comp"): ("0x1.2e27a8b4a9cc6p-10", "0x1.4dad23385f900p-8"),
-    ("ibe", "sym"): ("0x1.2e226b1a0ef5dp-10", "0x1.4da57d9554c80p-8"),
+    ("ibe", "comp"): ("0x1.2e27a8b4a9ce1p-10", "0x1.4dad23385f900p-8"),
+    ("ibe", "sym"): ("0x1.2e226b1a0eea4p-10", "0x1.4da57d9554c80p-8"),
     ("ade1d", "ftcs"): ("0x1.82c2e72cd77f0p-7", "0x1.dba255e8820a0p-6"),
-    ("ade1d", "comp"): ("0x1.95c742d24c188p-12", "0x1.2e793ec7ae800p-10"),
-    ("ade1d", "sym"): ("0x1.c7365084dac51p-13", "0x1.e783e34ef1000p-12"),
+    ("ade1d", "comp"): ("0x1.95c742d24c184p-12", "0x1.2e793ec7aea00p-10"),
+    ("ade1d", "sym"): ("0x1.c7365084d9bcdp-13", "0x1.e783e34eef000p-12"),
     ("vbe", "ftcs"): ("0x1.04909cb4a01f4p-3", "0x1.d6d21f43d9958p-1"),
-    ("vbe", "comp"): ("0x1.fb37a6e42ab87p-7", "0x1.d3908a4786ec0p-4"),
-    ("vbe", "sym"): ("0x1.540b85eabc3bep-6", "0x1.869ddcc7293c0p-3"),
+    ("vbe", "comp"): ("0x1.fb37a6e42ab08p-7", "0x1.d3908a4786b80p-4"),
+    ("vbe", "sym"): ("0x1.540b85eabbfb1p-6", "0x1.869ddcc728fa0p-3"),
     ("ade2d", "ftcs"): ("0x1.15100b3037e1fp-11", "0x1.3ef75c66c5680p-9"),
-    ("ade2d", "comp"): ("0x1.180781ef9ded5p-17", "0x1.3a5aa3fa24000p-15"),
-    ("ade2d", "sym1"): ("0x1.14c6750d303d4p-17", "0x1.1aab7fa294000p-15"),
-    ("ade2d", "sym2"): ("0x1.0d7dac49781dfp-17", "0x1.183d6e0334000p-15"),
+    ("ade2d", "comp"): ("0x1.180781ef9de3bp-17", "0x1.3a5aa3fa24000p-15"),
+    ("ade2d", "sym1"): ("0x1.14c6750d30391p-17", "0x1.1aab7fa292000p-15"),
+    ("ade2d", "sym2"): ("0x1.0d7dac4977df0p-17", "0x1.183d6e0334000p-15"),
 }
 
 # (c, scheme, rmse, linf) rows of `symfd galilean`, errors as float.hex
 GALILEAN = [
     (0.0, "ftcs", "0x1.04909cb4a01f4p-3", "0x1.d6d21f43d9958p-1"),
-    (0.0, "comp", "0x1.fb37a6e42ab87p-7", "0x1.d3908a4786ec0p-4"),
-    (0.0, "sym", "0x1.540b85eabc3bep-6", "0x1.869ddcc7293c0p-3"),
+    (0.0, "comp", "0x1.fb37a6e42ab08p-7", "0x1.d3908a4786b80p-4"),
+    (0.0, "sym", "0x1.540b85eabbfb1p-6", "0x1.869ddcc728fa0p-3"),
     (0.5, "ftcs", "0x1.12eddfcff2208p-3", "0x1.d0ace365c1270p-1"),
-    (0.5, "comp", "0x1.03ed5b700c93dp-6", "0x1.c2c08489351c0p-4"),
-    (0.5, "sym", "0x1.540b85eabc628p-6", "0x1.869ddcc7295c0p-3"),
+    (0.5, "comp", "0x1.03ed5b700c945p-6", "0x1.c2c0848935300p-4"),
+    (0.5, "sym", "0x1.540b85eabc3c5p-6", "0x1.869ddcc729300p-3"),
     (1.0, "ftcs", "0x1.2140a20222a37p-3", "0x1.c0cafdb718a00p-1"),
-    (1.0, "comp", "0x1.0ce280bc19ce7p-6", "0x1.b1f4496bdcd00p-4"),
-    (1.0, "sym", "0x1.540b85eabbdadp-6", "0x1.869ddcc728dc0p-3"),
+    (1.0, "comp", "0x1.0ce280bc19cdap-6", "0x1.b1f4496bdcec0p-4"),
+    (1.0, "sym", "0x1.540b85eabbea9p-6", "0x1.869ddcc728e60p-3"),
 ]
+
+# The compact and sym pins of the stored inverse of A, which applied A^-1 to
+# the assembled B u.
+INVERSE_RUN = {
+    ("ibe", "comp"): ("0x1.2e27a8b4a9cc6p-10", "0x1.4dad23385f900p-8"),
+    ("ibe", "sym"): ("0x1.2e226b1a0ef5dp-10", "0x1.4da57d9554c80p-8"),
+    ("ade1d", "comp"): ("0x1.95c742d24c188p-12", "0x1.2e793ec7ae800p-10"),
+    ("ade1d", "sym"): ("0x1.c7365084dac51p-13", "0x1.e783e34ef1000p-12"),
+    ("vbe", "comp"): ("0x1.fb37a6e42ab87p-7", "0x1.d3908a4786ec0p-4"),
+    ("vbe", "sym"): ("0x1.540b85eabc3bep-6", "0x1.869ddcc7293c0p-3"),
+    ("ade2d", "comp"): ("0x1.180781ef9ded5p-17", "0x1.3a5aa3fa24000p-15"),
+    ("ade2d", "sym1"): ("0x1.14c6750d303d4p-17", "0x1.1aab7fa294000p-15"),
+    ("ade2d", "sym2"): ("0x1.0d7dac49781dfp-17", "0x1.183d6e0334000p-15"),
+}
+INVERSE_GALILEAN = {
+    (0.0, "comp"): ("0x1.fb37a6e42ab87p-7", "0x1.d3908a4786ec0p-4"),
+    (0.0, "sym"): ("0x1.540b85eabc3bep-6", "0x1.869ddcc7293c0p-3"),
+    (0.5, "comp"): ("0x1.03ed5b700c93dp-6", "0x1.c2c08489351c0p-4"),
+    (0.5, "sym"): ("0x1.540b85eabc628p-6", "0x1.869ddcc7295c0p-3"),
+    (1.0, "comp"): ("0x1.0ce280bc19ce7p-6", "0x1.b1f4496bdcd00p-4"),
+    (1.0, "sym"): ("0x1.540b85eabbdadp-6", "0x1.869ddcc728dc0p-3"),
+}
 
 # The compact and sym pins as elimination from scratch computed them.
 PARENT_RUN = {
@@ -73,9 +97,10 @@ PARENT_GALILEAN = {
 }
 
 
-def check(value, pinned, parent):
+def check(value, pinned, earlier):
     assert value == pytest.approx(float.fromhex(pinned), rel=REL, abs=0)
-    assert abs(value - float.fromhex(parent)) <= PARITY
+    for parent in earlier:
+        assert abs(value - float.fromhex(parent)) <= PARITY
 
 
 @pytest.mark.parametrize("pde, scheme", list(RUN))
@@ -85,9 +110,10 @@ def test_default_run_errors(pde, scheme, tmp_path, capsys):
     header, values = capsys.readouterr().out.splitlines()
     fields = dict(zip(header.split(","), values.split(",")))
     pins = RUN[(pde, scheme)]
+    inverse = INVERSE_RUN.get((pde, scheme), pins)
     parents = PARENT_RUN.get((pde, scheme), pins)
-    for name, pinned, parent in zip(("rmse", "linf"), pins, parents):
-        check(float(fields[name]), pinned, parent)
+    for name, pinned, *earlier in zip(("rmse", "linf"), pins, inverse, parents):
+        check(float(fields[name]), pinned, earlier)
 
 
 def test_default_galilean_errors(tmp_path):
@@ -97,6 +123,7 @@ def test_default_galilean_errors(tmp_path):
         rows = list(csv.reader(handle))[1:]
     assert [(float(c), s) for c, s, _, _ in rows] == [(c, s) for c, s, _, _ in GALILEAN]
     for row, (c, scheme, *pins) in zip(rows, GALILEAN):
+        inverse = INVERSE_GALILEAN.get((c, scheme), pins)
         parents = PARENT_GALILEAN.get((c, scheme), pins)
-        for value, pinned, parent in zip(row[2:], pins, parents):
-            check(float(value), pinned, parent)
+        for value, pinned, *earlier in zip(row[2:], pins, inverse, parents):
+            check(float(value), pinned, earlier)
