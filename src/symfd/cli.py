@@ -347,8 +347,13 @@ def _selftest_checks():
     def dx_of_constant():
         return np.abs(d1(np.full(11, 3.7), grid)).max() < 1e-12
 
-    def dx_of_linear():
-        return np.abs(d1(grid.x.copy(), grid) - 1.0).max() < 1e-12
+    def dx_of_linear_and_long_cubic():  # 301 nodes: the banded D
+        x = Grid1D(-1.0, 0.01, 301).x
+        cubic = d1(1.0 + 2.0 * x - x**2 + 0.5 * x**3, Grid1D(-1.0, 0.01, 301))
+        return (
+            np.abs(d1(grid.x.copy(), grid) - 1.0).max() < 1e-12
+            and np.abs(cubic - (2.0 - 2.0 * x + 1.5 * x**2)).max() < 1e-9 * 5.5  # max |u'|
+        )
 
     def dxx_of_quadratic():
         return np.abs(d2(grid.x**2, grid) - 2.0).max() < 1e-10
@@ -408,7 +413,7 @@ def _selftest_checks():
         ("tridiagonal identity system", tridiag_identity),
         ("tridiagonal dense oracle 3x3", tridiag_dense_oracle),
         ("first derivative of constant", dx_of_constant),
-        ("first derivative of linear", dx_of_linear),
+        ("first derivative of linear, and of cubic on 301 nodes", dx_of_linear_and_long_cubic),
         ("second derivative of quadratic", dxx_of_quadratic),
         ("hump peak value at t=0", hump_peak),
         ("kernel peak value at t=0", kernel_peak),

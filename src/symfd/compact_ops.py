@@ -10,13 +10,25 @@ one-sided third-order compact rows (exact for cubics resp. quartics) or pin
 the end derivatives to caller-supplied exact values. d1 and d2 take the axis
 to differentiate along.
 
-Written as A U' = B U (Lele, J. Comput. Phys. 103, 1992), the one-sided
-operator along an axis of n <= DENSE_MAX nodes is stored in explicit form,
-D = A^-1 B, on the grid: built on first use per (order, axis), read-only,
-and freed with the grid. A derivative is then one product of D with every
-grid line along the axis. Longer lines and the pinned-end closure build the
-right-hand side B U and apply the factor of A (see tridiag), which depends
-only on (order, n, kind) and is shared by every grid.
+Written as A U' = B U (Lele, J. Comput. Phys. 103, 1992), a one-sided
+derivative is one product with D = A^-1 B, stored on the grid per (order,
+axis) on first use, read-only and freed with the grid: dense on axes of
+n <= DENSE_MAX nodes, and as its band |i - j| <= w = HALF_WIDTH[order] on
+longer ones. The pinned-end closure builds B U and applies the factor of A
+(see tridiag), shared by every grid of that n.
+
+The interior rows of A are (1, 4, 1)/6 and (1, 10, 1)/12, so the entries of
+A^-1, and of D, decay as r^|i-j| with r = 2 - sqrt(3) ~ 0.27 (order 1) and
+5 - sqrt(24) ~ 0.10 (order 2), the roots of r^2 - 4r + 1 and r^2 - 10r + 1
+(Demko, Moss & Smith, Math. Comp. 43, 1984); h only scales D. HALF_WIDTH is
+the smallest w for which every row's mass of |D| outside the band is at most
+2^-53 of sum_j |D_ij|: 4.9e-17 and 6.4e-17 at w = 29 and 18, against 1.8e-16
+and 6.3e-16 at one less, for every n > DENSE_MAX tested. The band is probed
+with no n x n array: one solve of A Y = B E for the (n, 2w+1) comb
+E[j, j mod (2w+1)] = 1 sums the columns of D of one residue, of which row i
+has exactly one in the band, so band[i, k] = Y[i, (i - w + k) mod (2w+1)].
+Each dropped column lands in one band entry, so the band product is off by
+at most 2^-52 sum_j |D_ij| max|U|, about one rounding of the dense sum.
 """
 
 from dataclasses import dataclass
@@ -33,11 +45,13 @@ from .tridiag import factor, solve
 Field = np.ndarray
 
 
-# Largest line length whose operator is stored as a dense D, a memory bound:
-# D takes 8 n^2 bytes per (order, axis) of a grid, 0.5 MiB at n = 256, but
-# 1.2 / 4.9 MiB at n = 401 / 801, about 12 MiB for a study up to 801 nodes.
-# Longer lines keep the prefactored substitution, bit for bit elimination.
+# Largest line length whose operator is stored as a dense D. Not the speed
+# crossover: per d1 call, dense against band took 5.7 vs 6.8 us at n = 101,
+# 8.8 vs 7.6 us at n = 150 and 20.5 vs 9.7 us at n = 256 (2-core x86-64,
+# numpy 2.4.6); 256 keeps every line the dense D served bit for bit.
 DENSE_MAX = 256
+# Half-width of the stored band of D per derivative order (see above).
+HALF_WIDTH = {1: 29, 2: 18}
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -48,7 +62,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class _OperatorCache:
     @cached_property
     def derivative_matrices(self) -> dict:
-        """Read-only D = A^-1 B per (order, axis), built by d1/d2 on first use."""
+        """Read-only D = A^-1 B, or its band, per (order, axis), built by d1/d2
+        on first use."""
         return {}
 
 
@@ -239,19 +254,38 @@ def _along(order, rhs_of, u, grid, axis, bp):
     if not 0 <= axis < u.ndim:
         raise ValueError(f"axis {axis} out of range for a {u.ndim}D grid")
     n, h = u.shape[axis], grid.spacing[axis]
-    if bp.kind == "exact" or n > DENSE_MAX:
+    if bp.kind == "exact":
         lines = np.ascontiguousarray(u.swapaxes(0, axis))
         out = solve(_operator(order, n, bp.kind), rhs_of(lines, h, bp))
         return np.ascontiguousarray(out.swapaxes(0, axis))
     d = grid.derivative_matrices.get((order, axis))
     if d is None:
-        d = solve(_operator(order, n, bp.kind), rhs_of(np.eye(n), h, bp))
+        # probe with the comb E (the identity for the dense D), see above
+        p = n if n <= DENSE_MAX else 2 * HALF_WIDTH[order] + 1
+        comb = np.zeros((n, p))
+        comb[np.arange(n), np.arange(n) % p] = 1.0
+        d = solve(_operator(order, n, bp.kind), rhs_of(comb, h, bp))
+        if p < n:
+            j = np.arange(n)[:, None] + np.arange(p) - p // 2  # column of band[i, k]
+            d = np.take_along_axis(d, j % p, axis=1)
+            d[(j < 0) | (j >= n)] = 0.0
         grid.derivative_matrices[order, axis] = _read_only(d)
     # On contiguous rows, einsum sums a line's outputs in the same order alone
     # as among many lines, so its bits do not depend on the field; BLAS does not.
-    if u.ndim == 2 and axis == 0:
-        return np.einsum("kj,ij->ik", np.ascontiguousarray(u.T), d)
-    return np.einsum("...j,ij->...i", np.ascontiguousarray(u), d)
+    across = u.ndim == 2 and axis == 0  # the lines are the columns of u
+    lines = np.ascontiguousarray(u.T if across else u)
+    if n > DENSE_MAX:
+        # band[i, k] meets node i - w + k: a window view of the zero-padded lines
+        w = d.shape[1] // 2
+        padded = np.zeros(lines.shape[:-1] + (n + 2 * w,))
+        padded[..., w : n + w] = lines
+        strides = padded.strides + padded.strides[-1:]
+        window = np.ndarray(lines.shape + (2 * w + 1,), float, padded, 0, strides)
+        out = np.einsum("ik,...ik->...i", d, window)
+        return np.ascontiguousarray(out.T) if across else out
+    if across:
+        return np.einsum("kj,ij->ik", lines, d)
+    return np.einsum("...j,ij->...i", lines, d)
 
 
 def d1(u: Field, grid: Grid, axis: int = 0, bp: BoundaryPolicy = ONE_SIDED) -> Field:

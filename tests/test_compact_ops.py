@@ -1,14 +1,17 @@
 """Tests for the compact derivative operators and grid types."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from symfd import BoundaryPolicy, Grid1D, Grid2D, d1, d2, fit_slope
 from symfd import compact_ops
-from symfd.compact_ops import DENSE_MAX, _operator
+from symfd.compact_ops import DENSE_MAX, HALF_WIDTH, ONE_SIDED, _operator
+from symfd.compact_ops import _first_derivative_rhs, _second_derivative_rhs
 from symfd.errors import ShapeMismatch
+from symfd.tridiag import solve
 
 
 def cubic(x):
@@ -230,7 +233,8 @@ def assert_matches_oracle(op, line, out, h, bp):
 @pytest.mark.parametrize("n", [5, 26, 101, DENSE_MAX, DENSE_MAX + 1, 801])
 @pytest.mark.parametrize("op", [d1, d2], ids=["d1", "d2"])
 def test_matches_dense_solve_oracle(op, n, kind, axis):
-    # covers both paths: the stored D = A^-1 B up to DENSE_MAX, substitution above
+    # covers all three forms: the stored D = A^-1 B up to DENSE_MAX, its band
+    # above, and substitution for the pinned ends at every n
     rng = np.random.default_rng(n)
     bp = BoundaryPolicy.exact(0.3, -0.7) if kind == "exact" else BoundaryPolicy.one_sided()
     h = 1.0 / (n - 1)
@@ -309,18 +313,32 @@ def test_derivative_matrices_built_once_per_grid(monkeypatch):
     assert sorted(builds) == [7, 7, 9, 9]
     assert set(stored[0]) == {(1, 0), (1, 1), (2, 0), (2, 1)}
     assert all(later[k] is d for later in stored for k, d in stored[0].items())
+    # the same for a banded D: one probe per (order, axis) on a 257 x 7 grid
+    builds.clear()
+    long = Grid2D(0.0, 0.0, 0.1, 0.2, DENSE_MAX + 1, 7)
+    field = np.random.default_rng(3).normal(size=long.shape)
+    for _ in range(3):
+        for op in (d1, d2):
+            for axis in (0, 1):
+                op(field, long, axis)
+    assert sorted(builds) == [7, 7, DENSE_MAX + 1, DENSE_MAX + 1]
+    for order in (1, 2):
+        band = long.derivative_matrices[order, 0]
+        assert band.shape == (DENSE_MAX + 1, 2 * HALF_WIDTH[order] + 1)
+        assert not band.flags.writeable
     # grids that differ only in h share no D: a cache keyed without h fails here
-    fine, coarse = Grid1D(0.0, 0.1, 17), Grid1D(0.0, 0.2, 17)
-    v = np.sin(fine.x)
-    for op, order in ((d1, 1), (d2, 2)):
-        assert not np.array_equal(op(v, fine), op(v, coarse))
-        assert not np.array_equal(
-            fine.derivative_matrices[order, 0], coarse.derivative_matrices[order, 0]
-        )
+    for n in (17, DENSE_MAX + 1):
+        fine, coarse = Grid1D(0.0, 0.1, n), Grid1D(0.0, 0.2, n)
+        v = np.sin(fine.x)
+        for op, order in ((d1, 1), (d2, 2)):
+            assert not np.array_equal(op(v, fine), op(v, coarse))
+            assert not np.array_equal(
+                fine.derivative_matrices[order, 0], coarse.derivative_matrices[order, 0]
+            )
 
 
 @pytest.mark.parametrize("axis", [0, 1])
-@pytest.mark.parametrize("n", [5, 26, 101, DENSE_MAX])
+@pytest.mark.parametrize("n", [5, 26, 101, DENSE_MAX, DENSE_MAX + 1, 801])
 @pytest.mark.parametrize("op", [d1, d2], ids=["d1", "d2"])
 def test_2d_lines_are_bit_identical_to_1d_calls(op, n, axis):
     # a line's derivative does not depend on the other lines or the memory order
@@ -333,3 +351,54 @@ def test_2d_lines_are_bit_identical_to_1d_calls(op, n, axis):
         for k in range(m):
             line = (slice(None), k) if axis == 0 else (k, slice(None))
             assert np.array_equal(out[line], op(u[line], line_grid))
+
+
+LONG_LINES = [257, 300, 401, 513, 801, 1601]
+
+
+def exact_band(order, n, h):
+    """D = A^-1 B in full, by one solve on the identity, its row masses, the
+    entries of its band |i - j| <= HALF_WIDTH[order] and where they are on
+    the line (band entries off it are 0)."""
+    rhs_of = _first_derivative_rhs if order == 1 else _second_derivative_rhs
+    d = solve(_operator(order, n, "one_sided"), rhs_of(np.eye(n), h, ONE_SIDED))
+    w = HALF_WIDTH[order]
+    cols = np.arange(n)[:, None] + np.arange(-w, w + 1)
+    on_line = (cols >= 0) & (cols < n)
+    band = np.where(on_line, np.take_along_axis(d, np.clip(cols, 0, n - 1), axis=1), 0.0)
+    return d, np.abs(d).sum(axis=1), band, on_line
+
+
+@pytest.mark.parametrize("n", LONG_LINES)
+@pytest.mark.parametrize("order", [1, 2])
+def test_band_drops_under_one_rounding_of_row_mass(order, n):
+    d, mass, _, _ = exact_band(order, n, 1.0 / (n - 1))
+    off_band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > HALF_WIDTH[order]
+    dropped = np.where(off_band, np.abs(d), 0.0).sum(axis=1)
+    assert np.all(dropped <= 2.0**-53 * mass)
+
+
+@pytest.mark.parametrize("n", LONG_LINES)
+@pytest.mark.parametrize("op, order", [(d1, 1), (d2, 2)], ids=["d1", "d2"])
+def test_probed_band_matches_exact_band(op, order, n):
+    # each dropped column of D lands in one band entry of its row
+    grid = Grid1D(0.0, 1.0 / (n - 1), n)
+    op(np.sin(grid.x), grid)
+    _, mass, band, on_line = exact_band(order, n, grid.h)
+    probed = grid.derivative_matrices[order, 0]
+    assert np.all(np.abs(probed - band).sum(axis=1) <= 2.0**-53 * mass)
+    assert not probed[~on_line].any()
+
+
+def test_long_line_operators_never_build_an_n_by_n_array():
+    n = 1601
+    grid = Grid1D(0.0, 1.0 / (n - 1), n)
+    u = np.sin(grid.x)
+    tracemalloc.start()
+    try:
+        d1(u, grid)
+        d2(u, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n / 4

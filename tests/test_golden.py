@@ -12,6 +12,10 @@ from the stored inverse of A applied to the assembled B u, and PARENT_RUN
 and PARENT_GALILEAN from elimination from scratch (the FTCS pins never
 changed). Every error must stay within PARITY of both sets, so re-pinning
 can absorb roundoff but not a change of the scheme.
+
+LONG_LINE pins the linf of a `symfd converge` study on 401 to 801 nodes,
+where the compact operators are the stored band of D; PARENT_LONG_LINE
+keeps the values of the substitution that served those lines before.
 """
 
 import csv
@@ -127,3 +131,41 @@ def test_default_galilean_errors(tmp_path):
         parents = PARENT_GALILEAN.get((c, scheme), pins)
         for value, pinned, *earlier in zip(row[2:], pins, inverse, parents):
             check(float(value), pinned, earlier)
+
+
+# (scheme, n) -> linf of `symfd converge pde=vbe sizes=401,601,801 t_final=0.01`
+LONG_LINE = {
+    ("ftcs", 401): "0x1.4cd313e1a8140p-5",
+    ("ftcs", 601): "0x1.21f1be7528100p-6",
+    ("ftcs", 801): "0x1.4e69f6fb24000p-7",
+    ("comp", 401): "0x1.0f8bf2f853000p-10",
+    ("comp", 601): "0x1.3cc9fa3448000p-11",
+    ("comp", 801): "0x1.18dc813994000p-11",
+    ("sym", 401): "0x1.9a1d588c9b000p-10",
+    ("sym", 601): "0x1.4353bc29dc000p-10",
+    ("sym", 801): "0x1.3ddbc89fe3000p-10",
+}
+# The compact and sym pins as the prefactored substitution computed them.
+PARENT_LONG_LINE = {
+    ("comp", 401): "0x1.0f8bf2f85a000p-10",
+    ("comp", 601): "0x1.3cc9fa3478000p-11",
+    ("comp", 801): "0x1.18dc8139ae000p-11",
+    ("sym", 401): "0x1.9a1d588ca0000p-10",
+    ("sym", 601): "0x1.4353bc29f0000p-10",
+    ("sym", 801): "0x1.3ddbc89fe8000p-10",
+}
+
+
+def test_long_line_converge_errors(tmp_path):
+    out = tmp_path / "converge.csv"
+    argv = ["converge", "pde=vbe", "sizes=401,601,801", "t_final=0.01", f"output_path={out}"]
+    assert main(argv) == 0
+    with open(out, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    assert [(s, int(n)) for s, n, *_ in rows] == list(LONG_LINE)
+    for scheme, n, _, linf, _ in rows:
+        pinned = LONG_LINE[scheme, int(n)]
+        if scheme == "ftcs":  # no compact operator: the same arithmetic
+            assert float(linf) == float.fromhex(pinned)
+        else:
+            check(float(linf), pinned, [PARENT_LONG_LINE[scheme, int(n)]])
