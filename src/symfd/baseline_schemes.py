@@ -4,7 +4,8 @@ Each function is one forward-Euler update of the interior: it returns the
 new field and leaves the boundary nodes for the caller to refresh. FTCS and
 COMP share one body per problem and differ only in the derivative pair ops
 they are given: Central here, or the compact d1/d2 of compact_ops. The
-inviscid Burgers COMP update keeps its own body for the defect term.
+inviscid Burgers COMP update keeps its own body for the defect term. A linear
+step is u + T u, T = tau (nu D2 - alpha D1) stored per axis (compact_ops.linear).
 """
 
 import numpy as np
@@ -18,8 +19,11 @@ class Central:
     """Second-order central differences, the derivative pair of FTCS.
 
     Same call as compact_ops.d1/d2 on 1D and 2D fields; the end nodes along
-    the axis get 0.
+    the axis get 0. compact_ops.linear stores their three-point operators as
+    a band at every n: a dense n x n product costs n/3 times as much.
     """
+
+    HALF_WIDTH, DENSE_MAX = {1: 1, 2: 1}, 0
 
     @staticmethod
     def d1(u: Field, grid: Grid, axis: int = 0) -> Field:
@@ -58,7 +62,7 @@ def ibe_comp_update(u: Field, grid: Grid1D, params: PdeParams, tau: float) -> Fi
 
 def ade1d_update(u: Field, grid: Grid1D, params: PdeParams, tau: float, ops) -> Field:
     """Forward-Euler update of u_t + alpha u_x = nu u_xx with ops' derivatives."""
-    return u - tau * (params.alpha * ops.d1(u, grid) - params.nu * ops.d2(u, grid))
+    return u + compact_ops.linear(u, grid, 0, ops, -tau * params.alpha, tau * params.nu)
 
 
 def vbe_update(u: Field, grid: Grid1D, params: PdeParams, tau: float, ops) -> Field:
@@ -68,8 +72,7 @@ def vbe_update(u: Field, grid: Grid1D, params: PdeParams, tau: float, ops) -> Fi
 
 def ade2d_update(u: Field, grid: Grid2D, params: PdeParams, tau: float, ops) -> Field:
     """Unsplit forward-Euler update of u_t + alpha u_x + beta u_y = nu laplacian(u)."""
-    return u - tau * (
-        params.alpha * ops.d1(u, grid, 0)
-        + params.beta * ops.d1(u, grid, 1)
-        - params.nu * (ops.d2(u, grid, 0) + ops.d2(u, grid, 1))
+    return u + (
+        compact_ops.linear(u, grid, 0, ops, -tau * params.alpha, tau * params.nu)
+        + compact_ops.linear(u, grid, 1, ops, -tau * params.beta, tau * params.nu)
     )

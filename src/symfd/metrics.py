@@ -85,23 +85,22 @@ class StepContext:
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
-        # Advisory stability screens; forward Euler will show NonFinite
-        # soon enough if these are ignored.
-        for h in self.grid.spacing:
+        # Advisory stability screens on the constant speeds alpha (x) and beta
+        # (y), not the Burgers speed u; forward Euler shows NonFinite if ignored.
+        self.courant = self.diffusion = 0.0  # the largest over the axes
+        speeds = {"alpha": self.params.alpha, "beta": self.params.beta}
+        for h, (name, speed) in zip(self.grid.spacing, speeds.items()):
             diffusion = self.params.nu * self.tau / (h * h)
-            if diffusion > 0.5:
-                warnings.warn(
-                    f"diffusion number nu tau / h^2 = {diffusion:.3g} exceeds 0.5",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            courant = abs(self.params.alpha) * self.tau / h
-            if courant > 1.0:
-                warnings.warn(
-                    f"Courant number |alpha| tau / h = {courant:.3g} exceeds 1",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+            courant = abs(speed) * self.tau / h
+            for number, limit, what in (
+                (diffusion, 0.5, "diffusion number nu tau / h^2"),
+                (courant, 1.0, f"Courant number |{name}| tau / h"),
+            ):
+                if number > limit:
+                    message = f"{what} = {number:.3g} exceeds {limit:g}"
+                    warnings.warn(message, RuntimeWarning, stacklevel=2)
+            self.courant = max(self.courant, courant)
+            self.diffusion = max(self.diffusion, diffusion)
 
 
 def _difference(numeric: Field, exact: Field) -> np.ndarray:
@@ -135,6 +134,8 @@ class ErrorReport:
     linf: float
     wall_time: float
     n_steps: int
+    courant: float  # largest |speed| tau / h over the axes: alpha on x, beta on y
+    diffusion: float  # largest nu tau / h^2 over the axes
 
 
 @dataclass
@@ -180,8 +181,36 @@ def boundary_values(ctx: StepContext, times: np.ndarray) -> np.ndarray:
 
 
 def _check_finite(u):
-    if not np.isfinite(u).all():
+    if not np.logical_and.reduce(np.isfinite(u), axis=None):
         raise NonFinite("step produced non-finite values; the run is unstable")
+
+
+def _stepper(pde: str, scheme: str, ctx: StepContext) -> Callable:
+    """step's body, resolved once per pair and context as advance(u, boundary).
+    It reads _STEPPERS on each call, so a patched table is seen."""
+    try:
+        update = _STEPPERS[(pde, scheme)]
+    except KeyError:
+        raise ValueError(f"no scheme {scheme!r} for pde {pde!r}") from None
+    extra = (ctx.mesh_velocity * ctx.tau,) if (pde, scheme) == SLIDING else ()
+    if ctx.mesh_velocity != 0.0 and not extra:
+        raise ValueError("only the invariant viscous Burgers step supports a sliding mesh")
+    grid, params, tau, index = ctx.grid, ctx.params, ctx.tau, ctx.grid.dirichlet[0]
+
+    def advance(u, boundary=None):
+        u = np.asarray(u, dtype=float)
+        if u.shape != grid.shape or u.ndim != (2 if pde == "ade2d" else 1):
+            raise ShapeMismatch(
+                f"field shape {u.shape} does not fit pde {pde!r} on grid {grid.shape}"
+            )
+        new = update(u, grid, params, tau, *extra)
+        if boundary is None:
+            boundary = boundary_values(ctx, np.array([ctx.t + tau]))[0]
+        new[index] = boundary
+        _check_finite(new)
+        return new
+
+    return advance
 
 
 def step(
@@ -198,26 +227,7 @@ def step(
     or a sliding mesh on a static-mesh scheme, and NonFinite when the new
     field is not finite.
     """
-    try:
-        update = _STEPPERS[(pde, scheme)]
-    except KeyError:
-        raise ValueError(f"no scheme {scheme!r} for pde {pde!r}") from None
-    u = np.asarray(u, dtype=float)
-    if u.shape != ctx.grid.shape or u.ndim != (2 if pde == "ade2d" else 1):
-        raise ShapeMismatch(
-            f"field shape {u.shape} does not fit pde {pde!r} on grid {ctx.grid.shape}"
-        )
-    if (pde, scheme) == SLIDING:
-        new = update(u, ctx.grid, ctx.params, ctx.tau, ctx.mesh_velocity * ctx.tau)
-    elif ctx.mesh_velocity != 0.0:
-        raise ValueError("only the invariant viscous Burgers step supports a sliding mesh")
-    else:
-        new = update(u, ctx.grid, ctx.params, ctx.tau)
-    if boundary is None:
-        boundary = boundary_values(ctx, np.array([ctx.t + ctx.tau]))[0]
-    new[ctx.grid.dirichlet[0]] = boundary
-    _check_finite(new)
-    return new
+    return _stepper(pde, scheme, ctx)(u, boundary)
 
 
 def evolve(
@@ -230,7 +240,7 @@ def evolve(
     exact: Optional[Callable] = None,
     mesh_velocity: float = 0.0,
 ) -> Tuple[Field, Field, ErrorReport]:
-    """March from exact initial data to t_final with step().
+    """March from exact initial data to t_final with step()'s body, resolved once.
 
     Returns (numeric, reference, report). The reference is the exact
     solution sampled on the final node positions, which differ from the
@@ -245,23 +255,16 @@ def evolve(
         )
     start = time.perf_counter()
     two_d = isinstance(grid, Grid2D)
-    if two_d:
-        mesh = np.meshgrid(grid.x, grid.y, indexing="ij")
-        u = exact(0.0, *mesh)
-    else:
-        u = exact(0.0, grid.x)
+    mesh = np.meshgrid(grid.x, grid.y, indexing="ij") if two_d else [grid.x]
+    u = exact(0.0, *mesh)
     ctx = StepContext(grid, params, tau, 0.0, exact, mesh_velocity)
+    advance = _stepper(pde, scheme, ctx)
     for k0 in range(0, n_steps, BOUNDARY_BLOCK):
         k1 = min(k0 + BOUNDARY_BLOCK, n_steps)
         # k * tau + tau is the t + tau of step k, computed the same way.
-        block = boundary_values(ctx, np.arange(k0, k1) * tau + tau)
-        for k in range(k0, k1):
-            ctx.t = k * tau
-            u = step(pde, scheme, u, ctx, block[k - k0])
-    if two_d:
-        ref = exact(t_final, *mesh)
-    else:
-        ref = exact(t_final, grid.x + mesh_velocity * t_final)
+        for row in boundary_values(ctx, np.arange(k0, k1) * tau + tau):
+            u = advance(u, row)
+    ref = exact(t_final, *mesh) if two_d else exact(t_final, grid.x + mesh_velocity * t_final)
     report = ErrorReport(
         scheme=scheme,
         pde=pde,
@@ -273,6 +276,8 @@ def evolve(
         linf=linf(u, ref),
         wall_time=time.perf_counter() - start,
         n_steps=n_steps,
+        courant=ctx.courant,
+        diffusion=ctx.diffusion,
     )
     return u, ref, report
 

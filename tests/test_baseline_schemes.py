@@ -16,6 +16,7 @@ from symfd import (
     step,
 )
 from symfd.errors import ShapeMismatch
+from symfd.metrics import _check_finite
 
 TAU = 1e-3
 
@@ -172,6 +173,35 @@ def test_non_finite_input_is_rejected():
     bad[5] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(NonFinite):
         step("vbe", "ftcs", bad, ctx)
+
+
+@pytest.mark.parametrize("field", ["nan", "inf", "both_inf"])
+@pytest.mark.parametrize("shape", [(11,), (9, 7)])
+def test_finite_check_raises_non_finite_and_nothing_else(field, shape):
+    # a sum-first check would warn on +inf with -inf, and filterwarnings =
+    # error would turn that into another exception
+    u = np.zeros(shape)
+    u.flat[3] = np.nan if field == "nan" else np.inf
+    if field == "both_inf":
+        u.flat[5] = -np.inf
+    with pytest.raises(NonFinite):
+        _check_finite(u)
+
+
+def test_huge_finite_field_steps_without_warning():
+    # the nodes' sum overflows (11 x 1e308), which a sum-first check would
+    # report. The stored product u + T u does not overflow here either, where
+    # the expression form's 2u of the second difference did.
+    value = 1e308
+    grid, ctx = ctx_1d(value, nu=0.1)
+    u = np.full(grid.n, value)
+    u[5] *= 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _check_finite(u)
+        for scheme in ("ftcs", "comp"):
+            out = step("ade1d", scheme, u, ctx)
+            assert np.isfinite(out).all() and np.abs(out).max() < 1.01 * value
 
 
 def test_shape_mismatch():

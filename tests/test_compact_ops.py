@@ -6,9 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from symfd import BoundaryPolicy, Grid1D, Grid2D, d1, d2, fit_slope
+from symfd import BoundaryPolicy, Grid1D, Grid2D, PdeParams, ade1d_exact, ade2d_exact, d1, d2
+from symfd import fit_slope
 from symfd import compact_ops
-from symfd.compact_ops import DENSE_MAX, HALF_WIDTH, ONE_SIDED, _operator
+from symfd.baseline_schemes import Central, ade1d_update
+from symfd.compact_ops import DENSE_MAX, HALF_WIDTH, ONE_SIDED, _operator, linear
 from symfd.compact_ops import _first_derivative_rhs, _second_derivative_rhs
 from symfd.errors import ShapeMismatch
 from symfd.tridiag import solve
@@ -398,6 +400,131 @@ def test_long_line_operators_never_build_an_n_by_n_array():
     try:
         d1(u, grid)
         d2(u, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n / 4
+
+
+# The stored step operator T = c1 D1 + c2 D2 of compact_ops.linear.
+STEP_PARAMS = PdeParams(alpha=1.0, beta=-0.5, nu=1.0 / 60.0, L=0.4)
+OPS = pytest.mark.parametrize("ops", [Central, compact_ops], ids=["central", "compact"])
+
+
+def stable_tau(*hs):
+    """The largest step with Courant number <= 1/2 and diffusion number <= 0.4."""
+    return min(min(0.5 * h, 0.4 * h * h / STEP_PARAMS.nu) for h in hs)
+
+
+@OPS
+@pytest.mark.parametrize("n", [5, 31, DENSE_MAX, DENSE_MAX + 1, 401])
+def test_ade1d_step_matches_expression_form(n, ops):
+    # u + T u sums the step u - tau (alpha d1 - nu d2) in another order
+    grid, p = Grid1D(-2.0, 6.0 / (n - 1), n), STEP_PARAMS
+    tau = stable_tau(grid.h)
+    u = ade1d_exact(0.3, grid.x, p)
+    expression = u - tau * (p.alpha * ops.d1(u, grid) - p.nu * ops.d2(u, grid))
+    error = np.abs(ade1d_update(u, grid, p, tau, ops) - expression).max()
+    assert error <= 8 * np.spacing(np.abs(u).max())
+
+
+@OPS
+@pytest.mark.parametrize("shape", [(26, 17), (9, 26), (DENSE_MAX + 1, 9)])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_step_operator_matches_expression_form_on_each_axis(axis, shape, ops):
+    grid = Grid2D(-1.92, -1.6, 4.0 / (shape[0] - 1), 3.2 / (shape[1] - 1), *shape)
+    tau, p = stable_tau(*grid.spacing), STEP_PARAMS
+    speed = (p.alpha, p.beta)[axis]
+    u = ade2d_exact(0.3, *np.meshgrid(grid.x, grid.y, indexing="ij"), p)
+    product = u + linear(u, grid, axis, ops, -tau * speed, tau * p.nu)
+    expression = u - tau * (speed * ops.d1(u, grid, axis) - p.nu * ops.d2(u, grid, axis))
+    assert np.abs(product - expression).max() <= 8 * np.spacing(np.abs(u).max())
+
+
+@pytest.mark.parametrize("n", [5, 31, DENSE_MAX, DENSE_MAX + 1, 401, 1601])
+def test_probed_step_operator_reproduces_stored_operators(n):
+    # probing d1 and d2 on the comb returns their stored D or band exactly
+    grid = Grid1D(0.0, 1.0 / (n - 1), n)
+    u = np.sin(grid.x)
+    d1(u, grid)
+    d2(u, grid)
+    for order, (c1, c2) in ((1, (1.0, 0.0)), (2, (0.0, 1.0))):
+        linear(u, grid, 0, compact_ops, c1, c2)
+        probed = grid.derivative_matrices[compact_ops, 0, c1, c2]
+        stored = grid.derivative_matrices[order, 0]
+        if n > DENSE_MAX:  # D2's band is the middle of T's wider one
+            pad = HALF_WIDTH[1] - HALF_WIDTH[order]
+            stored = np.pad(stored, ((0, 0), (pad, pad)))
+        assert np.array_equal(probed, stored)
+
+
+def test_step_operator_built_once_per_grid():
+    probes = []
+
+    class Counting:
+        """Central's pair, stored dense up to DENSE_MAX, recording every probe."""
+
+        HALF_WIDTH, DENSE_MAX = Central.HALF_WIDTH, DENSE_MAX
+
+        @staticmethod
+        def d1(u, grid, axis=0):
+            probes.append(u.shape)
+            return Central.d1(u, grid, axis)
+
+        @staticmethod
+        def d2(u, grid, axis=0):
+            probes.append(u.shape)
+            return Central.d2(u, grid, axis)
+
+    for n, width in ((17, 17), (DENSE_MAX + 1, 3)):
+        probes.clear()
+        grid = Grid2D(0.0, 0.0, 0.1, 0.2, n, 9)
+        u = np.random.default_rng(n).normal(size=grid.shape)
+        stored = []
+        for _ in range(3):
+            for axis in (0, 1):
+                linear(u, grid, axis, Counting, -0.01, 0.002)
+            stored.append(dict(grid.derivative_matrices))
+        assert probes == [(n, width), (n, width), (9, 9), (9, 9)]
+        assert set(stored[0]) == {(Counting, 0, -0.01, 0.002), (Counting, 1, -0.01, 0.002)}
+        assert all(later[k] is t for later in stored for k, t in stored[0].items())
+        t = grid.derivative_matrices[Counting, 0, -0.01, 0.002]
+        assert t.shape == (n, width) and not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0, 0] = 0.0
+        # other coefficients are another operator
+        linear(u, grid, 0, Counting, -0.02, 0.002)
+        assert len(probes) == 6 and len(grid.derivative_matrices) == 3
+    # grids that differ only in h share no operator
+    for n in (17, DENSE_MAX + 1):
+        fine, coarse = Grid1D(0.0, 0.1, n), Grid1D(0.0, 0.2, n)
+        v = np.sin(fine.x)
+        for ops in (Central, compact_ops):
+            steps = [linear(v, g, 0, ops, -0.01, 0.002) for g in (fine, coarse)]
+            assert not np.array_equal(*steps)
+            stored = [g.derivative_matrices[ops, 0, -0.01, 0.002] for g in (fine, coarse)]
+            assert not np.array_equal(*stored)
+
+
+@pytest.mark.parametrize("n", [5, 31, DENSE_MAX, 801])
+def test_central_step_operator_is_its_three_point_band(n):
+    # FTCS's operator is stored at its own half-width on every line length
+    grid, c1, c2 = Grid1D(0.0, 1.0 / (n - 1), n), -0.01, 0.002
+    linear(np.sin(grid.x), grid, 0, Central, c1, c2)
+    h, band = grid.h, np.zeros((n, 3))
+    band[1:-1] = c1 * np.array([-1.0, 0.0, 1.0]) / (2.0 * h)
+    band[1:-1] += c2 * np.array([1.0, -2.0, 1.0]) / (h * h)
+    assert np.array_equal(grid.derivative_matrices[Central, 0, c1, c2], band)
+
+
+@OPS
+def test_long_line_step_never_builds_an_n_by_n_array(ops):
+    n = 1601
+    grid = Grid1D(0.0, 1.0 / (n - 1), n)
+    u = np.sin(grid.x)
+    tracemalloc.start()
+    try:
+        ade1d_update(u, grid, STEP_PARAMS, stable_tau(grid.h), ops)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

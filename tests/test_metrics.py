@@ -29,6 +29,7 @@ from symfd.metrics import (
     BOUNDARY_BLOCK,
     PDES,
     SCHEMES_BY_PDE,
+    SLIDING,
     boundary_values,
     default_exact,
 )
@@ -127,6 +128,24 @@ class TestEvolve:
         assert 0.0 < rep.rmse <= rep.linf
         assert rep.wall_time >= 0.0
 
+    def test_report_carries_the_stability_numbers(self):
+        params = PdeParams(alpha=-2.0, beta=1.0, nu=0.05, L=0.4)
+        _, _, rep = evolve("ade1d", "ftcs", Grid1D(-2.0, 0.2, 31), 1e-3, 0.005, params)
+        assert rep.courant == 2.0 * 1e-3 / 0.2
+        assert rep.diffusion == 0.05 * 1e-3 / (0.2 * 0.2)
+        grid = BLOCK_GRIDS["ade2d"]  # hx = 0.32 < hy = 0.4
+        _, _, rep = evolve("ade2d", "comp", grid, 1e-3, 0.005, params)
+        assert rep.courant == 2.0 * 1e-3 / 0.32
+        assert rep.diffusion == 0.05 * 1e-3 / (0.32 * 0.32)
+        # the y axis counts with its own speed beta
+        fast_y = PdeParams(alpha=-2.0, beta=4.0, nu=0.05, L=0.4)
+        _, _, rep = evolve("ade2d", "ftcs", grid, 1e-3, 0.005, fast_y)
+        assert rep.courant == 4.0 * 1e-3 / 0.4
+        only_y = PdeParams(alpha=0.0, beta=30.0)
+        with pytest.warns(RuntimeWarning, match=r"\|beta\| tau / h = 3 exceeds 1"):
+            ctx = StepContext(Grid2D(0, 0, 0.1, 0.1, 9, 9), only_y, 0.01, 0.0, None)
+        assert ctx.courant == 30.0 * 0.01 / 0.1
+
     def test_determinism(self):
         _, _, a = evolve("ade1d", "comp", Grid1D(-2.0, 0.2, 31), 1e-3, 0.05, ADE_PARAMS)
         _, _, b = evolve("ade1d", "comp", Grid1D(-2.0, 0.2, 31), 1e-3, 0.05, ADE_PARAMS)
@@ -154,6 +173,36 @@ class TestEvolve:
         _, _, rep = evolve("ade2d", "comp", g, 1e-3, 0.005, ADE_PARAMS)
         assert rep.n == (8, 8)
         assert rep.h[0] == pytest.approx(4.0 / 7.0)
+
+
+class TestResolvedOnce:
+    """evolve resolves the update once per run, step once per call; both run
+    the same per-step body (TestBoundaryBlock checks they give the same bits)."""
+
+    @pytest.mark.parametrize(
+        "pde, scheme, velocity",
+        [("ade1d", "sym2", 0.0), ("vbe", "comp", 1.0), ("ibe", "sym", 1.0)],
+    )
+    def test_evolve_rejects_before_any_step(self, pde, scheme, velocity):
+        params = PdeParams(nu=0.1)
+        exact = default_exact(pde, params)
+        times = []
+
+        def provider(t, *x):
+            times.append(t)
+            return exact(t, *x)
+
+        grid = BLOCK_GRIDS[pde]
+        with pytest.raises(ValueError):
+            evolve(pde, scheme, grid, 1e-3, 0.01, params, exact=provider, mesh_velocity=velocity)
+        assert times == [0.0]  # the initial data, and no boundary values
+
+    @pytest.mark.parametrize("pde, scheme", list(_STEPPERS))
+    def test_step_rejects_a_field_off_the_grid(self, pde, scheme):
+        grid = BLOCK_GRIDS[pde]
+        ctx = StepContext(grid, PdeParams(nu=0.1), 1e-3, 0.0, default_exact(pde, PdeParams()))
+        with pytest.raises(ShapeMismatch):
+            step(pde, scheme, np.ones(grid.shape[0] + 1), ctx)
 
 
 class TestSlopeFit:
@@ -284,8 +333,7 @@ class TestBoundaryBlock:
             assert np.array_equal(block[k], field[[0, -1]])
 
     @pytest.mark.parametrize(
-        "pde, scheme, velocity",
-        [("vbe", "sym", 0.7), ("ade1d", "ftcs", 0.0), ("ade2d", "comp", 0.0)],
+        "pde, scheme, velocity", [(*pair, 0.0) for pair in _STEPPERS] + [(*SLIDING, 0.7)]
     )
     def test_run_off_a_block_multiple_matches_single_steps(self, pde, scheme, velocity):
         params = PdeParams(nu=1.0 / 12.0) if pde == "vbe" else ADE_PARAMS
