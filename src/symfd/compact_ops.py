@@ -11,11 +11,14 @@ the end derivatives to caller-supplied exact values. d1 and d2 take the axis
 to differentiate along.
 
 Written as A U' = B U (Lele, J. Comput. Phys. 103, 1992), a one-sided
-derivative is one product with D = A^-1 B, stored on the grid per (order,
-axis) on first use, read-only and freed with the grid: dense on axes of
-n <= DENSE_MAX nodes, and as its band |i - j| <= w = HALF_WIDTH[order] on
-longer ones. The pinned-end closure builds B U and applies the factor of A
-(see tridiag), shared by every grid of that n.
+derivative is one product with D = A^-1 B: dense on axes of n <= DENSE_MAX
+nodes, and as its band |i - j| <= w = HALF_WIDTH[order] on longer ones. A grid
+keeps, per key ((order, axis) here, (ops, axis, c1, c2) for linear) and for its
+life, the read-only operator in derivative_matrices, bound on first use to its
+product in products; a band's product also holds a zero-padded line buffer, so
+one grid must not be stepped from two threads at once. The pinned-end closure
+builds B U and applies the factor of A (see tridiag), shared by every grid of
+that n.
 
 The interior rows of A are (1, 4, 1)/6 and (1, 10, 1)/12, so the entries of
 A^-1, and of D, decay as r^|i-j| with r = 2 - sqrt(3) ~ 0.27 (order 1) and
@@ -62,11 +65,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 class _OperatorCache:
     @cached_property
-    def derivative_matrices(self) -> dict:
-        """Read-only D = A^-1 B, or its band, per (order, axis), built by d1/d2
-        on first use; and linear's operator per (ops, axis, c1, c2), each kept
-        for the grid's life."""
+    def products(self) -> dict:
+        """The product bound to each stored operator, by key (see the module docstring)."""
         return {}
+
+    @property
+    def derivative_matrices(self) -> dict:
+        """The read-only operator each of products applies, by key."""
+        return {key: product.operator for key, product in self.products.items()}
 
 
 @dataclass(frozen=True)
@@ -248,50 +254,53 @@ def _second_derivative_rhs(u, h, bp):
     return rhs
 
 
-def _stored(probe, args, n, h, dense_max, w):
-    """probe(comb, n, h, *args) on the comb, as a grid stores it (see above):
-    dense for n <= dense_max, else the band |i - j| <= w. Read-only."""
-    p = n if n <= dense_max else 2 * w + 1
-    comb = np.zeros((n, p))
-    comb[np.arange(n), np.arange(n) % p] = 1.0
-    d = probe(comb, n, h, *args)
-    if p < n:
-        j = np.arange(n)[:, None] + np.arange(p) - p // 2  # column of band[i, k]
-        d = np.take_along_axis(d, j % p, axis=1)
-        d[(j < 0) | (j >= n)] = 0.0
-    return _read_only(d)
-
-
-def _along(key, u, grid, axis, dense_max, w, probe, *args):
-    """Apply the operator stored on the grid under key, built on first use by
-    _stored, to every line along axis; key None applies probe to the lines."""
+def _lookup(key, u, grid, axis):
+    """u as a checked float field of grid, and the grid's product under key or None."""
     u = np.asarray(u, dtype=float)
     if u.shape != grid.shape:
         raise ShapeMismatch(f"field shape {u.shape} does not match grid {grid.shape}")
     if not 0 <= axis < u.ndim:
         raise ValueError(f"axis {axis} out of range for a {u.ndim}D grid")
-    n, h = u.shape[axis], grid.spacing[axis]
+    return u, grid.products.get(key)
+
+
+def _bind(key, grid, axis, dense_max, w, probe, *args):
+    """Bind on grid under key the product along axis of what probe(comb, n, h,
+    *args) gives on the comb (see above): D and one einsum for n <= dense_max,
+    else the band |i - j| <= w and one copy into the interior of the grid's
+    zero-padded line buffer before the einsum. Key None applies probe to lines."""
+    n, h = grid.shape[axis], grid.spacing[axis]
     if key is None:
-        lines = np.ascontiguousarray(u.swapaxes(0, axis))
-        return np.ascontiguousarray(probe(lines, n, h, *args).swapaxes(0, axis))
-    d = grid.derivative_matrices.get(key)
-    if d is None:
-        d = grid.derivative_matrices[key] = _stored(probe, args, n, h, dense_max, w)
+        swap = lambda a: np.ascontiguousarray(a.swapaxes(0, axis))
+        return lambda u: swap(probe(swap(u), n, h, *args))
+    p = n if n <= dense_max else 2 * w + 1
+    comb = np.zeros((n, p))
+    comb[np.arange(n), np.arange(n) % p] = 1.0
+    d = probe(comb, n, h, *args)
     # On contiguous rows, einsum sums a line's outputs in the same order alone
     # as among many lines, so its bits do not depend on the field; BLAS does not.
-    across = u.ndim == 2 and axis == 0  # the lines are the columns of u
-    lines = u.T if across else u
-    if d.shape[1] < n:
+    across = len(grid.shape) == 2 and axis == 0  # the lines are the columns of u
+    if p == n:
+        spec = "kj,ij->ik" if across else "...j,ij->...i"
+        product = lambda u: np.einsum(spec, np.ascontiguousarray(u.T if across else u), d)
+    else:
+        j = np.arange(n)[:, None] + np.arange(p) - w  # column of band[i, k]
+        d = np.take_along_axis(d, j % p, axis=1)
+        d[(j < 0) | (j >= n)] = 0.0
         # band[i, k] meets node i - w + k: a window view of the zero-padded lines
-        padded = np.zeros(lines.shape[:-1] + (n + 2 * w,))
-        padded[..., w : n + w] = lines
-        strides = padded.strides + padded.strides[-1:]
-        window = np.ndarray(lines.shape + (2 * w + 1,), float, padded, 0, strides)
-        out = np.einsum("ik,...ik->...i", d, window)
-        return np.ascontiguousarray(out.T) if across else out
-    if across:
-        return np.einsum("kj,ij->ik", np.ascontiguousarray(lines), d)
-    return np.einsum("...j,ij->...i", np.ascontiguousarray(lines), d)
+        shape = grid.shape[::-1] if across else grid.shape
+        padded = np.zeros(shape[:-1] + (n + 2 * w,))
+        inner, strides = padded[..., w : n + w], padded.strides + padded.strides[-1:]
+        window = np.ndarray(shape + (p,), float, padded, 0, strides)
+
+        def product(u):
+            inner[...] = u.T if across else u
+            out = np.einsum("ik,...ik->...i", d, window)
+            return np.ascontiguousarray(out.T) if across else out
+
+    product.operator = _read_only(d)
+    grid.products[key] = product
+    return product
 
 
 def _solved(lines, n, h, order, rhs_of, bp):
@@ -302,29 +311,38 @@ def _solved(lines, n, h, order, rhs_of, bp):
 def d1(u: Field, grid: Grid, axis: int = 0, bp: BoundaryPolicy = ONE_SIDED) -> Field:
     """First derivative along one axis, fourth-order in the interior."""
     key, w = (None if bp.kind == "exact" else (1, axis)), HALF_WIDTH[1]
-    return _along(key, u, grid, axis, DENSE_MAX, w, _solved, 1, _first_derivative_rhs, bp)
+    u, product = _lookup(key, u, grid, axis)
+    if product is None:
+        product = _bind(key, grid, axis, DENSE_MAX, w, _solved, 1, _first_derivative_rhs, bp)
+    return product(u)
 
 
 def d2(u: Field, grid: Grid, axis: int = 0, bp: BoundaryPolicy = ONE_SIDED) -> Field:
     """Second derivative along one axis, fourth-order in the interior."""
     key, w = (None if bp.kind == "exact" else (2, axis)), HALF_WIDTH[2]
-    return _along(key, u, grid, axis, DENSE_MAX, w, _solved, 2, _second_derivative_rhs, bp)
+    u, product = _lookup(key, u, grid, axis)
+    if product is None:
+        product = _bind(key, grid, axis, DENSE_MAX, w, _solved, 2, _second_derivative_rhs, bp)
+    return product(u)
 
 
 def _pair(comb, n, h, ops, c1, c2):
     """c1 ops.d1 + c2 ops.d2 of each column of comb, on a bare grid of its shape
     (a Grid2D would refuse Central's three columns). D1 is dropped before D2 is
     built: on 1601 nodes that keeps the first step's peak at 4.9 MB, not 5.3."""
-    lines = SimpleNamespace(shape=comb.shape, spacing=(h, 1.0), derivative_matrices={})
+    lines = SimpleNamespace(shape=comb.shape, spacing=(h, 1.0), products={})
     t = c1 * ops.d1(comb, lines)
-    lines.derivative_matrices.clear()
+    lines.products.clear()
     return t + c2 * ops.d2(comb, lines)
 
 
 def linear(u: Field, grid: Grid, axis: int, ops, c1: float, c2: float) -> Field:
     """(c1 D1 + c2 D2) u along axis for ops.d1/d2's D1, D2, probed on the axis's
     lines and stored as ops' DENSE_MAX and HALF_WIDTH say. ops is this module or
-    a pair with its call and those two names. Each (ops, axis, c1, c2) keeps its
-    operator for the grid's life, so a new step size on a grid adds one."""
-    w = max(ops.HALF_WIDTH.values())
-    return _along((ops, axis, c1, c2), u, grid, axis, ops.DENSE_MAX, w, _pair, ops, c1, c2)
+    a pair with its call and those two names. A new step size adds an operator."""
+    key = (ops, axis, c1, c2)
+    u, product = _lookup(key, u, grid, axis)
+    if product is None:
+        w = max(ops.HALF_WIDTH.values())
+        product = _bind(key, grid, axis, ops.DENSE_MAX, w, _pair, ops, c1, c2)
+    return product(u)

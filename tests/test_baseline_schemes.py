@@ -178,14 +178,59 @@ def test_non_finite_input_is_rejected():
 @pytest.mark.parametrize("field", ["nan", "inf", "both_inf"])
 @pytest.mark.parametrize("shape", [(11,), (9, 7)])
 def test_finite_check_raises_non_finite_and_nothing_else(field, shape):
-    # a sum-first check would warn on +inf with -inf, and filterwarnings =
-    # error would turn that into another exception
+    # a sum-first check would warn on +inf with -inf, as would a product that
+    # warns on inf * 0; filterwarnings = error would turn that into another
+    # exception
     u = np.zeros(shape)
     u.flat[3] = np.nan if field == "nan" else np.inf
     if field == "both_inf":
         u.flat[5] = -np.inf
     with pytest.raises(NonFinite):
         _check_finite(u)
+
+
+FINITE_CHECK_FIELDS = pytest.mark.parametrize(
+    "shape, order",
+    [((5,), "C"), ((61,), "C"), ((801,), "C"), ((26, 26), "C"), ((26, 26), "F")],
+    ids=["n5", "n61", "n801", "26x26_C", "26x26_F"],
+)
+
+
+@FINITE_CHECK_FIELDS
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_finite_check_finds_a_bad_node_at_every_position(shape, order, bad):
+    # 0 * bad is NaN wherever the bad node sits; filterwarnings = error turns
+    # a warning from inf * 0 into another exception, which fails the test
+    u = np.asarray(np.random.default_rng(7).normal(size=shape), order=order)
+    for position in np.ndindex(shape):
+        field = u.copy(order="K")
+        field[position] = bad
+        with pytest.raises(NonFinite):
+            _check_finite(field)
+    _check_finite(u)
+
+
+@FINITE_CHECK_FIELDS
+def test_finite_check_finds_both_infinities_together(shape, order):
+    # +inf + -inf would be NaN in a plain sum too; here each 0 * inf already is
+    u = np.zeros(shape, order=order)
+    for plus, minus in ((0, -1), (-1, 0), (1, 2), (u.size // 2, u.size // 2 + 1)):
+        field = u.copy(order="K")
+        field[np.unravel_index(plus % u.size, shape)] = np.inf
+        field[np.unravel_index(minus % u.size, shape)] = -np.inf
+        with pytest.raises(NonFinite):
+            _check_finite(field)
+
+
+@FINITE_CHECK_FIELDS
+def test_alternating_huge_field_passes_the_finite_check(shape, order):
+    # a sum of the nodes would overflow; the zero-weighted product cannot
+    u = np.full(shape, 1e308, order=order)
+    u[np.indices(shape).sum(axis=0) % 2 == 1] = -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _check_finite(u)
+        _check_finite(np.full(shape, np.finfo(float).max, order=order))
 
 
 def test_huge_finite_field_steps_without_warning():

@@ -529,3 +529,74 @@ def test_long_line_step_never_builds_an_n_by_n_array(ops):
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * n / 4
+
+
+# Each stored operator is bound to one product per grid and key; a band's
+# product copies the field into the grid's own zero-padded line buffer.
+BOUND = pytest.mark.parametrize(
+    "apply, n",
+    [
+        (d2, 26),
+        (d1, DENSE_MAX + 1),
+        (lambda u, grid, axis: linear(u, grid, axis, compact_ops, -0.01, 0.002), DENSE_MAX + 1),
+        (lambda u, grid, axis: linear(u, grid, axis, Central, -0.01, 0.002), 26),
+    ],
+    ids=["dense", "band", "compact_step_band", "central"],
+)
+MEMORY_ORDER = pytest.mark.parametrize("order", ["C", "F"])
+
+
+def bound_case(n, axis, order, seed):
+    """A grid with n nodes along axis and two fields on it in the memory order."""
+    grid = Grid2D(0.0, 0.0, 0.1, 0.3, n, 7) if axis == 0 else Grid2D(0.0, 0.0, 0.3, 0.1, 7, n)
+    rng = np.random.default_rng(seed)
+    return grid, [np.asarray(rng.normal(size=grid.shape), order=order) for _ in range(2)]
+
+
+@BOUND
+@MEMORY_ORDER
+@pytest.mark.parametrize("axis", [0, 1])
+def test_bound_product_results_keep_their_values(apply, n, axis, order):
+    # no result is, or views, the grid's line buffer
+    grid, (u, v) = bound_case(n, axis, order, n)
+    first = apply(u, grid, axis)
+    kept = first.copy()
+    later = [apply(field, grid, axis) for field in (v, u, v)]
+    assert np.array_equal(first, kept)
+    assert not any(np.shares_memory(first, out) for out in later)
+
+
+@BOUND
+@MEMORY_ORDER
+@pytest.mark.parametrize("axis", [0, 1])
+def test_bound_product_leaks_nothing_between_fields(apply, n, axis, order):
+    # alternating fields on one grid gives the bits of fresh grids
+    grid, (u, v) = bound_case(n, axis, order, n + 1)
+    shared = [apply(field, grid, axis) for field in (u, v, u, v)]
+    fresh = [apply(field, dataclasses.replace(grid), axis) for field in (u, v, u, v)]
+    assert all(np.array_equal(a, b) for a, b in zip(shared, fresh))
+    assert not np.array_equal(shared[0], shared[1])
+
+
+@pytest.mark.parametrize(
+    "apply",
+    [
+        d1,
+        lambda u, grid: linear(u, grid, 0, compact_ops, -0.01, 0.002),
+        lambda u, grid: linear(u, grid, 0, Central, -0.01, 0.002),
+    ],
+    ids=["d1", "compact_step", "central_step"],
+)
+def test_second_call_on_a_long_line_allocates_only_its_output(apply):
+    n = 801
+    grid = Grid1D(0.0, 1.0 / (n - 1), n)
+    u = np.sin(grid.x)
+    apply(u, grid)
+    tracemalloc.start()
+    try:
+        out = apply(u, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a new padded line would add 6.4 kB or more; the array object, 2 kB at most
+    assert peak <= out.nbytes + 2048
