@@ -4,15 +4,17 @@ Each function is one forward-Euler update of the interior: it returns the
 new field and leaves the boundary nodes for the caller to refresh. FTCS and
 COMP share one body per problem and differ only in the derivative pair ops
 they are given: Central here, or the compact d1/d2 of compact_ops. The
-inviscid Burgers COMP update keeps its own body for the defect term. A linear
-step is u + T u, T = tau (nu D2 - alpha D1) stored per axis (compact_ops.linear).
+inviscid Burgers COMP update keeps its own body for the defect term. The
+advection-diffusion step has one body for 1D and 2D: u + sum over the axes of
+T u, T = tau (nu D2 - speed D1) stored per axis (compact_ops.linear), the
+speed being alpha on x and beta on y.
 """
 
 import numpy as np
 
 from . import compact_ops
 from .analytic import PdeParams
-from .compact_ops import Field, Grid, Grid1D, Grid2D
+from .compact_ops import Field, Grid, Grid1D
 
 
 class Central:
@@ -60,19 +62,15 @@ def ibe_comp_update(u: Field, grid: Grid1D, params: PdeParams, tau: float) -> Fi
     return u - tau * u * ux + 0.5 * tau * tau * (u * u * uxx + 2.0 * u * ux * ux)
 
 
-def ade1d_update(u: Field, grid: Grid1D, params: PdeParams, tau: float, ops) -> Field:
-    """Forward-Euler update of u_t + alpha u_x = nu u_xx with ops' derivatives."""
-    return u + compact_ops.linear(u, grid, 0, ops, -tau * params.alpha, tau * params.nu)
-
-
 def vbe_update(u: Field, grid: Grid1D, params: PdeParams, tau: float, ops) -> Field:
     """Forward-Euler update of u_t + u u_x = nu u_xx with ops' derivatives."""
     return u - tau * (u * ops.d1(u, grid) - params.nu * ops.d2(u, grid))
 
 
-def ade2d_update(u: Field, grid: Grid2D, params: PdeParams, tau: float, ops) -> Field:
-    """Unsplit forward-Euler update of u_t + alpha u_x + beta u_y = nu laplacian(u)."""
-    return u + (
-        compact_ops.linear(u, grid, 0, ops, -tau * params.alpha, tau * params.nu)
-        + compact_ops.linear(u, grid, 1, ops, -tau * params.beta, tau * params.nu)
-    )
+def ade_update(u: Field, grid: Grid, params: PdeParams, tau: float, ops) -> Field:
+    """Forward-Euler update of u_t + alpha u_x (+ beta u_y) = nu laplacian(u), unsplit,
+    with ops' derivatives: u plus one stored product per axis of the field."""
+    t = compact_ops.linear(u, grid, 0, ops, -tau * params.alpha, tau * params.nu)
+    if u.ndim == 2:  # in place: a sum from 0 would add a pass over the field
+        t += compact_ops.linear(u, grid, 1, ops, -tau * params.beta, tau * params.nu)
+    return u + t

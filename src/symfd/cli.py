@@ -41,9 +41,10 @@ DEFAULTS = {
         scheme="sym", x_lo=-2.0, x_hi=4.0, nx=31,
         tau=1e-3, t_final=1.0, alpha=1.0, beta=1.0, nu=1.0 / 60.0,
     ),
+    # c_values (boost speeds) is read by `galilean` alone, which runs vbe only
     "vbe": dict(
         scheme="sym", x_lo=0.0, x_hi=2.0 * math.pi, nx=101,
-        tau=1e-4, t_final=0.25, alpha=1.0, beta=1.0, nu=1.0 / 12.0,
+        tau=1e-4, t_final=0.25, alpha=1.0, beta=1.0, nu=1.0 / 12.0, c_values="0,0.5,1.0",
     ),
     # The square is placed so a node sits at the origin, where the hump
     # starts; the drift then breaks the variant tie at the peak nodes.
@@ -89,6 +90,7 @@ class RunConfig:
     t_final: float
     params: PdeParams
     galilean_c: Optional[float]
+    c_values: Tuple[float, ...]  # boost speeds of a galilean study, else ()
     output_path: str
 
     @property
@@ -208,6 +210,11 @@ def build_run_config(mapping: dict, command: str = "run") -> RunConfig:
     t_final = _as_float(merged, "t_final")
     if t_final < 0:
         raise ConfigInvalid(f"field 't_final' must be nonnegative, got {t_final}")
+    c_values = []
+    if command == "galilean":
+        c_values = _parse_list(merged["c_values"], float, "c_values")
+        if not c_values:
+            raise ConfigInvalid("field 'c_values' must list at least one boost speed")
     galilean_c = None
     if "galilean_c" in merged and str(merged["galilean_c"]) != "":
         if pde != "vbe":
@@ -240,6 +247,7 @@ def build_run_config(mapping: dict, command: str = "run") -> RunConfig:
             sigma=sigma, L=big_l,
         ),
         galilean_c=galilean_c,
+        c_values=tuple(c_values),
         output_path=str(merged.get("output_path", default_output)),
     )
 
@@ -269,7 +277,7 @@ def cmd_run(cfg: RunConfig) -> int:
         exact=exact, mesh_velocity=velocity,
     )
     # The final node positions, which the sliding mesh has moved.
-    axes = (grid.x, grid.y) if cfg.pde == "ade2d" else (grid.x + velocity * cfg.t_final,)
+    axes = [a + velocity * cfg.t_final for a in grid.axes]
     columns = [*np.meshgrid(*axes, indexing="ij"), numeric, reference, numeric - reference]
     header = ("x", "y")[: len(axes)] + ("u_numeric", "u_exact", "error")
     _write_csv(cfg.output_path, header, zip(*(map(_fmt, c.ravel()) for c in columns)))
@@ -303,16 +311,10 @@ def cmd_converge(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_galilean(cfg: RunConfig, c_text: str) -> int:
-    """Boost study for the viscous Burgers schemes; CSV rows (c, scheme, rmse, linf).
-
-    c_text is the comma-separated list of boost speeds ('c_values').
-    """
-    c_values = _parse_list(c_text, float, "c_values")
-    if not c_values:
-        raise ConfigInvalid("field 'c_values' must list at least one boost speed")
+def cmd_galilean(cfg: RunConfig) -> int:
+    """Boost study for the viscous Burgers schemes; CSV rows (c, scheme, rmse, linf)."""
     results = galilean_experiment(
-        c_values,
+        cfg.c_values,
         schemes=cfg.schemes,
         grid=grid_for(cfg.pde, cfg.domain, cfg.n),
         tau=cfg.tau,
@@ -477,7 +479,7 @@ def main(argv=None) -> int:
             return cmd_run(cfg)
         if args.command == "converge":
             return cmd_converge(cfg)
-        return cmd_galilean(cfg, mapping.get("c_values", "0,0.5,1.0"))
+        return cmd_galilean(cfg)
     except (SymfdError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

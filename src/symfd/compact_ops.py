@@ -34,10 +34,12 @@ Each dropped column lands in one band entry, so the band product is off by
 at most 2^-52 sum_j |D_ij| max|U|, about one rounding of the dense sum.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import SimpleNamespace
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
@@ -63,7 +65,39 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class _OperatorCache:
+class Grid:
+    """Uniform tensor-product mesh, the base of Grid1D and Grid2D: node i along
+    axis k sits at origin[k] + i * spacing[k], for shape[k] nodes."""
+
+    def __post_init__(self):
+        geometry = (*self.origin, *self.spacing)
+        if not all(map(math.isfinite, geometry)) or min(self.spacing) <= 0:
+            raise ValueError(f"grid origin and spacing must be finite, spacing positive: {self}")
+        if not all(isinstance(n, numbers.Integral) for n in self.shape):
+            raise ValueError(f"node counts must be integers: {self}")
+        if min(self.shape) < 5:
+            raise ValueError(f"need at least 5 nodes per axis for the closures: {self}")
+
+    @property
+    def axes(self) -> tuple:
+        """The node coordinates along each axis: (x,) or (x, y)."""
+        return tuple(o + h * np.arange(n) for o, h, n in zip(self.origin, self.spacing, self.shape))
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.axes[0]
+
+    @cached_property
+    def dirichlet(self) -> Tuple[tuple, tuple]:
+        """The Dirichlet nodes, the ends of every axis with each node once:
+        (index, coordinates); values[index] are theirs."""
+        edge = np.zeros(self.shape, bool)
+        for axis in range(edge.ndim):
+            edge.swapaxes(0, axis)[[0, -1]] = True
+        index = np.nonzero(edge)
+        coords = (a[i] for a, i in zip(self.axes, index))
+        return tuple(map(_read_only, index)), tuple(map(_read_only, coords))
+
     @cached_property
     def products(self) -> dict:
         """The product bound to each stored operator, by key (see the module docstring)."""
@@ -76,41 +110,20 @@ class _OperatorCache:
 
 
 @dataclass(frozen=True)
-class Grid1D(_OperatorCache):
+class Grid1D(Grid):
     """Uniform 1D mesh: nodes x0 + i*h for i = 0 .. n-1."""
 
     x0: float
     h: float
     n: int
 
-    def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError(f"grid spacing must be positive, got h = {self.h}")
-        if self.n < 5:
-            raise ValueError(f"need at least 5 nodes for the closures, got n = {self.n}")
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.x0 + self.h * np.arange(self.n)
-
-    @cached_property
-    def shape(self) -> Tuple[int]:
-        return (self.n,)
-
-    @cached_property
-    def spacing(self) -> Tuple[float]:
-        return (self.h,)
-
-    @cached_property
-    def dirichlet(self) -> Tuple[tuple, Tuple[np.ndarray]]:
-        """The Dirichlet nodes, both ends: (index, (x,)); values[index] are theirs."""
-        index = (_read_only(np.array([0, self.n - 1])),)
-        x = np.array([self.x0, self.x0 + (self.n - 1) * self.h])
-        return index, (_read_only(x),)
+    origin = property(lambda self: (self.x0,))
+    spacing = cached_property(lambda self: (self.h,))
+    shape = cached_property(lambda self: (self.n,))
 
 
 @dataclass(frozen=True)
-class Grid2D(_OperatorCache):
+class Grid2D(Grid):
     """Uniform tensor-product mesh; fields are indexed values[ix, iy]."""
 
     x0: float
@@ -120,44 +133,13 @@ class Grid2D(_OperatorCache):
     nx: int
     ny: int
 
-    def __post_init__(self):
-        if self.hx <= 0 or self.hy <= 0:
-            raise ValueError(
-                f"grid spacings must be positive, got hx = {self.hx}, hy = {self.hy}"
-            )
-        if self.nx < 5 or self.ny < 5:
-            raise ValueError(
-                f"need at least 5 nodes per axis, got nx = {self.nx}, ny = {self.ny}"
-            )
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.x0 + self.hx * np.arange(self.nx)
+    origin = property(lambda self: (self.x0, self.y0))
+    spacing = cached_property(lambda self: (self.hx, self.hy))
+    shape = cached_property(lambda self: (self.nx, self.ny))
 
     @property
     def y(self) -> np.ndarray:
-        return self.y0 + self.hy * np.arange(self.ny)
-
-    @cached_property
-    def shape(self) -> Tuple[int, int]:
-        return (self.nx, self.ny)
-
-    @cached_property
-    def spacing(self) -> Tuple[float, float]:
-        return (self.hx, self.hy)
-
-    @cached_property
-    def dirichlet(self) -> Tuple[tuple, Tuple[np.ndarray, np.ndarray]]:
-        """The Dirichlet nodes, the perimeter with each node once:
-        (index, (x, y)); values[index] are theirs."""
-        nx, ny = self.nx, self.ny
-        inner = np.arange(1, nx - 1)
-        ix = np.concatenate([np.zeros(ny, int), np.full(ny, nx - 1), inner, inner])
-        iy = np.concatenate(
-            [np.arange(ny), np.arange(ny), np.zeros(nx - 2, int), np.full(nx - 2, ny - 1)]
-        )
-        index = (_read_only(ix), _read_only(iy))
-        return index, (_read_only(self.x[ix]), _read_only(self.y[iy]))
+        return self.axes[1]
 
 
 @dataclass(frozen=True)
@@ -191,7 +173,6 @@ class BoundaryPolicy:
 
 
 ONE_SIDED = BoundaryPolicy.one_sided()
-Grid = Union[Grid1D, Grid2D]
 
 
 def _bands(order, n, kind):

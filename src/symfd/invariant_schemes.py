@@ -15,15 +15,15 @@ import numpy as np
 
 from . import compact_ops
 from .analytic import PdeParams
-from .compact_ops import Field, Grid1D, Grid2D
+from .compact_ops import Field, Grid, Grid1D
 from .errors import FrameSingularity, ZeroState
 
 LAMBDA_TOL = 1e-10
 ZERO_STATE_TOL = 1e-12
 
-# Frame choices for the 2D advection-diffusion step: "sym1" cancels the
+# Frame choices for the advection-diffusion step: "sym1" cancels the
 # streamwise curvature (s1 = u_xx / 2u), "sym2" the full Laplacian
-# (s1 = (u_xx + u_yy) / 4u).
+# (s1 = (u_xx + u_yy) / 4u in 2D); in 1D both are u_xx / 2u.
 ADE2D_VARIANTS = ("sym1", "sym2")
 
 
@@ -77,25 +77,6 @@ def ibe_sym_update(u: Field, grid: Grid1D, params: PdeParams, tau: float) -> Fie
     return (u + (tau * tau / (2.0 * lam * lam)) * u * u * uxx) / lam
 
 
-def ade1d_sym_update(u: Field, grid: Grid1D, params: PdeParams, tau: float) -> Field:
-    """Invariantized compact update of u_t + alpha u_x = nu u_xx.
-
-    Frame: s1 = nu u_xx / u, lambda = 1 - 2 s1 tau (must stay positive
-    for the lambda^(-3/2) branch). The exponent is computed from the
-    ratio u_xx / u directly, so the nu -> 0 limit degrades gracefully to
-    the plain advection step.
-    """
-    _check_zero_state(u, _INTERIOR_1D)
-    ux = compact_ops.d1(u, grid)
-    uxx = compact_ops.d2(u, grid)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = uxx / u  # = s1 / nu
-        lam = 1.0 - 2.0 * params.nu * ratio * tau
-        _check_lambda_positive(lam, _INTERIOR_1D)
-        arg = ratio * params.alpha * params.alpha * tau * tau / (2.0 * lam)
-        return lam ** (-1.5) * (lam * u - tau * params.alpha * ux) * np.exp(arg)
-
-
 def vbe_sym_update(
     u: Field, grid: Grid1D, params: PdeParams, tau: float, dx_nodes: float
 ) -> Field:
@@ -113,43 +94,46 @@ def vbe_sym_update(
     return (u - frame.s1 * dx_nodes + (tau * params.nu / lam) * uxx) / lam
 
 
-def ade2d_frame(u, uxx, uyy, variant: str, params, tau: float) -> MovingFrame:
-    """Frame for the 2D advection-diffusion step (variant "sym1" or "sym2")."""
-    if variant == "sym1":
-        s1 = uxx / (2.0 * u)
-    elif variant == "sym2":
-        s1 = (uxx + uyy) / (4.0 * u)
-    else:
+def ade_frame(u, curvatures, variant: str, params, tau: float) -> MovingFrame:
+    """Frame of the advection-diffusion step: s1 = sum_k u_kk / (2 d u) over the d
+    framed axes, every axis for "sym2" and x only for "sym1"; lambda = 1 - 4 nu s1 tau."""
+    if variant not in ADE2D_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {ADE2D_VARIANTS}")
+    framed = curvatures[:1] if variant == "sym1" else curvatures
+    s1 = sum(framed[1:], framed[0]) / (2.0 * len(framed) * u)
     return MovingFrame(s1=s1, lambda_next=1.0 - 4.0 * params.nu * s1 * tau)
 
 
-def ade2d_sym_update(
-    u: Field, grid: Grid2D, params: PdeParams, tau: float, variant: str
-) -> Field:
-    """Invariantized compact update of u_t + alpha u_x + beta u_y = nu laplacian(u).
+def ade_sym_update(u: Field, grid: Grid, params: PdeParams, tau: float, variant: str) -> Field:
+    """Invariantized compact update of u_t + alpha u_x (+ beta u_y) = nu laplacian(u).
 
     The base scheme runs in the frame-transformed coordinates, where the
-    normalization cancels the streamwise curvature ("sym1") or the whole
-    Laplacian ("sym2"); the result is mapped back through the projective
-    factor lambda and the Gaussian weight of the shifted base point.
+    normalization cancels the curvature of the framed axes (ade_frame); the
+    result is mapped back through the projective factor lambda^(-d/2) on d
+    axes and the Gaussian weight of the shifted base point. In 1D, s1 =
+    u_xx / 2u gives lambda = 1 - 2 nu tau u_xx / u, the same lambda as the
+    1 - 2 s1 tau of the 1D frame normalized as s1 = nu u_xx / u; it must stay
+    positive. s1 holds no nu, so the weight stays finite as nu -> 0.
     """
-    p = params
-    interior = np.s_[1:-1, 1:-1]
+    p, d = params, u.ndim
+    interior = (slice(1, -1),) * d
     _check_zero_state(u, interior)
-    ux = compact_ops.d1(u, grid, 0)
-    uy = compact_ops.d1(u, grid, 1)
-    uxx = compact_ops.d2(u, grid, 0)
-    uyy = compact_ops.d2(u, grid, 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        frame = ade2d_frame(u, uxx, uyy, variant, p, tau)
-        lam = frame.lambda_next
+        # The slopes enter only as the drift alpha u_x (+ beta u_y).
+        drift = p.alpha * compact_ops.d1(u, grid, 0)
+        curvatures = [compact_ops.d2(u, grid, 0)]
+        speed2 = p.alpha * p.alpha
+        if d == 2:  # the y axis, driven by beta
+            drift += p.beta * compact_ops.d1(u, grid, 1)
+            curvatures.append(compact_ops.d2(u, grid, 1))
+            speed2 += p.beta * p.beta
+        frame = ade_frame(u, curvatures, variant, p, tau)
+        s1, lam = frame.s1, frame.lambda_next
         _check_lambda_positive(lam, interior)
         tau_t = tau / lam
-        # Transformed values at the base point: u, u_x, u_y carry over;
-        # the cross-stream curvature becomes u_yy - 2 s1 u.
-        new_t = u - tau_t * (p.alpha * ux + p.beta * uy)
-        if variant == "sym1":
-            new_t = new_t + tau_t * p.nu * (uyy - 2.0 * frame.s1 * u)
-        back = np.exp(frame.s1 * (p.alpha * p.alpha + p.beta * p.beta) * tau * tau / lam)
-        return (new_t / lam) * back
+        # Transformed values at the base point: the slopes carry over; the
+        # curvature of an axis the frame leaves out becomes u_kk - 2 s1 u.
+        new_t = u - tau_t * drift
+        for ukk in curvatures[1:] if variant == "sym1" else ():  # left out by sym1
+            new_t += tau_t * p.nu * (ukk - 2.0 * s1 * u)
+        return new_t / lam ** (0.5 * d) * np.exp(s1 * speed2 * tau * tau / lam)

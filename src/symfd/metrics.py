@@ -30,16 +30,16 @@ _STEPPERS = {
     ("ibe", "ftcs"): base.ibe_ftcs_update,
     ("ibe", "comp"): base.ibe_comp_update,
     ("ibe", "sym"): inv.ibe_sym_update,
-    ("ade1d", "ftcs"): partial(base.ade1d_update, ops=base.Central),
-    ("ade1d", "comp"): partial(base.ade1d_update, ops=compact_ops),
-    ("ade1d", "sym"): inv.ade1d_sym_update,
+    ("ade1d", "ftcs"): partial(base.ade_update, ops=base.Central),
+    ("ade1d", "comp"): partial(base.ade_update, ops=compact_ops),
+    ("ade1d", "sym"): partial(inv.ade_sym_update, variant="sym2"),
     ("vbe", "ftcs"): partial(base.vbe_update, ops=base.Central),
     ("vbe", "comp"): partial(base.vbe_update, ops=compact_ops),
     ("vbe", "sym"): inv.vbe_sym_update,
-    ("ade2d", "ftcs"): partial(base.ade2d_update, ops=base.Central),
-    ("ade2d", "comp"): partial(base.ade2d_update, ops=compact_ops),
-    ("ade2d", "sym1"): partial(inv.ade2d_sym_update, variant="sym1"),
-    ("ade2d", "sym2"): partial(inv.ade2d_sym_update, variant="sym2"),
+    ("ade2d", "ftcs"): partial(base.ade_update, ops=base.Central),
+    ("ade2d", "comp"): partial(base.ade_update, ops=compact_ops),
+    ("ade2d", "sym1"): partial(inv.ade_sym_update, variant="sym1"),
+    ("ade2d", "sym2"): partial(inv.ade_sym_update, variant="sym2"),
 }
 PDES = tuple(dict.fromkeys(pde for pde, _ in _STEPPERS))
 SCHEMES_BY_PDE = {pde: tuple(s for p, s in _STEPPERS if p == pde) for pde in PDES}
@@ -197,13 +197,13 @@ def _stepper(pde: str, scheme: str, ctx: StepContext) -> Callable:
     if ctx.mesh_velocity != 0.0 and not extra:
         raise ValueError("only the invariant viscous Burgers step supports a sliding mesh")
     grid, params, tau, index = ctx.grid, ctx.params, ctx.tau, ctx.grid.dirichlet[0]
+    if len(grid.shape) != (2 if pde == "ade2d" else 1):
+        raise ShapeMismatch(f"pde {pde!r} does not fit a grid of shape {grid.shape}")
 
     def advance(u, boundary=None):
         u = np.asarray(u, dtype=float)
-        if u.shape != grid.shape or u.ndim != (2 if pde == "ade2d" else 1):
-            raise ShapeMismatch(
-                f"field shape {u.shape} does not fit pde {pde!r} on grid {grid.shape}"
-            )
+        if u.shape != grid.shape:
+            raise ShapeMismatch(f"field shape {u.shape} does not fit the grid {grid.shape}")
         new = update(u, grid, params, tau, *extra)
         if boundary is None:
             boundary = boundary_values(ctx, np.array([ctx.t + tau]))[0]
@@ -224,7 +224,8 @@ def step(
     (evolve passes the rows of a block). Without it, step asks
     boundary_values for that one time, on node positions shifted by
     mesh_velocity * (t + tau) for the sliding mesh. Raises
-    ShapeMismatch for a field off the grid, ValueError for an unknown pair
+    ShapeMismatch for a field off the grid or a grid of another dimension
+    than the pde's, ValueError for an unknown pair
     or a sliding mesh on a static-mesh scheme, and NonFinite when the new
     field is not finite.
     """
@@ -246,31 +247,36 @@ def evolve(
     Returns (numeric, reference, report). The reference is the exact
     solution sampled on the final node positions, which differ from the
     initial ones only for the sliding-mesh runs (mesh_velocity != 0).
+    Raises ValueError before the first step unless tau is positive and
+    finite and t_final nonnegative and finite.
     """
     if exact is None:
         exact = default_exact(pde, params)
+    ctx = StepContext(grid, params, tau, 0.0, exact, mesh_velocity)  # checks tau
+    if not (math.isfinite(t_final) and t_final >= 0):
+        raise ValueError(f"t_final must be nonnegative and finite, got {t_final}")
     n_steps = int(round(t_final / tau))
     if abs(n_steps * tau - t_final) > STEP_COUNT_TOLERANCE * tau:
         raise StepCountMismatch(
             f"t_final = {t_final} is not a whole number of steps of tau = {tau}"
         )
     start = time.perf_counter()
-    two_d = isinstance(grid, Grid2D)
-    mesh = np.meshgrid(grid.x, grid.y, indexing="ij") if two_d else [grid.x]
+    mesh = np.meshgrid(*grid.axes, indexing="ij")
     u = exact(0.0, *mesh)
-    ctx = StepContext(grid, params, tau, 0.0, exact, mesh_velocity)
     advance = _stepper(pde, scheme, ctx)
     for k0 in range(0, n_steps, BOUNDARY_BLOCK):
         k1 = min(k0 + BOUNDARY_BLOCK, n_steps)
         # k * tau + tau is the t + tau of step k, computed the same way.
         for row in boundary_values(ctx, np.arange(k0, k1) * tau + tau):
             u = advance(u, row)
-    ref = exact(t_final, *mesh) if two_d else exact(t_final, grid.x + mesh_velocity * t_final)
+    ref = exact(t_final, *(c + mesh_velocity * t_final for c in mesh))
+    # n and h stay one number in 1D, a tuple per axis in 2D
+    n, h = (grid.shape, grid.spacing) if len(grid.shape) > 1 else (grid.n, grid.h)
     report = ErrorReport(
         scheme=scheme,
         pde=pde,
-        n=(grid.nx, grid.ny) if two_d else grid.n,
-        h=(grid.hx, grid.hy) if two_d else grid.h,
+        n=n,
+        h=h,
         tau=tau,
         t_final=t_final,
         rmse=rmse(u, ref),

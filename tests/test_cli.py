@@ -88,6 +88,11 @@ class TestBuildRunConfig:
         assert cfg.tau == DEFAULTS["vbe"]["tau"] and cfg.sizes == ()
         assert cfg.output_path == "vbe_galilean.csv"
 
+    def test_galilean_reads_its_boost_speeds(self):
+        assert build_run_config({}, "galilean").c_values == (0.0, 0.5, 1.0)
+        assert build_run_config({"c_values": "0.25,1"}, "galilean").c_values == (0.25, 1.0)
+        assert build_run_config({"pde": "vbe"}, "run").c_values == ()
+
     def test_grid_and_params_properties(self):
         cfg = build_run_config({"pde": "ade1d", "nx": "13"})
         grid = grid_for(cfg.pde, cfg.domain, cfg.n)
@@ -137,6 +142,8 @@ class TestBuildRunConfig:
             ("galilean", {"pde": "ade1d"}, "'vbe'"),
             ("galilean", {"schemes": "sym2"}, "'sym2'"),
             ("galilean", {"nx": "3"}, "'nx' must be >= 5"),
+            ("galilean", {"c_values": "zzz"}, "'c_values' must be comma-separated"),
+            ("galilean", {"c_values": ","}, "at least one boost speed"),
         ],
     )
     def test_invalid_study_fields_rejected(self, command, mapping, fragment):

@@ -9,7 +9,7 @@ import pytest
 from symfd import BoundaryPolicy, Grid1D, Grid2D, PdeParams, ade1d_exact, ade2d_exact, d1, d2
 from symfd import fit_slope
 from symfd import compact_ops
-from symfd.baseline_schemes import Central, ade1d_update
+from symfd.baseline_schemes import Central, ade_update
 from symfd.compact_ops import DENSE_MAX, HALF_WIDTH, ONE_SIDED, _operator, linear
 from symfd.compact_ops import _first_derivative_rhs, _second_derivative_rhs
 from symfd.errors import ShapeMismatch
@@ -177,6 +177,16 @@ def test_grid_validation():
         Grid2D(0.0, 0.0, 0.1, 0.0, 9, 9)
     with pytest.raises(ValueError):
         Grid2D(0.0, 0.0, 0.1, 0.1, 9, 4)
+    # non-finite geometry (a NaN spacing gave NaN derivatives without an
+    # error) and non-integral node counts
+    for bad in ((0.0, np.nan, 11), (0.0, np.inf, 11), (-np.inf, 0.1, 11), (0.0, 0.1, 11.5),
+                (0.0, 0.1, 11.0)):
+        with pytest.raises(ValueError):
+            Grid1D(*bad)
+    for bad in ((0.0, np.nan, 0.1, 0.1, 9, 9), (0.0, 0.0, 0.1, np.inf, 9, 9),
+                (0.0, 0.0, 0.1, 0.1, 9, 9.5)):
+        with pytest.raises(ValueError):
+            Grid2D(*bad)
 
 
 def test_grid_nodes():
@@ -424,7 +434,7 @@ def test_ade1d_step_matches_expression_form(n, ops):
     tau = stable_tau(grid.h)
     u = ade1d_exact(0.3, grid.x, p)
     expression = u - tau * (p.alpha * ops.d1(u, grid) - p.nu * ops.d2(u, grid))
-    error = np.abs(ade1d_update(u, grid, p, tau, ops) - expression).max()
+    error = np.abs(ade_update(u, grid, p, tau, ops) - expression).max()
     assert error <= 8 * np.spacing(np.abs(u).max())
 
 
@@ -524,7 +534,7 @@ def test_long_line_step_never_builds_an_n_by_n_array(ops):
     u = np.sin(grid.x)
     tracemalloc.start()
     try:
-        ade1d_update(u, grid, STEP_PARAMS, stable_tau(grid.h), ops)
+        ade_update(u, grid, STEP_PARAMS, stable_tau(grid.h), ops)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

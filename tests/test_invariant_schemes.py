@@ -20,7 +20,7 @@ from symfd import (
     step,
     vbe_exact,
 )
-from symfd.invariant_schemes import ade2d_frame, ibe_frame
+from symfd.invariant_schemes import ade_frame, ibe_frame
 
 TAU = 1e-3
 VBE_NU = 1.0 / 12.0
@@ -48,18 +48,29 @@ class TestFrames:
         uxx = rng.normal(size=(6, 5))
         uyy = rng.normal(size=(6, 5))
         p = PdeParams(alpha=1.5, beta=-0.5, nu=0.2)
-        f1 = ade2d_frame(u, uxx, uyy, "sym1", p, TAU)
+        f1 = ade_frame(u, [uxx, uyy], "sym1", p, TAU)
         # the first variant cancels the streamwise curvature exactly
         assert np.abs(uxx - 2.0 * f1.s1 * u).max() <= 1e-13
-        f2 = ade2d_frame(u, uxx, uyy, "sym2", p, TAU)
+        f2 = ade_frame(u, [uxx, uyy], "sym2", p, TAU)
         # the second cancels the whole curvature sum
         assert np.abs((uxx + uyy) - 4.0 * f2.s1 * u).max() <= 1e-13
         for f in (f1, f2):
             assert np.allclose(f.lambda_next, 1.0 - 4.0 * p.nu * f.s1 * TAU, atol=0)
 
+    def test_line_frame_normalization(self):
+        rng = np.random.default_rng(12)
+        u = rng.uniform(0.5, 2.0, 9)
+        uxx = rng.normal(size=9)
+        p = PdeParams(alpha=1.5, nu=0.2)
+        for variant in ("sym1", "sym2"):
+            f = ade_frame(u, [uxx], variant, p, TAU)
+            # on a line both variants cancel the one curvature: u_xx = 2 s1 u
+            assert np.abs(uxx - 2.0 * f.s1 * u).max() <= 1e-13
+            assert np.allclose(f.lambda_next, 1.0 - 2.0 * p.nu * TAU * uxx / u, rtol=1e-14, atol=0)
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
-            ade2d_frame(np.ones(3), np.zeros(3), np.zeros(3), "sym3", PdeParams(), TAU)
+            ade_frame(np.ones(3), [np.zeros(3), np.zeros(3)], "sym3", PdeParams(), TAU)
 
 
 class TestFixedPointsAndExactness:

@@ -168,6 +168,21 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve("ibe", "sym", Grid1D(0.0, 0.1, 11), 1e-3, 0.01, PdeParams(), mesh_velocity=1.0)
 
+    @pytest.mark.parametrize(
+        "tau, t_final",
+        [(1e-3, -0.01), (0.0, 0.01), (np.nan, 0.01), (1e-3, np.nan), (1e-3, np.inf), (-1e-3, 0.01)],
+    )
+    def test_rejects_bad_step_or_horizon_before_any_step(self, tau, t_final):
+        exact, calls = default_exact("ade1d", ADE_PARAMS), []
+
+        def provider(t, x):
+            calls.append(t)
+            return exact(t, x)
+
+        with pytest.raises(ValueError, match="tau|t_final"):
+            evolve("ade1d", "comp", Grid1D(-2.0, 0.2, 31), tau, t_final, ADE_PARAMS, exact=provider)
+        assert calls == []
+
     def test_two_dimensional_report_shapes(self):
         g = grid_for("ade2d", (-1.92, 2.08, -1.92, 2.08), 8)
         _, _, rep = evolve("ade2d", "comp", g, 1e-3, 0.005, ADE_PARAMS)
