@@ -22,7 +22,7 @@ class PdeParams:
 
     alpha, beta: advection speeds (beta only used in 2D); nu: diffusion
     coefficient; sigma: width of the inviscid-Burgers hump; L: width of
-    the advection-diffusion kernel at t = 0.
+    the advection-diffusion kernel at t = 0. Every field must be finite.
     """
 
     alpha: float = 1.0
@@ -32,6 +32,9 @@ class PdeParams:
     L: float = 0.4
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "nu", "sigma", "L"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.nu < 0:
             raise ValueError(f"nu must be nonnegative, got {self.nu}")
         if self.sigma <= 0:

@@ -45,10 +45,18 @@ PDES = tuple(dict.fromkeys(pde for pde, _ in _STEPPERS))
 SCHEMES_BY_PDE = {pde: tuple(s for p, s in _STEPPERS if p == pde) for pde in PDES}
 # The one pair whose nodes may slide with the mesh velocity.
 SLIDING = ("vbe", "sym")
+# The pairs whose step plus Dirichlet refresh is one affine map u <- M u + E b
+# (M = I + T with its Dirichlet rows zeroed, E b puts the row b on the
+# Dirichlet nodes). On lines of at most compact_ops.DENSE_MAX nodes a full
+# block of m steps is then one product, u <- [M^m G] [u; b_1 .. b_m] with
+# G = [M^(m-1) E, ..., M E, E]; longer lines keep the band step, as M^m is dense.
+AFFINE = (("ade1d", "ftcs"), ("ade1d", "comp"))
 
-# Steps whose Dirichlet values evolve draws from one provider call. A block
-# holds BOUNDARY_BLOCK x (boundary nodes) values: 4 kB in 1D, 0.2 MB on a
-# 26 x 26 grid, where the 2D reference's temporaries peak near 1 MB.
+# Steps whose Dirichlet values evolve draws from one provider call, and so
+# the steps of one advance_block call. A block holds BOUNDARY_BLOCK x
+# (boundary nodes) values: 4 kB in 1D, 0.2 MB on a 26 x 26 grid, where the
+# 2D reference's temporaries peak near 1 MB. An AFFINE pair's block map holds
+# n x (n + 2 BOUNDARY_BLOCK) values: 0.3 MB on 61 nodes.
 BOUNDARY_BLOCK = 256
 
 # t_final must lie within this fraction of one step of a whole number of
@@ -85,6 +93,8 @@ class StepContext:
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if not math.isfinite(self.mesh_velocity):
+            raise ValueError(f"mesh_velocity must be finite, got {self.mesh_velocity}")
         # Advisory stability screens on the constant speeds alpha (x) and beta
         # (y), not the Burgers speed u; forward Euler shows NonFinite if ignored.
         self.courant = self.diffusion = 0.0  # the largest over the axes
@@ -186,9 +196,38 @@ def _check_finite(u):
         raise NonFinite("step produced non-finite values; the run is unstable")
 
 
+def _block_map(update, grid, params, tau, index, m):
+    """[M^m G] of an AFFINE pair (see AFFINE), for a block of m steps on the
+    vector [u; b_1 .. b_m]. M is probed through update on the unit vectors, as
+    compact_ops probes D, so the table stays the one source of each step. The
+    power k runs up m's binary digits: doubling takes M^k to M^2k and
+    [M^(k-1) E, ..., E] to [M^(2k-1) E, ..., E] by prepending its product
+    with M^k; a one digit then prepends M^k E and multiplies M^k by M. Every
+    product is an einsum, which never warns."""
+    n, nodes = grid.shape[0], index[0]
+    single = np.stack([update(e, grid, params, tau) for e in np.eye(n)], axis=1)
+    single[index] = 0.0
+    power, inflow = np.eye(n), np.empty((n, 0))
+    for digit in bin(m)[2:]:
+        inflow = np.hstack((np.einsum("ij,jk->ik", power, inflow), inflow))
+        power = np.einsum("ij,jk->ik", power, power)
+        if digit == "1":
+            inflow = np.hstack((power[:, nodes], inflow))
+            power = np.einsum("ij,jk->ik", single, power)
+    block = np.hstack((power, inflow))
+    _check_finite(block)
+    return block
+
+
 def _stepper(pde: str, scheme: str, ctx: StepContext) -> Callable:
-    """step's body, resolved once per pair and context as advance(u, boundary).
-    It reads _STEPPERS on each call, so a patched table is seen."""
+    """step's body, resolved once per pair and context as advance_block(u, rows):
+    one step per boundary row of rows (None: one step, its row drawn for
+    ctx.t + tau), each the update, the Dirichlet refresh and the finite check.
+    An AFFINE pair on a line of at most DENSE_MAX nodes takes a block of
+    BOUNDARY_BLOCK rows as one product (see AFFINE), checked once per block;
+    its map is built on the first such block, so a run shorter than one block
+    or a step never builds it. It reads _STEPPERS on each call, so a patched
+    table is seen."""
     try:
         update = _STEPPERS[(pde, scheme)]
     except KeyError:
@@ -199,19 +238,30 @@ def _stepper(pde: str, scheme: str, ctx: StepContext) -> Callable:
     grid, params, tau, index = ctx.grid, ctx.params, ctx.tau, ctx.grid.dirichlet[0]
     if len(grid.shape) != (2 if pde == "ade2d" else 1):
         raise ShapeMismatch(f"pde {pde!r} does not fit a grid of shape {grid.shape}")
+    affine = (pde, scheme) in AFFINE and grid.shape[0] <= compact_ops.DENSE_MAX
+    block = None  # the AFFINE map, once built
 
-    def advance(u, boundary=None):
+    def advance_block(u, rows=None):
+        nonlocal block
         u = np.asarray(u, dtype=float)
         if u.shape != grid.shape:
             raise ShapeMismatch(f"field shape {u.shape} does not fit the grid {grid.shape}")
-        new = update(u, grid, params, tau, *extra)
-        if boundary is None:
-            boundary = boundary_values(ctx, np.array([ctx.t + tau]))[0]
-        new[index] = boundary
-        _check_finite(new)
-        return new
+        if rows is None:  # one step, to ctx.t + tau
+            rows = boundary_values(ctx, np.array([ctx.t + tau]))
+        if affine and len(rows) == BOUNDARY_BLOCK:
+            if block is None:
+                block = _block_map(update, grid, params, tau, index, BOUNDARY_BLOCK)
+            u = np.einsum("ij,j->i", block, np.concatenate((u, rows.ravel())))
+            u[index] = rows[-1]
+            _check_finite(u)
+            return u
+        for row in rows:
+            u = update(u, grid, params, tau, *extra)
+            u[index] = row
+            _check_finite(u)
+        return u
 
-    return advance
+    return advance_block
 
 
 def step(
@@ -227,9 +277,11 @@ def step(
     ShapeMismatch for a field off the grid or a grid of another dimension
     than the pde's, ValueError for an unknown pair
     or a sliding mesh on a static-mesh scheme, and NonFinite when the new
-    field is not finite.
+    field is not finite. It is a block of one row, so it takes the step
+    by step path of every pair.
     """
-    return _stepper(pde, scheme, ctx)(u, boundary)
+    rows = None if boundary is None else np.asarray(boundary)[None]
+    return _stepper(pde, scheme, ctx)(u, rows)
 
 
 def evolve(
@@ -242,13 +294,19 @@ def evolve(
     exact: Optional[Callable] = None,
     mesh_velocity: float = 0.0,
 ) -> Tuple[Field, Field, ErrorReport]:
-    """March from exact initial data to t_final with step()'s body, resolved once.
+    """March from exact initial data to t_final with step()'s body, resolved once
+    and called once per block of BOUNDARY_BLOCK steps with that block's rows.
 
     Returns (numeric, reference, report). The reference is the exact
     solution sampled on the final node positions, which differ from the
     initial ones only for the sliding-mesh runs (mesh_velocity != 0).
-    Raises ValueError before the first step unless tau is positive and
-    finite and t_final nonnegative and finite.
+    Every pair steps as step() does, bit for bit, except that an AFFINE pair
+    on a line of at most DENSE_MAX nodes takes each full block as one product:
+    that agrees with its steps to roundoff (within n_steps ulp of max|u|), and
+    an unstable run raises NonFinite up to a block later. Raises ValueError or
+    ShapeMismatch for the pair and grid before the initial data are drawn, and
+    ValueError before the first step unless tau is positive and finite and
+    t_final nonnegative and finite.
     """
     if exact is None:
         exact = default_exact(pde, params)
@@ -261,14 +319,13 @@ def evolve(
             f"t_final = {t_final} is not a whole number of steps of tau = {tau}"
         )
     start = time.perf_counter()
+    advance_block = _stepper(pde, scheme, ctx)  # checks the pair and grid first
     mesh = np.meshgrid(*grid.axes, indexing="ij")
     u = exact(0.0, *mesh)
-    advance = _stepper(pde, scheme, ctx)
     for k0 in range(0, n_steps, BOUNDARY_BLOCK):
         k1 = min(k0 + BOUNDARY_BLOCK, n_steps)
         # k * tau + tau is the t + tau of step k, computed the same way.
-        for row in boundary_values(ctx, np.arange(k0, k1) * tau + tau):
-            u = advance(u, row)
+        u = advance_block(u, boundary_values(ctx, np.arange(k0, k1) * tau + tau))
     ref = exact(t_final, *(c + mesh_velocity * t_final for c in mesh))
     # n and h stay one number in 1D, a tuple per axis in 2D
     n, h = (grid.shape, grid.spacing) if len(grid.shape) > 1 else (grid.n, grid.h)

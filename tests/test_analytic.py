@@ -212,6 +212,13 @@ def test_params_validation():
         PdeParams(L=-1.0)
 
 
+@pytest.mark.parametrize("field", ["alpha", "beta", "nu", "sigma", "L"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        PdeParams(**{field: value})
+
+
 class TestArrayTimes:
     """t may be an array that broadcasts against the coordinates."""
 

@@ -23,9 +23,11 @@ from symfd import (
     rmse,
     step,
 )
-from symfd.errors import ShapeMismatch
+from symfd import compact_ops, metrics
+from symfd.errors import NonFinite, ShapeMismatch
 from symfd.metrics import (
     _STEPPERS,
+    AFFINE,
     BOUNDARY_BLOCK,
     PDES,
     SCHEMES_BY_PDE,
@@ -35,6 +37,7 @@ from symfd.metrics import (
 )
 
 ADE_PARAMS = PdeParams(alpha=1.0, nu=1.0 / 60.0, L=0.4)
+EPS = np.finfo(float).eps
 
 
 class TestErrorMeasures:
@@ -192,7 +195,8 @@ class TestEvolve:
 
 class TestResolvedOnce:
     """evolve resolves the update once per run, step once per call; both run
-    the same per-step body (TestBoundaryBlock checks they give the same bits)."""
+    the same per-step body (TestBoundaryBlock checks they give the same bits),
+    except on the AFFINE pairs' full blocks (TestAffineBlock)."""
 
     @pytest.mark.parametrize(
         "pde, scheme, velocity",
@@ -210,7 +214,30 @@ class TestResolvedOnce:
         grid = BLOCK_GRIDS[pde]
         with pytest.raises(ValueError):
             evolve(pde, scheme, grid, 1e-3, 0.01, params, exact=provider, mesh_velocity=velocity)
-        assert times == [0.0]  # the initial data, and no boundary values
+        assert times == []  # not even the initial data
+
+    @pytest.mark.parametrize(
+        "pde, grid", [("ade2d", Grid1D(0.0, 0.1, 11)), ("ade1d", Grid2D(0.0, 0.0, 0.1, 0.1, 7, 7))]
+    )
+    def test_evolve_rejects_a_grid_of_another_dimension_before_the_initial_data(self, pde, grid):
+        exact, times = default_exact(pde, ADE_PARAMS), []
+
+        def provider(t, *x):
+            times.append(t)
+            return exact(t, *x)
+
+        with pytest.raises(ShapeMismatch):
+            evolve(pde, "ftcs", grid, 1e-3, 0.01, ADE_PARAMS, exact=provider)
+        assert times == []
+
+    @pytest.mark.parametrize("velocity", [math.inf, -math.inf, math.nan])
+    def test_non_finite_mesh_velocity_rejected(self, velocity):
+        params, grid = PdeParams(nu=0.1), BLOCK_GRIDS["vbe"]
+        exact = default_exact("vbe", params)
+        with pytest.raises(ValueError, match="mesh_velocity"):
+            StepContext(grid, params, 1e-3, 0.0, exact, mesh_velocity=velocity)
+        with pytest.raises(ValueError, match="mesh_velocity"):
+            evolve("vbe", "sym", grid, 1e-3, 0.01, params, mesh_velocity=velocity)
 
     @pytest.mark.parametrize("pde, scheme", list(_STEPPERS))
     def test_step_rejects_a_field_off_the_grid(self, pde, scheme):
@@ -299,6 +326,16 @@ def per_piece_boundary(provider, grid, t, shift=0.0):
     return field
 
 
+def single_steps(pde, scheme, grid, params, exact, tau, n_steps, velocity=0.0):
+    """n_steps calls of step from the exact data at t = 0."""
+    v = exact(0.0, *np.meshgrid(*grid.axes, indexing="ij"))
+    ctx = StepContext(grid, params, tau, 0.0, exact, mesh_velocity=velocity)
+    for k in range(n_steps):
+        ctx.t = k * tau
+        v = step(pde, scheme, v, ctx)
+    return v
+
+
 BLOCK_GRIDS = {
     "ibe": Grid1D(-3.0, 0.2, 31),
     "ade1d": Grid1D(-2.0, 0.2, 31),
@@ -371,14 +408,18 @@ class TestBoundaryBlock:
         assert len(calls) == 4
         assert [np.size(t) for t in calls[1:3]] == [BOUNDARY_BLOCK, 7]
 
-        if pde == "ade2d":
-            v = exact(0.0, *np.meshgrid(grid.x, grid.y, indexing="ij"))
+        v = single_steps(pde, scheme, grid, params, exact, tau, n_steps, velocity)
+        if (pde, scheme) in AFFINE:  # the full block is one product: equal to roundoff
+            assert np.abs(u - v).max() <= n_steps * EPS * np.abs(v).max()
         else:
-            v = exact(0.0, grid.x)
-        ctx = StepContext(grid, params, tau, 0.0, exact, mesh_velocity=velocity)
-        for k in range(n_steps):
-            ctx.t = k * tau
-            v = step(pde, scheme, v, ctx)
+            assert np.array_equal(u, v)
+
+    @pytest.mark.parametrize("pde, scheme", AFFINE)
+    def test_run_shorter_than_a_block_matches_single_steps_bit_for_bit(self, pde, scheme):
+        exact, grid, tau = default_exact(pde, ADE_PARAMS), BLOCK_GRIDS[pde], 1e-4
+        n_steps = BOUNDARY_BLOCK - 1
+        u = evolve(pde, scheme, grid, tau, n_steps * tau, ADE_PARAMS)[0]
+        v = single_steps(pde, scheme, grid, ADE_PARAMS, exact, tau, n_steps)
         assert np.array_equal(u, v)
 
     @pytest.mark.parametrize("pde, scheme", [("vbe", "sym"), ("ade2d", "ftcs")])
@@ -401,3 +442,94 @@ class TestBoundaryBlock:
         assert np.array_equal(out[index], field[index])
         row = boundary_values(ctx, np.array([t0 + tau]))[0]
         assert np.array_equal(step(pde, scheme, u, ctx, row), out)
+
+
+class TestAffineBlock:
+    """The AFFINE pairs take each full block of steps as one product with the
+    block map [M^m G]. They must agree with their step-by-step runs to
+    roundoff, fail as loudly, keep the band step on long lines, and build the
+    map only when a full block comes."""
+
+    @pytest.mark.parametrize("n", [31, 41, 61])
+    @pytest.mark.parametrize("scheme", ["ftcs", "comp"])
+    def test_criterion_5_runs_match_their_steps(self, scheme, n, monkeypatch):
+        grid = grid_for("ade1d", (-2.0, 4.0), n)
+        u, _, rep = evolve("ade1d", scheme, grid, 1e-5, 0.5, ADE_PARAMS)
+        monkeypatch.setattr(metrics, "AFFINE", ())  # one step per row
+        v, _, stepwise = evolve("ade1d", scheme, grid, 1e-5, 0.5, ADE_PARAMS)
+        assert rep.n_steps == stepwise.n_steps == 50_000
+        assert np.abs(u - v).max() <= rep.n_steps * EPS * np.abs(v).max()
+
+    @pytest.mark.parametrize("scheme", ["ftcs", "comp"])
+    def test_unstable_block_map_raises_when_built(self, scheme):
+        # diffusion number 5: the FTCS factor 1 - 4 * 5 = -19 per step, and
+        # 19^256 is past the largest float
+        grid, tau = BLOCK_GRIDS["ade1d"], 1e-3
+        params = PdeParams(alpha=1.0, nu=5.0 * grid.h**2 / tau, L=0.4)
+        update, index = _STEPPERS[("ade1d", scheme)], grid.dirichlet[0]
+        with pytest.raises(NonFinite):
+            metrics._block_map(update, grid, params, tau, index, BOUNDARY_BLOCK)
+        exact, blocks = default_exact("ade1d", params), []
+
+        def provider(t, x):
+            blocks.append(np.size(t))
+            return exact(t, x)
+
+        with pytest.warns(RuntimeWarning, match="diffusion number"):
+            with pytest.raises(NonFinite):
+                evolve("ade1d", scheme, grid, tau, 10 * BOUNDARY_BLOCK * tau, params,
+                       exact=provider)
+        assert blocks == [1, BOUNDARY_BLOCK]  # the initial data and the first block
+
+    @pytest.mark.parametrize("scheme", ["ftcs", "comp"])
+    def test_unstable_field_raises_a_few_blocks_in(self, scheme):
+        # diffusion number 0.7: the block map is finite, the field grows by
+        # at most about 1.8^256 per block and overflows after a few
+        grid, tau = BLOCK_GRIDS["ade1d"], 1e-3
+        params = PdeParams(alpha=1.0, nu=0.7 * grid.h**2 / tau, L=0.4)
+        update, index = _STEPPERS[("ade1d", scheme)], grid.dirichlet[0]
+        block = metrics._block_map(update, grid, params, tau, index, BOUNDARY_BLOCK)
+        assert np.isfinite(block).all()
+        exact, blocks = default_exact("ade1d", params), []
+
+        def provider(t, x):
+            blocks.append(np.size(t))
+            return exact(t, x)
+
+        with pytest.warns(RuntimeWarning, match="diffusion number"):
+            with pytest.raises(NonFinite):
+                evolve("ade1d", scheme, grid, tau, 10 * BOUNDARY_BLOCK * tau, params,
+                       exact=provider)
+        assert 3 <= len(blocks) - 1 < 10
+
+    @pytest.mark.parametrize("scheme", ["ftcs", "comp"])
+    def test_line_past_dense_max_keeps_the_stepwise_bits(self, scheme):
+        grid = grid_for("ade1d", (-2.0, 4.0), compact_ops.DENSE_MAX + 1)
+        exact, tau, n_steps = default_exact("ade1d", ADE_PARAMS), 1e-3, BOUNDARY_BLOCK + 3
+        u = evolve("ade1d", scheme, grid, tau, n_steps * tau, ADE_PARAMS)[0]
+        v = single_steps("ade1d", scheme, grid, ADE_PARAMS, exact, tau, n_steps)
+        assert np.array_equal(u, v)
+
+    @pytest.mark.parametrize("pair", AFFINE)
+    def test_only_a_full_block_builds_the_map(self, pair, monkeypatch):
+        update, calls = _STEPPERS[pair], []
+
+        def counted(u, *args, **kwargs):
+            calls.append(u.shape)
+            return update(u, *args, **kwargs)
+
+        monkeypatch.setitem(_STEPPERS, pair, counted)
+        grid, tau = BLOCK_GRIDS["ade1d"], 1e-4
+        exact = default_exact("ade1d", ADE_PARAMS)
+        ctx = StepContext(grid, ADE_PARAMS, tau, 0.0, exact)
+        u = exact(0.0, grid.x)
+        for _ in range(3):
+            u = step(*pair, u, ctx)
+        assert len(calls) == 3  # one update per step
+        calls.clear()
+        evolve(*pair, grid, tau, (BOUNDARY_BLOCK - 1) * tau, ADE_PARAMS)
+        assert len(calls) == BOUNDARY_BLOCK - 1
+        calls.clear()
+        evolve(*pair, grid, tau, (2 * BOUNDARY_BLOCK + 5) * tau, ADE_PARAMS)
+        # one probe per node, once per run, then the last partial block's steps
+        assert len(calls) == grid.n + 5
