@@ -3,12 +3,16 @@
 Each function is one forward-Euler update of the interior: it returns the
 new field and leaves the boundary nodes for the caller to refresh. FTCS and
 COMP share one body per problem and differ only in the derivative pair ops
-they are given: Central here, or the compact d1/d2 of compact_ops. The
-inviscid Burgers COMP update keeps its own body for the defect term. The
+they are given: Central here, or the compact d1/d2 of compact_ops; the
+Burgers bodies read u_x and u_xx together from ops.derivatives, for the
+compact pair one stored product. The inviscid Burgers COMP update keeps its
+own body for the defect term. The
 advection-diffusion step has one body for 1D and 2D: u + sum over the axes of
 T u, T = tau (nu D2 - speed D1) stored per axis (compact_ops.linear), the
 speed being alpha on x and beta on y.
 """
+
+from typing import Tuple
 
 import numpy as np
 
@@ -20,9 +24,9 @@ from .compact_ops import Field, Grid, Grid1D
 class Central:
     """Second-order central differences, the derivative pair of FTCS.
 
-    Same call as compact_ops.d1/d2 on 1D and 2D fields; the end nodes along
-    the axis get 0. compact_ops.linear stores their three-point operators as
-    a band at every n: a dense n x n product costs n/3 times as much.
+    Same call as compact_ops.d1/d2/derivatives on 1D and 2D fields; the end
+    nodes along the axis get 0. compact_ops.linear stores their three-point
+    operators as a band at every n: a dense n x n product costs n/3 times as much.
     """
 
     HALF_WIDTH, DENSE_MAX = {1: 1, 2: 1}, 0
@@ -44,6 +48,10 @@ class Central:
         dv[0] = dv[-1] = 0.0
         return d
 
+    @staticmethod
+    def derivatives(u: Field, grid: Grid, axis: int = 0) -> Tuple[Field, Field]:
+        return Central.d1(u, grid, axis), Central.d2(u, grid, axis)
+
 
 def ibe_ftcs_update(u: Field, grid: Grid1D, params: PdeParams, tau: float) -> Field:
     """Forward-Euler update of u_t + u u_x = 0, central differences."""
@@ -57,14 +65,14 @@ def ibe_comp_update(u: Field, grid: Grid1D, params: PdeParams, tau: float) -> Fi
     second time derivative of the solution, lifting the update to second
     order in time.
     """
-    ux = compact_ops.d1(u, grid)
-    uxx = compact_ops.d2(u, grid)
+    ux, uxx = compact_ops.derivatives(u, grid)
     return u - tau * u * ux + 0.5 * tau * tau * (u * u * uxx + 2.0 * u * ux * ux)
 
 
 def vbe_update(u: Field, grid: Grid1D, params: PdeParams, tau: float, ops) -> Field:
     """Forward-Euler update of u_t + u u_x = nu u_xx with ops' derivatives."""
-    return u - tau * (u * ops.d1(u, grid) - params.nu * ops.d2(u, grid))
+    ux, uxx = ops.derivatives(u, grid)
+    return u - tau * (u * ux - params.nu * uxx)
 
 
 def ade_update(u: Field, grid: Grid, params: PdeParams, tau: float, ops) -> Field:

@@ -11,14 +11,20 @@ the end derivatives to caller-supplied exact values. d1 and d2 take the axis
 to differentiate along.
 
 Written as A U' = B U (Lele, J. Comput. Phys. 103, 1992), a one-sided
-derivative is one product with D = A^-1 B: dense on axes of n <= DENSE_MAX
-nodes, and as its band |i - j| <= w = HALF_WIDTH[order] on longer ones. A grid
-keeps, per key ((order, axis) here, (ops, axis, c1, c2) for linear) and for its
-life, the read-only operator in derivative_matrices, bound on first use to its
-product in products; a band's product also holds a zero-padded line buffer, so
-one grid must not be stepped from two threads at once. The pinned-end closure
-builds B U and applies the factor of A (see tridiag), shared by every grid of
-that n.
+derivative is one product with D = A^-1 B. A grid keeps, per axis and for its
+life, the one-sided pair [D1; D2], bound on first use: on axes of n <=
+DENSE_MAX nodes the stacked (2, n, n) D, applied by one einsum, and on longer
+ones the two bands |i - j| <= w = HALF_WIDTH[order], read through their
+windows of one zero-padded line buffer of the wider band, so that both cost
+one copy of the field. derivatives returns (u', u'') from that one product;
+d1 and d2 each apply their half alone. grid.products holds each half's
+product under (order, axis), with .pair the product of both, and
+grid.derivative_matrices its read-only operator: a view of the stack, (n, n),
+or the band, (n, 2w + 1); no operator is stored twice. linear stores its one
+operator under (ops, axis, c1, c2) the same way. A band's product writes the
+grid's line buffer, so one grid must not be stepped from two threads at once.
+The pinned-end closure builds B U and applies the factor of A (see tridiag),
+shared by every grid of that n.
 
 The interior rows of A are (1, 4, 1)/6 and (1, 10, 1)/12, so the entries of
 A^-1, and of D, decay as r^|i-j| with r = 2 - sqrt(3) ~ 0.27 (order 1) and
@@ -51,11 +57,14 @@ from .tridiag import factor, solve
 Field = np.ndarray
 
 
-# Largest line length whose operator is stored as a dense D. Not the speed
-# crossover: per d1 call, dense against band took 5.7 vs 6.8 us at n = 101,
-# 8.8 vs 7.6 us at n = 150 and 20.5 vs 9.7 us at n = 256 (2-core x86-64,
-# numpy 2.4.6); 256 keeps every line the dense D served bit for bit.
-DENSE_MAX = 256
+# Largest line length whose operators are stored as a dense D: the measured
+# speed crossover of one (d1, d2) pair on one line, the stacked dense product
+# against the two bands (best of 5 rounds of timeit, 2-core x86-64, numpy
+# 2.4.6): 9.8 vs 10.8 us at n = 101, 11.4 vs 12.0 us at 111, 14.2 vs 11.2 us
+# at 116 and 12.6 vs 11.1 us at 128. Square 2D grids cross earlier, near 50
+# nodes a side (153 vs 129 us per pair at 61^2), as a dense D costs n^2 per
+# line; no study grid has more than 26 a side.
+DENSE_MAX = 112
 # Half-width of the stored band of D per derivative order (see above).
 HALF_WIDTH = {1: 29, 2: 18}
 
@@ -245,76 +254,146 @@ def _lookup(key, u, grid, axis):
     return u, grid.products.get(key)
 
 
-def _bind(key, grid, axis, dense_max, w, probe, *args):
-    """Bind on grid under key the product along axis of what probe(comb, n, h,
-    *args) gives on the comb (see above): D and one einsum for n <= dense_max,
-    else the band |i - j| <= w and one copy into the interior of the grid's
-    zero-padded line buffer before the einsum. Key None applies probe to lines."""
-    n, h = grid.shape[axis], grid.spacing[axis]
-    if key is None:
-        swap = lambda a: np.ascontiguousarray(a.swapaxes(0, axis))
-        return lambda u: swap(probe(swap(u), n, h, *args))
-    p = n if n <= dense_max else 2 * w + 1
+def _comb(n, p):
+    """The (n, p) probe E[j, j mod p] = 1: the identity for p = n (see above)."""
     comb = np.zeros((n, p))
     comb[np.arange(n), np.arange(n) % p] = 1.0
-    d = probe(comb, n, h, *args)
-    # On contiguous rows, einsum sums a line's outputs in the same order alone
-    # as among many lines, so its bits do not depend on the field; BLAS does not.
+    return comb
+
+
+def _bind(grid, axis, dense_max, parts):
+    """The products along axis of grid of the operators that parts[k] = (w, probe,
+    *args) give as probe(comb, n, h, *args) on the comb (see above): (both,
+    halves), where both(u) applies every operator and halves[k](u) the k-th
+    alone, with the operator as halves[k].operator. For n <= dense_max the
+    operators are stacked as one (k, n, n) D and applied by one einsum; longer
+    lines store each band |i - j| <= w and read it through its window of one
+    zero-padded line buffer of the widest w, into which a call copies u once."""
+    n, h = grid.shape[axis], grid.spacing[axis]
     across = len(grid.shape) == 2 and axis == 0  # the lines are the columns of u
-    if p == n:
-        spec = "kj,ij->ik" if across else "...j,ij->...i"
-        product = lambda u: np.einsum(spec, np.ascontiguousarray(u.T if across else u), d)
+    if n <= dense_max:
+        d = np.empty((len(parts), n, n))
+        for dk, (_, probe, *args) in zip(d, parts):
+            dk[...] = probe(_comb(n, n), n, h, *args)
+        operators = list(_read_only(d))
+        # On contiguous rows, einsum sums a line's outputs in the same order alone
+        # as among many lines or operators, so its bits depend on neither the
+        # field nor the stacking; BLAS does not.
+        one = "kj,ij->ik" if across else "...j,ij->...i"
+        if across:
+            both = lambda u: np.einsum("kj,oij->oik", np.ascontiguousarray(u.T), d)
+        elif len(grid.shape) == 2:  # rows: (lines, 2, n) is a fifth faster to write
+            both = lambda u: np.einsum("kj,oij->koi", np.ascontiguousarray(u), d).swapaxes(0, 1)
+        else:
+            both = lambda u: np.einsum("j,oij->oi", np.ascontiguousarray(u), d)
+        halves = [
+            lambda u, dk=dk: np.einsum(one, np.ascontiguousarray(u.T if across else u), dk)
+            for dk in operators
+        ]
     else:
-        j = np.arange(n)[:, None] + np.arange(p) - w  # column of band[i, k]
-        d = np.take_along_axis(d, j % p, axis=1)
-        d[(j < 0) | (j >= n)] = 0.0
+        operators = []
+        for w, probe, *args in parts:
+            p = 2 * w + 1
+            band = probe(_comb(n, p), n, h, *args)
+            j = np.arange(n)[:, None] + np.arange(p) - w  # column of band[i, k]
+            band = np.take_along_axis(band, j % p, axis=1)
+            band[(j < 0) | (j >= n)] = 0.0
+            operators.append(_read_only(band))
         # band[i, k] meets node i - w + k: a window view of the zero-padded lines
+        widest = max(w for w, *_ in parts)
         shape = grid.shape[::-1] if across else grid.shape
-        padded = np.zeros(shape[:-1] + (n + 2 * w,))
-        inner, strides = padded[..., w : n + w], padded.strides + padded.strides[-1:]
-        window = np.ndarray(shape + (p,), float, padded, 0, strides)
+        padded = np.zeros(shape[:-1] + (n + 2 * widest,))
+        inner, strides = padded[..., widest : n + widest], padded.strides + padded.strides[-1:]
+        windows = [
+            np.ndarray(shape + (2 * w + 1,), float, padded, (widest - w) * padded.itemsize, strides)
+            for w, *_ in parts
+        ]
 
-        def product(u):
+        # written in u's layout: across, a (lines, n) result would need a copy
+        spec, fields = ("ik,...ik->i..." if across else "ik,...ik->...i"), grid.shape
+        product = lambda band, window: np.einsum(spec, band, window, out=np.empty(fields))
+
+        def both(u):
             inner[...] = u.T if across else u
-            out = np.einsum("ik,...ik->...i", d, window)
-            return np.ascontiguousarray(out.T) if across else out
+            return [product(band, window) for band, window in zip(operators, windows)]
 
-    product.operator = _read_only(d)
-    grid.products[key] = product
-    return product
+        def reader(band, window):
+            def half(u):
+                inner[...] = u.T if across else u
+                return product(band, window)
+
+            return half
+
+        halves = [reader(band, window) for band, window in zip(operators, windows)]
+    for half, operator in zip(halves, operators):
+        half.operator = operator
+    return both, halves
 
 
-def _solved(lines, n, h, order, rhs_of, bp):
+_RHS = {1: _first_derivative_rhs, 2: _second_derivative_rhs}
+
+
+def _solved(lines, n, h, order, bp):
     """The order's compact derivative of each column of lines, by one solve."""
-    return solve(_operator(order, n, bp.kind), rhs_of(lines, h, bp))
+    return solve(_operator(order, n, bp.kind), _RHS[order](lines, h, bp))
+
+
+def _bind_compact(grid, axis):
+    """Bind on grid the one-sided [D1; D2] along axis: D1's product under (1, axis)
+    and D2's under (2, axis), each with .pair, the product of both."""
+    parts = [(HALF_WIDTH[order], _solved, order, ONE_SIDED) for order in (1, 2)]
+    pair, halves = _bind(grid, axis, DENSE_MAX, parts)
+    for order, product in enumerate(halves, 1):
+        product.pair = pair
+        grid.products[order, axis] = product
+    return halves
+
+
+def _derivative(order, u, grid, axis, bp):
+    """d1 or d2: a thin reader of its half of the stored pair, or with pinned
+    ends one solve of the lines."""
+    if bp.kind == "exact":  # nothing is stored under None: only the checks
+        u, _ = _lookup(None, u, grid, axis)
+        n, h = grid.shape[axis], grid.spacing[axis]
+        swap = lambda a: np.ascontiguousarray(a.swapaxes(0, axis))
+        return swap(_solved(swap(u), n, h, order, bp))
+    u, product = _lookup((order, axis), u, grid, axis)
+    if product is None:
+        product = _bind_compact(grid, axis)[order - 1]
+    return product(u)
 
 
 def d1(u: Field, grid: Grid, axis: int = 0, bp: BoundaryPolicy = ONE_SIDED) -> Field:
     """First derivative along one axis, fourth-order in the interior."""
-    key, w = (None if bp.kind == "exact" else (1, axis)), HALF_WIDTH[1]
-    u, product = _lookup(key, u, grid, axis)
-    if product is None:
-        product = _bind(key, grid, axis, DENSE_MAX, w, _solved, 1, _first_derivative_rhs, bp)
-    return product(u)
+    return _derivative(1, u, grid, axis, bp)
 
 
 def d2(u: Field, grid: Grid, axis: int = 0, bp: BoundaryPolicy = ONE_SIDED) -> Field:
     """Second derivative along one axis, fourth-order in the interior."""
-    key, w = (None if bp.kind == "exact" else (2, axis)), HALF_WIDTH[2]
-    u, product = _lookup(key, u, grid, axis)
-    if product is None:
-        product = _bind(key, grid, axis, DENSE_MAX, w, _solved, 2, _second_derivative_rhs, bp)
-    return product(u)
+    return _derivative(2, u, grid, axis, bp)
+
+
+def derivatives(u: Field, grid: Grid, axis: int = 0) -> Tuple[Field, Field]:
+    """(u', u'') along one axis with one-sided ends, bit for bit those of d1 and
+    d2, from one product with the stored [D1; D2] (on a dense line the two
+    halves of one (2, ...) array): a step that reads both pays for one call."""
+    u, first = _lookup((1, axis), u, grid, axis)
+    if first is None:
+        first = _bind_compact(grid, axis)[0]
+    return first.pair(u)
 
 
 def _pair(comb, n, h, ops, c1, c2):
     """c1 ops.d1 + c2 ops.d2 of each column of comb, on a bare grid of its shape
-    (a Grid2D would refuse Central's three columns). D1 is dropped before D2 is
-    built: on 1601 nodes that keeps the first step's peak at 4.9 MB, not 5.3."""
+    (a Grid2D would refuse Central's three columns). This module's d1 binds the
+    pair on it, which d2 then reads; the sum is formed in d2's fresh result."""
     lines = SimpleNamespace(shape=comb.shape, spacing=(h, 1.0), products={})
-    t = c1 * ops.d1(comb, lines)
-    lines.products.clear()
-    return t + c2 * ops.d2(comb, lines)
+    t = ops.d1(comb, lines)
+    t *= c1
+    second = ops.d2(comb, lines)
+    second *= c2
+    second += t
+    return second
 
 
 def linear(u: Field, grid: Grid, axis: int, ops, c1: float, c2: float) -> Field:
@@ -325,5 +404,6 @@ def linear(u: Field, grid: Grid, axis: int, ops, c1: float, c2: float) -> Field:
     u, product = _lookup(key, u, grid, axis)
     if product is None:
         w = max(ops.HALF_WIDTH.values())
-        product = _bind(key, grid, axis, ops.DENSE_MAX, w, _pair, ops, c1, c2)
+        (product,) = _bind(grid, axis, ops.DENSE_MAX, [(w, _pair, ops, c1, c2)])[1]
+        grid.products[key] = product
     return product(u)

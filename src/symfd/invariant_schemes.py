@@ -7,9 +7,18 @@ back. For these four problems the composition collapses to closed-form
 per-node updates in the original variables, implemented below. Like the
 baseline updates they return the new field and leave the boundary nodes to
 the caller.
+
+A frame is a MovingFrame, the tuple (s1, lambda_next) of per-node arrays: s1
+is the projective parameter the normalization fixes, lambda_next the
+projective factor at the new time level. The Burgers steps share ibe_frame,
+s1 = -u_x and lambda = 1 + tau u_x; the advection-diffusion step has
+ade_frame, s1 = sum_k u_kk / (2 d u) over its d framed axes and lambda =
+1 - (4 nu tau) s1. Each update reads u_x and u_xx of an axis from one stored
+product (compact_ops.derivatives) and computes only the parts of its frame
+that it reads: the Burgers steps never form s1 = -u_x.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +36,7 @@ ZERO_STATE_TOL = 1e-12
 ADE2D_VARIANTS = ("sym1", "sym2")
 
 
-@dataclass
-class MovingFrame:
+class MovingFrame(NamedTuple):
     """Normalized group parameters of one invariantized step, per node.
 
     s1 is the projective parameter fixed by the scheme's normalization;
@@ -58,9 +66,8 @@ _INTERIOR_1D = np.s_[1:-1]
 
 
 def ibe_frame(ux: np.ndarray, tau: float) -> MovingFrame:
-    """Frame of both Burgers steps: s1 = -u_x, lambda = 1 - s1 tau."""
-    s1 = -ux
-    return MovingFrame(s1=s1, lambda_next=1.0 - s1 * tau)
+    """Frame of both Burgers steps: s1 = -u_x, lambda = 1 - s1 tau = 1 + tau u_x."""
+    return MovingFrame(s1=-ux, lambda_next=1.0 + tau * ux)
 
 
 def ibe_sym_update(u: Field, grid: Grid1D, params: PdeParams, tau: float) -> Field:
@@ -70,11 +77,11 @@ def ibe_sym_update(u: Field, grid: Grid1D, params: PdeParams, tau: float) -> Fie
     frame absorbs the advection term entirely; on locally linear data the
     update is exact (see the one-step tests).
     """
-    frame = ibe_frame(compact_ops.d1(u, grid), tau)
-    lam = frame.lambda_next
+    ux, uxx = compact_ops.derivatives(u, grid)
+    lam = 1.0 + tau * ux  # ibe_frame's lambda
     _check_lambda_positive(lam, _INTERIOR_1D)
-    uxx = compact_ops.d2(u, grid)
-    return (u + (tau * tau / (2.0 * lam * lam)) * u * u * uxx) / lam
+    # 0.5 tau^2 / lambda^2 is tau^2 / (2 lambda^2) bit for bit: halving is exact
+    return (u + (0.5 * tau * tau / (lam * lam)) * u * u * uxx) / lam
 
 
 def vbe_sym_update(
@@ -83,25 +90,25 @@ def vbe_sym_update(
     """Invariantized compact update of u_t + u u_x = nu u_xx.
 
     u_new = (u - s1 dx + tau nu u_xx / lambda) / lambda, where dx is the
-    node displacement over the step. On the static mesh dx = 0; a
-    Galilean-boosted run slides the nodes with the boost speed, which
-    keeps the update exactly equivariant under the boost.
+    node displacement over the step. On the static mesh dx = 0 and the term
+    is left out; a Galilean-boosted run slides the nodes with the boost
+    speed, which keeps the update exactly equivariant under the boost.
     """
-    frame = ibe_frame(compact_ops.d1(u, grid), tau)
-    lam = frame.lambda_next
+    ux, uxx = compact_ops.derivatives(u, grid)
+    lam = 1.0 + tau * ux  # ibe_frame's lambda; -s1 dx is u_x dx
     _check_lambda_positive(lam, _INTERIOR_1D)
-    uxx = compact_ops.d2(u, grid)
-    return (u - frame.s1 * dx_nodes + (tau * params.nu / lam) * uxx) / lam
+    moved = u + ux * dx_nodes if dx_nodes else u
+    return (moved + (tau * params.nu / lam) * uxx) / lam
 
 
 def ade_frame(u, curvatures, variant: str, params, tau: float) -> MovingFrame:
     """Frame of the advection-diffusion step: s1 = sum_k u_kk / (2 d u) over the d
-    framed axes, every axis for "sym2" and x only for "sym1"; lambda = 1 - 4 nu s1 tau."""
+    framed axes, every axis for "sym2" and x only for "sym1"; lambda = 1 - (4 nu tau) s1."""
     if variant not in ADE2D_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {ADE2D_VARIANTS}")
     framed = curvatures[:1] if variant == "sym1" else curvatures
     s1 = sum(framed[1:], framed[0]) / (2.0 * len(framed) * u)
-    return MovingFrame(s1=s1, lambda_next=1.0 - 4.0 * params.nu * s1 * tau)
+    return MovingFrame(s1=s1, lambda_next=1.0 - (4.0 * params.nu * tau) * s1)
 
 
 def ade_sym_update(u: Field, grid: Grid, params: PdeParams, tau: float, variant: str) -> Field:
@@ -119,21 +126,22 @@ def ade_sym_update(u: Field, grid: Grid, params: PdeParams, tau: float, variant:
     interior = (slice(1, -1),) * d
     _check_zero_state(u, interior)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # The slopes enter only as the drift alpha u_x (+ beta u_y).
-        drift = p.alpha * compact_ops.d1(u, grid, 0)
-        curvatures = [compact_ops.d2(u, grid, 0)]
-        speed2 = p.alpha * p.alpha
+        # The slopes enter only as the drift alpha u_x (+ beta u_y), times tau.
+        ux, uxx = compact_ops.derivatives(u, grid, 0)
+        drift, curvatures, speed2 = (tau * p.alpha) * ux, [uxx], p.alpha * p.alpha
         if d == 2:  # the y axis, driven by beta
-            drift += p.beta * compact_ops.d1(u, grid, 1)
-            curvatures.append(compact_ops.d2(u, grid, 1))
+            uy, uyy = compact_ops.derivatives(u, grid, 1)
+            drift += (tau * p.beta) * uy
+            curvatures.append(uyy)
             speed2 += p.beta * p.beta
-        frame = ade_frame(u, curvatures, variant, p, tau)
-        s1, lam = frame.s1, frame.lambda_next
+        s1, lam = ade_frame(u, curvatures, variant, p, tau)
         _check_lambda_positive(lam, interior)
-        tau_t = tau / lam
-        # Transformed values at the base point: the slopes carry over; the
-        # curvature of an axis the frame leaves out becomes u_kk - 2 s1 u.
-        new_t = u - tau_t * drift
-        for ukk in curvatures[1:] if variant == "sym1" else ():  # left out by sym1
-            new_t += tau_t * p.nu * (ukk - 2.0 * s1 * u)
-        return new_t / lam ** (0.5 * d) * np.exp(s1 * speed2 * tau * tau / lam)
+        # Transformed values at the base point, over lambda: the slopes carry
+        # over; the curvature of an axis the frame leaves out (y for sym1 in 2D)
+        # becomes u_yy - 2 s1 u.
+        new_t = u - drift / lam
+        if d == 2 and variant == "sym1":
+            new_t += (tau * p.nu / lam) * (uyy - 2.0 * s1 * u)
+        # mapped back by lambda^(-d/2): 1/sqrt(lambda) in 1D, 1/lambda in 2D
+        spread = np.sqrt(lam) if d == 1 else lam
+        return new_t / spread * np.exp(s1 * (speed2 * tau * tau) / lam)

@@ -52,6 +52,12 @@ SLIDING = ("vbe", "sym")
 # G = [M^(m-1) E, ..., M E, E]; longer lines keep the band step, as M^m is dense.
 AFFINE = (("ade1d", "ftcs"), ("ade1d", "comp"))
 
+# Forward Euler on nu u_xx is stable for nu tau / h^2 up to 2 over the largest
+# |eigenvalue| of h^2 D2: 4 for the central D2, which StepContext screens at
+# 1/2, and 6 for the compact D2 (its symbol at the grid frequency is
+# -4 / (8/12)), which every scheme but FTCS steps with.
+COMPACT_DIFFUSION_LIMIT = 1.0 / 3.0
+
 # Steps whose Dirichlet values evolve draws from one provider call, and so
 # the steps of one advance_block call. A block holds BOUNDARY_BLOCK x
 # (boundary nodes) values: 4 kB in 1D, 0.2 MB on a 26 x 26 grid, where the
@@ -96,7 +102,9 @@ class StepContext:
         if not math.isfinite(self.mesh_velocity):
             raise ValueError(f"mesh_velocity must be finite, got {self.mesh_velocity}")
         # Advisory stability screens on the constant speeds alpha (x) and beta
-        # (y), not the Burgers speed u; forward Euler shows NonFinite if ignored.
+        # (y), not the Burgers speed u, at FTCS's limits; forward Euler shows
+        # NonFinite if ignored. _stepper adds the compact schemes' tighter
+        # COMPACT_DIFFUSION_LIMIT, as only it knows the scheme.
         self.courant = self.diffusion = 0.0  # the largest over the axes
         speeds = {"alpha": self.params.alpha, "beta": self.params.beta}
         for h, (name, speed) in zip(self.grid.spacing, speeds.items()):
@@ -187,7 +195,14 @@ def boundary_values(ctx: StepContext, times: np.ndarray) -> np.ndarray:
     if ctx.mesh_velocity != 0.0:
         coords = tuple(c + ctx.mesh_velocity * t for c in coords)
     values = ctx.boundary_provider(t, *coords)
-    return np.broadcast_to(values, (len(times), coords[0].shape[-1]))
+    shape = (len(times), coords[0].shape[-1])
+    try:
+        return np.broadcast_to(values, shape)
+    except ValueError:
+        raise ShapeMismatch(
+            f"boundary values of shape {np.shape(values)} do not broadcast to the "
+            f"(times, Dirichlet nodes) shape {shape}"
+        ) from None
 
 
 def _check_finite(u):
@@ -227,7 +242,8 @@ def _stepper(pde: str, scheme: str, ctx: StepContext) -> Callable:
     BOUNDARY_BLOCK rows as one product (see AFFINE), checked once per block;
     its map is built on the first such block, so a run shorter than one block
     or a step never builds it. It reads _STEPPERS on each call, so a patched
-    table is seen."""
+    table is seen, and warns when a scheme other than FTCS exceeds
+    COMPACT_DIFFUSION_LIMIT."""
     try:
         update = _STEPPERS[(pde, scheme)]
     except KeyError:
@@ -238,6 +254,12 @@ def _stepper(pde: str, scheme: str, ctx: StepContext) -> Callable:
     grid, params, tau, index = ctx.grid, ctx.params, ctx.tau, ctx.grid.dirichlet[0]
     if len(grid.shape) != (2 if pde == "ade2d" else 1):
         raise ShapeMismatch(f"pde {pde!r} does not fit a grid of shape {grid.shape}")
+    if scheme != "ftcs" and ctx.diffusion > COMPACT_DIFFUSION_LIMIT:
+        message = (
+            f"diffusion number nu tau / h^2 = {ctx.diffusion:.3g} exceeds 1/3, "
+            f"the forward Euler limit of the compact second derivative ({pde} {scheme})"
+        )
+        warnings.warn(message, RuntimeWarning, stacklevel=3)
     affine = (pde, scheme) in AFFINE and grid.shape[0] <= compact_ops.DENSE_MAX
     block = None  # the AFFINE map, once built
 

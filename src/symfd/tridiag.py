@@ -84,8 +84,8 @@ def _substitute(f: Factor, rhs: np.ndarray) -> np.ndarray:
     """Forward and back substitution, row by row.
 
     Rows are Python floats for one rhs and row views of an (n, m) copy for
-    many, so one loop serves both. The forward sweep updates the copy in
-    place; the back sweep keeps the one-rhs loop at one store per row.
+    many, so one loop serves both. Both sweeps update the rows in place, so
+    many right-hand sides cost the copy and no other (n, m) array.
     """
     n = f.n
     w, piv, c = f.multipliers, f.pivots, f.upper
@@ -98,5 +98,6 @@ def _substitute(f: Factor, rhs: np.ndarray) -> np.ndarray:
         d[i] -= w[i - 1] * d[i - 1]
     d[n - 1] /= piv[n - 1]
     for i in range(n - 2, -1, -1):
-        d[i] = (d[i] - c[i] * d[i + 1]) / piv[i]
-    return np.array(d)
+        d[i] -= c[i] * d[i + 1]
+        d[i] /= piv[i]
+    return np.array(d) if rhs.ndim == 1 else x

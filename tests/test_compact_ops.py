@@ -10,10 +10,15 @@ from symfd import BoundaryPolicy, Grid1D, Grid2D, PdeParams, ade1d_exact, ade2d_
 from symfd import fit_slope
 from symfd import compact_ops
 from symfd.baseline_schemes import Central, ade_update
-from symfd.compact_ops import DENSE_MAX, HALF_WIDTH, ONE_SIDED, _operator, linear
+from symfd.compact_ops import DENSE_MAX, HALF_WIDTH, ONE_SIDED, _operator, derivatives, linear
 from symfd.compact_ops import _first_derivative_rhs, _second_derivative_rhs
 from symfd.errors import ShapeMismatch
 from symfd.tridiag import solve
+
+
+# The longest line a dense D served before DENSE_MAX was set at the measured
+# crossover, and one past it: two band lines now, checked beside the new bound.
+OLD_BOUNDARY = (256, 257)
 
 
 def cubic(x):
@@ -242,7 +247,7 @@ def assert_matches_oracle(op, line, out, h, bp):
 
 @pytest.mark.parametrize("axis", [None, 0, 1], ids=["1d", "axis0", "axis1"])
 @pytest.mark.parametrize("kind", ["one_sided", "exact"])
-@pytest.mark.parametrize("n", [5, 26, 101, DENSE_MAX, DENSE_MAX + 1, 801])
+@pytest.mark.parametrize("n", [5, 26, 101, DENSE_MAX, DENSE_MAX + 1, *OLD_BOUNDARY, 801])
 @pytest.mark.parametrize("op", [d1, d2], ids=["d1", "d2"])
 def test_matches_dense_solve_oracle(op, n, kind, axis):
     # covers all three forms: the stored D = A^-1 B up to DENSE_MAX, its band
@@ -263,7 +268,7 @@ def test_matches_dense_solve_oracle(op, n, kind, axis):
         assert_matches_oracle(op, u[line], out[line], h, bp)
 
 
-@pytest.mark.parametrize("n", [26, DENSE_MAX + 1])
+@pytest.mark.parametrize("n", [26, DENSE_MAX + 1, 257])
 def test_2d_inputs_are_left_untouched(n):
     rng = np.random.default_rng(11)
     grid = Grid2D(0.0, 0.0, 0.1, 0.2, n, 7)
@@ -350,7 +355,7 @@ def test_derivative_matrices_built_once_per_grid(monkeypatch):
 
 
 @pytest.mark.parametrize("axis", [0, 1])
-@pytest.mark.parametrize("n", [5, 26, 101, DENSE_MAX, DENSE_MAX + 1, 801])
+@pytest.mark.parametrize("n", [5, 26, 101, DENSE_MAX, DENSE_MAX + 1, *OLD_BOUNDARY, 801])
 @pytest.mark.parametrize("op", [d1, d2], ids=["d1", "d2"])
 def test_2d_lines_are_bit_identical_to_1d_calls(op, n, axis):
     # a line's derivative does not depend on the other lines or the memory order
@@ -365,7 +370,70 @@ def test_2d_lines_are_bit_identical_to_1d_calls(op, n, axis):
             assert np.array_equal(out[line], op(u[line], line_grid))
 
 
-LONG_LINES = [257, 300, 401, 513, 801, 1601]
+def separate_product(order, u, grid, axis):
+    """The order's derivative of u as its own stored product computed it before
+    the pair was stacked: its own dense D, or its own band read through its own
+    zero-padded lines; the reference for the stored pair [D1; D2]."""
+    n, h = grid.shape[axis], grid.spacing[axis]
+    rhs_of = _first_derivative_rhs if order == 1 else _second_derivative_rhs
+    across = u.ndim == 2 and axis == 0
+    w = HALF_WIDTH[order]
+    p = n if n <= DENSE_MAX else 2 * w + 1
+    comb = np.zeros((n, p))
+    comb[np.arange(n), np.arange(n) % p] = 1.0
+    d = solve(_operator(order, n, "one_sided"), rhs_of(comb, h, ONE_SIDED))
+    if p == n:
+        spec = "kj,ij->ik" if across else "...j,ij->...i"
+        return np.einsum(spec, np.ascontiguousarray(u.T if across else u), d)
+    j = np.arange(n)[:, None] + np.arange(p) - w
+    d = np.take_along_axis(d, j % p, axis=1)
+    d[(j < 0) | (j >= n)] = 0.0
+    lines = u.T if across else u
+    padded = np.zeros(lines.shape[:-1] + (n + 2 * w,))
+    padded[..., w : n + w] = lines
+    window = np.lib.stride_tricks.sliding_window_view(padded, p, axis=-1)
+    out = np.einsum("ik,...ik->...i", d, window)
+    return np.ascontiguousarray(out.T) if across else out
+
+
+# dense and band lines, and the 2D axes of each kind: (shape, axis)
+PAIR_CASES = [
+    ((31,), 0), ((101,), 0), ((257,), 0), ((801,), 0),
+    ((26, 26), 0), ((26, 26), 1), ((DENSE_MAX + 1, 7), 0), ((7, DENSE_MAX + 1), 1),
+]
+
+
+@pytest.mark.parametrize("shape, axis", PAIR_CASES)
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_stacked_pair_is_bit_identical_to_separate_products(shape, axis, order):
+    grid = Grid1D(-1.0, 0.05, *shape) if len(shape) == 1 else Grid2D(-1, 0, 0.05, 0.07, *shape)
+    u = np.asarray(np.random.default_rng(sum(shape)).normal(size=shape), order=order)
+    first, second = derivatives(u, grid, axis)
+    for got, order_ in ((first, 1), (second, 2), (d1(u, grid, axis), 1), (d2(u, grid, axis), 2)):
+        assert got.shape == grid.shape
+        assert np.array_equal(got, separate_product(order_, u, grid, axis))
+
+
+@pytest.mark.parametrize("shape", [(31,), (26, 26), (DENSE_MAX + 1,), (DENSE_MAX + 1, 7)])
+def test_each_operator_is_stored_once(shape):
+    grid = Grid1D(0.0, 0.1, *shape) if len(shape) == 1 else Grid2D(0, 0, 0.1, 0.2, *shape)
+    u = np.random.default_rng(4).normal(size=shape)
+    derivatives(u, grid)
+    d2(u, grid)
+    assert len(grid.products) == 2
+    first, second = grid.derivative_matrices[1, 0], grid.derivative_matrices[2, 0]
+    n = shape[0]
+    if n <= DENSE_MAX:  # two halves of one stack
+        assert first.shape == second.shape == (n, n)
+        assert first.base is second.base and first.base.shape == (2, n, n)
+    else:
+        assert first.shape == (n, 2 * HALF_WIDTH[1] + 1)
+        assert second.shape == (n, 2 * HALF_WIDTH[2] + 1)
+        assert not np.shares_memory(first, second)
+    assert grid.products[1, 0].pair is grid.products[2, 0].pair
+
+
+LONG_LINES = [DENSE_MAX + 1, 200, 257, 300, 401, 513, 801, 1601]
 
 
 def exact_band(order, n, h):
@@ -427,7 +495,7 @@ def stable_tau(*hs):
 
 
 @OPS
-@pytest.mark.parametrize("n", [5, 31, DENSE_MAX, DENSE_MAX + 1, 401])
+@pytest.mark.parametrize("n", [5, 31, DENSE_MAX, DENSE_MAX + 1, *OLD_BOUNDARY, 401])
 def test_ade1d_step_matches_expression_form(n, ops):
     # u + T u sums the step u - tau (alpha d1 - nu d2) in another order
     grid, p = Grid1D(-2.0, 6.0 / (n - 1), n), STEP_PARAMS
@@ -451,7 +519,7 @@ def test_step_operator_matches_expression_form_on_each_axis(axis, shape, ops):
     assert np.abs(product - expression).max() <= 8 * np.spacing(np.abs(u).max())
 
 
-@pytest.mark.parametrize("n", [5, 31, DENSE_MAX, DENSE_MAX + 1, 401, 1601])
+@pytest.mark.parametrize("n", [5, 31, DENSE_MAX, DENSE_MAX + 1, *OLD_BOUNDARY, 401, 1601])
 def test_probed_step_operator_reproduces_stored_operators(n):
     # probing d1 and d2 on the comb returns their stored D or band exactly
     grid = Grid1D(0.0, 1.0 / (n - 1), n)
@@ -516,7 +584,7 @@ def test_step_operator_built_once_per_grid():
             assert not np.array_equal(*stored)
 
 
-@pytest.mark.parametrize("n", [5, 31, DENSE_MAX, 801])
+@pytest.mark.parametrize("n", [5, 31, DENSE_MAX, 256, 801])
 def test_central_step_operator_is_its_three_point_band(n):
     # FTCS's operator is stored at its own half-width on every line length
     grid, c1, c2 = Grid1D(0.0, 1.0 / (n - 1), n), -0.01, 0.002

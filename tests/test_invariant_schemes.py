@@ -20,7 +20,9 @@ from symfd import (
     step,
     vbe_exact,
 )
-from symfd.invariant_schemes import ade_frame, ibe_frame
+from symfd import compact_ops
+from symfd import invariant_schemes as inv
+from symfd.invariant_schemes import LAMBDA_TOL, ZERO_STATE_TOL, ade_frame, ibe_frame
 
 TAU = 1e-3
 VBE_NU = 1.0 / 12.0
@@ -205,6 +207,92 @@ class TestGuards:
         ctx = make_ctx(grid, TAU, 0.0, lambda t, x: np.ones_like(np.asarray(x, float)), nu=VBE_NU)
         with pytest.raises(NonFinite):
             step("vbe", "sym", bad, ctx)
+
+
+class TestGuardThresholds:
+    """ZeroState below ZERO_STATE_TOL and FrameSingularity at or below
+    LAMBDA_TOL, on interior nodes only; a NaN frame is left to NonFinite."""
+
+    LINE, PLANE = Grid1D(0.0, 0.25, 9), Grid2D(0.0, 0.0, 0.2, 0.2, 8, 8)
+
+    @pytest.mark.parametrize("grid", [LINE, PLANE], ids=["1d", "2d"])
+    @pytest.mark.parametrize("variant", ["sym1", "sym2"])
+    def test_zero_state_threshold(self, grid, variant):
+        p = PdeParams(alpha=1.0, beta=1.0, nu=0.1)
+        for sign in (1.0, -1.0):
+            at = np.full(grid.shape, sign * ZERO_STATE_TOL)  # flat: s1 = 0, lambda = 1
+            assert np.isfinite(inv.ade_sym_update(at, grid, p, TAU, variant)).all()
+            below = at.copy()
+            below[(3,) * at.ndim] = sign * np.nextafter(ZERO_STATE_TOL, 0.0)
+            with pytest.raises(ZeroState):
+                inv.ade_sym_update(below, grid, p, TAU, variant)
+
+    @staticmethod
+    def lambda_at(value, node, shape):
+        lam = np.ones(shape)
+        lam[node] = value
+        return lam
+
+    @pytest.mark.parametrize("grid", [LINE, PLANE], ids=["1d", "2d"])
+    def test_frame_singularity_threshold_in_the_ade_step(self, grid, monkeypatch):
+        u, p = np.ones(grid.shape), PdeParams(alpha=1.0, beta=1.0, nu=0.1)
+        for value, raises in ((LAMBDA_TOL, True), (np.nextafter(LAMBDA_TOL, 1.0), False)):
+            lam = self.lambda_at(value, (3,) * u.ndim, grid.shape)
+            frame = inv.MovingFrame(0.0 * lam, lam)
+            monkeypatch.setattr(inv, "ade_frame", lambda *args, frame=frame: frame)
+            if raises:
+                with pytest.raises(FrameSingularity):
+                    inv.ade_sym_update(u, grid, p, TAU, "sym2")
+            else:
+                assert np.isfinite(inv.ade_sym_update(u, grid, p, TAU, "sym2")).all()
+
+    def test_frame_singularity_threshold_of_the_guard(self):
+        interior = np.s_[1:-1]
+        with pytest.raises(FrameSingularity):
+            inv._check_lambda_positive(self.lambda_at(LAMBDA_TOL, 4, 9), interior)
+        inv._check_lambda_positive(self.lambda_at(np.nextafter(LAMBDA_TOL, 1.0), 4, 9), interior)
+
+    @pytest.mark.parametrize("update", [inv.ibe_sym_update, inv.vbe_sym_update])
+    def test_burgers_lambda_is_one_plus_tau_ux_on_interior_nodes(self, update, monkeypatch):
+        # lambda = 1 + tau u_x: -1 on both end nodes raises nothing, and an
+        # interior node at lambda = 1 - 2 tau / tau = -1 raises
+        grid, tau = self.LINE, 0.01
+        ux = np.zeros(9)
+        ux[[0, -1]] = -2.0 / tau
+        monkeypatch.setattr(compact_ops, "derivatives", lambda u, g, axis=0: (ux, np.zeros(9)))
+        extra = (0.0,) if update is inv.vbe_sym_update else ()
+        assert np.isfinite(update(np.ones(9), grid, PdeParams(nu=VBE_NU), tau, *extra)).all()
+        ux[4] = -2.0 / tau
+        with pytest.raises(FrameSingularity):
+            update(np.ones(9), grid, PdeParams(nu=VBE_NU), tau, *extra)
+
+    @pytest.mark.parametrize(
+        "pde, scheme", [("ade1d", "sym"), ("ade2d", "sym1"), ("ade2d", "sym2")]
+    )
+    def test_bad_boundary_values_raise_neither(self, pde, scheme):
+        # a zero end node divides by zero there (s1 = inf, lambda = -inf) and a
+        # negative one sends lambda below zero; only interior nodes count
+        grid = self.LINE if pde == "ade1d" else self.PLANE
+        one = lambda t, *xy: np.ones(np.broadcast(*map(np.asarray, xy)).shape)
+        ctx = StepContext(grid, PdeParams(alpha=1.0, beta=1.0, nu=0.1), TAU, 0.0, one)
+        for bad in (0.0, -1e-13, -5.0):
+            u = np.ones(grid.shape)
+            u[(0,) * u.ndim] = bad
+            out = step(pde, scheme, u, ctx)
+            assert np.isfinite(out).all()
+
+    @pytest.mark.parametrize(
+        "pde, scheme",
+        [("ibe", "sym"), ("vbe", "sym"), ("ade1d", "sym"), ("ade2d", "sym1"), ("ade2d", "sym2")],
+    )
+    def test_nan_frame_ends_in_non_finite(self, pde, scheme):
+        grid = self.LINE if pde != "ade2d" else self.PLANE
+        one = lambda t, *xy: np.ones(np.broadcast(*map(np.asarray, xy)).shape)
+        ctx = StepContext(grid, PdeParams(alpha=1.0, beta=1.0, nu=0.1), TAU, 0.0, one)
+        u = np.ones(grid.shape)
+        u[(3,) * u.ndim] = np.nan  # every lambda is NaN: no guard fires
+        with pytest.raises(NonFinite):
+            step(pde, scheme, u, ctx)
 
 
 class TestEquivariance:

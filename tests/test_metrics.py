@@ -1,6 +1,7 @@
 """Tests for error measures, the time loop, and the studies."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,46 @@ class TestEvolve:
         _, _, rep = evolve("ade2d", "comp", g, 1e-3, 0.005, ADE_PARAMS)
         assert rep.n == (8, 8)
         assert rep.h[0] == pytest.approx(4.0 / 7.0)
+
+
+    def test_compact_diffusion_limit_is_screened(self):
+        # nu tau / h^2 = 0.34: under FTCS's 1/2, over the compact D2's 1/3
+        grid, tau, params = Grid1D(-2.0, 0.2, 31), 1e-3, PdeParams(alpha=1.0, nu=13.6, L=0.4)
+        with pytest.warns(RuntimeWarning, match=r"nu tau / h\^2 = 0.34 exceeds 1/3"):
+            _, _, rep = evolve("ade1d", "comp", grid, tau, 10.24, params)
+        assert rep.linf > 1e100  # the run the screen warns of
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, rep = evolve("ade1d", "ftcs", grid, tau, 10.24, params)
+        assert rep.linf < 1.0
+
+    @pytest.mark.parametrize("pde, scheme", [(p, s) for p in PDES for s in SCHEMES_BY_PDE[p]])
+    def test_each_scheme_is_screened_at_its_own_limit(self, pde, scheme):
+        grid = BLOCK_GRIDS[pde]
+        h = min(grid.spacing)
+        for number, warns in ((0.33, False), (0.34, scheme != "ftcs"), (0.51, True)):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                ctx = StepContext(grid, PdeParams(nu=number * h * h / 1e-3), 1e-3, 0.0, None)
+                metrics._stepper(pde, scheme, ctx)
+            assert bool(seen) == warns
+            assert all("diffusion number" in str(w.message) for w in seen)
+
+    @pytest.mark.parametrize("pde", PDES)
+    def test_exact_off_the_dirichlet_nodes_is_a_shape_mismatch(self, pde):
+        grid = BLOCK_GRIDS[pde]
+        exact = default_exact(pde, ADE_PARAMS)
+        nodes = len(grid.dirichlet[0][0])
+
+        def three_values(t, *xy):
+            first = exact(t, *xy)
+            return first if np.ndim(t) == 0 else np.ones(3)
+
+        with pytest.raises(ShapeMismatch, match=rf"\(3,\).*\(4, {nodes}\)"):
+            evolve(pde, "ftcs", grid, 1e-3, 4e-3, ADE_PARAMS, exact=three_values)
+        ctx = StepContext(grid, ADE_PARAMS, 1e-3, 0.0, lambda t, *xy: np.ones(3))
+        with pytest.raises(ShapeMismatch, match=rf"\(3,\).*\(1, {nodes}\)"):
+            step(pde, "ftcs", np.ones(grid.shape), ctx)
 
 
 class TestResolvedOnce:
