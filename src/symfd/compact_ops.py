@@ -385,8 +385,9 @@ def derivatives(u: Field, grid: Grid, axis: int = 0) -> Tuple[Field, Field]:
 
 def _pair(comb, n, h, ops, c1, c2):
     """c1 ops.d1 + c2 ops.d2 of each column of comb, on a bare grid of its shape
-    (a Grid2D would refuse Central's three columns). This module's d1 binds the
-    pair on it, which d2 then reads; the sum is formed in d2's fresh result."""
+    (a Grid2D would refuse a comb of fewer than 5 columns, as a pair of
+    half-width 1 probes). This module's d1 binds the pair on it, which d2 then
+    reads; the sum is formed in d2's fresh result."""
     lines = SimpleNamespace(shape=comb.shape, spacing=(h, 1.0), products={})
     t = ops.d1(comb, lines)
     t *= c1

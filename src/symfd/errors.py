@@ -23,6 +23,9 @@ class ShapeMismatch(SymfdError):
 class NonFinite(SymfdError):
     """A scheme produced NaN or infinity; the run is unstable."""
 
+    def __init__(self, message="step produced non-finite values; the run is unstable"):
+        super().__init__(message)
+
 
 class FrameSingularity(SymfdError):
     """The projective factor lambda left its valid chart (lambda <= 0)."""

@@ -23,21 +23,24 @@ from .analytic import (
 from .compact_ops import Field, Grid, Grid1D, Grid2D
 from .errors import NonFinite, ShapeMismatch, StepCountMismatch
 
-# The update of each (pde, scheme) pair, called as update(u, grid, params,
-# tau), plus the node displacement over the step for SLIDING. The table's
-# order is the order of PDES and SCHEMES_BY_PDE, and so of the studies' rows.
+# The step of each (pde, scheme) pair. An FTCS row is a binder, called once
+# per run as binder(grid, params, tau) for the run's block advance(u, rows)
+# (see baseline_schemes); every other row is an update, called as
+# update(u, grid, params, tau) plus the node displacement over the step for
+# SLIDING. The table's order is the order of PDES and SCHEMES_BY_PDE, and so of
+# the studies' rows.
 _STEPPERS = {
-    ("ibe", "ftcs"): base.ibe_ftcs_update,
+    ("ibe", "ftcs"): base.ibe_ftcs,
     ("ibe", "comp"): base.ibe_comp_update,
     ("ibe", "sym"): inv.ibe_sym_update,
-    ("ade1d", "ftcs"): partial(base.ade_update, ops=base.Central),
-    ("ade1d", "comp"): partial(base.ade_update, ops=compact_ops),
+    ("ade1d", "ftcs"): base.ade_ftcs,
+    ("ade1d", "comp"): base.ade_update,
     ("ade1d", "sym"): partial(inv.ade_sym_update, variant="sym2"),
-    ("vbe", "ftcs"): partial(base.vbe_update, ops=base.Central),
-    ("vbe", "comp"): partial(base.vbe_update, ops=compact_ops),
+    ("vbe", "ftcs"): base.vbe_ftcs,
+    ("vbe", "comp"): base.vbe_comp_update,
     ("vbe", "sym"): inv.vbe_sym_update,
-    ("ade2d", "ftcs"): partial(base.ade_update, ops=base.Central),
-    ("ade2d", "comp"): partial(base.ade_update, ops=compact_ops),
+    ("ade2d", "ftcs"): base.ade_ftcs,
+    ("ade2d", "comp"): base.ade_update,
     ("ade2d", "sym1"): partial(inv.ade_sym_update, variant="sym1"),
     ("ade2d", "sym2"): partial(inv.ade_sym_update, variant="sym2"),
 }
@@ -205,23 +208,24 @@ def boundary_values(ctx: StepContext, times: np.ndarray) -> np.ndarray:
         ) from None
 
 
-def _check_finite(u):
+def _check_finite(u, zeros):
+    """Raise NonFinite unless u is finite; zeros is a zero vector of u's size."""
     # 0 x is +-0 for finite x, else NaN: exact, no overflow; vdot, unlike @, never warns
-    if not math.isfinite(np.vdot(u, np.zeros(u.size))):
-        raise NonFinite("step produced non-finite values; the run is unstable")
+    if not math.isfinite(np.vdot(u, zeros)):
+        raise NonFinite()
 
 
-def _block_map(update, grid, params, tau, index, m):
+def _block_map(steps, grid, m):
     """[M^m G] of an AFFINE pair (see AFFINE), for a block of m steps on the
-    vector [u; b_1 .. b_m]. M is probed through update on the unit vectors, as
-    compact_ops probes D, so the table stays the one source of each step. The
-    power k runs up m's binary digits: doubling takes M^k to M^2k and
-    [M^(k-1) E, ..., E] to [M^(2k-1) E, ..., E] by prepending its product
-    with M^k; a one digit then prepends M^k E and multiplies M^k by M. Every
-    product is an einsum, which never warns."""
-    n, nodes = grid.shape[0], index[0]
-    single = np.stack([update(e, grid, params, tau) for e in np.eye(n)], axis=1)
-    single[index] = 0.0
+    vector [u; b_1 .. b_m]. M is probed through the pair's steps(u, rows) on the
+    unit vectors with a zero boundary row, so the table stays the one source of
+    each step. The power k runs up m's binary digits: doubling takes M^k to
+    M^2k and [M^(k-1) E, ..., E] to [M^(2k-1) E, ..., E] by prepending its
+    product with M^k; a one digit then prepends M^k E and multiplies M^k by M.
+    Every product is an einsum, which never warns."""
+    n, nodes = grid.shape[0], grid.dirichlet[0][0]
+    zero = np.zeros((1, len(nodes)))
+    single = np.stack([steps(e, zero) for e in np.eye(n)], axis=1)
     power, inflow = np.eye(n), np.empty((n, 0))
     for digit in bin(m)[2:]:
         inflow = np.hstack((np.einsum("ij,jk->ik", power, inflow), inflow))
@@ -230,7 +234,7 @@ def _block_map(update, grid, params, tau, index, m):
             inflow = np.hstack((power[:, nodes], inflow))
             power = np.einsum("ij,jk->ik", single, power)
     block = np.hstack((power, inflow))
-    _check_finite(block)
+    _check_finite(block, np.zeros(block.size))
     return block
 
 
@@ -238,14 +242,15 @@ def _stepper(pde: str, scheme: str, ctx: StepContext) -> Callable:
     """step's body, resolved once per pair and context as advance_block(u, rows):
     one step per boundary row of rows (None: one step, its row drawn for
     ctx.t + tau), each the update, the Dirichlet refresh and the finite check.
-    An AFFINE pair on a line of at most DENSE_MAX nodes takes a block of
-    BOUNDARY_BLOCK rows as one product (see AFFINE), checked once per block;
-    its map is built on the first such block, so a run shorter than one block
-    or a step never builds it. It reads _STEPPERS on each call, so a patched
-    table is seen, and warns when a scheme other than FTCS exceeds
-    COMPACT_DIFFUSION_LIMIT."""
+    An FTCS pair is bound here, once (see _STEPPERS); the other pairs step
+    through their update. An AFFINE pair on a line of at most DENSE_MAX nodes
+    takes a block of BOUNDARY_BLOCK rows as one product (see AFFINE), checked
+    once per block; its map is built on the first such block, so a run shorter
+    than one block or a step never builds it. It reads _STEPPERS on each call,
+    so a patched table is seen, and warns when a scheme other than FTCS
+    exceeds COMPACT_DIFFUSION_LIMIT."""
     try:
-        update = _STEPPERS[(pde, scheme)]
+        entry = _STEPPERS[(pde, scheme)]
     except KeyError:
         raise ValueError(f"no scheme {scheme!r} for pde {pde!r}") from None
     extra = (ctx.mesh_velocity * ctx.tau,) if (pde, scheme) == SLIDING else ()
@@ -260,6 +265,18 @@ def _stepper(pde: str, scheme: str, ctx: StepContext) -> Callable:
             f"the forward Euler limit of the compact second derivative ({pde} {scheme})"
         )
         warnings.warn(message, RuntimeWarning, stacklevel=3)
+    zeros = np.zeros(math.prod(grid.shape))  # the finite check's, once per run
+    if scheme == "ftcs":
+        steps = entry(grid, params, tau)
+    else:
+
+        def steps(u, rows):
+            for row in rows:
+                u = entry(u, grid, params, tau, *extra)
+                u[index] = row
+                _check_finite(u, zeros)
+            return u
+
     affine = (pde, scheme) in AFFINE and grid.shape[0] <= compact_ops.DENSE_MAX
     block = None  # the AFFINE map, once built
 
@@ -272,16 +289,12 @@ def _stepper(pde: str, scheme: str, ctx: StepContext) -> Callable:
             rows = boundary_values(ctx, np.array([ctx.t + tau]))
         if affine and len(rows) == BOUNDARY_BLOCK:
             if block is None:
-                block = _block_map(update, grid, params, tau, index, BOUNDARY_BLOCK)
+                block = _block_map(steps, grid, BOUNDARY_BLOCK)
             u = np.einsum("ij,j->i", block, np.concatenate((u, rows.ravel())))
             u[index] = rows[-1]
-            _check_finite(u)
+            _check_finite(u, zeros)
             return u
-        for row in rows:
-            u = update(u, grid, params, tau, *extra)
-            u[index] = row
-            _check_finite(u)
-        return u
+        return steps(u, rows)
 
     return advance_block
 

@@ -12,13 +12,20 @@ from symfd import (
     PdeParams,
     StepContext,
     ade1d_exact,
+    evolve,
     ibe_exact,
     step,
 )
+from symfd.cli import main
 from symfd.errors import ShapeMismatch
-from symfd.metrics import _check_finite
+from symfd.metrics import _check_finite, _stepper, boundary_values, default_exact
 
 TAU = 1e-3
+
+
+def check_finite(u):
+    """The finite check with its zero vector, which a run makes once."""
+    _check_finite(u, np.zeros(u.size))
 
 
 def pair_id(pair):
@@ -186,7 +193,7 @@ def test_finite_check_raises_non_finite_and_nothing_else(field, shape):
     if field == "both_inf":
         u.flat[5] = -np.inf
     with pytest.raises(NonFinite):
-        _check_finite(u)
+        check_finite(u)
 
 
 FINITE_CHECK_FIELDS = pytest.mark.parametrize(
@@ -206,8 +213,8 @@ def test_finite_check_finds_a_bad_node_at_every_position(shape, order, bad):
         field = u.copy(order="K")
         field[position] = bad
         with pytest.raises(NonFinite):
-            _check_finite(field)
-    _check_finite(u)
+            check_finite(field)
+    check_finite(u)
 
 
 @FINITE_CHECK_FIELDS
@@ -219,7 +226,7 @@ def test_finite_check_finds_both_infinities_together(shape, order):
         field[np.unravel_index(plus % u.size, shape)] = np.inf
         field[np.unravel_index(minus % u.size, shape)] = -np.inf
         with pytest.raises(NonFinite):
-            _check_finite(field)
+            check_finite(field)
 
 
 @FINITE_CHECK_FIELDS
@@ -229,8 +236,8 @@ def test_alternating_huge_field_passes_the_finite_check(shape, order):
     u[np.indices(shape).sum(axis=0) % 2 == 1] = -1e308
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _check_finite(u)
-        _check_finite(np.full(shape, np.finfo(float).max, order=order))
+        check_finite(u)
+        check_finite(np.full(shape, np.finfo(float).max, order=order))
 
 
 def test_huge_finite_field_steps_without_warning():
@@ -243,7 +250,7 @@ def test_huge_finite_field_steps_without_warning():
     u[5] *= 0.5
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _check_finite(u)
+        check_finite(u)
         for scheme in ("ftcs", "comp"):
             out = step("ade1d", scheme, u, ctx)
             assert np.isfinite(out).all() and np.abs(out).max() < 1.01 * value
@@ -258,3 +265,53 @@ def test_shape_mismatch():
         step("ade2d", "comp", np.zeros((grid2.ny, grid2.nx)), ctx2)
     with pytest.raises(ShapeMismatch):
         step("ade1d", "ftcs", np.zeros(grid2.nx), ctx2)  # 1d step, 2d grid
+
+
+def test_inviscid_ftcs_run_ignores_nu(tmp_path, capsys):
+    # the inviscid Burgers step has no nu term: nu = 0.1 gives the bits of nu = 0
+    outputs = []
+    for nu in ("0", "0.1"):
+        path = tmp_path / f"nu_{nu}.csv"
+        assert main(["run", "pde=ibe", "scheme=ftcs", f"nu={nu}", f"output_path={path}"]) == 0
+        summary = capsys.readouterr().out.splitlines()[1].split(",")
+        outputs.append((summary[:-1], path.read_bytes()))  # all but the wall time
+    assert outputs[0] == outputs[1]
+
+
+# (pde, grid, params, the step at which the run turns non-finite) at diffusion
+# number 0.6, past FTCS's 1/2; the steps as the per-step central updates took them.
+UNSTABLE = [
+    ("vbe", Grid1D(0.0, 2.0 * np.pi / 100.0, 101), PdeParams(nu=1.0 / 12.0), 12),
+    (
+        "ade2d",
+        Grid2D(-1.92, -1.92, 0.32, 0.32, 13, 13),
+        PdeParams(alpha=1.0, beta=1.0, nu=0.25, L=0.4),
+        622,
+    ),
+]
+
+
+@pytest.mark.parametrize("pde, grid, params, fails_at", UNSTABLE, ids=["vbe", "ade2d"])
+def test_unstable_ftcs_run_raises_non_finite_at_its_step(pde, grid, params, fails_at):
+    tau = 0.6 * grid.spacing[0] ** 2 / params.nu
+    exact = default_exact(pde, params)
+    # the screen warns; an overflow inside a step must not (filterwarnings = error)
+    with pytest.warns(RuntimeWarning, match="diffusion number"):
+        with pytest.raises(NonFinite, match="non-finite values; the run is unstable"):
+            evolve(pde, "ftcs", grid, tau, fails_at * tau, params)
+        ctx = StepContext(grid, params, tau, 0.0, exact)
+    u0 = exact(0.0, *np.meshgrid(*grid.axes, indexing="ij"))
+    rows = boundary_values(ctx, np.arange(fails_at) * tau + tau)
+    advance = _stepper(pde, "ftcs", ctx)  # one bind, one block
+    u = advance(u0, rows[:-1])
+    with pytest.raises(NonFinite):
+        advance(u0, rows)
+    # step by step, one bind per step: finite up to the same step, then raises
+    v = u0
+    for k in range(fails_at - 1):
+        ctx.t = k * tau
+        v = step(pde, "ftcs", v, ctx)
+    assert np.isfinite(v).all() and np.array_equal(u, v)
+    ctx.t = (fails_at - 1) * tau
+    with pytest.raises(NonFinite):
+        step(pde, "ftcs", v, ctx)

@@ -9,11 +9,45 @@ import pytest
 from symfd import BoundaryPolicy, Grid1D, Grid2D, PdeParams, ade1d_exact, ade2d_exact, d1, d2
 from symfd import fit_slope
 from symfd import compact_ops
-from symfd.baseline_schemes import Central, ade_update
+from symfd.baseline_schemes import ade_update
 from symfd.compact_ops import DENSE_MAX, HALF_WIDTH, ONE_SIDED, _operator, derivatives, linear
 from symfd.compact_ops import _first_derivative_rhs, _second_derivative_rhs
 from symfd.errors import ShapeMismatch
+from symfd.metrics import _STEPPERS
 from symfd.tridiag import solve
+
+
+class Central:
+    """Second-order central differences: the derivative pair of FTCS, kept here
+    as a reference pair for compact_ops.linear and for the FTCS stencils.
+
+    Same call as compact_ops.d1/d2/derivatives on 1D and 2D fields; the end
+    nodes along the axis get 0. linear stores its three-point operator as a
+    band at every n: a dense n x n product costs n/3 times as much.
+    """
+
+    HALF_WIDTH, DENSE_MAX = {1: 1, 2: 1}, 0
+
+    @staticmethod
+    def d1(u, grid, axis=0):
+        d = np.empty_like(u)
+        v, dv = (u.T, d.T) if axis else (u, d)
+        dv[1:-1] = (v[2:] - v[:-2]) / (2.0 * grid.spacing[axis])
+        dv[0] = dv[-1] = 0.0
+        return d
+
+    @staticmethod
+    def d2(u, grid, axis=0):
+        h = grid.spacing[axis]
+        d = np.empty_like(u)
+        v, dv = (u.T, d.T) if axis else (u, d)
+        dv[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
+        dv[0] = dv[-1] = 0.0
+        return d
+
+    @staticmethod
+    def derivatives(u, grid, axis=0):
+        return Central.d1(u, grid, axis), Central.d2(u, grid, axis)
 
 
 # The longest line a dense D served before DENSE_MAX was set at the measured
@@ -678,3 +712,69 @@ def test_second_call_on_a_long_line_allocates_only_its_output(apply):
         tracemalloc.stop()
     # a new padded line would add 6.4 kB or more; the array object, 2 kB at most
     assert peak <= out.nbytes + 2048
+
+
+# The bound FTCS stencils against the central pair. The Burgers stencils round
+# as the pair's expression did; the advection-diffusion stencil sums u + T u in
+# another order than u - tau (alpha d1 - nu d2), on the flattened field.
+FTCS_CASES = pytest.mark.parametrize(
+    "pde, grid",
+    [
+        ("ibe", Grid1D(-3.0, 0.2, 31)),
+        ("vbe", Grid1D(0.0, 2.0 * np.pi / 30.0, 31)),
+        ("ade1d", Grid1D(-2.0, 0.2, 31)),
+        ("ade2d", Grid2D(-1.92, -1.92, 0.16, 0.16, 26, 26)),
+        ("ade2d", Grid2D(-1.92, -1.6, 0.5, 0.25, 9, 13)),  # a stride mix-up shows here
+        ("ade2d", Grid2D(-1.92, -1.6, 0.25, 0.5, 13, 9)),
+    ],
+    ids=["ibe", "vbe", "ade1d", "ade2d_26x26", "ade2d_9x13", "ade2d_13x9"],
+)
+FTCS_PARAMS = PdeParams(alpha=1.0, beta=-0.5, nu=1.0 / 60.0, sigma=0.5, L=0.4)
+
+
+def central_step(pde, u, grid, p, tau):
+    """One FTCS step of the interior written with the central pair: the reference
+    of the bound stencils."""
+    if pde == "ibe":
+        return u - tau * u * Central.d1(u, grid)
+    if pde == "vbe":
+        ux, uxx = Central.derivatives(u, grid)
+        return u - tau * (u * ux - p.nu * uxx)
+    t = -tau * (p.alpha * Central.d1(u, grid, 0) - p.nu * Central.d2(u, grid, 0))
+    if u.ndim == 2:
+        t -= tau * (p.beta * Central.d1(u, grid, 1) - p.nu * Central.d2(u, grid, 1))
+    return u + t
+
+
+@FTCS_CASES
+def test_bound_ftcs_steps_match_the_central_pair(pde, grid):
+    rng = np.random.default_rng(len(grid.shape) * 100 + grid.shape[-1])
+    tau = 0.2 * min(grid.spacing) ** 2
+    u = 1.0 + rng.normal(size=grid.shape)
+    index = grid.dirichlet[0]
+    rows = rng.normal(size=(3, len(index[0])))
+    advance = _STEPPERS[pde, "ftcs"](grid, FTCS_PARAMS, tau)
+    v = u
+    for k, row in enumerate(rows, 1):  # a block of k rows from u
+        v = central_step(pde, v, grid, FTCS_PARAMS, tau)
+        v[index] = row
+        out = advance(u, rows[:k])
+        if pde in ("ibe", "vbe"):
+            assert np.array_equal(out, v)
+        else:
+            assert np.abs(out - v).max() <= 4 * k * np.spacing(np.abs(v).max())
+
+
+@FTCS_CASES
+def test_bound_ftcs_blocks_return_their_own_arrays(pde, grid):
+    # the buffers are the run's; no result is, or views, one of them
+    rng = np.random.default_rng(3)
+    advance = _STEPPERS[pde, "ftcs"](grid, FTCS_PARAMS, 1e-4)
+    rows = np.zeros((2, len(grid.dirichlet[0][0])))
+    u, v = 1.0 + rng.normal(size=(2,) + grid.shape)
+    first = advance(u, rows)
+    kept = first.copy()
+    later = [advance(field, rows[:k]) for field in (v, u) for k in (1, 2)]
+    assert np.array_equal(first, kept)
+    assert np.array_equal(later[3], first)
+    assert not any(np.shares_memory(first, out) for out in later)

@@ -507,10 +507,11 @@ class TestAffineBlock:
         # 19^256 is past the largest float
         grid, tau = BLOCK_GRIDS["ade1d"], 1e-3
         params = PdeParams(alpha=1.0, nu=5.0 * grid.h**2 / tau, L=0.4)
-        update, index = _STEPPERS[("ade1d", scheme)], grid.dirichlet[0]
-        with pytest.raises(NonFinite):
-            metrics._block_map(update, grid, params, tau, index, BOUNDARY_BLOCK)
         exact, blocks = default_exact("ade1d", params), []
+        with pytest.warns(RuntimeWarning, match="diffusion number"):
+            steps = metrics._stepper("ade1d", scheme, StepContext(grid, params, tau, 0.0, exact))
+        with pytest.raises(NonFinite):
+            metrics._block_map(steps, grid, BOUNDARY_BLOCK)
 
         def provider(t, x):
             blocks.append(np.size(t))
@@ -528,10 +529,11 @@ class TestAffineBlock:
         # at most about 1.8^256 per block and overflows after a few
         grid, tau = BLOCK_GRIDS["ade1d"], 1e-3
         params = PdeParams(alpha=1.0, nu=0.7 * grid.h**2 / tau, L=0.4)
-        update, index = _STEPPERS[("ade1d", scheme)], grid.dirichlet[0]
-        block = metrics._block_map(update, grid, params, tau, index, BOUNDARY_BLOCK)
-        assert np.isfinite(block).all()
         exact, blocks = default_exact("ade1d", params), []
+        with pytest.warns(RuntimeWarning, match="diffusion number"):
+            steps = metrics._stepper("ade1d", scheme, StepContext(grid, params, tau, 0.0, exact))
+        block = metrics._block_map(steps, grid, BOUNDARY_BLOCK)
+        assert np.isfinite(block).all()
 
         def provider(t, x):
             blocks.append(np.size(t))
@@ -553,20 +555,29 @@ class TestAffineBlock:
 
     @pytest.mark.parametrize("pair", AFFINE)
     def test_only_a_full_block_builds_the_map(self, pair, monkeypatch):
-        update, calls = _STEPPERS[pair], []
+        entry, calls = _STEPPERS[pair], []
 
-        def counted(u, *args, **kwargs):
+        def counted(u, *args, **kwargs):  # an update steps one row per call
             calls.append(u.shape)
-            return update(u, *args, **kwargs)
+            return entry(u, *args, **kwargs)
 
-        monkeypatch.setitem(_STEPPERS, pair, counted)
+        def counted_binder(*bind):  # a bound FTCS advance steps each row it is given
+            advance = entry(*bind)
+
+            def counting(u, rows):
+                calls.extend([u.shape] * len(rows))
+                return advance(u, rows)
+
+            return counting
+
+        monkeypatch.setitem(_STEPPERS, pair, counted_binder if pair[1] == "ftcs" else counted)
         grid, tau = BLOCK_GRIDS["ade1d"], 1e-4
         exact = default_exact("ade1d", ADE_PARAMS)
         ctx = StepContext(grid, ADE_PARAMS, tau, 0.0, exact)
         u = exact(0.0, grid.x)
         for _ in range(3):
             u = step(*pair, u, ctx)
-        assert len(calls) == 3  # one update per step
+        assert len(calls) == 3  # one row stepped per step
         calls.clear()
         evolve(*pair, grid, tau, (BOUNDARY_BLOCK - 1) * tau, ADE_PARAMS)
         assert len(calls) == BOUNDARY_BLOCK - 1
