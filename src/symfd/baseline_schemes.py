@@ -1,26 +1,31 @@
-"""Non-invariant reference schemes: FTCS and the standard compact scheme.
+"""Non-invariant reference schemes: FTCS and the standard compact scheme, and
+the block driver that every scheme's steps run on.
 
-A COMP update is one forward-Euler update of the interior: it returns the new
-field and leaves the boundary nodes for the caller to refresh. The Burgers
-updates read u_x and u_xx together from compact_ops.derivatives, one stored
-product; the inviscid one adds the defect term. The advection-diffusion
-update has one body for 1D and 2D: u + sum over the axes of T u, T = tau (nu
-D2 - speed D1) stored per axis (compact_ops.linear), the speed being alpha on
-x and beta on y.
+Each pair is a binder, called once per run as binder(grid, params, tau). It
+returns the run's block advance(u, rows) from bind_steps: one step per
+boundary row, each the scheme's stencil, the Dirichlet refresh from the row
+and the finite check, on two preallocated buffers that the steps swap; the
+stencil's views, scratch arrays, coefficients and the zero vector of the
+check are made at the bind, and np.errstate is entered once per block. A
+block returns a copy, and raises NonFinite at the first step whose field is
+not finite.
 
-An FTCS pair is a binder instead, called once per run as binder(grid, params,
-tau). It returns the run's block advance(u, rows): one step per boundary row,
-each the three-point central stencil of the interior, the Dirichlet refresh
-from the row and the finite check, on two preallocated buffers that the steps
-swap; its slice views, scratch arrays, coefficients and the zero vector of
-the check are made at the bind. A block returns a copy, and raises NonFinite
-at the first step whose field is not finite. The Burgers stencil rounds as
-the central pair did: u - tau (u u_x - nu u_xx), u_x = (u_{i+1} - u_{i-1}) /
-2h and u_xx = (u_{i+1} - 2 u_i + u_{i-1}) / h^2, and the inviscid one u -
-(tau u) u_x. The advection-diffusion stencil is u + T u on the flattened
-field, T's neighbours at +-1 along the last axis and +-ny along x in 2D; each
-node whose stencil wraps across a row is a Dirichlet node, which the refresh
-overwrites.
+The FTCS stencil is three-point central differences of the interior. The
+Burgers stencil rounds as the central pair did: u - tau (u u_x - nu u_xx),
+u_x = (u_{i+1} - u_{i-1}) / 2h and u_xx = (u_{i+1} - 2 u_i + u_{i-1}) / h^2,
+and the inviscid one u - (tau u) u_x. The advection-diffusion stencil is u +
+T u on the flattened field, T's neighbours at +-1 along the last axis and
++-ny along x in 2D; each node whose stencil wraps across a row is a
+Dirichlet node, which the refresh overwrites.
+
+A COMP step is one forward-Euler step with the compact derivatives. The
+Burgers steps read u_x and u_xx from the grid's bound pair
+(compact_ops.bound_pair) into an output array bound per run; the inviscid one
+adds the defect term. The advection-diffusion step has one binder for 1D and
+2D: u + sum over the axes of T u, T = tau (nu D2 - speed D1) stored per axis
+(compact_ops.bound_linear), the speed being alpha on x and beta on y. Each
+keeps the rounded operations, in order, of the update expression in its
+docstring, so its bits are those of that expression.
 """
 
 import math
@@ -29,27 +34,29 @@ import numpy as np
 
 from . import compact_ops
 from .analytic import PdeParams
-from .compact_ops import Field, Grid, Grid1D
+from .compact_ops import Grid, Grid1D
 from .errors import NonFinite
 
 
-def _bind_ftcs(grid: Grid, stencil):
-    """The block advance of an FTCS pair on grid (see the module docstring).
-    stencil(src, dst) returns the step from the flat buffer src to dst: a call
-    writes dst's interior, through views made once."""
+def bind_steps(grid: Grid, stencil):
+    """The block advance of a pair on grid (see the module docstring).
+    stencil(src, dst) returns the step from the field src to dst, two
+    C-contiguous fields of grid: a call writes dst's interior at least, through
+    views and scratch made once."""
     size = math.prod(grid.shape)
     buffers = np.empty((2, size))
     fields = buffers.reshape((2,) + grid.shape)
     # (step, its destination) from buffer 0 and from buffer 1
-    steps = ((stencil(*buffers), buffers[1]), (stencil(*buffers[::-1]), buffers[0]))
+    steps = ((stencil(*fields), buffers[1]), (stencil(*fields[::-1]), buffers[0]))
     dirichlet = np.ravel_multi_index(grid.dirichlet[0], grid.shape)
     zeros = np.zeros(size)
 
     def advance(u, rows):
         fields[0] = u
         k = 0
-        # an unstable run overflows to inf or NaN, which the check reports
-        with np.errstate(over="ignore", invalid="ignore"):
+        # an unstable run overflows to inf or NaN, which the check reports, and a
+        # Dirichlet node may divide by zero before the refresh overwrites it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for row in rows:
                 step, dst = steps[k]
                 step()
@@ -62,7 +69,7 @@ def _bind_ftcs(grid: Grid, stencil):
     return advance
 
 
-def _scalars(*values):
+def scalars(*values):
     """The values as 0-d arrays: a ufunc takes them faster than Python floats,
     with the same bits."""
     return [np.array(float(v)) for v in values]
@@ -70,7 +77,7 @@ def _scalars(*values):
 
 def ibe_ftcs(grid: Grid1D, params: PdeParams, tau: float):
     """Bind the FTCS steps of u_t + u u_x = 0 (see the module docstring)."""
-    twice_h, tau = _scalars(2.0 * grid.h, tau)
+    twice_h, tau = scalars(2.0 * grid.h, tau)
     ux, scaled = np.empty(grid.n - 2), np.empty(grid.n - 2)
 
     def stencil(src, dst):
@@ -85,12 +92,12 @@ def ibe_ftcs(grid: Grid1D, params: PdeParams, tau: float):
 
         return step
 
-    return _bind_ftcs(grid, stencil)
+    return bind_steps(grid, stencil)
 
 
 def vbe_ftcs(grid: Grid1D, params: PdeParams, tau: float):
     """Bind the FTCS steps of u_t + u u_x = nu u_xx (see the module docstring)."""
-    twice_h, h2, nu, tau, two = _scalars(2.0 * grid.h, grid.h * grid.h, params.nu, tau, 2.0)
+    twice_h, h2, nu, tau, two = scalars(2.0 * grid.h, grid.h * grid.h, params.nu, tau, 2.0)
     ux, uxx = np.empty(grid.n - 2), np.empty(grid.n - 2)
 
     def stencil(src, dst):
@@ -111,7 +118,7 @@ def vbe_ftcs(grid: Grid1D, params: PdeParams, tau: float):
 
         return step
 
-    return _bind_ftcs(grid, stencil)
+    return bind_steps(grid, stencil)
 
 
 def ade_ftcs(grid: Grid, params: PdeParams, tau: float):
@@ -127,10 +134,11 @@ def ade_ftcs(grid: Grid, params: PdeParams, tau: float):
         centre_c += -2.0 * second
         coefficients += [second - first, second + first]
         offsets += [-stride, stride]
-    centre_c, *coefficients = _scalars(centre_c, *coefficients)
+    centre_c, *coefficients = scalars(centre_c, *coefficients)
     t, term = np.empty(hi - lo), np.empty(hi - lo)
 
     def stencil(src, dst):
+        src, dst = src.reshape(-1), dst.reshape(-1)
         centre, out = src[lo:hi], dst[lo:hi]
         terms = [(c, src[lo + offset : hi + offset]) for c, offset in zip(coefficients, offsets)]
 
@@ -143,30 +151,83 @@ def ade_ftcs(grid: Grid, params: PdeParams, tau: float):
 
         return step
 
-    return _bind_ftcs(grid, stencil)
+    return bind_steps(grid, stencil)
 
 
-def ibe_comp_update(u: Field, grid: Grid1D, params: PdeParams, tau: float) -> Field:
-    """Compact update of u_t + u u_x = 0 with the defect correction.
+def ibe_comp(grid: Grid1D, params: PdeParams, tau: float):
+    """Bind the COMP steps of u_t + u u_x = 0 with the defect correction.
 
     The correction (tau^2/2)(u^2 u_xx + 2 u u_x^2) matches the exact
     second time derivative of the solution, lifting the update to second
-    order in time.
+    order in time: u - (tau u) u_x + (tau^2 / 2)((u u) u_xx + ((2 u) u_x) u_x).
     """
-    ux, uxx = compact_ops.derivatives(u, grid)
-    return u - tau * u * ux + 0.5 * tau * tau * (u * u * uxx + 2.0 * u * ux * ux)
+    tau, half_tau2, two = scalars(tau, 0.5 * tau * tau, 2.0)
+    pair = compact_ops.bound_pair(grid)
+    derivatives = pair.empty()
+    ux, uxx = derivatives
+    first, second, third = (np.empty(grid.n) for _ in range(3))
+
+    def stencil(u, out):
+        def step():
+            pair(u, derivatives)
+            np.multiply(u, tau, first)
+            np.multiply(first, ux, first)
+            np.subtract(u, first, first)  # u - tau u u_x
+            np.multiply(u, u, second)
+            np.multiply(second, uxx, second)
+            np.multiply(u, two, third)
+            np.multiply(third, ux, third)
+            np.multiply(third, ux, third)
+            np.add(second, third, second)
+            np.multiply(second, half_tau2, second)
+            np.add(first, second, out)
+
+        return step
+
+    return bind_steps(grid, stencil)
 
 
-def vbe_comp_update(u: Field, grid: Grid1D, params: PdeParams, tau: float) -> Field:
-    """Compact update of u_t + u u_x = nu u_xx."""
-    ux, uxx = compact_ops.derivatives(u, grid)
-    return u - tau * (u * ux - params.nu * uxx)
+def vbe_comp(grid: Grid1D, params: PdeParams, tau: float):
+    """Bind the COMP steps of u_t + u u_x = nu u_xx: u - tau (u u_x - nu u_xx)."""
+    nu, tau = scalars(params.nu, tau)
+    pair = compact_ops.bound_pair(grid)
+    derivatives = pair.empty()
+    ux, uxx = derivatives
+    t = np.empty(grid.n)
+
+    def stencil(u, out):
+        def step():
+            pair(u, derivatives)
+            np.multiply(u, ux, t)
+            np.multiply(uxx, nu, uxx)
+            np.subtract(t, uxx, t)
+            np.multiply(t, tau, t)
+            np.subtract(u, t, out)
+
+        return step
+
+    return bind_steps(grid, stencil)
 
 
-def ade_update(u: Field, grid: Grid, params: PdeParams, tau: float, ops=compact_ops) -> Field:
-    """Forward-Euler update of u_t + alpha u_x (+ beta u_y) = nu laplacian(u), unsplit,
-    with ops' derivatives: u plus one stored product per axis of the field."""
-    t = compact_ops.linear(u, grid, 0, ops, -tau * params.alpha, tau * params.nu)
-    if u.ndim == 2:  # in place: a sum from 0 would add a pass over the field
-        t += compact_ops.linear(u, grid, 1, ops, -tau * params.beta, tau * params.nu)
-    return u + t
+def ade_comp(grid: Grid, params: PdeParams, tau: float):
+    """Bind the COMP steps of u_t + alpha u_x (+ beta u_y) = nu laplacian(u),
+    unsplit: u plus one stored product T u per axis (compact_ops.bound_linear)."""
+    speeds = (params.alpha, params.beta)[: len(grid.shape)]
+    products = [
+        compact_ops.bound_linear(grid, axis, compact_ops, -tau * speed, tau * params.nu)
+        for axis, speed in enumerate(speeds)
+    ]
+    t, *rest = [product.empty() for product in products]
+    x_product, *y_product = products
+
+    def stencil(u, out):
+        def step():
+            x_product(u, t)
+            for product, ty in zip(y_product, rest):  # in place: a sum from 0 would add a pass
+                product(u, ty)
+                np.add(t, ty, t)
+            np.add(u, t, out)
+
+        return step
+
+    return bind_steps(grid, stencil)

@@ -16,13 +16,19 @@ life, the one-sided pair [D1; D2], bound on first use: on axes of n <=
 DENSE_MAX nodes the stacked (2, n, n) D, applied by one einsum, and on longer
 ones the two bands |i - j| <= w = HALF_WIDTH[order], read through their
 windows of one zero-padded line buffer of the wider band, so that both cost
-one copy of the field. derivatives returns (u', u'') from that one product;
-d1 and d2 each apply their half alone. grid.products holds each half's
-product under (order, axis), with .pair the product of both, and
+one copy of the field. Each product writes into an output array its caller
+passes, product(u, out), so a step binds it and its out once per run
+(bound_pair, bound_linear) and reads both derivatives from that out with no
+allocation; derivatives, d1, d2 and linear are thin readers of the same
+products into a fresh out. derivatives returns (u', u'') from that one
+product; d1 and d2 each apply their half alone. grid.products holds each
+half's product under (order, axis), with .pair the product of both, and
 grid.derivative_matrices its read-only operator: a view of the stack, (n, n),
 or the band, (n, 2w + 1); no operator is stored twice. linear stores its one
 operator under (ops, axis, c1, c2) the same way. A band's product writes the
-grid's line buffer, so one grid must not be stepped from two threads at once.
+grid's line buffer, and a dense product across the lines of a 2D field's x
+axis its transposed copy of the field, so one grid must not be stepped from
+two threads at once.
 The pinned-end closure builds B U and applies the factor of A (see tridiag),
 shared by every grid of that n.
 
@@ -244,14 +250,14 @@ def _second_derivative_rhs(u, h, bp):
     return rhs
 
 
-def _lookup(key, u, grid, axis):
-    """u as a checked float field of grid, and the grid's product under key or None."""
-    u = np.asarray(u, dtype=float)
+def _checked(u, grid, axis):
+    """u as a checked C-contiguous float field of grid, differentiated along axis."""
+    u = np.ascontiguousarray(u, dtype=float)
     if u.shape != grid.shape:
         raise ShapeMismatch(f"field shape {u.shape} does not match grid {grid.shape}")
     if not 0 <= axis < u.ndim:
         raise ValueError(f"axis {axis} out of range for a {u.ndim}D grid")
-    return u, grid.products.get(key)
+    return u
 
 
 def _comb(n, p):
@@ -264,32 +270,52 @@ def _comb(n, p):
 def _bind(grid, axis, dense_max, parts):
     """The products along axis of grid of the operators that parts[k] = (w, probe,
     *args) give as probe(comb, n, h, *args) on the comb (see above): (both,
-    halves), where both(u) applies every operator and halves[k](u) the k-th
-    alone, with the operator as halves[k].operator. For n <= dense_max the
-    operators are stacked as one (k, n, n) D and applied by one einsum; longer
-    lines store each band |i - j| <= w and read it through its window of one
-    zero-padded line buffer of the widest w, into which a call copies u once."""
+    halves). both(u, out) writes every operator's product of a C-contiguous
+    field u of grid into out, of shape (k,) + grid.shape as both.empty() makes
+    it, and halves[k](u, out) the k-th alone into out of grid.shape, with the
+    operator as halves[k].operator and halves[k].empty(); each returns out. For
+    n <= dense_max the operators are stacked as one (k, n, n) D and applied by
+    one einsum; longer lines store each band |i - j| <= w and read it through
+    its window of one zero-padded line buffer of the widest w, into which a call
+    copies u once."""
     n, h = grid.shape[axis], grid.spacing[axis]
     across = len(grid.shape) == 2 and axis == 0  # the lines are the columns of u
+    count, shape = len(parts), grid.shape
+    empty = lambda: np.empty((count,) + shape)
     if n <= dense_max:
-        d = np.empty((len(parts), n, n))
+        d = np.empty((count, n, n))
         for dk, (_, probe, *args) in zip(d, parts):
             dk[...] = probe(_comb(n, n), n, h, *args)
         operators = list(_read_only(d))
         # On contiguous rows, einsum sums a line's outputs in the same order alone
         # as among many lines or operators, so its bits depend on neither the
         # field nor the stacking; BLAS does not.
-        one = "kj,ij->ik" if across else "...j,ij->...i"
         if across:
-            both = lambda u: np.einsum("kj,oij->oik", np.ascontiguousarray(u.T), d)
-        elif len(grid.shape) == 2:  # rows: (lines, 2, n) is a fifth faster to write
-            both = lambda u: np.einsum("kj,oij->koi", np.ascontiguousarray(u), d).swapaxes(0, 1)
+            lines = np.empty(shape[::-1])  # u's columns as contiguous rows, per call
+
+            def both(u, out):
+                lines[...] = u.T
+                return np.einsum("kj,oij->oik", lines, d, out=out)
+
+            def half(dk):
+                def product(u, out):
+                    lines[...] = u.T
+                    return np.einsum("kj,ij->ik", lines, dk, out=out)
+
+                return product
+
         else:
-            both = lambda u: np.einsum("j,oij->oi", np.ascontiguousarray(u), d)
-        halves = [
-            lambda u, dk=dk: np.einsum(one, np.ascontiguousarray(u.T if across else u), dk)
-            for dk in operators
-        ]
+            if len(shape) == 2:  # rows: (lines, k, n) is a fifth faster to write
+
+                def both(u, out):
+                    np.einsum("kj,oij->koi", u, d, out=out.swapaxes(0, 1))
+                    return out
+
+                empty = lambda: np.empty((shape[0], count, n)).swapaxes(0, 1)
+            else:
+                both = lambda u, out: np.einsum("j,oij->oi", u, d, out=out)
+            half = lambda dk: lambda u, out: np.einsum("...j,ij->...i", u, dk, out=out)
+        halves = [half(dk) for dk in operators]
     else:
         operators = []
         for w, probe, *args in parts:
@@ -301,32 +327,33 @@ def _bind(grid, axis, dense_max, parts):
             operators.append(_read_only(band))
         # band[i, k] meets node i - w + k: a window view of the zero-padded lines
         widest = max(w for w, *_ in parts)
-        shape = grid.shape[::-1] if across else grid.shape
-        padded = np.zeros(shape[:-1] + (n + 2 * widest,))
+        lined = shape[::-1] if across else shape
+        padded = np.zeros(lined[:-1] + (n + 2 * widest,))
         inner, strides = padded[..., widest : n + widest], padded.strides + padded.strides[-1:]
         windows = [
-            np.ndarray(shape + (2 * w + 1,), float, padded, (widest - w) * padded.itemsize, strides)
+            np.ndarray(lined + (2 * w + 1,), float, padded, (widest - w) * padded.itemsize, strides)
             for w, *_ in parts
         ]
-
         # written in u's layout: across, a (lines, n) result would need a copy
-        spec, fields = ("ik,...ik->i..." if across else "ik,...ik->...i"), grid.shape
-        product = lambda band, window: np.einsum(spec, band, window, out=np.empty(fields))
+        spec = "ik,...ik->i..." if across else "ik,...ik->...i"
 
-        def both(u):
+        def both(u, out):
             inner[...] = u.T if across else u
-            return [product(band, window) for band, window in zip(operators, windows)]
+            for band, window, into in zip(operators, windows, out):
+                np.einsum(spec, band, window, out=into)
+            return out
 
         def reader(band, window):
-            def half(u):
+            def product(u, out):
                 inner[...] = u.T if across else u
-                return product(band, window)
+                return np.einsum(spec, band, window, out=out)
 
-            return half
+            return product
 
         halves = [reader(band, window) for band, window in zip(operators, windows)]
-    for half, operator in zip(halves, operators):
-        half.operator = operator
+    both.empty = empty
+    for product, operator in zip(halves, operators):
+        product.operator, product.empty = operator, lambda: np.empty(shape)
     return both, halves
 
 
@@ -349,18 +376,26 @@ def _bind_compact(grid, axis):
     return halves
 
 
+def bound_pair(grid: Grid, axis: int = 0):
+    """The grid's product of the one-sided [D1; D2] along axis, bound on first
+    use: pair(u, out) writes (u', u'') of a C-contiguous field u of grid into
+    out, made once by pair.empty(), and returns out. A step binds it once per
+    run and reads both derivatives from its own out; derivatives, d1 and d2
+    read the same products into a fresh out."""
+    first = grid.products.get((1, axis)) or _bind_compact(grid, axis)[0]
+    return first.pair
+
+
 def _derivative(order, u, grid, axis, bp):
     """d1 or d2: a thin reader of its half of the stored pair, or with pinned
     ends one solve of the lines."""
-    if bp.kind == "exact":  # nothing is stored under None: only the checks
-        u, _ = _lookup(None, u, grid, axis)
+    u = _checked(u, grid, axis)
+    if bp.kind == "exact":  # nothing is stored: only the checks
         n, h = grid.shape[axis], grid.spacing[axis]
         swap = lambda a: np.ascontiguousarray(a.swapaxes(0, axis))
         return swap(_solved(swap(u), n, h, order, bp))
-    u, product = _lookup((order, axis), u, grid, axis)
-    if product is None:
-        product = _bind_compact(grid, axis)[order - 1]
-    return product(u)
+    product = grid.products.get((order, axis)) or _bind_compact(grid, axis)[order - 1]
+    return product(u, product.empty())
 
 
 def d1(u: Field, grid: Grid, axis: int = 0, bp: BoundaryPolicy = ONE_SIDED) -> Field:
@@ -373,14 +408,13 @@ def d2(u: Field, grid: Grid, axis: int = 0, bp: BoundaryPolicy = ONE_SIDED) -> F
     return _derivative(2, u, grid, axis, bp)
 
 
-def derivatives(u: Field, grid: Grid, axis: int = 0) -> Tuple[Field, Field]:
+def derivatives(u: Field, grid: Grid, axis: int = 0) -> np.ndarray:
     """(u', u'') along one axis with one-sided ends, bit for bit those of d1 and
-    d2, from one product with the stored [D1; D2] (on a dense line the two
-    halves of one (2, ...) array): a step that reads both pays for one call."""
-    u, first = _lookup((1, axis), u, grid, axis)
-    if first is None:
-        first = _bind_compact(grid, axis)[0]
-    return first.pair(u)
+    d2, as the two halves of one (2,) + grid.shape array from bound_pair's
+    product: a caller that reads both pays for one call."""
+    u = _checked(u, grid, axis)
+    product = bound_pair(grid, axis)
+    return product(u, product.empty())
 
 
 def _pair(comb, n, h, ops, c1, c2):
@@ -397,14 +431,24 @@ def _pair(comb, n, h, ops, c1, c2):
     return second
 
 
-def linear(u: Field, grid: Grid, axis: int, ops, c1: float, c2: float) -> Field:
-    """(c1 D1 + c2 D2) u along axis for ops.d1/d2's D1, D2, probed on the axis's
-    lines and stored as ops' DENSE_MAX and HALF_WIDTH say. ops is this module or
-    a pair with its call and those two names. A new step size adds an operator."""
+def bound_linear(grid: Grid, axis: int, ops, c1: float, c2: float):
+    """The grid's product of c1 D1 + c2 D2 along axis for ops.d1/d2's D1, D2,
+    probed on the axis's lines and stored as ops' DENSE_MAX and HALF_WIDTH say,
+    bound on first use: product(u, out) writes it for a C-contiguous field u of
+    grid into out, made once by product.empty(), and returns out. ops is this
+    module or a pair with its call and those two names. A new step size adds
+    an operator."""
     key = (ops, axis, c1, c2)
-    u, product = _lookup(key, u, grid, axis)
+    product = grid.products.get(key)
     if product is None:
         w = max(ops.HALF_WIDTH.values())
         (product,) = _bind(grid, axis, ops.DENSE_MAX, [(w, _pair, ops, c1, c2)])[1]
         grid.products[key] = product
-    return product(u)
+    return product
+
+
+def linear(u: Field, grid: Grid, axis: int, ops, c1: float, c2: float) -> Field:
+    """(c1 D1 + c2 D2) u along axis: a thin reader of bound_linear's product."""
+    u = _checked(u, grid, axis)
+    product = bound_linear(grid, axis, ops, c1, c2)
+    return product(u, product.empty())

@@ -23,26 +23,25 @@ from .analytic import (
 from .compact_ops import Field, Grid, Grid1D, Grid2D
 from .errors import NonFinite, ShapeMismatch, StepCountMismatch
 
-# The step of each (pde, scheme) pair. An FTCS row is a binder, called once
-# per run as binder(grid, params, tau) for the run's block advance(u, rows)
-# (see baseline_schemes); every other row is an update, called as
-# update(u, grid, params, tau) plus the node displacement over the step for
-# SLIDING. The table's order is the order of PDES and SCHEMES_BY_PDE, and so of
-# the studies' rows.
+# The step of each (pde, scheme) pair: a binder, called once per run as
+# binder(grid, params, tau) plus the node displacement over a step for SLIDING,
+# which returns the run's block advance(u, rows) (see baseline_schemes). The
+# table's order is the order of PDES and SCHEMES_BY_PDE, and so of the studies'
+# rows.
 _STEPPERS = {
     ("ibe", "ftcs"): base.ibe_ftcs,
-    ("ibe", "comp"): base.ibe_comp_update,
-    ("ibe", "sym"): inv.ibe_sym_update,
+    ("ibe", "comp"): base.ibe_comp,
+    ("ibe", "sym"): inv.ibe_sym,
     ("ade1d", "ftcs"): base.ade_ftcs,
-    ("ade1d", "comp"): base.ade_update,
-    ("ade1d", "sym"): partial(inv.ade_sym_update, variant="sym2"),
+    ("ade1d", "comp"): base.ade_comp,
+    ("ade1d", "sym"): partial(inv.ade_sym, variant="sym2"),
     ("vbe", "ftcs"): base.vbe_ftcs,
-    ("vbe", "comp"): base.vbe_comp_update,
-    ("vbe", "sym"): inv.vbe_sym_update,
+    ("vbe", "comp"): base.vbe_comp,
+    ("vbe", "sym"): inv.vbe_sym,
     ("ade2d", "ftcs"): base.ade_ftcs,
-    ("ade2d", "comp"): base.ade_update,
-    ("ade2d", "sym1"): partial(inv.ade_sym_update, variant="sym1"),
-    ("ade2d", "sym2"): partial(inv.ade_sym_update, variant="sym2"),
+    ("ade2d", "comp"): base.ade_comp,
+    ("ade2d", "sym1"): partial(inv.ade_sym, variant="sym1"),
+    ("ade2d", "sym2"): partial(inv.ade_sym, variant="sym2"),
 }
 PDES = tuple(dict.fromkeys(pde for pde, _ in _STEPPERS))
 SCHEMES_BY_PDE = {pde: tuple(s for p, s in _STEPPERS if p == pde) for pde in PDES}
@@ -132,8 +131,19 @@ def _difference(numeric: Field, exact: Field) -> np.ndarray:
 
 
 def rmse(numeric: Field, exact: Field) -> float:
-    """Root mean square difference over all nodes."""
-    return float(np.sqrt(np.mean(_difference(numeric, exact) ** 2)))
+    """Root mean square difference over all nodes.
+
+    Where the plain mean of squares overflows on a finite difference, it is
+    taken of the difference scaled by its largest magnitude, so a large but
+    finite field gives a finite value; every other field keeps the plain
+    form's bits."""
+    difference = _difference(numeric, exact)
+    with np.errstate(over="ignore"):
+        value = np.sqrt(np.mean(difference**2))
+    if math.isinf(value) and np.isfinite(difference).all():
+        scale = np.abs(difference).max()
+        value = scale * np.sqrt(np.mean((difference / scale) ** 2))
+    return float(value)
 
 
 def linf(numeric: Field, exact: Field) -> float:
@@ -157,6 +167,7 @@ class ErrorReport:
     n_steps: int
     courant: float  # largest |speed| tau / h over the axes: alpha on x, beta on y
     diffusion: float  # largest nu tau / h^2 over the axes
+    lambda_min: float  # smallest interior frame factor lambda over the steps; NaN without a frame
 
 
 @dataclass
@@ -239,16 +250,17 @@ def _block_map(steps, grid, m):
 
 
 def _stepper(pde: str, scheme: str, ctx: StepContext) -> Callable:
-    """step's body, resolved once per pair and context as advance_block(u, rows):
-    one step per boundary row of rows (None: one step, its row drawn for
-    ctx.t + tau), each the update, the Dirichlet refresh and the finite check.
-    An FTCS pair is bound here, once (see _STEPPERS); the other pairs step
-    through their update. An AFFINE pair on a line of at most DENSE_MAX nodes
-    takes a block of BOUNDARY_BLOCK rows as one product (see AFFINE), checked
-    once per block; its map is built on the first such block, so a run shorter
-    than one block or a step never builds it. It reads _STEPPERS on each call,
-    so a patched table is seen, and warns when a scheme other than FTCS
-    exceeds COMPACT_DIFFUSION_LIMIT."""
+    """step's body, resolved and bound once per pair and context as
+    advance_block(u, rows): one step per boundary row of rows (None: one step,
+    its row drawn for ctx.t + tau), each the update, the Dirichlet refresh and
+    the finite check, by the advance the pair's binder returns (see _STEPPERS).
+    An AFFINE pair on a line of at most DENSE_MAX nodes takes a block of
+    BOUNDARY_BLOCK rows as one product (see AFFINE), checked once per block;
+    its map is built on the first such block, so a run shorter than one block
+    or a step never builds it. advance_block.lambda_min() is the smallest
+    interior frame factor lambda the run's steps met, NaN for a pair without a
+    frame. It reads _STEPPERS on each call, so a patched table is seen, and
+    warns when a scheme other than FTCS exceeds COMPACT_DIFFUSION_LIMIT."""
     try:
         entry = _STEPPERS[(pde, scheme)]
     except KeyError:
@@ -256,7 +268,7 @@ def _stepper(pde: str, scheme: str, ctx: StepContext) -> Callable:
     extra = (ctx.mesh_velocity * ctx.tau,) if (pde, scheme) == SLIDING else ()
     if ctx.mesh_velocity != 0.0 and not extra:
         raise ValueError("only the invariant viscous Burgers step supports a sliding mesh")
-    grid, params, tau, index = ctx.grid, ctx.params, ctx.tau, ctx.grid.dirichlet[0]
+    grid, tau, index = ctx.grid, ctx.tau, ctx.grid.dirichlet[0]
     if len(grid.shape) != (2 if pde == "ade2d" else 1):
         raise ShapeMismatch(f"pde {pde!r} does not fit a grid of shape {grid.shape}")
     if scheme != "ftcs" and ctx.diffusion > COMPACT_DIFFUSION_LIMIT:
@@ -265,20 +277,9 @@ def _stepper(pde: str, scheme: str, ctx: StepContext) -> Callable:
             f"the forward Euler limit of the compact second derivative ({pde} {scheme})"
         )
         warnings.warn(message, RuntimeWarning, stacklevel=3)
-    zeros = np.zeros(math.prod(grid.shape))  # the finite check's, once per run
-    if scheme == "ftcs":
-        steps = entry(grid, params, tau)
-    else:
-
-        def steps(u, rows):
-            for row in rows:
-                u = entry(u, grid, params, tau, *extra)
-                u[index] = row
-                _check_finite(u, zeros)
-            return u
-
+    steps = entry(grid, ctx.params, tau, *extra)
     affine = (pde, scheme) in AFFINE and grid.shape[0] <= compact_ops.DENSE_MAX
-    block = None  # the AFFINE map, once built
+    block, zeros = None, np.zeros(grid.shape[0])  # the AFFINE map, once built, and its check's
 
     def advance_block(u, rows=None):
         nonlocal block
@@ -296,6 +297,7 @@ def _stepper(pde: str, scheme: str, ctx: StepContext) -> Callable:
             return u
         return steps(u, rows)
 
+    advance_block.lambda_min = getattr(steps, "lambda_min", lambda: math.nan)
     return advance_block
 
 
@@ -377,6 +379,7 @@ def evolve(
         n_steps=n_steps,
         courant=ctx.courant,
         diffusion=ctx.diffusion,
+        lambda_min=advance_block.lambda_min(),
     )
     return u, ref, report
 

@@ -215,17 +215,24 @@ class TestGuardThresholds:
 
     LINE, PLANE = Grid1D(0.0, 0.25, 9), Grid2D(0.0, 0.0, 0.2, 0.2, 8, 8)
 
+    @staticmethod
+    def constant(value):
+        return lambda t, *xy: np.full(np.broadcast(*map(np.asarray, xy)).shape, value)
+
     @pytest.mark.parametrize("grid", [LINE, PLANE], ids=["1d", "2d"])
     @pytest.mark.parametrize("variant", ["sym1", "sym2"])
     def test_zero_state_threshold(self, grid, variant):
         p = PdeParams(alpha=1.0, beta=1.0, nu=0.1)
+        # on a line both variants are the one sym step
+        pair = ("ade1d", "sym") if grid is self.LINE else ("ade2d", variant)
         for sign in (1.0, -1.0):
+            ctx = StepContext(grid, p, TAU, 0.0, self.constant(sign * ZERO_STATE_TOL))
             at = np.full(grid.shape, sign * ZERO_STATE_TOL)  # flat: s1 = 0, lambda = 1
-            assert np.isfinite(inv.ade_sym_update(at, grid, p, TAU, variant)).all()
+            assert np.isfinite(step(*pair, at, ctx)).all()
             below = at.copy()
             below[(3,) * at.ndim] = sign * np.nextafter(ZERO_STATE_TOL, 0.0)
             with pytest.raises(ZeroState):
-                inv.ade_sym_update(below, grid, p, TAU, variant)
+                step(*pair, below, ctx)
 
     @staticmethod
     def lambda_at(value, node, shape):
@@ -233,38 +240,69 @@ class TestGuardThresholds:
         lam[node] = value
         return lam
 
+    @staticmethod
+    def patch_pairs(monkeypatch, grid, fields):
+        """Make the grid's bound pair along each axis write fields[axis], the
+        (u', u'') that a step then reads (compact_ops.bound_pair)."""
+        for axis, values in enumerate(fields):
+            real = compact_ops.bound_pair(grid, axis)
+
+            def fake(u, out, values=values):
+                out[0], out[1] = values
+                return out
+
+            fake.empty = real.empty
+            monkeypatch.setattr(grid.products[1, axis], "pair", fake)
+
     @pytest.mark.parametrize("grid", [LINE, PLANE], ids=["1d", "2d"])
     def test_frame_singularity_threshold_in_the_ade_step(self, grid, monkeypatch):
-        u, p = np.ones(grid.shape), PdeParams(alpha=1.0, beta=1.0, nu=0.1)
-        for value, raises in ((LAMBDA_TOL, True), (np.nextafter(LAMBDA_TOL, 1.0), False)):
-            lam = self.lambda_at(value, (3,) * u.ndim, grid.shape)
-            frame = inv.MovingFrame(0.0 * lam, lam)
-            monkeypatch.setattr(inv, "ade_frame", lambda *args, frame=frame: frame)
+        # u = 1 and u_xx = 2 d s1 at one interior node give lambda = 1 - (4 nu tau) s1
+        # there and 1 elsewhere. 1 - x is exact near 1, so lambda cannot be
+        # LAMBDA_TOL itself: take the two adjacent s1 whose lambda brackets it.
+        # alpha = beta = 0 keeps the Gaussian weight at 1.
+        u, p = np.ones(grid.shape), PdeParams(alpha=0.0, beta=0.0, nu=0.1)
+        k, node = 4.0 * p.nu * TAU, (3,) * u.ndim
+        s1 = (1.0 - LAMBDA_TOL) / k
+        while 1.0 - k * s1 <= LAMBDA_TOL:
+            s1 = np.nextafter(s1, 0.0)
+        while 1.0 - k * np.nextafter(s1, np.inf) > LAMBDA_TOL:
+            s1 = np.nextafter(s1, np.inf)
+        above, at_or_below = s1, np.nextafter(s1, np.inf)
+        assert 1.0 - k * above > LAMBDA_TOL >= 1.0 - k * at_or_below
+        ctx = StepContext(grid, p, TAU, 0.0, self.constant(1.0))
+        for s1, raises in ((at_or_below, True), (above, False)):
+            uxx = np.zeros(grid.shape)
+            uxx[node] = 2.0 * u.ndim * s1  # exact: a power of two
+            self.patch_pairs(monkeypatch, grid, [(0.0, uxx)] + [(0.0, 0.0)] * (u.ndim - 1))
+            pair = ("ade1d", "sym") if grid is self.LINE else ("ade2d", "sym2")
             if raises:
                 with pytest.raises(FrameSingularity):
-                    inv.ade_sym_update(u, grid, p, TAU, "sym2")
+                    step(*pair, u, ctx)
             else:
-                assert np.isfinite(inv.ade_sym_update(u, grid, p, TAU, "sym2")).all()
+                assert np.isfinite(step(*pair, u, ctx)).all()
 
     def test_frame_singularity_threshold_of_the_guard(self):
         interior = np.s_[1:-1]
         with pytest.raises(FrameSingularity):
-            inv._check_lambda_positive(self.lambda_at(LAMBDA_TOL, 4, 9), interior)
-        inv._check_lambda_positive(self.lambda_at(np.nextafter(LAMBDA_TOL, 1.0), 4, 9), interior)
+            inv._frame_guard(self.lambda_at(LAMBDA_TOL, 4, 9)[interior])()
+        above = np.nextafter(LAMBDA_TOL, 1.0)
+        guard = inv._frame_guard(self.lambda_at(above, 4, 9)[interior])
+        guard()
+        assert guard.lowest() == above
 
-    @pytest.mark.parametrize("update", [inv.ibe_sym_update, inv.vbe_sym_update])
-    def test_burgers_lambda_is_one_plus_tau_ux_on_interior_nodes(self, update, monkeypatch):
+    @pytest.mark.parametrize("pde", ["ibe", "vbe"])
+    def test_burgers_lambda_is_one_plus_tau_ux_on_interior_nodes(self, pde, monkeypatch):
         # lambda = 1 + tau u_x: -1 on both end nodes raises nothing, and an
         # interior node at lambda = 1 - 2 tau / tau = -1 raises
         grid, tau = self.LINE, 0.01
+        ctx = StepContext(grid, PdeParams(nu=VBE_NU), tau, 0.0, self.constant(1.0))
         ux = np.zeros(9)
         ux[[0, -1]] = -2.0 / tau
-        monkeypatch.setattr(compact_ops, "derivatives", lambda u, g, axis=0: (ux, np.zeros(9)))
-        extra = (0.0,) if update is inv.vbe_sym_update else ()
-        assert np.isfinite(update(np.ones(9), grid, PdeParams(nu=VBE_NU), tau, *extra)).all()
+        self.patch_pairs(monkeypatch, grid, [(ux, 0.0)])
+        assert np.isfinite(step(pde, "sym", np.ones(9), ctx)).all()
         ux[4] = -2.0 / tau
         with pytest.raises(FrameSingularity):
-            update(np.ones(9), grid, PdeParams(nu=VBE_NU), tau, *extra)
+            step(pde, "sym", np.ones(9), ctx)
 
     @pytest.mark.parametrize(
         "pde, scheme", [("ade1d", "sym"), ("ade2d", "sym1"), ("ade2d", "sym2")]

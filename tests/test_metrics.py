@@ -74,6 +74,32 @@ class TestErrorMeasures:
         assert rmse(a + 3.5, b + 3.5) == pytest.approx(rmse(a, b), abs=1e-12)
         assert linf(a + 3.5, b + 3.5) == pytest.approx(linf(a, b), abs=1e-12)
 
+    def test_rmse_of_a_huge_finite_field_is_finite(self):
+        # the squares overflow; rmse scales by the largest difference instead
+        # and warns of nothing (filterwarnings = error), like linf
+        huge = np.full(101, 1e200)
+        assert rmse(huge, np.zeros(101)) == linf(huge, np.zeros(101)) == 1e200
+        mixed = np.array([3e200, -4e200, 0.0, 1e-300])
+        assert rmse(mixed, np.zeros(4)) == pytest.approx(math.sqrt(25.0 / 4.0) * 1e200, rel=1e-15)
+        largest = np.finfo(float).max
+        assert rmse(np.array([largest, -largest]), np.zeros(2)) == largest
+        # non-finite differences keep the plain form's inf and NaN
+        assert rmse(np.array([np.inf, 1.0]), np.zeros(2)) == np.inf
+        assert np.isnan(rmse(np.array([np.nan, 1.0]), np.zeros(2)))
+
+    def test_unstable_run_reports_finite_errors(self):
+        # vbe FTCS at diffusion number 0.6 reaches max|u| ~ 1e221 at step 11,
+        # one step before NonFinite: its report is finite, with only the
+        # stability screen's warning
+        grid, params = Grid1D(0.0, 2.0 * np.pi / 100.0, 101), PdeParams(nu=1.0 / 12.0)
+        tau = 0.6 * grid.h**2 / params.nu
+        with pytest.warns(RuntimeWarning) as caught:
+            u, _, report = evolve("vbe", "ftcs", grid, tau, 11 * tau, params)
+        assert len(caught) == 1 and "diffusion number" in str(caught[0].message)
+        assert np.abs(u).max() > 1e200
+        assert math.isfinite(report.linf) and report.linf > 1e200
+        assert math.isfinite(report.rmse) and 0.0 < report.rmse <= report.linf
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             rmse(np.zeros(3), np.zeros(4))
@@ -557,11 +583,7 @@ class TestAffineBlock:
     def test_only_a_full_block_builds_the_map(self, pair, monkeypatch):
         entry, calls = _STEPPERS[pair], []
 
-        def counted(u, *args, **kwargs):  # an update steps one row per call
-            calls.append(u.shape)
-            return entry(u, *args, **kwargs)
-
-        def counted_binder(*bind):  # a bound FTCS advance steps each row it is given
+        def counted_binder(*bind):  # a bound advance steps each row it is given
             advance = entry(*bind)
 
             def counting(u, rows):
@@ -570,7 +592,7 @@ class TestAffineBlock:
 
             return counting
 
-        monkeypatch.setitem(_STEPPERS, pair, counted_binder if pair[1] == "ftcs" else counted)
+        monkeypatch.setitem(_STEPPERS, pair, counted_binder)
         grid, tau = BLOCK_GRIDS["ade1d"], 1e-4
         exact = default_exact("ade1d", ADE_PARAMS)
         ctx = StepContext(grid, ADE_PARAMS, tau, 0.0, exact)
