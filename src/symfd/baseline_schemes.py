@@ -214,18 +214,19 @@ def ade_comp(grid: Grid, params: PdeParams, tau: float):
     unsplit: u plus one stored product T u per axis (compact_ops.bound_linear)."""
     speeds = (params.alpha, params.beta)[: len(grid.shape)]
     products = [
-        compact_ops.bound_linear(grid, axis, compact_ops, -tau * speed, tau * params.nu)
+        compact_ops.bound_linear(grid, axis, -tau * speed, tau * params.nu)
         for axis, speed in enumerate(speeds)
     ]
-    t, *rest = [product.empty() for product in products]
-    x_product, *y_product = products
+    outs = [product.empty() for product in products]
+    t, *rest = [out[0] for out in outs]  # each axis's T u, in its one-operator out
+    (x_product, *y_product), (x_out, *y_out) = products, outs
 
     def stencil(u, out):
         def step():
-            x_product(u, t)
-            for product, ty in zip(y_product, rest):  # in place: a sum from 0 would add a pass
-                product(u, ty)
-                np.add(t, ty, t)
+            x_product(u, x_out)
+            for product, into, ty in zip(y_product, y_out, rest):
+                product(u, into)
+                np.add(t, ty, t)  # in place: a sum from 0 would add a pass
             np.add(u, t, out)
 
         return step

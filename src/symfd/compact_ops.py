@@ -12,23 +12,24 @@ to differentiate along.
 
 Written as A U' = B U (Lele, J. Comput. Phys. 103, 1992), a one-sided
 derivative is one product with D = A^-1 B. A grid keeps, per axis and for its
-life, the one-sided pair [D1; D2], bound on first use: on axes of n <=
-DENSE_MAX nodes the stacked (2, n, n) D, applied by one einsum, and on longer
-ones the two bands |i - j| <= w = HALF_WIDTH[order], read through their
-windows of one zero-padded line buffer of the wider band, so that both cost
-one copy of the field. Each product writes into an output array its caller
-passes, product(u, out), so a step binds it and its out once per run
-(bound_pair, bound_linear) and reads both derivatives from that out with no
-allocation; derivatives, d1, d2 and linear are thin readers of the same
-products into a fresh out. derivatives returns (u', u'') from that one
-product; d1 and d2 each apply their half alone. grid.products holds each
-half's product under (order, axis), with .pair the product of both, and
-grid.derivative_matrices its read-only operator: a view of the stack, (n, n),
-or the band, (n, 2w + 1); no operator is stored twice. linear stores its one
-operator under (ops, axis, c1, c2) the same way. A band's product writes the
-grid's line buffer, and a dense product across the lines of a 2D field's x
-axis its transposed copy of the field, so one grid must not be stepped from
-two threads at once.
+life, the one-sided pair [D1; D2], probed on first use: on axes of n <=
+DENSE_MAX nodes the stacked (2, n, n) D, and on longer ones the two bands
+|i - j| <= w = HALF_WIDTH[order]. One builder binds a read-only stack of
+operators to its product(u, out), which writes every operator's product into
+the output array its caller passes: a dense stack is applied by one einsum,
+and bands are read through their windows of one zero-padded line buffer of
+the widest band, so a call costs one copy of the field. A step binds its
+product and out once per run and reads its derivatives from that out with no
+allocation. The builder has three users, each storing its product in
+grid.products and its stack in grid.derivative_matrices under a key:
+bound_pair binds [D1; D2] under ("pair", axis); d1 and d2 bind, on their
+first call, their one-operator view of that stack under (order, axis); and
+bound_linear binds the step operator c1 D1 + c2 D2, formed from the pair's
+own operators, under (axis, c1, c2). derivatives, d1, d2 and linear are thin
+readers of these products into a fresh out; no derivative operator is stored
+twice. A band's product writes its line buffer, and a dense product across
+the lines of a 2D field's x axis its transposed copy of the field, so one
+grid must not be stepped from two threads at once.
 The pinned-end closure builds B U and applies the factor of A (see tridiag),
 shared by every grid of that n.
 
@@ -50,7 +51,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from types import SimpleNamespace
 from typing import Tuple
 
 import numpy as np
@@ -120,7 +120,7 @@ class Grid:
 
     @property
     def derivative_matrices(self) -> dict:
-        """The read-only operator each of products applies, by key."""
+        """The read-only operator stack each of products applies, by key."""
         return {key: product.operator for key, product in self.products.items()}
 
 
@@ -267,135 +267,114 @@ def _comb(n, p):
     return comb
 
 
-def _bind(grid, axis, dense_max, parts):
-    """The products along axis of grid of the operators that parts[k] = (w, probe,
-    *args) give as probe(comb, n, h, *args) on the comb (see above): (both,
-    halves). both(u, out) writes every operator's product of a C-contiguous
-    field u of grid into out, of shape (k,) + grid.shape as both.empty() makes
-    it, and halves[k](u, out) the k-th alone into out of grid.shape, with the
-    operator as halves[k].operator and halves[k].empty(); each returns out. For
-    n <= dense_max the operators are stacked as one (k, n, n) D and applied by
-    one einsum; longer lines store each band |i - j| <= w and read it through
-    its window of one zero-padded line buffer of the widest w, into which a call
-    copies u once."""
-    n, h = grid.shape[axis], grid.spacing[axis]
-    across = len(grid.shape) == 2 and axis == 0  # the lines are the columns of u
-    count, shape = len(parts), grid.shape
-    empty = lambda: np.empty((count,) + shape)
-    if n <= dense_max:
-        d = np.empty((count, n, n))
-        for dk, (_, probe, *args) in zip(d, parts):
-            dk[...] = probe(_comb(n, n), n, h, *args)
-        operators = list(_read_only(d))
-        # On contiguous rows, einsum sums a line's outputs in the same order alone
-        # as among many lines or operators, so its bits depend on neither the
-        # field nor the stacking; BLAS does not.
-        if across:
-            lines = np.empty(shape[::-1])  # u's columns as contiguous rows, per call
-
-            def both(u, out):
-                lines[...] = u.T
-                return np.einsum("kj,oij->oik", lines, d, out=out)
-
-            def half(dk):
-                def product(u, out):
-                    lines[...] = u.T
-                    return np.einsum("kj,ij->ik", lines, dk, out=out)
-
-                return product
-
-        else:
-            if len(shape) == 2:  # rows: (lines, k, n) is a fifth faster to write
-
-                def both(u, out):
-                    np.einsum("kj,oij->koi", u, d, out=out.swapaxes(0, 1))
-                    return out
-
-                empty = lambda: np.empty((shape[0], count, n)).swapaxes(0, 1)
-            else:
-                both = lambda u, out: np.einsum("j,oij->oi", u, d, out=out)
-            half = lambda dk: lambda u, out: np.einsum("...j,ij->...i", u, dk, out=out)
-        halves = [half(dk) for dk in operators]
-    else:
-        operators = []
-        for w, probe, *args in parts:
-            p = 2 * w + 1
-            band = probe(_comb(n, p), n, h, *args)
-            j = np.arange(n)[:, None] + np.arange(p) - w  # column of band[i, k]
-            band = np.take_along_axis(band, j % p, axis=1)
-            band[(j < 0) | (j >= n)] = 0.0
-            operators.append(_read_only(band))
-        # band[i, k] meets node i - w + k: a window view of the zero-padded lines
-        widest = max(w for w, *_ in parts)
-        lined = shape[::-1] if across else shape
-        padded = np.zeros(lined[:-1] + (n + 2 * widest,))
-        inner, strides = padded[..., widest : n + widest], padded.strides + padded.strides[-1:]
-        windows = [
-            np.ndarray(lined + (2 * w + 1,), float, padded, (widest - w) * padded.itemsize, strides)
-            for w, *_ in parts
-        ]
-        # written in u's layout: across, a (lines, n) result would need a copy
-        spec = "ik,...ik->i..." if across else "ik,...ik->...i"
-
-        def both(u, out):
-            inner[...] = u.T if across else u
-            for band, window, into in zip(operators, windows, out):
-                np.einsum(spec, band, window, out=into)
-            return out
-
-        def reader(band, window):
-            def product(u, out):
-                inner[...] = u.T if across else u
-                return np.einsum(spec, band, window, out=out)
-
-            return product
-
-        halves = [reader(band, window) for band, window in zip(operators, windows)]
-    both.empty = empty
-    for product, operator in zip(halves, operators):
-        product.operator, product.empty = operator, lambda: np.empty(shape)
-    return both, halves
-
-
 _RHS = {1: _first_derivative_rhs, 2: _second_derivative_rhs}
 
 
-def _solved(lines, n, h, order, bp):
+def _solved(lines, n, h, order, bp=ONE_SIDED):
     """The order's compact derivative of each column of lines, by one solve."""
     return solve(_operator(order, n, bp.kind), _RHS[order](lines, h, bp))
 
 
-def _bind_compact(grid, axis):
-    """Bind on grid the one-sided [D1; D2] along axis: D1's product under (1, axis)
-    and D2's under (2, axis), each with .pair, the product of both."""
-    parts = [(HALF_WIDTH[order], _solved, order, ONE_SIDED) for order in (1, 2)]
-    pair, halves = _bind(grid, axis, DENSE_MAX, parts)
-    for order, product in enumerate(halves, 1):
-        product.pair = pair
-        grid.products[order, axis] = product
-    return halves
+def _probed(n, h):
+    """The one-sided [D1; D2] of a line of n nodes spaced h, probed on the comb
+    (see above): the read-only (2, n, n) D for n <= DENSE_MAX, else the tuple of
+    the two read-only bands, band[i, k] being the entry of node i - w + k."""
+    if n <= DENSE_MAX:
+        return _read_only(np.stack([_solved(_comb(n, n), n, h, order) for order in (1, 2)]))
+    bands = []
+    for order, w in HALF_WIDTH.items():
+        p = 2 * w + 1
+        j = np.arange(n)[:, None] + np.arange(p) - w  # the node of band[i, k]
+        band = np.take_along_axis(_solved(_comb(n, p), n, h, order), j % p, axis=1)
+        band[(j < 0) | (j >= n)] = 0.0
+        bands.append(_read_only(band))
+    return tuple(bands)
+
+
+def _bind(grid, axis, operators):
+    """The product along axis of grid of a read-only stack of k operators: on
+    lines of n <= DENSE_MAX nodes one (k, n, n) array, else k bands (n, 2w + 1)
+    as _probed gives them. product(u, out) writes each operator's product of a
+    C-contiguous field u of grid into out, of shape (k,) + grid.shape as
+    product.empty() makes it, and returns out; product.operator is the stack.
+    A dense stack is applied by one einsum; bands are read through their
+    windows of one zero-padded line buffer of the widest w, into which a call
+    copies u once."""
+    n, shape = grid.shape[axis], grid.shape
+    across = len(shape) == 2 and axis == 0  # the lines are the columns of u
+    empty = lambda: np.empty((len(operators),) + shape)
+    # On contiguous rows, einsum sums a line's outputs in the same order alone as
+    # among many lines or operators, so its bits depend on neither the field nor
+    # the stacking; BLAS does not.
+    if n <= DENSE_MAX and across:
+        lines = np.empty(shape[::-1])  # u's columns as contiguous rows, per call
+
+        def product(u, out):
+            lines[...] = u.T
+            return np.einsum("kj,oij->oik", lines, operators, out=out)
+
+    elif n <= DENSE_MAX and len(shape) == 2:  # rows: (lines, k, n) is a fifth faster to write
+
+        def product(u, out):
+            np.einsum("kj,oij->koi", u, operators, out=out.swapaxes(0, 1))
+            return out
+
+        empty = lambda: np.empty((shape[0], len(operators), n)).swapaxes(0, 1)
+    elif n <= DENSE_MAX:
+        product = lambda u, out: np.einsum("j,oij->oi", u, operators, out=out)
+    else:
+        # band[i, k] meets node i - w + k: a window view of the zero-padded lines
+        widths = [band.shape[1] // 2 for band in operators]
+        widest, lined = max(widths), shape[::-1] if across else shape
+        padded = np.zeros(lined[:-1] + (n + 2 * widest,))
+        inner, strides = padded[..., widest : n + widest], padded.strides + padded.strides[-1:]
+        windows = [
+            np.ndarray(lined + (2 * w + 1,), float, padded, (widest - w) * padded.itemsize, strides)
+            for w in widths
+        ]
+        # written in u's layout: across, a (lines, n) result would need a copy
+        spec = "ik,...ik->i..." if across else "ik,...ik->...i"
+        applied = list(zip(operators, windows))
+
+        def product(u, out):
+            inner[...] = u.T if across else u
+            for k, (band, window) in enumerate(applied):
+                np.einsum(spec, band, window, out=out[k])
+            return out
+
+    product.operator, product.empty = operators, empty
+    return product
+
+
+def _bound(grid, key, axis, operators):
+    """grid.products[key], bound on first use to the stack operators() returns."""
+    product = grid.products.get(key)
+    if product is None:
+        product = grid.products[key] = _bind(grid, axis, operators())
+    return product
 
 
 def bound_pair(grid: Grid, axis: int = 0):
     """The grid's product of the one-sided [D1; D2] along axis, bound on first
     use: pair(u, out) writes (u', u'') of a C-contiguous field u of grid into
     out, made once by pair.empty(), and returns out. A step binds it once per
-    run and reads both derivatives from its own out; derivatives, d1 and d2
-    read the same products into a fresh out."""
-    first = grid.products.get((1, axis)) or _bind_compact(grid, axis)[0]
-    return first.pair
+    run and reads both derivatives from its own out."""
+    n, h = grid.shape[axis], grid.spacing[axis]
+    return _bound(grid, ("pair", axis), axis, lambda: _probed(n, h))
 
 
 def _derivative(order, u, grid, axis, bp):
-    """d1 or d2: a thin reader of its half of the stored pair, or with pinned
-    ends one solve of the lines."""
+    """d1 or d2: a thin reader of its one-operator view of the stored pair,
+    bound on its first call, or with pinned ends one solve of the lines."""
     u = _checked(u, grid, axis)
     if bp.kind == "exact":  # nothing is stored: only the checks
         n, h = grid.shape[axis], grid.spacing[axis]
         swap = lambda a: np.ascontiguousarray(a.swapaxes(0, axis))
         return swap(_solved(swap(u), n, h, order, bp))
-    product = grid.products.get((order, axis)) or _bind_compact(grid, axis)[order - 1]
-    return product(u, product.empty())
+    product = _bound(
+        grid, (order, axis), axis, lambda: bound_pair(grid, axis).operator[order - 1 : order]
+    )
+    return product(u, product.empty())[0]
 
 
 def d1(u: Field, grid: Grid, axis: int = 0, bp: BoundaryPolicy = ONE_SIDED) -> Field:
@@ -417,38 +396,27 @@ def derivatives(u: Field, grid: Grid, axis: int = 0) -> np.ndarray:
     return product(u, product.empty())
 
 
-def _pair(comb, n, h, ops, c1, c2):
-    """c1 ops.d1 + c2 ops.d2 of each column of comb, on a bare grid of its shape
-    (a Grid2D would refuse a comb of fewer than 5 columns, as a pair of
-    half-width 1 probes). This module's d1 binds the pair on it, which d2 then
-    reads; the sum is formed in d2's fresh result."""
-    lines = SimpleNamespace(shape=comb.shape, spacing=(h, 1.0), products={})
-    t = ops.d1(comb, lines)
-    t *= c1
-    second = ops.d2(comb, lines)
-    second *= c2
-    second += t
-    return second
+def bound_linear(grid: Grid, axis: int, c1: float, c2: float):
+    """The grid's product of the step operator T = c1 D1 + c2 D2 along axis,
+    bound on first use as a one-operator stack: product(u, out) writes T u of a
+    C-contiguous field u of grid into out[0], out made once by product.empty(),
+    and returns out. T is formed from the pair's own operators in the rounded
+    operations D2 c2 + D1 c1; on long lines D2's band is zero-padded to the
+    width of D1's. A new step size adds an operator."""
+
+    def operator():
+        first, second = bound_pair(grid, axis).operator
+        pad = (first.shape[1] - second.shape[1]) // 2
+        t = first * c1
+        s = np.pad(second, ((0, 0), (pad, pad))) * c2
+        s += t
+        return _read_only(s)[None]
+
+    return _bound(grid, (axis, c1, c2), axis, operator)
 
 
-def bound_linear(grid: Grid, axis: int, ops, c1: float, c2: float):
-    """The grid's product of c1 D1 + c2 D2 along axis for ops.d1/d2's D1, D2,
-    probed on the axis's lines and stored as ops' DENSE_MAX and HALF_WIDTH say,
-    bound on first use: product(u, out) writes it for a C-contiguous field u of
-    grid into out, made once by product.empty(), and returns out. ops is this
-    module or a pair with its call and those two names. A new step size adds
-    an operator."""
-    key = (ops, axis, c1, c2)
-    product = grid.products.get(key)
-    if product is None:
-        w = max(ops.HALF_WIDTH.values())
-        (product,) = _bind(grid, axis, ops.DENSE_MAX, [(w, _pair, ops, c1, c2)])[1]
-        grid.products[key] = product
-    return product
-
-
-def linear(u: Field, grid: Grid, axis: int, ops, c1: float, c2: float) -> Field:
+def linear(u: Field, grid: Grid, axis: int, c1: float, c2: float) -> Field:
     """(c1 D1 + c2 D2) u along axis: a thin reader of bound_linear's product."""
     u = _checked(u, grid, axis)
-    product = bound_linear(grid, axis, ops, c1, c2)
-    return product(u, product.empty())
+    product = bound_linear(grid, axis, c1, c2)
+    return product(u, product.empty())[0]

@@ -311,13 +311,23 @@ def step(
     (evolve passes the rows of a block). Without it, step asks
     boundary_values for that one time, on node positions shifted by
     mesh_velocity * (t + tau) for the sliding mesh. Raises
-    ShapeMismatch for a field off the grid or a grid of another dimension
-    than the pde's, ValueError for an unknown pair
+    ShapeMismatch for a field off the grid, a boundary that does not broadcast
+    to the Dirichlet nodes or a grid of another dimension than the pde's,
+    ValueError for an unknown pair
     or a sliding mesh on a static-mesh scheme, and NonFinite when the new
     field is not finite. It is a block of one row, so it takes the step
     by step path of every pair.
     """
-    rows = None if boundary is None else np.asarray(boundary)[None]
+    rows = None
+    if boundary is not None:
+        nodes = (len(ctx.grid.dirichlet[0][0]),)
+        try:
+            rows = np.broadcast_to(boundary, nodes)[None]
+        except ValueError:
+            raise ShapeMismatch(
+                f"boundary of shape {np.shape(boundary)} does not broadcast to the "
+                f"Dirichlet nodes' shape {nodes}"
+            ) from None
     return _stepper(pde, scheme, ctx)(u, rows)
 
 
@@ -387,10 +397,20 @@ def evolve(
 def grid_for(pde: str, domain: Sequence[float], n) -> Grid:
     """Uniform grid spanning the domain bounds.
 
-    n is the node count of every axis, or a sequence with one count per axis.
+    domain holds (lo, hi) for each axis of the pde, and n is the node count of
+    every axis, or a sequence with one count per axis. Raises ValueError for an
+    unknown pde, a domain or n of another dimension, or a count below 2; the
+    grid checks the rest.
     """
+    if pde not in PDES:
+        raise ValueError(f"unknown pde {pde!r}")
+    dim = 2 if pde == "ade2d" else 1
+    if len(domain) != 2 * dim:
+        raise ValueError(f"domain of {pde!r} needs (lo, hi) per axis, {2 * dim} bounds: {domain}")
     lo, hi = domain[0::2], domain[1::2]
-    counts = (n,) * len(lo) if np.ndim(n) == 0 else tuple(n)
+    counts = (n,) * dim if np.ndim(n) == 0 else tuple(n)
+    if len(counts) != dim or min(counts) < 2:
+        raise ValueError(f"n must give {dim} node count(s) of at least 2 for {pde!r}, got {n}")
     h = [(b - a) / (c - 1) for a, b, c in zip(lo, hi, counts)]
     if pde == "ade2d":
         return Grid2D(lo[0], lo[1], h[0], h[1], counts[0], counts[1])
@@ -400,10 +420,14 @@ def grid_for(pde: str, domain: Sequence[float], n) -> Grid:
 def fit_slope(hs: Sequence[float], errors: Sequence[float]) -> float:
     """Least-squares slope of log(error) against log(h).
 
-    Raises ValueError unless every h and every error is positive and finite,
-    since a zero, negative or non-finite entry has no logarithm to fit.
+    Raises ValueError unless hs and errors are two sequences of one length of
+    at least 2, and every h and every error is positive and finite, since a
+    zero, negative or non-finite entry has no logarithm to fit.
     """
     hs, errors = np.asarray(hs, float), np.asarray(errors, float)
+    if hs.ndim != 1 or hs.shape != errors.shape or hs.size < 2:
+        shapes = f"{hs.shape} and {errors.shape}"
+        raise ValueError(f"slope fit needs hs and errors of one length >= 2, got {shapes}")
     for name, values in (("h", hs), ("error", errors)):
         if not (np.isfinite(values) & (values > 0)).all():
             raise ValueError(f"slope fit needs every {name} positive and finite, got {values}")

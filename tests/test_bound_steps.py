@@ -34,9 +34,9 @@ def vbe_comp_update(u, grid, params, tau):
 
 
 def ade_update(u, grid, params, tau):
-    t = compact_ops.linear(u, grid, 0, compact_ops, -tau * params.alpha, tau * params.nu)
+    t = compact_ops.linear(u, grid, 0, -tau * params.alpha, tau * params.nu)
     if u.ndim == 2:
-        t += compact_ops.linear(u, grid, 1, compact_ops, -tau * params.beta, tau * params.nu)
+        t += compact_ops.linear(u, grid, 1, -tau * params.beta, tau * params.nu)
     return u + t
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,14 +19,11 @@ from symfd.tridiag import solve
 
 class Central:
     """Second-order central differences: the derivative pair of FTCS, kept here
-    as a reference pair for compact_ops.linear and for the FTCS stencils.
+    as the reference of the bound FTCS stencils.
 
     Same call as compact_ops.d1/d2/derivatives on 1D and 2D fields; the end
-    nodes along the axis get 0. linear stores its three-point operator as a
-    band at every n: a dense n x n product costs n/3 times as much.
+    nodes along the axis get 0.
     """
-
-    HALF_WIDTH, DENSE_MAX = {1: 1, 2: 1}, 0
 
     @staticmethod
     def d1(u, grid, axis=0):
@@ -337,7 +335,7 @@ def test_cached_factor_is_read_only():
 def test_derivative_matrix_is_read_only():
     grid = Grid1D(0.0, 0.1, 26)
     d2(np.sin(grid.x), grid)
-    d = grid.derivative_matrices[2, 0]
+    (d,) = grid.derivative_matrices[2, 0]  # d2's one-operator view of the pair
     assert d.shape == (26, 26) and not d.flags.writeable
     with pytest.raises(ValueError):
         d[0, 0] = 0.0
@@ -360,8 +358,8 @@ def test_derivative_matrices_built_once_per_grid(monkeypatch):
             for axis in (0, 1):
                 op(u, grid, axis)
         stored.append(dict(grid.derivative_matrices))
-    assert sorted(builds) == [7, 7, 9, 9]
-    assert set(stored[0]) == {(1, 0), (1, 1), (2, 0), (2, 1)}
+    assert sorted(builds) == [7, 7, 9, 9]  # one probe of each order per axis
+    assert set(stored[0]) == {("pair", 0), ("pair", 1), (1, 0), (1, 1), (2, 0), (2, 1)}
     assert all(later[k] is d for later in stored for k, d in stored[0].items())
     # the same for a banded D: one probe per (order, axis) on a 257 x 7 grid
     builds.clear()
@@ -373,7 +371,7 @@ def test_derivative_matrices_built_once_per_grid(monkeypatch):
                 op(field, long, axis)
     assert sorted(builds) == [7, 7, DENSE_MAX + 1, DENSE_MAX + 1]
     for order in (1, 2):
-        band = long.derivative_matrices[order, 0]
+        (band,) = long.derivative_matrices[order, 0]
         assert band.shape == (DENSE_MAX + 1, 2 * HALF_WIDTH[order] + 1)
         assert not band.flags.writeable
     # grids that differ only in h share no D: a cache keyed without h fails here
@@ -453,17 +451,20 @@ def test_each_operator_is_stored_once(shape):
     u = np.random.default_rng(4).normal(size=shape)
     derivatives(u, grid)
     d2(u, grid)
-    assert len(grid.products) == 2
-    first, second = grid.derivative_matrices[1, 0], grid.derivative_matrices[2, 0]
+    assert set(grid.products) == {("pair", 0), (2, 0)}  # d1's view is bound on its first call
+    d1(u, grid)
+    (first,), (second,) = grid.derivative_matrices[1, 0], grid.derivative_matrices[2, 0]
+    pair = grid.derivative_matrices["pair", 0]
+    assert grid.products["pair", 0] is compact_ops.bound_pair(grid)
     n = shape[0]
     if n <= DENSE_MAX:  # two halves of one stack
-        assert first.shape == second.shape == (n, n)
-        assert first.base is second.base and first.base.shape == (2, n, n)
+        assert pair.shape == (2, n, n)
+        assert first.base is second.base is pair
     else:
         assert first.shape == (n, 2 * HALF_WIDTH[1] + 1)
         assert second.shape == (n, 2 * HALF_WIDTH[2] + 1)
+        assert first is pair[0] and second is pair[1]
         assert not np.shares_memory(first, second)
-    assert grid.products[1, 0].pair is grid.products[2, 0].pair
 
 
 LONG_LINES = [DENSE_MAX + 1, 200, 257, 300, 401, 513, 801, 1601]
@@ -498,7 +499,7 @@ def test_probed_band_matches_exact_band(op, order, n):
     grid = Grid1D(0.0, 1.0 / (n - 1), n)
     op(np.sin(grid.x), grid)
     _, mass, band, on_line = exact_band(order, n, grid.h)
-    probed = grid.derivative_matrices[order, 0]
+    (probed,) = grid.derivative_matrices[order, 0]
     assert np.all(np.abs(probed - band).sum(axis=1) <= 2.0**-53 * mass)
     assert not probed[~on_line].any()
 
@@ -517,14 +518,44 @@ def test_long_line_operators_never_build_an_n_by_n_array():
     assert peak < 8 * n * n / 4
 
 
-# The stored step operator T = c1 D1 + c2 D2 of compact_ops.linear.
+# The stored step operator T = c1 D1 + c2 D2 of compact_ops.linear, and the
+# central pair's, which the bound FTCS step of ade1d and ade2d applies.
 STEP_PARAMS = PdeParams(alpha=1.0, beta=-0.5, nu=1.0 / 60.0, L=0.4)
 OPS = pytest.mark.parametrize("ops", [Central, compact_ops], ids=["central", "compact"])
+FTCS_BINDS = {}  # (id(grid), axis, tau, speed, nu) -> (grid, its bound FTCS step)
 
 
 def stable_tau(*hs):
     """The largest step with Courant number <= 1/2 and diffusion number <= 0.4."""
     return min(min(0.5 * h, 0.4 * h * h / STEP_PARAMS.nu) for h in hs)
+
+
+def linear_step(ops, u, grid, axis, tau, speed, nu):
+    """u + T u for T = tau (nu D2 - speed D1) along axis of ops' pair: for
+    compact_ops one stored product of linear; for Central the FTCS step of ade1d
+    or ade2d with the speed along axis, bound once per grid and coefficients as
+    linear's product is, which diffuses along every axis and keeps u's
+    Dirichlet values."""
+    if ops is compact_ops:
+        return u + linear(u, grid, axis, -tau * speed, tau * nu)
+    key = (id(grid), axis, tau, speed, nu)
+    if key not in FTCS_BINDS:  # the grid is kept, so its id is not reused
+        speeds = [speed if k == axis else 0.0 for k in range(2)]
+        params = PdeParams(alpha=speeds[0], beta=speeds[1], nu=nu, L=0.4)
+        pde = "ade2d" if u.ndim == 2 else "ade1d"
+        FTCS_BINDS[key] = grid, _STEPPERS[pde, "ftcs"](grid, params, tau)
+    return FTCS_BINDS[key][1](u, u[grid.dirichlet[0]][None])
+
+
+def expression_step(ops, u, grid, axis, tau, speed, nu):
+    """linear_step's u + T u as the expression u - tau (speed d1 - nu d2) of ops'
+    d1 and d2; for Central on a 2D field also the diffusion along the other axis,
+    and u's Dirichlet values."""
+    out = u - tau * (speed * ops.d1(u, grid, axis) - nu * ops.d2(u, grid, axis))
+    if ops is Central and u.ndim == 2:
+        out += tau * nu * Central.d2(u, grid, 1 - axis)
+        out[grid.dirichlet[0]] = u[grid.dirichlet[0]]
+    return out
 
 
 @OPS
@@ -534,8 +565,8 @@ def test_ade1d_step_matches_expression_form(n, ops):
     grid, p = Grid1D(-2.0, 6.0 / (n - 1), n), STEP_PARAMS
     tau = stable_tau(grid.h)
     u = ade1d_exact(0.3, grid.x, p)
-    expression = u - tau * (p.alpha * ops.d1(u, grid) - p.nu * ops.d2(u, grid))
-    product = u + linear(u, grid, 0, ops, -tau * p.alpha, tau * p.nu)  # the COMP step's u + T u
+    expression = expression_step(ops, u, grid, 0, tau, p.alpha, p.nu)
+    product = linear_step(ops, u, grid, 0, tau, p.alpha, p.nu)  # the COMP or FTCS step
     error = np.abs(product - expression).max()
     assert error <= 8 * np.spacing(np.abs(u).max())
 
@@ -548,85 +579,109 @@ def test_step_operator_matches_expression_form_on_each_axis(axis, shape, ops):
     tau, p = stable_tau(*grid.spacing), STEP_PARAMS
     speed = (p.alpha, p.beta)[axis]
     u = ade2d_exact(0.3, *np.meshgrid(grid.x, grid.y, indexing="ij"), p)
-    product = u + linear(u, grid, axis, ops, -tau * speed, tau * p.nu)
-    expression = u - tau * (speed * ops.d1(u, grid, axis) - p.nu * ops.d2(u, grid, axis))
+    product = linear_step(ops, u, grid, axis, tau, speed, p.nu)
+    expression = expression_step(ops, u, grid, axis, tau, speed, p.nu)
     assert np.abs(product - expression).max() <= 8 * np.spacing(np.abs(u).max())
 
 
 @pytest.mark.parametrize("n", [5, 31, DENSE_MAX, DENSE_MAX + 1, *OLD_BOUNDARY, 401, 1601])
 def test_probed_step_operator_reproduces_stored_operators(n):
-    # probing d1 and d2 on the comb returns their stored D or band exactly
+    # T formed from the pair at (c1, c2) = (1, 0) and (0, 1) is its D1 or D2 exactly
     grid = Grid1D(0.0, 1.0 / (n - 1), n)
     u = np.sin(grid.x)
     d1(u, grid)
     d2(u, grid)
     for order, (c1, c2) in ((1, (1.0, 0.0)), (2, (0.0, 1.0))):
-        linear(u, grid, 0, compact_ops, c1, c2)
-        probed = grid.derivative_matrices[compact_ops, 0, c1, c2]
-        stored = grid.derivative_matrices[order, 0]
+        linear(u, grid, 0, c1, c2)
+        (formed,) = grid.derivative_matrices[0, c1, c2]
+        (stored,) = grid.derivative_matrices[order, 0]
         if n > DENSE_MAX:  # D2's band is the middle of T's wider one
             pad = HALF_WIDTH[1] - HALF_WIDTH[order]
             stored = np.pad(stored, ((0, 0), (pad, pad)))
-        assert np.array_equal(probed, stored)
+        assert np.array_equal(formed, stored)
 
 
-def test_step_operator_built_once_per_grid():
-    probes = []
+def probed_step_operator(grid, axis, c1, c2):
+    """T = c1 D1 + c2 D2 along axis as it was probed before it was formed from
+    the stored pair: d1 and d2 on the comb over a bare grid of the comb's shape
+    (a Grid2D would refuse a comb of fewer than 5 columns), then (D2 c2) +
+    (D1 c1); on long lines T's band, at D1's half-width, read off the comb."""
+    n, h = grid.shape[axis], grid.spacing[axis]
+    w = max(HALF_WIDTH.values())
+    p = n if n <= DENSE_MAX else 2 * w + 1
+    comb = np.zeros((n, p))
+    comb[np.arange(n), np.arange(n) % p] = 1.0
+    lines = SimpleNamespace(shape=comb.shape, spacing=(h, 1.0), products={})
+    t = d1(comb, lines)
+    t *= c1
+    second = d2(comb, lines)
+    second *= c2
+    second += t
+    if p == n:
+        return second
+    j = np.arange(n)[:, None] + np.arange(p) - w  # the node of band[i, k]
+    band = np.take_along_axis(second, j % p, axis=1)
+    band[(j < 0) | (j >= n)] = 0.0
+    return band
 
-    class Counting:
-        """Central's pair, stored dense up to DENSE_MAX, recording every probe."""
 
-        HALF_WIDTH, DENSE_MAX = Central.HALF_WIDTH, DENSE_MAX
+STEP_OPERATOR_CASES = [((n,), 0) for n in (5, 11, 31, 61, 101, 112, 113, 201, 256, 257, 401, 801)]
+STEP_OPERATOR_CASES += [
+    (shape, axis)
+    for shape in ((26, 26), (16, 16), (21, 21), (9, 13), (13, 9), (113, 9))
+    for axis in (0, 1)
+]
 
-        @staticmethod
-        def d1(u, grid, axis=0):
-            probes.append(u.shape)
-            return Central.d1(u, grid, axis)
 
-        @staticmethod
-        def d2(u, grid, axis=0):
-            probes.append(u.shape)
-            return Central.d2(u, grid, axis)
+@pytest.mark.parametrize(
+    "shape, axis", STEP_OPERATOR_CASES,
+    ids=["x".join(map(str, shape)) + f"-axis{axis}" for shape, axis in STEP_OPERATOR_CASES],
+)
+def test_step_operator_is_bit_identical_to_its_probe(shape, axis):
+    grid = Grid1D(-1.0, 0.05, *shape) if len(shape) == 1 else Grid2D(-1, 0, 0.05, 0.07, *shape)
+    for c1, c2 in ((-0.01, 0.002), (-1e-3, 1e-3 / 60.0), (0.37, -1.3e-4), (-2.5e-5, 3e-7)):
+        (t,) = compact_ops.bound_linear(grid, axis, c1, c2).operator
+        assert np.array_equal(t, probed_step_operator(grid, axis, c1, c2))
 
-    for n, width in ((17, 17), (DENSE_MAX + 1, 3)):
-        probes.clear()
+
+def test_step_operator_built_once_per_grid(monkeypatch):
+    # T is formed from the grid's pair, so the pair's probes are the only solves
+    builds = []
+    real_solve = compact_ops.solve
+
+    def counting_solve(f, rhs):
+        builds.append(f.n)
+        return real_solve(f, rhs)
+
+    monkeypatch.setattr(compact_ops, "solve", counting_solve)
+    for n in (17, DENSE_MAX + 1):
+        builds.clear()
         grid = Grid2D(0.0, 0.0, 0.1, 0.2, n, 9)
         u = np.random.default_rng(n).normal(size=grid.shape)
         stored = []
         for _ in range(3):
             for axis in (0, 1):
-                linear(u, grid, axis, Counting, -0.01, 0.002)
+                linear(u, grid, axis, -0.01, 0.002)
             stored.append(dict(grid.derivative_matrices))
-        assert probes == [(n, width), (n, width), (9, 9), (9, 9)]
-        assert set(stored[0]) == {(Counting, 0, -0.01, 0.002), (Counting, 1, -0.01, 0.002)}
+        assert sorted(builds) == sorted([n, n, 9, 9])  # one probe of each order per axis
+        assert set(stored[0]) == {("pair", 0), ("pair", 1), (0, -0.01, 0.002), (1, -0.01, 0.002)}
         assert all(later[k] is t for later in stored for k, t in stored[0].items())
-        t = grid.derivative_matrices[Counting, 0, -0.01, 0.002]
+        (t,) = grid.derivative_matrices[0, -0.01, 0.002]
+        width = n if n <= DENSE_MAX else 2 * HALF_WIDTH[1] + 1
         assert t.shape == (n, width) and not t.flags.writeable
         with pytest.raises(ValueError):
             t[0, 0] = 0.0
-        # other coefficients are another operator
-        linear(u, grid, 0, Counting, -0.02, 0.002)
-        assert len(probes) == 6 and len(grid.derivative_matrices) == 3
+        # other coefficients are another operator, formed from the same pair
+        linear(u, grid, 0, -0.02, 0.002)
+        assert len(builds) == 4 and len(grid.derivative_matrices) == 5
     # grids that differ only in h share no operator
     for n in (17, DENSE_MAX + 1):
         fine, coarse = Grid1D(0.0, 0.1, n), Grid1D(0.0, 0.2, n)
         v = np.sin(fine.x)
-        for ops in (Central, compact_ops):
-            steps = [linear(v, g, 0, ops, -0.01, 0.002) for g in (fine, coarse)]
-            assert not np.array_equal(*steps)
-            stored = [g.derivative_matrices[ops, 0, -0.01, 0.002] for g in (fine, coarse)]
-            assert not np.array_equal(*stored)
-
-
-@pytest.mark.parametrize("n", [5, 31, DENSE_MAX, 256, 801])
-def test_central_step_operator_is_its_three_point_band(n):
-    # FTCS's operator is stored at its own half-width on every line length
-    grid, c1, c2 = Grid1D(0.0, 1.0 / (n - 1), n), -0.01, 0.002
-    linear(np.sin(grid.x), grid, 0, Central, c1, c2)
-    h, band = grid.h, np.zeros((n, 3))
-    band[1:-1] = c1 * np.array([-1.0, 0.0, 1.0]) / (2.0 * h)
-    band[1:-1] += c2 * np.array([1.0, -2.0, 1.0]) / (h * h)
-    assert np.array_equal(grid.derivative_matrices[Central, 0, c1, c2], band)
+        steps = [linear(v, g, 0, -0.01, 0.002) for g in (fine, coarse)]
+        assert not np.array_equal(*steps)
+        stored = [g.derivative_matrices[0, -0.01, 0.002] for g in (fine, coarse)]
+        assert not np.array_equal(*stored)
 
 
 @OPS
@@ -637,7 +692,7 @@ def test_long_line_step_never_builds_an_n_by_n_array(ops):
     tracemalloc.start()
     try:
         tau = stable_tau(grid.h)
-        u + linear(u, grid, 0, ops, -tau * STEP_PARAMS.alpha, tau * STEP_PARAMS.nu)
+        linear_step(ops, u, grid, 0, tau, STEP_PARAMS.alpha, STEP_PARAMS.nu)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -645,14 +700,15 @@ def test_long_line_step_never_builds_an_n_by_n_array(ops):
 
 
 # Each stored operator is bound to one product per grid and key; a band's
-# product copies the field into the grid's own zero-padded line buffer.
+# product copies the field into its own zero-padded line buffer. The central
+# case is the FTCS step, bound once per grid and coefficients (linear_step).
 BOUND = pytest.mark.parametrize(
     "apply, n",
     [
         (d2, 26),
         (d1, DENSE_MAX + 1),
-        (lambda u, grid, axis: linear(u, grid, axis, compact_ops, -0.01, 0.002), DENSE_MAX + 1),
-        (lambda u, grid, axis: linear(u, grid, axis, Central, -0.01, 0.002), 26),
+        (lambda u, grid, axis: linear(u, grid, axis, -0.01, 0.002), DENSE_MAX + 1),
+        (lambda u, grid, axis: linear_step(Central, u, grid, axis, 0.01, 1.0, 0.2), 26),
     ],
     ids=["dense", "band", "compact_step_band", "central"],
 )
@@ -695,8 +751,8 @@ def test_bound_product_leaks_nothing_between_fields(apply, n, axis, order):
     "apply",
     [
         d1,
-        lambda u, grid: linear(u, grid, 0, compact_ops, -0.01, 0.002),
-        lambda u, grid: linear(u, grid, 0, Central, -0.01, 0.002),
+        lambda u, grid: linear(u, grid, 0, -0.01, 0.002),
+        lambda u, grid: linear_step(Central, u, grid, 0, 0.01, 1.0, 0.2),
     ],
     ids=["d1", "compact_step", "central_step"],
 )

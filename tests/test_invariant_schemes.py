@@ -252,7 +252,7 @@ class TestGuardThresholds:
                 return out
 
             fake.empty = real.empty
-            monkeypatch.setattr(grid.products[1, axis], "pair", fake)
+            monkeypatch.setitem(grid.products, ("pair", axis), fake)
 
     @pytest.mark.parametrize("grid", [LINE, PLANE], ids=["1d", "2d"])
     def test_frame_singularity_threshold_in_the_ade_step(self, grid, monkeypatch):

@@ -607,3 +607,38 @@ class TestAffineBlock:
         evolve(*pair, grid, tau, (2 * BOUNDARY_BLOCK + 5) * tau, ADE_PARAMS)
         # one probe per node, once per run, then the last partial block's steps
         assert len(calls) == grid.n + 5
+
+
+def _ibe_step_with_boundary(boundary):
+    grid, params = Grid1D(0.0, 0.1, 11), PdeParams(sigma=0.5)
+    ctx = StepContext(grid, params, 1e-3, 0.0, default_exact("ibe", params))
+    return step("ibe", "ftcs", np.ones(grid.n), ctx, boundary=boundary)
+
+
+# Malformed input at the public entry points: each raises a SymfdError subclass,
+# or a ValueError that names the argument, where an untyped error escaped or the
+# input was silently cut before.
+MISUSE = {
+    "grid_for-ade2d-one-axis-domain": (
+        lambda: grid_for("ade2d", (0.0, 1.0), 10), ValueError, "domain"),
+    "grid_for-ibe-two-axis-domain": (
+        lambda: grid_for("ibe", (0.0, 1.0, 0.0, 1.0), 10), ValueError, "domain"),
+    "grid_for-unknown-pde": (lambda: grid_for("nope", (0.0, 1.0), 10), ValueError, "pde"),
+    "grid_for-one-node": (lambda: grid_for("ibe", (0.0, 1.0), 1), ValueError, "^n "),
+    "grid_for-ade2d-one-count": (
+        lambda: grid_for("ade2d", (0.0, 1.0, 0.0, 1.0), (10,)), ValueError, "^n "),
+    "convergence_study-ade2d-one-axis-domain": (
+        lambda: convergence_study("ade2d", "ftcs", [9, 11, 13], 1e-3, 2e-3, ADE_PARAMS, (-3, 3)),
+        ValueError, "domain"),
+    "step-boundary-off-the-nodes": (
+        lambda: _ibe_step_with_boundary(np.zeros(5)), ShapeMismatch, r"boundary.*\(5,\).*\(2,\)"),
+    "fit_slope-unequal-lengths": (
+        lambda: fit_slope([0.1, 0.05, 0.025], [1e-2, 1e-3]), ValueError, r"errors.*\(3,\).*\(2,\)"),
+    "fit_slope-one-point": (lambda: fit_slope([0.1], [1e-2]), ValueError, "hs and errors"),
+}
+
+
+@pytest.mark.parametrize("call, error, names", MISUSE.values(), ids=MISUSE.keys())
+def test_misuse_raises_a_typed_error_naming_the_argument(call, error, names):
+    with pytest.raises(error, match=names):
+        call()
