@@ -3,12 +3,24 @@ the block driver that every scheme's steps run on.
 
 Each pair is a binder, called once per run as binder(grid, params, tau). It
 returns the run's block advance(u, rows) from bind_steps: one step per
-boundary row, each the scheme's stencil, the Dirichlet refresh from the row
-and the finite check, on two preallocated buffers that the steps swap; the
-stencil's views, scratch arrays, coefficients and the zero vector of the
-check are made at the bind, and np.errstate is entered once per block. A
-block returns a copy, and raises NonFinite at the first step whose field is
-not finite.
+boundary row, each the scheme's stencil and the Dirichlet refresh from the
+row, on two preallocated buffers that the steps swap; the stencil's views,
+scratch arrays and coefficients are made at the bind, and np.errstate is
+entered once per block. A block is one finite check of its rows, its steps
+unchecked and one finite check of the last field; only when that fails, or
+a guard raises, is it replayed from its input with the finite check after
+every step. The steps' arithmetic is the same in both passes, so a block
+returns the same bits, as a copy, and raises the same error at the same
+step as a block checked after every step: NonFinite at the first step whose
+field is not finite, unless a guard raises first.
+
+Two facts make the one check of the last field enough. A non-finite interior
+node stays non-finite: in every step the node's own old value enters its new
+value additively, before any product or quotient, so one step from it gives a
+non-finite field or raises a guard (tests/test_bound_steps.py steps every
+pair from each such node). A Dirichlet node, though, is overwritten by the
+next step's refresh, and no interior stencil reads a 2D corner, so a
+non-finite row could leave the last field finite; the rows are checked first.
 
 The FTCS stencil is three-point central differences of the interior. The
 Burgers stencil rounds as the central pair did: u - tau (u u_x - nu u_xx),
@@ -35,35 +47,58 @@ import numpy as np
 from . import compact_ops
 from .analytic import PdeParams
 from .compact_ops import Grid, Grid1D
-from .errors import NonFinite
+from .errors import FrameSingularity, NonFinite, ZeroState
+
+
+def check_finite(values, what=None):
+    """Raise NonFinite unless every value is finite; the message names what the
+    values are, a step's field by default."""
+    if not np.isfinite(values).all():  # exact, and never warns
+        raise NonFinite() if what is None else NonFinite(f"{what} must be finite")
 
 
 def bind_steps(grid: Grid, stencil):
-    """The block advance of a pair on grid (see the module docstring).
-    stencil(src, dst) returns the step from the field src to dst, two
-    C-contiguous fields of grid: a call writes dst's interior at least, through
-    views and scratch made once."""
-    size = math.prod(grid.shape)
-    buffers = np.empty((2, size))
+    """The block advance of a pair on grid (see the module docstring):
+    advance(u, rows) checks the rows, steps them unchecked and checks the last
+    field, and replays the block from u with the check after every step only
+    when a check fails or a guard raises. stencil(src, dst) returns the step
+    from the field src to dst, two C-contiguous fields of grid: a call writes
+    dst's interior at least, through views and scratch made once."""
+    buffers = np.empty((2, math.prod(grid.shape)))
     fields = buffers.reshape((2,) + grid.shape)
     # (step, its destination) from buffer 0 and from buffer 1
     steps = ((stencil(*fields), buffers[1]), (stencil(*fields[::-1]), buffers[0]))
     dirichlet = np.ravel_multi_index(grid.dirichlet[0], grid.shape)
-    zeros = np.zeros(size)
+
+    def unchecked(rows, k=0):
+        """Step the rows from buffer k with no finite check; the index of the
+        buffer that holds the result."""
+        for row in rows:
+            step, dst = steps[k]
+            step()
+            dst[dirichlet] = row
+            k = 1 - k
+        return k
 
     def advance(u, rows):
         fields[0] = u
-        k = 0
-        # an unstable run overflows to inf or NaN, which the check reports, and a
+        # an unstable run overflows to inf or NaN, which the checks report, and a
         # Dirichlet node may divide by zero before the refresh overwrites it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for row in rows:
-                step, dst = steps[k]
-                step()
-                dst[dirichlet] = row
-                if not math.isfinite(np.vdot(dst, zeros)):  # 0 x is NaN for x not finite
-                    raise NonFinite()
-                k = 1 - k
+            try:
+                check_finite(rows)
+                k = unchecked(rows)
+                check_finite(fields[k])
+                return fields[k].copy()
+            except (NonFinite, FrameSingularity, ZeroState):
+                pass
+            # the replay: from u again, checked after every step, to raise at the
+            # step that fails
+            fields[0] = u
+            k = 0
+            for single in rows[:, None]:
+                k = unchecked(single, k)
+                check_finite(fields[k])
         return fields[k].copy()
 
     return advance

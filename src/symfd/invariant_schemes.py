@@ -7,8 +7,8 @@ back. For these four problems the composition collapses to closed-form
 per-node updates in the original variables. Each pair is a binder, called
 once per run as binder(grid, params, tau) (plus the node displacement for
 the sliding viscous Burgers step), which returns the run's block advance
-from baseline_schemes.bind_steps: the update, then the Dirichlet refresh and
-the finite check, per boundary row.
+from baseline_schemes.bind_steps: the update, then the Dirichlet refresh, per
+boundary row, with the block's finite checks.
 
 A frame is a MovingFrame, the tuple (s1, lambda_next) of per-node arrays: s1
 is the projective parameter the normalization fixes, lambda_next the
@@ -21,7 +21,9 @@ run, computes only the parts of its frame that it reads, and keeps the
 rounded operations, in order, of the update in its docstring, into scratch
 arrays bound per run. ZeroState and FrameSingularity are checked on every
 step on interior views made at the bind; the advance's lambda_min() is the
-smallest interior lambda the guard met over the run.
+smallest interior lambda the guard met over the run. It is reported only for
+runs that complete: a block that fails is replayed, and its unchecked pass may
+have met the lambdas of steps past the one at which the run raises.
 """
 
 import math

@@ -1,6 +1,7 @@
 """Error measures, the time loop, convergence, Galilean and equivariance studies."""
 
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from .analytic import (
     vbe_exact,
 )
 from .compact_ops import Field, Grid, Grid1D, Grid2D
-from .errors import NonFinite, ShapeMismatch, StepCountMismatch
+from .errors import ShapeMismatch, StepCountMismatch
 
 # The step of each (pde, scheme) pair: a binder, called once per run as
 # binder(grid, params, tau) plus the node displacement over a step for SLIDING,
@@ -101,6 +102,8 @@ class StepContext:
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if not math.isfinite(self.t):
+            raise ValueError(f"t must be finite, got {self.t}")
         if not math.isfinite(self.mesh_velocity):
             raise ValueError(f"mesh_velocity must be finite, got {self.mesh_velocity}")
         # Advisory stability screens on the constant speeds alpha (x) and beta
@@ -219,13 +222,6 @@ def boundary_values(ctx: StepContext, times: np.ndarray) -> np.ndarray:
         ) from None
 
 
-def _check_finite(u, zeros):
-    """Raise NonFinite unless u is finite; zeros is a zero vector of u's size."""
-    # 0 x is +-0 for finite x, else NaN: exact, no overflow; vdot, unlike @, never warns
-    if not math.isfinite(np.vdot(u, zeros)):
-        raise NonFinite()
-
-
 def _block_map(steps, grid, m):
     """[M^m G] of an AFFINE pair (see AFFINE), for a block of m steps on the
     vector [u; b_1 .. b_m]. M is probed through the pair's steps(u, rows) on the
@@ -245,15 +241,16 @@ def _block_map(steps, grid, m):
             inflow = np.hstack((power[:, nodes], inflow))
             power = np.einsum("ij,jk->ik", single, power)
     block = np.hstack((power, inflow))
-    _check_finite(block, np.zeros(block.size))
+    base.check_finite(block)
     return block
 
 
 def _stepper(pde: str, scheme: str, ctx: StepContext) -> Callable:
     """step's body, resolved and bound once per pair and context as
     advance_block(u, rows): one step per boundary row of rows (None: one step,
-    its row drawn for ctx.t + tau), each the update, the Dirichlet refresh and
-    the finite check, by the advance the pair's binder returns (see _STEPPERS).
+    its row drawn for ctx.t + tau), each the update and the Dirichlet refresh,
+    by the advance the pair's binder returns (see _STEPPERS), which checks the
+    block as a block checked after every step would (see baseline_schemes).
     An AFFINE pair on a line of at most DENSE_MAX nodes takes a block of
     BOUNDARY_BLOCK rows as one product (see AFFINE), checked once per block;
     its map is built on the first such block, so a run shorter than one block
@@ -279,7 +276,7 @@ def _stepper(pde: str, scheme: str, ctx: StepContext) -> Callable:
         warnings.warn(message, RuntimeWarning, stacklevel=3)
     steps = entry(grid, ctx.params, tau, *extra)
     affine = (pde, scheme) in AFFINE and grid.shape[0] <= compact_ops.DENSE_MAX
-    block, zeros = None, np.zeros(grid.shape[0])  # the AFFINE map, once built, and its check's
+    block = None  # the AFFINE map, once built
 
     def advance_block(u, rows=None):
         nonlocal block
@@ -293,7 +290,7 @@ def _stepper(pde: str, scheme: str, ctx: StepContext) -> Callable:
                 block = _block_map(steps, grid, BOUNDARY_BLOCK)
             u = np.einsum("ij,j->i", block, np.concatenate((u, rows.ravel())))
             u[index] = rows[-1]
-            _check_finite(u, zeros)
+            base.check_finite(u)
             return u
         return steps(u, rows)
 
@@ -351,9 +348,10 @@ def evolve(
     on a line of at most DENSE_MAX nodes takes each full block as one product:
     that agrees with its steps to roundoff (within n_steps ulp of max|u|), and
     an unstable run raises NonFinite up to a block later. Raises ValueError or
-    ShapeMismatch for the pair and grid before the initial data are drawn, and
+    ShapeMismatch for the pair and grid before the initial data are drawn,
     ValueError before the first step unless tau is positive and finite and
-    t_final nonnegative and finite.
+    t_final nonnegative and finite, and NonFinite naming the initial data
+    before the first step unless they are finite.
     """
     if exact is None:
         exact = default_exact(pde, params)
@@ -369,6 +367,7 @@ def evolve(
     advance_block = _stepper(pde, scheme, ctx)  # checks the pair and grid first
     mesh = np.meshgrid(*grid.axes, indexing="ij")
     u = exact(0.0, *mesh)
+    base.check_finite(u, "the initial data")
     for k0 in range(0, n_steps, BOUNDARY_BLOCK):
         k1 = min(k0 + BOUNDARY_BLOCK, n_steps)
         # k * tau + tau is the t + tau of step k, computed the same way.
@@ -443,7 +442,10 @@ def convergence_study(
     params: PdeParams,
     domain: Sequence[float],
 ) -> ConvergenceTable:
-    """One run per grid size at fixed small tau, plus the fitted slope."""
+    """One run per grid size at fixed small tau, plus the fitted slope. Raises
+    ValueError unless sizes holds at least 3 distinct integers."""
+    if not all(isinstance(n, numbers.Integral) for n in sizes):
+        raise ValueError(f"sizes must be integer node counts, got {sizes}")
     sizes = sorted(set(int(n) for n in sizes))
     if len(sizes) < 3:
         raise ValueError(f"need at least 3 grid sizes, got {sizes}")

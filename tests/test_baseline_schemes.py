@@ -16,16 +16,12 @@ from symfd import (
     ibe_exact,
     step,
 )
+from symfd.baseline_schemes import check_finite
 from symfd.cli import main
 from symfd.errors import ShapeMismatch
-from symfd.metrics import _check_finite, _stepper, boundary_values, default_exact
+from symfd.metrics import _stepper, boundary_values, default_exact
 
 TAU = 1e-3
-
-
-def check_finite(u):
-    """The finite check with its zero vector, which a run makes once."""
-    _check_finite(u, np.zeros(u.size))
 
 
 def pair_id(pair):

@@ -247,11 +247,14 @@ def test_a_guarded_run_raises_at_the_reference_step(pde, scheme, grid, params, t
 # -- the smallest frame factor of a run -----------------------------------------
 
 
-def default_run(pde, scheme, c=0.0):
-    """The `symfd run` defaults of the pair, boosted by c for the sliding mesh."""
+def default_run(pde, n=None):
+    """(grid, params, tau, t_final) of the `symfd run` defaults of pde; n, if
+    given, replaces the default node count."""
     d = DEFAULTS[pde]
     domain = (d["x_lo"], d["x_hi"]) + ((d["y_lo"], d["y_hi"]) if pde == "ade2d" else ())
-    grid = grid_for(pde, domain, (d["nx"], d["ny"]) if pde == "ade2d" else d["nx"])
+    if n is None:
+        n = (d["nx"], d["ny"]) if pde == "ade2d" else d["nx"]
+    grid = grid_for(pde, domain, n)
     params = PdeParams(alpha=d["alpha"], beta=d["beta"], nu=d["nu"])
     return grid, params, d["tau"], d["t_final"]
 
@@ -262,7 +265,7 @@ def default_run(pde, scheme, c=0.0):
      ("ade2d", "sym1", 0.0), ("ade2d", "sym2", 0.0)],
 )
 def test_report_carries_the_smallest_interior_lambda(pde, scheme, c):
-    grid, params, tau, t_final = default_run(pde, scheme)
+    grid, params, tau, t_final = default_run(pde)
     exact = default_exact(pde, params)
     if c:
         exact = galilean_exact(exact, c)
@@ -280,12 +283,74 @@ def test_report_carries_the_smallest_interior_lambda(pde, scheme, c):
 
 @pytest.mark.parametrize("scheme", ["ftcs", "comp"])
 def test_a_pair_without_a_frame_reports_nan(scheme):
-    grid, params, tau, _ = default_run("vbe", scheme)
+    grid, params, tau, _ = default_run("vbe")
     assert math.isnan(evolve("vbe", scheme, grid, tau, 10 * tau, params)[2].lambda_min)
-    grid, params, tau, _ = default_run("ade1d", scheme)  # the AFFINE block path too
+    grid, params, tau, _ = default_run("ade1d")  # the AFFINE block path too
     assert math.isnan(evolve("ade1d", scheme, grid, tau, 300 * tau, params)[2].lambda_min)
 
 
 def test_a_run_of_no_steps_reports_nan():
-    grid, params, tau, _ = default_run("vbe", "sym")
+    grid, params, tau, _ = default_run("vbe")
     assert math.isnan(evolve("vbe", "sym", grid, tau, 0.0, params)[2].lambda_min)
+
+
+# -- one finite check per block -------------------------------------------------
+#
+# A block steps unchecked and checks only its rows and its last field, so a
+# non-finite interior node must never step to a finite field, and a non-finite
+# Dirichlet value, which the next refresh overwrites, must be caught in the rows.
+
+NODE_CASES = [
+    (pde, scheme, n, 0.0)
+    for pde, scheme in _STEPPERS
+    for n in ([(9, 11)] if pde == "ade2d" else [13, 31])
+] + [("vbe", "sym", n, 0.7) for n in (13, 31)]
+
+
+@pytest.mark.parametrize("pde, scheme, n, c", NODE_CASES, ids=map(case_id, NODE_CASES))
+def test_a_non_finite_interior_node_never_steps_to_a_finite_field(pde, scheme, n, c):
+    grid, params, tau, _ = default_run(pde, n)
+    exact = default_exact(pde, params)
+    if c:
+        exact = galilean_exact(exact, c)
+    ctx = StepContext(grid, params, tau, 0.0, exact, mesh_velocity=c)
+    advance = _stepper(pde, scheme, ctx)
+    u0 = exact(0.0, *np.meshgrid(*grid.axes, indexing="ij"))
+    row = boundary_values(ctx, np.array([tau]))
+    guards = (FrameSingularity, ZeroState) if scheme.startswith("sym") else ()
+    for node in np.ndindex(*(k - 2 for k in grid.shape)):
+        for bad in (math.nan, math.inf, -math.inf):
+            u = u0.copy()
+            u[tuple(i + 1 for i in node)] = bad
+            with pytest.raises((NonFinite, *guards)):
+                advance(u, row)
+
+
+def corner_nan(exact, t_bad, corner):
+    """exact, but NaN at the corner node at the time t_bad alone."""
+
+    def provider(t, x, y):
+        at = (np.abs(t - t_bad) < 1e-9) & (x == corner[0]) & (y == corner[1])
+        return np.where(at, np.nan, exact(t, x, y))
+
+    return provider
+
+
+@pytest.mark.parametrize("scheme", ["ftcs", "comp", "sym1"])
+def test_a_nan_corner_value_mid_block_raises_at_its_step(scheme):
+    # no interior stencil reads a corner, so the next step's refresh would
+    # overwrite the NaN before the block's last field
+    grid, params, tau, _ = default_run("ade2d")
+    exact = corner_nan(default_exact("ade2d", params), 100 * tau, grid.origin)
+    ctx = StepContext(grid, params, tau, 0.0, exact)
+    advance = _stepper("ade2d", scheme, ctx)
+    u0 = exact(0.0, *np.meshgrid(*grid.axes, indexing="ij"))
+    rows = boundary_values(ctx, np.arange(200) * tau + tau)
+    assert not np.isfinite(rows[99]).all() and np.isfinite(np.delete(rows, 99, 0)).all()
+    assert np.isfinite(advance(u0, rows[:99])).all()
+    with pytest.raises(NonFinite):
+        advance(u0, rows[:100])
+    with pytest.raises(NonFinite):
+        advance(u0, rows)
+    with pytest.raises(NonFinite):
+        evolve("ade2d", scheme, grid, tau, 200 * tau, params, exact=exact)

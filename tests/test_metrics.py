@@ -615,6 +615,17 @@ def _ibe_step_with_boundary(boundary):
     return step("ibe", "ftcs", np.ones(grid.n), ctx, boundary=boundary)
 
 
+def _evolve_from_nan(t_final):
+    """An ibe FTCS run whose initial data are NaN at one node."""
+    params = PdeParams(sigma=0.5)
+    exact = default_exact("ibe", params)
+
+    def provider(t, x):
+        return np.where((t == 0.0) & (x == 0.5), np.nan, exact(t, x))
+
+    return evolve("ibe", "ftcs", Grid1D(0.0, 0.1, 11), 1e-3, t_final, params, exact=provider)
+
+
 # Malformed input at the public entry points: each raises a SymfdError subclass,
 # or a ValueError that names the argument, where an untyped error escaped or the
 # input was silently cut before.
@@ -635,6 +646,16 @@ MISUSE = {
     "fit_slope-unequal-lengths": (
         lambda: fit_slope([0.1, 0.05, 0.025], [1e-2, 1e-3]), ValueError, r"errors.*\(3,\).*\(2,\)"),
     "fit_slope-one-point": (lambda: fit_slope([0.1], [1e-2]), ValueError, "hs and errors"),
+    "convergence_study-fractional-size": (
+        lambda: convergence_study("ade1d", "ftcs", (11.5, 21, 31), 1e-3, 2e-3, ADE_PARAMS,
+                                  (-2.0, 4.0)),
+        ValueError, "^sizes "),
+    "StepContext-nan-t": (
+        lambda: StepContext(Grid1D(0.0, 0.1, 11), PdeParams(), 1e-3, math.nan,
+                            default_exact("ibe", PdeParams())),
+        ValueError, "^t "),
+    "evolve-nan-initial-data-no-steps": (lambda: _evolve_from_nan(0.0), NonFinite, "initial data"),
+    "evolve-nan-initial-data": (lambda: _evolve_from_nan(5e-3), NonFinite, "initial data"),
 }
 
 
