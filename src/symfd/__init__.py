@@ -32,7 +32,6 @@ from .errors import (
     ZeroPivot,
     ZeroState,
 )
-from .invariant_schemes import MovingFrame
 from .metrics import (
     PDES,
     SCHEMES_BY_PDE,
@@ -58,7 +57,6 @@ __all__ = [
     "FrameSingularity",
     "Grid1D",
     "Grid2D",
-    "MovingFrame",
     "NoConvergence",
     "NonFinite",
     "PDES",

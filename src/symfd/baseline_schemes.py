@@ -31,10 +31,10 @@ T u on the flattened field, T's neighbours at +-1 along the last axis and
 Dirichlet node, which the refresh overwrites.
 
 A COMP step is one forward-Euler step with the compact derivatives. The
-Burgers steps read u_x and u_xx from the grid's bound pair
-(compact_ops.bound_pair) into an output array bound per run; the inviscid one
-adds the defect term. The advection-diffusion step has one binder for 1D and
-2D: u + sum over the axes of T u, T = tau (nu D2 - speed D1) stored per axis
+Burgers steps, like every sym step, are jet updates bound by bind_jets, which
+reads the jets from the grid's bound pair; the inviscid one adds the defect
+term. The advection-diffusion step has one binder for 1D and 2D: u + sum over
+the axes of T u, T = tau (nu D2 - speed D1) stored per axis
 (compact_ops.bound_linear), the speed being alpha on x and beta on y. Each
 keeps the rounded operations, in order, of the update expression in its
 docstring, so its bits are those of that expression.
@@ -189,6 +189,35 @@ def ade_ftcs(grid: Grid, params: PdeParams, tau: float):
     return bind_steps(grid, stencil)
 
 
+def bind_jets(grid: Grid, update):
+    """The block advance (bind_steps) of a jet update: each step runs the grid's
+    bound pair (compact_ops.bound_pair) along every axis into an out bound
+    once, then the update. update(u, jets, out), called once per buffer,
+    returns the step that writes the update of u into out from the jets
+    (u_x, u_xx[, u_y, u_yy]). The advance exposes update, and
+    update.lambda_min, where there is one, as its lambda_min."""
+    pairs = [compact_ops.bound_pair(grid, axis) for axis in range(len(grid.shape))]
+    (x_pair, x_out), *y_axis = bound = [(pair, pair.empty()) for pair in pairs]
+    jets = tuple(jet for _, out in bound for jet in out)
+
+    def stencil(u, out):
+        apply = update(u, jets, out)
+
+        def step():
+            x_pair(u, x_out)
+            for y_pair, y_out in y_axis:
+                y_pair(u, y_out)
+            apply()
+
+        return step
+
+    advance = bind_steps(grid, stencil)
+    advance.update = update
+    if hasattr(update, "lambda_min"):
+        advance.lambda_min = update.lambda_min
+    return advance
+
+
 def ibe_comp(grid: Grid1D, params: PdeParams, tau: float):
     """Bind the COMP steps of u_t + u u_x = 0 with the defect correction.
 
@@ -197,14 +226,12 @@ def ibe_comp(grid: Grid1D, params: PdeParams, tau: float):
     order in time: u - (tau u) u_x + (tau^2 / 2)((u u) u_xx + ((2 u) u_x) u_x).
     """
     tau, half_tau2, two = scalars(tau, 0.5 * tau * tau, 2.0)
-    pair = compact_ops.bound_pair(grid)
-    derivatives = pair.empty()
-    ux, uxx = derivatives
     first, second, third = (np.empty(grid.n) for _ in range(3))
 
-    def stencil(u, out):
+    def update(u, jets, out):
+        ux, uxx = jets
+
         def step():
-            pair(u, derivatives)
             np.multiply(u, tau, first)
             np.multiply(first, ux, first)
             np.subtract(u, first, first)  # u - tau u u_x
@@ -219,29 +246,27 @@ def ibe_comp(grid: Grid1D, params: PdeParams, tau: float):
 
         return step
 
-    return bind_steps(grid, stencil)
+    return bind_jets(grid, update)
 
 
 def vbe_comp(grid: Grid1D, params: PdeParams, tau: float):
     """Bind the COMP steps of u_t + u u_x = nu u_xx: u - tau (u u_x - nu u_xx)."""
     nu, tau = scalars(params.nu, tau)
-    pair = compact_ops.bound_pair(grid)
-    derivatives = pair.empty()
-    ux, uxx = derivatives
-    t = np.empty(grid.n)
+    t, diffusion = np.empty(grid.n), np.empty(grid.n)
 
-    def stencil(u, out):
+    def update(u, jets, out):
+        ux, uxx = jets
+
         def step():
-            pair(u, derivatives)
             np.multiply(u, ux, t)
-            np.multiply(uxx, nu, uxx)
-            np.subtract(t, uxx, t)
+            np.multiply(uxx, nu, diffusion)
+            np.subtract(t, diffusion, t)
             np.multiply(t, tau, t)
             np.subtract(u, t, out)
 
         return step
 
-    return bind_steps(grid, stencil)
+    return bind_jets(grid, update)
 
 
 def ade_comp(grid: Grid, params: PdeParams, tau: float):

@@ -402,7 +402,11 @@ def bound_linear(grid: Grid, axis: int, c1: float, c2: float):
     C-contiguous field u of grid into out[0], out made once by product.empty(),
     and returns out. T is formed from the pair's own operators in the rounded
     operations D2 c2 + D1 c1; on long lines D2's band is zero-padded to the
-    width of D1's. A new step size adds an operator."""
+    width of D1's. A new step size adds an operator; a non-finite c1 or c2 is
+    a ValueError."""
+    for name, c in (("c1", c1), ("c2", c2)):
+        if not math.isfinite(c):
+            raise ValueError(f"{name} must be finite, not {c}")
 
     def operator():
         first, second = bound_pair(grid, axis).operator

@@ -1,38 +1,50 @@
 """Symmetry-preserving (SYM) compact schemes.
 
 Each step invariantizes its base compact scheme with a moving frame: the
-frame normalization fixes per-node group parameters (s1 and friends), the
-base update runs in the transformed coordinates, and the result is mapped
-back. For these four problems the composition collapses to closed-form
-per-node updates in the original variables. Each pair is a binder, called
-once per run as binder(grid, params, tau) (plus the node displacement for
-the sliding viscous Burgers step), which returns the run's block advance
-from baseline_schemes.bind_steps: the update, then the Dirichlet refresh, per
-boundary row, with the block's finite checks.
+normalization fixes a per-node group parameter s1, the base update runs in the
+transformed coordinates, and the result is mapped back. For these four
+problems the composition collapses to a closed-form map per node of the jet
+(u, u_x, u_xx[, u_y, u_yy]; tau), written once per pair as its jet update.
+Each pair is a binder, binder(grid, params, tau) (plus the node displacement
+of the sliding viscous Burgers step, or the frame variant of
+advection-diffusion), that ends in baseline_schemes.bind_jets(grid, update).
+update(u, jets, out) returns the step that writes the update of u into out in
+the rounded operations, in order, of its binder's docstring, into scratch
+bound per run; it is the advance's update, so prescribed jets can be fed to it.
 
-A frame is a MovingFrame, the tuple (s1, lambda_next) of per-node arrays: s1
-is the projective parameter the normalization fixes, lambda_next the
-projective factor at the new time level. The Burgers steps use ibe_frame's
-lambda = 1 + tau u_x (s1 = -u_x); the advection-diffusion step repeats
-ade_frame's arithmetic, s1 = sum_k u_kk / (2 d u) over its d framed axes and
-lambda = 1 - (4 nu tau) s1. Each step reads u_x and u_xx of an axis from the
-grid's bound pair (compact_ops.bound_pair) into an output array bound per
-run, computes only the parts of its frame that it reads, and keeps the
-rounded operations, in order, of the update in its docstring, into scratch
-arrays bound per run. ZeroState and FrameSingularity are checked on every
-step on interior views made at the bind; the advance's lambda_min() is the
-smallest interior lambda the guard met over the run. It is reported only for
-runs that complete: a block that fails is replayed, and its unchecked pass may
-have met the lambdas of steps past the one at which the run raises.
+The Burgers frames take s1 = -u_x and the projective factor lambda = 1 + tau
+u_x at the new time level; advection-diffusion takes s1 = sum_k u_kk / (2 d u)
+over its d framed axes and lambda = 1 - (4 nu tau) s1. ZeroState and
+FrameSingularity are checked on every step on interior views made at the
+bind; the advance's lambda_min() is the smallest interior lambda the guard
+met over a run that completes (a failed block is replayed, and its unchecked
+pass may have met lambdas past the step at which the run raises).
+
+The updates commute with the projective groups (Olver, Applications of Lie
+Groups to Differential Equations, 1986). Put the node at x = 0 and the step
+at t = 0. Burgers keeps t -> t / (1 - eps t), x -> x / (1 - eps t),
+u -> (1 - eps t) u + eps x, which maps the jet to (u, u_x + eps, u_xx), the
+step tau to tau / q, q = 1 - eps tau, and the new value to q times it:
+
+    U(u, u_x + eps, u_xx; tau / q) = q U(u, u_x, u_xx; tau),
+
+which both Burgers updates keep: lambda becomes lambda / q, tau / lambda stays.
+Advection-diffusion keeps the heat equation's Appell transform in the frame
+xi = x - a t moving with the speeds a, u -> (1 + 4 nu eps t)^(-d/2)
+exp(-eps |xi|^2 / (1 + 4 nu eps t)) u((t, xi) / (1 + 4 nu eps t)). It maps
+u_kk to u_kk - 2 eps u on every axis, the step to tau / q, q = 1 - 4 nu eps
+tau, and the new value, at xi = -a tau, to q^(d/2) exp(-eps |a|^2 tau^2 / q)
+times it. Both variants keep that: s1 becomes s1 - eps, so lambda becomes
+lambda / q, u_yy - 2 s1 u stays, and the Gaussian exponent
+s1 |a|^2 tau^2 / lambda moves by -eps |a|^2 tau^2 / q. A forward-Euler jet
+map, as the COMP updates are, keeps neither.
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from . import baseline_schemes as base
-from . import compact_ops
 from .analytic import PdeParams
 from .compact_ops import Grid, Grid1D
 from .errors import FrameSingularity, ZeroState
@@ -44,17 +56,6 @@ ZERO_STATE_TOL = 1e-12
 # streamwise curvature (s1 = u_xx / 2u), "sym2" the full Laplacian
 # (s1 = (u_xx + u_yy) / 4u in 2D); in 1D both are u_xx / 2u.
 ADE2D_VARIANTS = ("sym1", "sym2")
-
-
-class MovingFrame(NamedTuple):
-    """Normalized group parameters of one invariantized step, per node.
-
-    s1 is the projective parameter fixed by the scheme's normalization;
-    lambda_next = the projective factor at the new time level.
-    """
-
-    s1: np.ndarray
-    lambda_next: np.ndarray
 
 
 def _frame_guard(lam):
@@ -87,27 +88,6 @@ def _check_zero_state(u, magnitude):
         )
 
 
-def ibe_frame(ux: np.ndarray, tau: float) -> MovingFrame:
-    """Frame of both Burgers steps: s1 = -u_x, lambda = 1 - s1 tau = 1 + tau u_x."""
-    return MovingFrame(s1=-ux, lambda_next=1.0 + tau * ux)
-
-
-def _bind(grid: Grid, stencil, guard):
-    """The block advance of stencil (baseline_schemes.bind_steps), reporting the
-    smallest interior lambda its guard met as lambda_min()."""
-    advance = base.bind_steps(grid, stencil)
-    advance.lambda_min = guard.lowest
-    return advance
-
-
-def _burgers_frame(grid: Grid1D):
-    """(pair, its out, lambda, guard) of a Burgers step: the grid's bound pair
-    with the (2, n) out it writes, ibe_frame's lambda as scratch and its guard."""
-    pair = compact_ops.bound_pair(grid)
-    lam = np.empty(grid.n)
-    return pair, pair.empty(), lam, _frame_guard(lam[1:-1])
-
-
 def ibe_sym(grid: Grid1D, params: PdeParams, tau: float):
     """Bind the invariantized compact steps of u_t + u u_x = 0.
 
@@ -115,15 +95,15 @@ def ibe_sym(grid: Grid1D, params: PdeParams, tau: float):
     frame absorbs the advection term entirely; on locally linear data the
     update is exact (see the one-step tests).
     """
-    pair, derivatives, lam, guard = _burgers_frame(grid)
-    ux, uxx = derivatives
     # 0.5 tau^2 / lambda^2 is tau^2 / (2 lambda^2) bit for bit: halving is exact
     one, half_tau2, tau = base.scalars(1.0, 0.5 * tau * tau, tau)
-    t = np.empty(grid.n)
+    lam, t = np.empty(grid.n), np.empty(grid.n)
+    guard = _frame_guard(lam[1:-1])
 
-    def stencil(u, out):
+    def update(u, jets, out):
+        ux, uxx = jets
+
         def step():
-            pair(u, derivatives)
             np.multiply(ux, tau, lam)
             np.add(lam, one, lam)
             guard()
@@ -137,7 +117,8 @@ def ibe_sym(grid: Grid1D, params: PdeParams, tau: float):
 
         return step
 
-    return _bind(grid, stencil, guard)
+    update.lambda_min = guard.lowest
+    return base.bind_jets(grid, update)
 
 
 def vbe_sym(grid: Grid1D, params: PdeParams, tau: float, dx_nodes: float = 0.0):
@@ -148,14 +129,14 @@ def vbe_sym(grid: Grid1D, params: PdeParams, tau: float, dx_nodes: float = 0.0):
     is left out; a Galilean-boosted run slides the nodes with the boost
     speed, which keeps the update exactly equivariant under the boost.
     """
-    pair, derivatives, lam, guard = _burgers_frame(grid)
-    ux, uxx = derivatives
     one, tau_nu, tau, dx = base.scalars(1.0, tau * params.nu, tau, dx_nodes)
-    t, moved = np.empty(grid.n), np.empty(grid.n)
+    lam, t, moved = np.empty(grid.n), np.empty(grid.n), np.empty(grid.n)
+    guard = _frame_guard(lam[1:-1])
 
-    def stencil(u, out):
+    def update(u, jets, out):
+        ux, uxx = jets
+
         def step():
-            pair(u, derivatives)
             np.multiply(ux, tau, lam)
             np.add(lam, one, lam)
             guard()
@@ -169,40 +150,27 @@ def vbe_sym(grid: Grid1D, params: PdeParams, tau: float, dx_nodes: float = 0.0):
 
         return step
 
-    return _bind(grid, stencil, guard)
-
-
-def ade_frame(u, curvatures, variant: str, params, tau: float) -> MovingFrame:
-    """Frame of the advection-diffusion step: s1 = sum_k u_kk / (2 d u) over the d
-    framed axes, every axis for "sym2" and x only for "sym1"; lambda = 1 - (4 nu tau) s1."""
-    if variant not in ADE2D_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {ADE2D_VARIANTS}")
-    framed = curvatures[:1] if variant == "sym1" else curvatures
-    s1 = sum(framed[1:], framed[0]) / (2.0 * len(framed) * u)
-    return MovingFrame(s1=s1, lambda_next=1.0 - (4.0 * params.nu * tau) * s1)
+    update.lambda_min = guard.lowest
+    return base.bind_jets(grid, update)
 
 
 def ade_sym(grid: Grid, params: PdeParams, tau: float, variant: str):
     """Bind the invariantized compact steps of u_t + alpha u_x (+ beta u_y) = nu laplacian(u).
 
     The base scheme runs in the frame-transformed coordinates, where the
-    normalization cancels the curvature of the framed axes (ade_frame, whose
-    arithmetic each step repeats into bound scratch); the result is mapped
-    back through the projective factor lambda^(-d/2) on d axes and the
-    Gaussian weight of the shifted base point. In 1D, s1 = u_xx / 2u gives
-    lambda = 1 - 2 nu tau u_xx / u, the same lambda as the 1 - 2 s1 tau of the
-    1D frame normalized as s1 = nu u_xx / u; it must stay positive. s1 holds no
-    nu, so the weight stays finite as nu -> 0. A step first raises ZeroState
-    for an interior node too close to zero to normalize.
+    normalization cancels the curvature of the framed axes, every axis for
+    "sym2" and x only for "sym1"; the result is mapped back through the
+    projective factor lambda^(-d/2) on d axes and the Gaussian weight of the
+    shifted base point. In 1D, s1 = u_xx / 2u gives lambda = 1 - 2 nu tau
+    u_xx / u, the same lambda as the 1 - 2 s1 tau of the 1D frame normalized
+    as s1 = nu u_xx / u; it must stay positive. s1 holds no nu, so the weight
+    stays finite as nu -> 0. A step first raises ZeroState for an interior
+    node too close to zero to normalize.
     """
     if variant not in ADE2D_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {ADE2D_VARIANTS}")
     p, d, shape = params, len(grid.shape), grid.shape
     interior = (slice(1, -1),) * d
-    pairs = [compact_ops.bound_pair(grid, axis) for axis in range(d)]
-    outs = [pair.empty() for pair in pairs]
-    ux, uxx = outs[0]
-    uy, uyy = outs[1] if d == 2 else (None, None)
     speed2 = p.alpha * p.alpha + (p.beta * p.beta if d == 2 else 0.0)
     framed = 2 if d == 2 and variant == "sym2" else 1  # the axes whose curvature s1 sums
     values = (1.0, 2.0, tau * p.alpha, tau * p.beta, 2.0 * framed, 4.0 * p.nu * tau,
@@ -212,19 +180,19 @@ def ade_sym(grid: Grid, params: PdeParams, tau: float, variant: str):
     magnitude = np.empty(tuple(n - 2 for n in shape))
     guard = _frame_guard(lam[interior])
 
-    def stencil(u, out):
+    def update(u, jets, out):
+        ux, uxx, *y = jets
+        uy, uyy = y or (None, None)
         inner = u[interior]
 
         def step():
             _check_zero_state(inner, magnitude)
-            pairs[0](u, outs[0])
             # The slopes enter only as the drift alpha u_x (+ beta u_y), times tau.
             np.multiply(ux, tau_alpha, drift)
             if d == 2:  # the y axis, driven by beta
-                pairs[1](u, outs[1])
                 np.multiply(uy, tau_beta, t)
                 np.add(drift, t, drift)
-            # ade_frame: s1 = (framed curvatures) / (2 d u), lambda = 1 - (4 nu tau) s1
+            # s1 = (framed curvatures) / (2 d u), lambda = 1 - (4 nu tau) s1
             curvature = np.add(uxx, uyy, s1) if framed == 2 else uxx
             np.multiply(u, denominator, t)
             np.divide(curvature, t, s1)
@@ -252,4 +220,5 @@ def ade_sym(grid: Grid, params: PdeParams, tau: float, variant: str):
 
         return step
 
-    return _bind(grid, stencil, guard)
+    update.lambda_min = guard.lowest
+    return base.bind_jets(grid, update)

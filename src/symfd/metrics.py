@@ -139,7 +139,7 @@ def rmse(numeric: Field, exact: Field) -> float:
     Where the plain mean of squares overflows on a finite difference, it is
     taken of the difference scaled by its largest magnitude, so a large but
     finite field gives a finite value; every other field keeps the plain
-    form's bits."""
+    form's bits, so a non-finite difference gives inf or NaN."""
     difference = _difference(numeric, exact)
     with np.errstate(over="ignore"):
         value = np.sqrt(np.mean(difference**2))
@@ -150,7 +150,7 @@ def rmse(numeric: Field, exact: Field) -> float:
 
 
 def linf(numeric: Field, exact: Field) -> float:
-    """Max absolute difference over all nodes."""
+    """Max absolute difference over all nodes: inf or NaN for a non-finite difference."""
     return float(np.max(np.abs(_difference(numeric, exact))))
 
 

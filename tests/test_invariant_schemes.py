@@ -1,4 +1,4 @@
-"""Tests for the symmetry-preserving steps, frames, and equivariance."""
+"""Tests for the symmetry-preserving steps, their jet updates, and equivariance."""
 
 import math
 
@@ -9,7 +9,6 @@ from symfd import (
     FrameSingularity,
     Grid1D,
     Grid2D,
-    MovingFrame,
     NonFinite,
     PdeParams,
     StepContext,
@@ -20,9 +19,9 @@ from symfd import (
     step,
     vbe_exact,
 )
-from symfd import compact_ops
 from symfd import invariant_schemes as inv
-from symfd.invariant_schemes import LAMBDA_TOL, ZERO_STATE_TOL, ade_frame, ibe_frame
+from symfd.invariant_schemes import LAMBDA_TOL, ZERO_STATE_TOL
+from symfd.metrics import _STEPPERS
 
 TAU = 1e-3
 VBE_NU = 1.0 / 12.0
@@ -36,43 +35,76 @@ def make_ctx(grid, tau, t, provider, nu=0.0, mesh_velocity=0.0):
     return StepContext(grid, PdeParams(nu=nu), tau, t, provider, mesh_velocity)
 
 
-class TestFrames:
-    def test_zero_slope_gives_identity_frame(self):
-        zeros = np.zeros(7)
-        frame = ibe_frame(zeros, TAU)
-        assert isinstance(frame, MovingFrame)
-        assert np.array_equal(frame.s1, zeros)
-        assert np.array_equal(frame.lambda_next, np.ones(7))
+def jet_update(pde, scheme, grid, params):
+    """The pair's production jet update (the advance's update) as a function
+    update(u, jets, tau) -> the new field, bound at that tau."""
 
-    def test_plane_frame_normalizations(self):
-        rng = np.random.default_rng(11)
-        u = rng.uniform(0.5, 2.0, (6, 5))
-        uxx = rng.normal(size=(6, 5))
-        uyy = rng.normal(size=(6, 5))
-        p = PdeParams(alpha=1.5, beta=-0.5, nu=0.2)
-        f1 = ade_frame(u, [uxx, uyy], "sym1", p, TAU)
-        # the first variant cancels the streamwise curvature exactly
-        assert np.abs(uxx - 2.0 * f1.s1 * u).max() <= 1e-13
-        f2 = ade_frame(u, [uxx, uyy], "sym2", p, TAU)
-        # the second cancels the whole curvature sum
-        assert np.abs((uxx + uyy) - 4.0 * f2.s1 * u).max() <= 1e-13
-        for f in (f1, f2):
-            assert np.allclose(f.lambda_next, 1.0 - 4.0 * p.nu * f.s1 * TAU, atol=0)
+    def update(u, jets, tau):
+        out = np.empty(grid.shape)
+        _STEPPERS[pde, scheme](grid, params, tau).update(u, jets, out)()
+        return out
 
-    def test_line_frame_normalization(self):
-        rng = np.random.default_rng(12)
-        u = rng.uniform(0.5, 2.0, 9)
-        uxx = rng.normal(size=9)
-        p = PdeParams(alpha=1.5, nu=0.2)
-        for variant in ("sym1", "sym2"):
-            f = ade_frame(u, [uxx], variant, p, TAU)
-            # on a line both variants cancel the one curvature: u_xx = 2 s1 u
-            assert np.abs(uxx - 2.0 * f.s1 * u).max() <= 1e-13
-            assert np.allclose(f.lambda_next, 1.0 - 2.0 * p.nu * TAU * uxx / u, rtol=1e-14, atol=0)
+    return update
+
+
+class TestJetUpdates:
+    """Each update against the projective group of its equation (see the
+    invariant_schemes docstring), on random positive u and random jets at
+    tau = 1e-2: Burgers maps the jet to (u, u_x + eps, u_xx) and tau to
+    tau / q, q = 1 - eps tau, and scales the new value by q; advection-
+    diffusion maps u_kk to u_kk - 2 eps u and tau to tau / q, q = 1 - 4 nu eps
+    tau, and scales the new value by q^(d/2) exp(-eps speed^2 tau^2 / q)."""
+
+    TAU, PARAMS = 1e-2, PdeParams(alpha=1.5, beta=-0.5, nu=0.2)
+    LINE, PLANE = Grid1D(0.0, 0.25, 9), Grid2D(0.0, 0.0, 0.2, 0.2, 8, 7)
+
+    def defect(self, update, pde, grid):
+        """The largest relative defect of the group identity on interior nodes,
+        over three eps."""
+        rng = np.random.default_rng(17)
+        u = rng.uniform(0.5, 2.0, grid.shape)
+        jets = tuple(rng.normal(size=grid.shape) for _ in range(2 * u.ndim))
+        tau, p, d = self.TAU, self.PARAMS, u.ndim
+        speed2 = p.alpha**2 + (p.beta**2 if d == 2 else 0.0)
+        burgers, interior, worst = pde in ("ibe", "vbe"), (slice(1, -1),) * d, 0.0
+        for eps in (-2.0, 0.5, 3.0) if burgers else (-0.7, 0.3, 1.1):
+            if burgers:
+                q = 1.0 - eps * tau
+                moved, scale = (jets[0] + eps, jets[1]), q
+            else:
+                q = 1.0 - 4.0 * p.nu * eps * tau
+                moved = tuple(jet - 2.0 * eps * u if k % 2 else jet for k, jet in enumerate(jets))
+                scale = q ** (d / 2.0) * math.exp(-eps * speed2 * tau * tau / q)
+            lhs, rhs = update(u, moved, tau / q), scale * update(u, jets, tau)
+            worst = max(worst, (np.abs(lhs - rhs) / np.abs(rhs))[interior].max())
+        return worst
+
+    @pytest.mark.parametrize(
+        "pde, scheme",
+        [("ibe", "sym"), ("vbe", "sym"), ("ade1d", "sym"), ("ade2d", "sym1"), ("ade2d", "sym2")],
+    )
+    def test_invariant_updates_commute_with_the_projective_group(self, pde, scheme):
+        grid = self.PLANE if pde == "ade2d" else self.LINE
+        assert self.defect(jet_update(pde, scheme, grid, self.PARAMS), pde, grid) <= 1e-13
+
+    @pytest.mark.parametrize("pde", ["ibe", "vbe"])
+    def test_compact_burgers_updates_do_not(self, pde):
+        update = jet_update(pde, "comp", self.LINE, self.PARAMS)
+        assert self.defect(update, pde, self.LINE) > 1e-6
+
+    @pytest.mark.parametrize("grid", [LINE, PLANE], ids=["1d", "2d"])
+    def test_a_forward_euler_advection_diffusion_map_does_not(self, grid):
+        p = self.PARAMS
+
+        def euler(u, jets, tau):  # u + tau (nu u_kk - speed_k u_k), summed over the axes
+            terms = zip(jets[::2], jets[1::2], (p.alpha, p.beta))
+            return u + tau * sum(p.nu * ukk - speed * uk for uk, ukk, speed in terms)
+
+        assert self.defect(euler, "ade", grid) > 1e-6
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
-            ade_frame(np.ones(3), [np.zeros(3), np.zeros(3)], "sym3", PdeParams(), TAU)
+            inv.ade_sym(self.PLANE, PdeParams(), TAU, "sym3")
 
 
 class TestFixedPointsAndExactness:
@@ -240,22 +272,8 @@ class TestGuardThresholds:
         lam[node] = value
         return lam
 
-    @staticmethod
-    def patch_pairs(monkeypatch, grid, fields):
-        """Make the grid's bound pair along each axis write fields[axis], the
-        (u', u'') that a step then reads (compact_ops.bound_pair)."""
-        for axis, values in enumerate(fields):
-            real = compact_ops.bound_pair(grid, axis)
-
-            def fake(u, out, values=values):
-                out[0], out[1] = values
-                return out
-
-            fake.empty = real.empty
-            monkeypatch.setitem(grid.products, ("pair", axis), fake)
-
     @pytest.mark.parametrize("grid", [LINE, PLANE], ids=["1d", "2d"])
-    def test_frame_singularity_threshold_in_the_ade_step(self, grid, monkeypatch):
+    def test_frame_singularity_threshold_in_the_ade_step(self, grid):
         # u = 1 and u_xx = 2 d s1 at one interior node give lambda = 1 - (4 nu tau) s1
         # there and 1 elsewhere. 1 - x is exact near 1, so lambda cannot be
         # LAMBDA_TOL itself: take the two adjacent s1 whose lambda brackets it.
@@ -269,17 +287,16 @@ class TestGuardThresholds:
             s1 = np.nextafter(s1, np.inf)
         above, at_or_below = s1, np.nextafter(s1, np.inf)
         assert 1.0 - k * above > LAMBDA_TOL >= 1.0 - k * at_or_below
-        ctx = StepContext(grid, p, TAU, 0.0, self.constant(1.0))
+        pair = ("ade1d", "sym") if grid is self.LINE else ("ade2d", "sym2")
         for s1, raises in ((at_or_below, True), (above, False)):
-            uxx = np.zeros(grid.shape)
+            uxx, zero = np.zeros(grid.shape), np.zeros(grid.shape)
             uxx[node] = 2.0 * u.ndim * s1  # exact: a power of two
-            self.patch_pairs(monkeypatch, grid, [(0.0, uxx)] + [(0.0, 0.0)] * (u.ndim - 1))
-            pair = ("ade1d", "sym") if grid is self.LINE else ("ade2d", "sym2")
+            jets = (zero, uxx) + (zero, zero) * (u.ndim - 1)
             if raises:
                 with pytest.raises(FrameSingularity):
-                    step(*pair, u, ctx)
+                    jet_update(*pair, grid, p)(u, jets, TAU)
             else:
-                assert np.isfinite(step(*pair, u, ctx)).all()
+                assert np.isfinite(jet_update(*pair, grid, p)(u, jets, TAU)).all()
 
     def test_frame_singularity_threshold_of_the_guard(self):
         interior = np.s_[1:-1]
@@ -291,18 +308,17 @@ class TestGuardThresholds:
         assert guard.lowest() == above
 
     @pytest.mark.parametrize("pde", ["ibe", "vbe"])
-    def test_burgers_lambda_is_one_plus_tau_ux_on_interior_nodes(self, pde, monkeypatch):
+    def test_burgers_lambda_is_one_plus_tau_ux_on_interior_nodes(self, pde):
         # lambda = 1 + tau u_x: -1 on both end nodes raises nothing, and an
         # interior node at lambda = 1 - 2 tau / tau = -1 raises
-        grid, tau = self.LINE, 0.01
-        ctx = StepContext(grid, PdeParams(nu=VBE_NU), tau, 0.0, self.constant(1.0))
+        grid, tau, p = self.LINE, 0.01, PdeParams(nu=VBE_NU)
         ux = np.zeros(9)
         ux[[0, -1]] = -2.0 / tau
-        self.patch_pairs(monkeypatch, grid, [(ux, 0.0)])
-        assert np.isfinite(step(pde, "sym", np.ones(9), ctx)).all()
+        jets = (ux, np.zeros(9))
+        assert np.isfinite(jet_update(pde, "sym", grid, p)(np.ones(9), jets, tau)).all()
         ux[4] = -2.0 / tau
         with pytest.raises(FrameSingularity):
-            step(pde, "sym", np.ones(9), ctx)
+            jet_update(pde, "sym", grid, p)(np.ones(9), jets, tau)
 
     @pytest.mark.parametrize(
         "pde, scheme", [("ade1d", "sym"), ("ade2d", "sym1"), ("ade2d", "sym2")]

@@ -83,9 +83,11 @@ class TestErrorMeasures:
         assert rmse(mixed, np.zeros(4)) == pytest.approx(math.sqrt(25.0 / 4.0) * 1e200, rel=1e-15)
         largest = np.finfo(float).max
         assert rmse(np.array([largest, -largest]), np.zeros(2)) == largest
-        # non-finite differences keep the plain form's inf and NaN
+        # non-finite differences keep the plain form's inf and NaN, as in linf
         assert rmse(np.array([np.inf, 1.0]), np.zeros(2)) == np.inf
         assert np.isnan(rmse(np.array([np.nan, 1.0]), np.zeros(2)))
+        assert linf(np.array([np.inf, 1.0]), np.zeros(2)) == np.inf
+        assert np.isnan(linf(np.array([np.nan, 1.0]), np.zeros(2)))
 
     def test_unstable_run_reports_finite_errors(self):
         # vbe FTCS at diffusion number 0.6 reaches max|u| ~ 1e221 at step 11,
@@ -656,6 +658,11 @@ MISUSE = {
         ValueError, "^t "),
     "evolve-nan-initial-data-no-steps": (lambda: _evolve_from_nan(0.0), NonFinite, "initial data"),
     "evolve-nan-initial-data": (lambda: _evolve_from_nan(5e-3), NonFinite, "initial data"),
+    "linear-nan-c1": (
+        lambda: compact_ops.linear(np.zeros(11), Grid1D(0.0, 0.1, 11), 0, math.nan, 1.0),
+        ValueError, "^c1 "),
+    "bound_linear-inf-c2": (
+        lambda: compact_ops.bound_linear(Grid1D(0.0, 0.1, 11), 0, 1.0, math.inf), ValueError, "^c2 "),
 }
 
 
