@@ -16,9 +16,12 @@ life, the one-sided pair [D1; D2], probed on first use: on axes of n <=
 DENSE_MAX nodes the stacked (2, n, n) D, and on longer ones the two bands
 |i - j| <= w = HALF_WIDTH[order]. One builder binds a read-only stack of
 operators to its product(u, out), which writes every operator's product into
-the output array its caller passes: a dense stack is applied by one einsum,
-and bands are read through their windows of one zero-padded line buffer of
-the widest band, so a call costs one copy of the field. A step binds its
+the output array its caller passes. A dense stack is applied by one matmul
+that runs one BLAS gemv per (operator, line), so a line's bits are those of
+its own 1D product whatever the other lines; one gemm over a block of lines
+would not keep that, as its summation order changes with the line count.
+Bands are read through their windows of one zero-padded line buffer of the
+widest band, so a call costs one copy of the field. A step binds its
 product and out once per run and reads its derivatives from that out with no
 allocation. The builder has three users, each storing its product in
 grid.products and its stack in grid.derivative_matrices under a key:
@@ -26,10 +29,11 @@ bound_pair binds [D1; D2] under ("pair", axis); d1 and d2 bind, on their
 first call, their one-operator view of that stack under (order, axis); and
 bound_linear binds the step operator c1 D1 + c2 D2, formed from the pair's
 own operators, under (axis, c1, c2). derivatives, d1, d2 and linear are thin
-readers of these products into a fresh out; no derivative operator is stored
-twice. A band's product writes its line buffer, and a dense product across
-the lines of a 2D field's x axis its transposed copy of the field, so one
-grid must not be stepped from two threads at once.
+readers of these products into a fresh out, which give inf or NaN for a field
+that overflows and no floating-point warning; no derivative operator is
+stored twice. A band's product writes its line buffer, and a dense product
+across the lines of a 2D field's x axis its transposed copy of the field, so
+one grid must not be stepped from two threads at once.
 The pinned-end closure builds B U and applies the factor of A (see tridiag),
 shared by every grid of that n.
 
@@ -63,13 +67,16 @@ from .tridiag import factor, solve
 Field = np.ndarray
 
 
-# Largest line length whose operators are stored as a dense D: the measured
-# speed crossover of one (d1, d2) pair on one line, the stacked dense product
-# against the two bands (best of 5 rounds of timeit, 2-core x86-64, numpy
-# 2.4.6): 9.8 vs 10.8 us at n = 101, 11.4 vs 12.0 us at 111, 14.2 vs 11.2 us
-# at 116 and 12.6 vs 11.1 us at 128. Square 2D grids cross earlier, near 50
-# nodes a side (153 vs 129 us per pair at 61^2), as a dense D costs n^2 per
-# line; no study grid has more than 26 a side.
+# Largest line length whose operators are stored as a dense D. It was the
+# speed crossover of one (d1, d2) pair on one line when the dense stack was
+# applied by einsum (14.2 vs 11.2 us, dense vs band, at n = 116). With one
+# gemv per line the 1D crossover lies between 113 and 201 nodes: band vs dense
+# 7.9 vs 4.4 us at n = 113, 10.5 vs 11.4 us at 201 and 12.0 vs 12.9 us at 256
+# (median of 5 processes of a best of 7 x 2,000 calls, one BLAS thread, 2-core
+# x86-64, numpy 2.4.6, OpenBLAS 0.3.31). It stays 112 because the ade1d block
+# path (metrics.AFFINE) is tied to it. Square 2D grids cross earlier, near 50
+# nodes a side (153 vs 129 us per pair at 61^2 with einsum), as a dense D
+# costs n^2 per line; no study grid has more than 26 a side.
 DENSE_MAX = 112
 # Half-width of the stored band of D per derivative order (see above).
 HALF_WIDTH = {1: 29, 2: 18}
@@ -255,8 +262,8 @@ def _checked(u, grid, axis):
     u = np.ascontiguousarray(u, dtype=float)
     if u.shape != grid.shape:
         raise ShapeMismatch(f"field shape {u.shape} does not match grid {grid.shape}")
-    if not 0 <= axis < u.ndim:
-        raise ValueError(f"axis {axis} out of range for a {u.ndim}D grid")
+    if not isinstance(axis, numbers.Integral) or not 0 <= axis < u.ndim:
+        raise ValueError(f"axis {axis!r} is not an axis of a {u.ndim}D grid")
     return u
 
 
@@ -296,32 +303,37 @@ def _bind(grid, axis, operators):
     lines of n <= DENSE_MAX nodes one (k, n, n) array, else k bands (n, 2w + 1)
     as _probed gives them. product(u, out) writes each operator's product of a
     C-contiguous field u of grid into out, of shape (k,) + grid.shape as
-    product.empty() makes it, and returns out; product.operator is the stack.
-    A dense stack is applied by one einsum; bands are read through their
-    windows of one zero-padded line buffer of the widest w, into which a call
-    copies u once."""
+    product.empty() makes it, and returns out; product.operator is the stack,
+    and product.dense says which of the two kinds it is. A dense stack is
+    applied by one matmul that runs one BLAS gemv per (operator, line); bands
+    are read through their windows of one zero-padded line buffer of the
+    widest w, into which a call copies u once."""
     n, shape = grid.shape[axis], grid.shape
+    dense = n <= DENSE_MAX
     across = len(shape) == 2 and axis == 0  # the lines are the columns of u
     empty = lambda: np.empty((len(operators),) + shape)
-    # On contiguous rows, einsum sums a line's outputs in the same order alone as
-    # among many lines or operators, so its bits depend on neither the field nor
-    # the stacking; BLAS does not.
-    if n <= DENSE_MAX and across:
+    # One gemv per line sums that line's outputs in the same order alone as
+    # among many lines or operators, so its bits depend on neither the field
+    # nor the stacking; one gemm over a block of lines would not, its blocking
+    # changing with the line count.
+    if dense and across:
         lines = np.empty(shape[::-1])  # u's columns as contiguous rows, per call
+        stack, columns = operators[:, None], lines[None, :, :, None]  # (k, 1, n, n), (1, m, n, 1)
 
         def product(u, out):
             lines[...] = u.T
-            return np.einsum("kj,oij->oik", lines, operators, out=out)
-
-    elif n <= DENSE_MAX and len(shape) == 2:  # rows: (lines, k, n) is a fifth faster to write
-
-        def product(u, out):
-            np.einsum("kj,oij->koi", u, operators, out=out.swapaxes(0, 1))
+            np.matmul(stack, columns, out=out.transpose(0, 2, 1)[..., None])
             return out
 
-        empty = lambda: np.empty((shape[0], len(operators), n)).swapaxes(0, 1)
-    elif n <= DENSE_MAX:
-        product = lambda u, out: np.einsum("j,oij->oi", u, operators, out=out)
+    elif dense and len(shape) == 2:
+        stack = operators[:, None]
+
+        def product(u, out):
+            np.matmul(stack, u[None, :, :, None], out=out[..., None])
+            return out
+
+    elif dense:
+        product = lambda u, out: np.matmul(operators, u, out=out)
     else:
         # band[i, k] meets node i - w + k: a window view of the zero-padded lines
         widths = [band.shape[1] // 2 for band in operators]
@@ -342,7 +354,7 @@ def _bind(grid, axis, operators):
                 np.einsum(spec, band, window, out=out[k])
             return out
 
-    product.operator, product.empty = operators, empty
+    product.operator, product.empty, product.dense = operators, empty, dense
     return product
 
 
@@ -363,6 +375,18 @@ def bound_pair(grid: Grid, axis: int = 0):
     return _bound(grid, ("pair", axis), axis, lambda: _probed(n, h))
 
 
+def _read(product, u):
+    """product of u into a fresh out, with no floating-point warning for a field
+    that overflows: matmul reports the flags of its BLAS sums, the band's
+    einsum none, and an errstate alone would add a quarter to a band read's
+    allocations. Steps ignore these flags once per block (see
+    baseline_schemes.bind_steps)."""
+    if not product.dense:
+        return product(u, product.empty())
+    with np.errstate(over="ignore", invalid="ignore"):
+        return product(u, product.empty())
+
+
 def _derivative(order, u, grid, axis, bp):
     """d1 or d2: a thin reader of its one-operator view of the stored pair,
     bound on its first call, or with pinned ends one solve of the lines."""
@@ -374,7 +398,7 @@ def _derivative(order, u, grid, axis, bp):
     product = _bound(
         grid, (order, axis), axis, lambda: bound_pair(grid, axis).operator[order - 1 : order]
     )
-    return product(u, product.empty())[0]
+    return _read(product, u)[0]
 
 
 def d1(u: Field, grid: Grid, axis: int = 0, bp: BoundaryPolicy = ONE_SIDED) -> Field:
@@ -392,8 +416,7 @@ def derivatives(u: Field, grid: Grid, axis: int = 0) -> np.ndarray:
     d2, as the two halves of one (2,) + grid.shape array from bound_pair's
     product: a caller that reads both pays for one call."""
     u = _checked(u, grid, axis)
-    product = bound_pair(grid, axis)
-    return product(u, product.empty())
+    return _read(bound_pair(grid, axis), u)
 
 
 def bound_linear(grid: Grid, axis: int, c1: float, c2: float):
@@ -422,5 +445,4 @@ def bound_linear(grid: Grid, axis: int, c1: float, c2: float):
 def linear(u: Field, grid: Grid, axis: int, c1: float, c2: float) -> Field:
     """(c1 D1 + c2 D2) u along axis: a thin reader of bound_linear's product."""
     u = _checked(u, grid, axis)
-    product = bound_linear(grid, axis, c1, c2)
-    return product(u, product.empty())[0]
+    return _read(bound_linear(grid, axis, c1, c2), u)[0]

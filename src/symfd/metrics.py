@@ -130,6 +130,8 @@ def _difference(numeric: Field, exact: Field) -> np.ndarray:
     a, b = np.asarray(numeric, dtype=float), np.asarray(exact, dtype=float)
     if a.shape != b.shape:
         raise ShapeMismatch(f"shapes {a.shape} and {b.shape} differ")
+    if a.size == 0:
+        raise ShapeMismatch(f"the fields have no node: shape {a.shape}")
     return a - b
 
 
@@ -458,6 +460,15 @@ def convergence_study(
     return ConvergenceTable(pde=pde, scheme=scheme, rows=rows, slope=slope)
 
 
+def _numbers(name, values):
+    """values as a list of floats; a string or an empty sequence is a ValueError
+    naming the argument."""
+    floats = [] if isinstance(values, (str, bytes)) else [float(v) for v in values]
+    if not floats:
+        raise ValueError(f"{name} must be a non-empty sequence of numbers, not {values!r}")
+    return floats
+
+
 def galilean_experiment(
     c_values: Sequence[float],
     schemes: Sequence[str] = ("ftcs", "comp", "sym"),
@@ -480,7 +491,7 @@ def galilean_experiment(
         params = PdeParams(nu=1.0 / 12.0)
     plain = default_exact("vbe", params)
     results = []
-    for c in map(float, c_values):
+    for c in _numbers("c_values", c_values):
         for scheme in schemes:
             velocity = c if scheme == "sym" else 0.0
             report = evolve(
@@ -539,7 +550,7 @@ def invariantize_check(scheme: str, group_params) -> float:
     deviation at roundoff level.
     """
     if scheme == "vbe":
-        return max(_galilean_deviation(float(c)) for c in group_params)
+        return max(map(_galilean_deviation, _numbers("group_params", group_params)))
     if scheme == "ibe":
-        return max(_scaling_deviation(float(s)) for s in group_params)
+        return max(map(_scaling_deviation, _numbers("group_params", group_params)))
     raise ValueError(f"unknown scheme {scheme!r}, expected 'ibe' or 'vbe'")

@@ -414,6 +414,25 @@ class TestSelftest:
         assert "0 failure(s)" in proc.stdout
 
 
+@pytest.mark.parametrize("pde, scheme", [("vbe", "comp"), ("ade2d", "sym2")])
+def test_run_profile_does_not_depend_on_blas_threads(pde, scheme, tmp_path):
+    # each line's compact product is one BLAS gemv, whose bits must not change
+    # when the BLAS library may split it over two threads
+    src = str(Path(symfd.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH", "")) if p)
+    profiles = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"profile-{threads}.csv"
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        argv = ["run", f"pde={pde}", f"scheme={scheme}", f"output_path={out}"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "symfd.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        profiles.append(out.read_bytes())
+    assert profiles[0] == profiles[1]
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([])

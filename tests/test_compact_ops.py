@@ -403,8 +403,9 @@ def test_2d_lines_are_bit_identical_to_1d_calls(op, n, axis):
 
 def separate_product(order, u, grid, axis):
     """The order's derivative of u as its own stored product computed it before
-    the pair was stacked: its own dense D, or its own band read through its own
-    zero-padded lines; the reference for the stored pair [D1; D2]."""
+    the pair was stacked: its own dense D, times each line on its own, or its
+    own band read through its own zero-padded lines; the reference for the
+    stored pair [D1; D2]."""
     n, h = grid.shape[axis], grid.spacing[axis]
     rhs_of = _first_derivative_rhs if order == 1 else _second_derivative_rhs
     across = u.ndim == 2 and axis == 0
@@ -413,9 +414,11 @@ def separate_product(order, u, grid, axis):
     comb = np.zeros((n, p))
     comb[np.arange(n), np.arange(n) % p] = 1.0
     d = solve(_operator(order, n, "one_sided"), rhs_of(comb, h, ONE_SIDED))
-    if p == n:
-        spec = "kj,ij->ik" if across else "...j,ij->...i"
-        return np.einsum(spec, np.ascontiguousarray(u.T if across else u), d)
+    if p == n:  # one matrix-vector product per contiguous line
+        d = np.ascontiguousarray(d)
+        lines = (u.T if across else u).reshape(-1, n)
+        out = np.stack([np.matmul(d, np.ascontiguousarray(line)) for line in lines])
+        return np.ascontiguousarray(out.T) if across else out.reshape(u.shape)
     j = np.arange(n)[:, None] + np.arange(p) - w
     d = np.take_along_axis(d, j % p, axis=1)
     d[(j < 0) | (j >= n)] = 0.0
@@ -443,6 +446,44 @@ def test_stacked_pair_is_bit_identical_to_separate_products(shape, axis, order):
     for got, order_ in ((first, 1), (second, 2), (d1(u, grid, axis), 1), (d2(u, grid, axis), 2)):
         assert got.shape == grid.shape
         assert np.array_equal(got, separate_product(order_, u, grid, axis))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("n", [5, 26, 101, DENSE_MAX])
+def test_a_lines_derivatives_do_not_depend_on_the_line_count(n, axis):
+    # one gemv per line: a gemm over the block of lines sums in an order that
+    # changes with the line count; the line alone, on its 1D grid, is the first
+    line = np.random.default_rng(n).normal(size=n)
+    alone = Grid1D(0.0, 0.1, n)
+    seen = [np.stack([d1(line, alone), d2(line, alone), *derivatives(line, alone)])]
+    for m in (5, 6, 7, 8, 13, 40):
+        grid = Grid2D(0.0, 0.0, 0.1, 0.3, n, m) if axis == 0 else Grid2D(0.0, 0.0, 0.3, 0.1, m, n)
+        u = np.random.default_rng(m).normal(size=grid.shape)
+        first, last = [(slice(None), k) if axis == 0 else (k, slice(None)) for k in (0, m - 1)]
+        u[first] = u[last] = line
+        pair = derivatives(u, grid, axis)
+        for k in (first, last):
+            ends = (d1(u, grid, axis)[k], d2(u, grid, axis)[k], *pair[(slice(None),) + k])
+            seen.append(np.stack(ends))
+    assert all(np.array_equal(got, seen[0]) for got in seen)
+
+
+# A field holding inf, NaN or values near the float limit: the readers give the
+# bits their bound products give, and no warning (the suite makes it an error).
+@pytest.mark.parametrize("shape, axis", PAIR_CASES)
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1e308], ids=["inf", "nan", "huge"])
+def test_readers_neither_warn_nor_change_on_non_finite_fields(shape, axis, bad):
+    grid = Grid1D(-1.0, 0.05, *shape) if len(shape) == 1 else Grid2D(-1, 0, 0.05, 0.07, *shape)
+    u = np.random.default_rng(sum(shape)).normal(size=shape)
+    u[(3,) * len(shape)] = bad
+    step = compact_ops.bound_linear(grid, axis, 0.3, -0.02)
+    with np.errstate(all="ignore"):
+        want = [separate_product(order, u, grid, axis) for order in (1, 2)]
+        want_step = step(u, step.empty())[0]
+    got = [d1(u, grid, axis), d2(u, grid, axis), *derivatives(u, grid, axis)]
+    assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want + want))
+    assert not np.isfinite(got[0]).all()
+    assert np.array_equal(linear(u, grid, axis, 0.3, -0.02), want_step, equal_nan=True)
 
 
 @pytest.mark.parametrize("shape", [(31,), (26, 26), (DENSE_MAX + 1,), (DENSE_MAX + 1, 7)])

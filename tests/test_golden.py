@@ -6,22 +6,24 @@ refactor that keeps the arithmetic must reproduce them exactly; the relative
 tolerance only absorbs last-bit differences of libm on other hosts.
 
 The compact and sym pins come from the differentiation matrix D = A^-1 B
-stored per grid, which sums in another order than the operators before it;
-the advection-diffusion (linear) COMP pins from the stored step operator,
-u + T u, and the FTCS ones from the bound three-point stencil, u + T u summed
-over the axes on the flattened field; the ade1d pairs apply a block of steps
-at a time as one product. The advection-diffusion sym pins come from the one
-invariant step of 1D and 2D with its scalar factors folded. Those earlier
-values are kept beside them: BAND_RUN from the FTCS operator stored as the
-central pair's band, STEPWISE_RUN from the ade1d linear steps taken one at a
-time, UNFOLDED_RUN from the invariant step before the folding,
-SEPARATE_1D_RUN from the 1D invariant step as its own function,
-EXPRESSION_RUN from the linear steps written as u - tau (alpha d1 - nu d2),
-INVERSE_RUN and INVERSE_GALILEAN from the stored inverse of A applied to the
-assembled B u, and PARENT_RUN and PARENT_GALILEAN from elimination from
-scratch. The ibe and vbe FTCS pins never changed: their bound stencils round
-as the central pair did. Every error must stay within PARITY of every kept
-set, so re-pinning can absorb roundoff but not a change of the scheme.
+stored per grid and applied to each line by one BLAS gemv, which sums in
+another order than the operators before it; the advection-diffusion (linear)
+COMP pins from the stored step operator, u + T u, and the FTCS ones from the
+bound three-point stencil, u + T u summed over the axes on the flattened
+field; the ade1d pairs apply a block of steps at a time as one product. The
+advection-diffusion sym pins come from the one invariant step of 1D and 2D
+with its scalar factors folded. Those earlier values are kept beside them:
+BAND_RUN from the FTCS operator stored as the central pair's band,
+STEPWISE_RUN from the ade1d linear steps taken one at a time, UNFOLDED_RUN
+from the invariant step before the folding, SEPARATE_1D_RUN from the 1D
+invariant step as its own function, EINSUM_RUN and EINSUM_GALILEAN from the
+stacked D applied by one einsum, EXPRESSION_RUN from the linear steps written
+as u - tau (alpha d1 - nu d2), INVERSE_RUN and INVERSE_GALILEAN from the
+stored inverse of A applied to the assembled B u, and PARENT_RUN and
+PARENT_GALILEAN from elimination from scratch. The ibe and vbe FTCS pins never
+changed: their bound stencils round as the central pair did. Every error must
+stay within PARITY of every kept set, so re-pinning can absorb roundoff but
+not a change of the scheme.
 
 LONG_LINE pins the linf of a `symfd converge` study on 401 to 801 nodes,
 where the compact operators are the stored band of D; PARENT_LONG_LINE
@@ -40,31 +42,31 @@ PARITY = 1e-13  # absolute
 # (pde, scheme) -> (rmse, linf) of `symfd run pde=... scheme=...`, as float.hex
 RUN = {
     ("ibe", "ftcs"): ("0x1.3b0aa08a1ddfbp-7", "0x1.4809c5b631100p-5"),
-    ("ibe", "comp"): ("0x1.2e27a8b4a9ce1p-10", "0x1.4dad23385f900p-8"),
-    ("ibe", "sym"): ("0x1.2e226b1a0eea4p-10", "0x1.4da57d9554c80p-8"),
+    ("ibe", "comp"): ("0x1.2e27a8b4a9b43p-10", "0x1.4dad23385f780p-8"),
+    ("ibe", "sym"): ("0x1.2e226b1a0eee1p-10", "0x1.4da57d9554c80p-8"),
     ("ade1d", "ftcs"): ("0x1.82c2e72cd7595p-7", "0x1.dba255e87fb40p-6"),
-    ("ade1d", "comp"): ("0x1.95c742d24ff6cp-12", "0x1.2e793ec7b3400p-10"),
-    ("ade1d", "sym"): ("0x1.c7365084d60fcp-13", "0x1.e783e34f03000p-12"),
+    ("ade1d", "comp"): ("0x1.95c742d250167p-12", "0x1.2e793ec7b3800p-10"),
+    ("ade1d", "sym"): ("0x1.c7365084d59fep-13", "0x1.e783e34f02800p-12"),
     ("vbe", "ftcs"): ("0x1.04909cb4a01f4p-3", "0x1.d6d21f43d9958p-1"),
-    ("vbe", "comp"): ("0x1.fb37a6e42ab08p-7", "0x1.d3908a4786b80p-4"),
-    ("vbe", "sym"): ("0x1.540b85eabbfb1p-6", "0x1.869ddcc728fa0p-3"),
+    ("vbe", "comp"): ("0x1.fb37a6e42ab76p-7", "0x1.d3908a4787080p-4"),
+    ("vbe", "sym"): ("0x1.540b85eabc035p-6", "0x1.869ddcc729060p-3"),
     ("ade2d", "ftcs"): ("0x1.15100b3037e13p-11", "0x1.3ef75c66c5680p-9"),
-    ("ade2d", "comp"): ("0x1.180781ef9cf3ap-17", "0x1.3a5aa3fa22000p-15"),
-    ("ade2d", "sym1"): ("0x1.14c6750d303cep-17", "0x1.1aab7fa296000p-15"),
-    ("ade2d", "sym2"): ("0x1.0d7dac4977ecep-17", "0x1.183d6e0334000p-15"),
+    ("ade2d", "comp"): ("0x1.180781ef9ccc4p-17", "0x1.3a5aa3fa22000p-15"),
+    ("ade2d", "sym1"): ("0x1.14c6750d3032fp-17", "0x1.1aab7fa296000p-15"),
+    ("ade2d", "sym2"): ("0x1.0d7dac4978260p-17", "0x1.183d6e0334000p-15"),
 }
 
 # (c, scheme, rmse, linf) rows of `symfd galilean`, errors as float.hex
 GALILEAN = [
     (0.0, "ftcs", "0x1.04909cb4a01f4p-3", "0x1.d6d21f43d9958p-1"),
-    (0.0, "comp", "0x1.fb37a6e42ab08p-7", "0x1.d3908a4786b80p-4"),
-    (0.0, "sym", "0x1.540b85eabbfb1p-6", "0x1.869ddcc728fa0p-3"),
+    (0.0, "comp", "0x1.fb37a6e42ab76p-7", "0x1.d3908a4787080p-4"),
+    (0.0, "sym", "0x1.540b85eabc035p-6", "0x1.869ddcc729060p-3"),
     (0.5, "ftcs", "0x1.12eddfcff2208p-3", "0x1.d0ace365c1270p-1"),
-    (0.5, "comp", "0x1.03ed5b700c945p-6", "0x1.c2c0848935300p-4"),
-    (0.5, "sym", "0x1.540b85eabc3c5p-6", "0x1.869ddcc729300p-3"),
+    (0.5, "comp", "0x1.03ed5b700c935p-6", "0x1.c2c0848935280p-4"),
+    (0.5, "sym", "0x1.540b85eabc5dcp-6", "0x1.869ddcc729560p-3"),
     (1.0, "ftcs", "0x1.2140a20222a37p-3", "0x1.c0cafdb718a00p-1"),
-    (1.0, "comp", "0x1.0ce280bc19cdap-6", "0x1.b1f4496bdcec0p-4"),
-    (1.0, "sym", "0x1.540b85eabbea9p-6", "0x1.869ddcc728e60p-3"),
+    (1.0, "comp", "0x1.0ce280bc19d08p-6", "0x1.b1f4496bdd200p-4"),
+    (1.0, "sym", "0x1.540b85eabc1b8p-6", "0x1.869ddcc7291a0p-3"),
 ]
 
 # The advection-diffusion FTCS pins as the stored three-point band of the
@@ -106,6 +108,28 @@ UNFOLDED_RUN = {
 # served 1D and 2D with (u - (tau / lambda) alpha u_x) / lambda^(1/2).
 SEPARATE_1D_RUN = {
     ("ade1d", "sym"): ("0x1.c7365084d9bcdp-13", "0x1.e783e34eef000p-12"),
+}
+
+# The compact and sym pins of the stacked pair applied by one einsum, before
+# one BLAS gemv per line and operator applied it.
+EINSUM_RUN = {
+    ("ibe", "comp"): ("0x1.2e27a8b4a9ce1p-10", "0x1.4dad23385f900p-8"),
+    ("ibe", "sym"): ("0x1.2e226b1a0eea4p-10", "0x1.4da57d9554c80p-8"),
+    ("ade1d", "comp"): ("0x1.95c742d24ff6cp-12", "0x1.2e793ec7b3400p-10"),
+    ("ade1d", "sym"): ("0x1.c7365084d60fcp-13", "0x1.e783e34f03000p-12"),
+    ("vbe", "comp"): ("0x1.fb37a6e42ab08p-7", "0x1.d3908a4786b80p-4"),
+    ("vbe", "sym"): ("0x1.540b85eabbfb1p-6", "0x1.869ddcc728fa0p-3"),
+    ("ade2d", "comp"): ("0x1.180781ef9cf3ap-17", "0x1.3a5aa3fa22000p-15"),
+    ("ade2d", "sym1"): ("0x1.14c6750d303cep-17", "0x1.1aab7fa296000p-15"),
+    ("ade2d", "sym2"): ("0x1.0d7dac4977ecep-17", "0x1.183d6e0334000p-15"),
+}
+EINSUM_GALILEAN = {
+    (0.0, "comp"): ("0x1.fb37a6e42ab08p-7", "0x1.d3908a4786b80p-4"),
+    (0.0, "sym"): ("0x1.540b85eabbfb1p-6", "0x1.869ddcc728fa0p-3"),
+    (0.5, "comp"): ("0x1.03ed5b700c945p-6", "0x1.c2c0848935300p-4"),
+    (0.5, "sym"): ("0x1.540b85eabc3c5p-6", "0x1.869ddcc729300p-3"),
+    (1.0, "comp"): ("0x1.0ce280bc19cdap-6", "0x1.b1f4496bdcec0p-4"),
+    (1.0, "sym"): ("0x1.540b85eabbea9p-6", "0x1.869ddcc728e60p-3"),
 }
 
 # The compact and sym pins of the stored inverse of A, which applied A^-1 to
@@ -166,8 +190,8 @@ def test_default_run_errors(pde, scheme, tmp_path, capsys):
     fields = dict(zip(header.split(","), values.split(",")))
     pins = RUN[(pde, scheme)]
     tables = (
-        BAND_RUN, STEPWISE_RUN, UNFOLDED_RUN, SEPARATE_1D_RUN, EXPRESSION_RUN, INVERSE_RUN,
-        PARENT_RUN,
+        BAND_RUN, STEPWISE_RUN, UNFOLDED_RUN, SEPARATE_1D_RUN, EXPRESSION_RUN, EINSUM_RUN,
+        INVERSE_RUN, PARENT_RUN,
     )
     earlier = [table.get((pde, scheme), pins) for table in tables]
     for name, pinned, *kept in zip(("rmse", "linf"), pins, *earlier):
@@ -181,10 +205,12 @@ def test_default_galilean_errors(tmp_path):
         rows = list(csv.reader(handle))[1:]
     assert [(float(c), s) for c, s, _, _ in rows] == [(c, s) for c, s, _, _ in GALILEAN]
     for row, (c, scheme, *pins) in zip(rows, GALILEAN):
-        inverse = INVERSE_GALILEAN.get((c, scheme), pins)
-        parents = PARENT_GALILEAN.get((c, scheme), pins)
-        for value, pinned, *earlier in zip(row[2:], pins, inverse, parents):
-            check(float(value), pinned, earlier)
+        earlier = [
+            table.get((c, scheme), pins)
+            for table in (EINSUM_GALILEAN, INVERSE_GALILEAN, PARENT_GALILEAN)
+        ]
+        for value, pinned, *kept in zip(row[2:], pins, *earlier):
+            check(float(value), pinned, kept)
 
 
 # (scheme, n) -> linf of `symfd converge pde=vbe sizes=401,601,801 t_final=0.01`

@@ -663,6 +663,24 @@ MISUSE = {
         ValueError, "^c1 "),
     "bound_linear-inf-c2": (
         lambda: compact_ops.bound_linear(Grid1D(0.0, 0.1, 11), 0, 1.0, math.inf), ValueError, "^c2 "),
+    **{
+        f"{name}-fractional-axis": (
+            lambda reader=reader: reader(np.zeros((7, 9)), Grid2D(0, 0, 0.1, 0.1, 7, 9), 0.5),
+            ValueError, "^axis ")
+        for name, reader in (
+            ("d1", compact_ops.d1),
+            ("d2", compact_ops.d2),
+            ("derivatives", compact_ops.derivatives),
+            ("linear", lambda u, grid, axis: compact_ops.linear(u, grid, axis, 1.0, 0.5)),
+        )
+    },
+    "galilean_experiment-no-speeds": (lambda: galilean_experiment([]), ValueError, "^c_values "),
+    "galilean_experiment-string-speeds": (
+        lambda: galilean_experiment("0.5"), ValueError, "^c_values "),
+    "invariantize_check-no-speeds": (
+        lambda: metrics.invariantize_check("vbe", []), ValueError, "^group_params "),
+    "rmse-empty-fields": (lambda: rmse(np.zeros(0), np.zeros(0)), ShapeMismatch, "no node"),
+    "linf-empty-fields": (lambda: linf(np.zeros(0), np.zeros(0)), ShapeMismatch, "no node"),
 }
 
 
