@@ -395,7 +395,8 @@ def _derivative(order, u, grid, axis, bp):
         n, h = grid.shape[axis], grid.spacing[axis]
         swap = lambda a: np.ascontiguousarray(a.swapaxes(0, axis))
         return swap(_solved(swap(u), n, h, order, bp))
-    product = _bound(
+    # a warm call finds its product before any fallback closure is made
+    product = grid.products.get((order, axis)) or _bound(
         grid, (order, axis), axis, lambda: bound_pair(grid, axis).operator[order - 1 : order]
     )
     return _read(product, u)[0]
@@ -445,4 +446,5 @@ def bound_linear(grid: Grid, axis: int, c1: float, c2: float):
 def linear(u: Field, grid: Grid, axis: int, c1: float, c2: float) -> Field:
     """(c1 D1 + c2 D2) u along axis: a thin reader of bound_linear's product."""
     u = _checked(u, grid, axis)
-    return _read(bound_linear(grid, axis, c1, c2), u)[0]
+    product = grid.products.get((axis, c1, c2)) or bound_linear(grid, axis, c1, c2)
+    return _read(product, u)[0]

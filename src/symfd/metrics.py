@@ -461,11 +461,14 @@ def convergence_study(
 
 
 def _numbers(name, values):
-    """values as a list of floats; a string or an empty sequence is a ValueError
-    naming the argument."""
-    floats = [] if isinstance(values, (str, bytes)) else [float(v) for v in values]
-    if not floats:
-        raise ValueError(f"{name} must be a non-empty sequence of numbers, not {values!r}")
+    """values as a list of floats; a string, an empty sequence or an entry that
+    is not a finite number is a ValueError naming the argument."""
+    try:
+        floats = [] if isinstance(values, (str, bytes)) else [float(v) for v in values]
+    except (TypeError, ValueError):
+        floats = []
+    if not floats or not all(map(math.isfinite, floats)):
+        raise ValueError(f"{name} must be a non-empty sequence of finite numbers, not {values!r}")
     return floats
 
 
@@ -485,14 +488,18 @@ def galilean_experiment(
     boost, which realizes the same run in boosted coordinates and keeps
     its error independent of c.
     """
+    c_values = _numbers("c_values", c_values)
+    names = [] if isinstance(schemes, (str, bytes)) else list(schemes)
+    if not names:
+        raise ValueError(f"schemes must be a non-empty sequence of scheme names, not {schemes!r}")
     if grid is None:
         grid = Grid1D(0.0, 2.0 * np.pi / 100.0, 101)
     if params is None:
         params = PdeParams(nu=1.0 / 12.0)
     plain = default_exact("vbe", params)
     results = []
-    for c in _numbers("c_values", c_values):
-        for scheme in schemes:
+    for c in c_values:
+        for scheme in names:
             velocity = c if scheme == "sym" else 0.0
             report = evolve(
                 "vbe", scheme, grid, tau, t_final, params,

@@ -414,10 +414,11 @@ class TestSelftest:
         assert "0 failure(s)" in proc.stdout
 
 
-@pytest.mark.parametrize("pde, scheme", [("vbe", "comp"), ("ade2d", "sym2")])
+@pytest.mark.parametrize("pde, scheme", [("vbe", "comp"), ("ade2d", "sym2"), ("vbe", "ftcs")])
 def test_run_profile_does_not_depend_on_blas_threads(pde, scheme, tmp_path):
-    # each line's compact product is one BLAS gemv, whose bits must not change
-    # when the BLAS library may split it over two threads
+    # each line's compact product is one BLAS gemv, and the viscous Burgers
+    # FTCS jets one gemm of the neighbour windows, whose bits must not change
+    # when the BLAS library may split them over two threads
     src = str(Path(symfd.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH", "")) if p)
     profiles = []

@@ -20,14 +20,18 @@ invariant step as its own function, EINSUM_RUN and EINSUM_GALILEAN from the
 stacked D applied by one einsum, EXPRESSION_RUN from the linear steps written
 as u - tau (alpha d1 - nu d2), INVERSE_RUN and INVERSE_GALILEAN from the
 stored inverse of A applied to the assembled B u, and PARENT_RUN and
-PARENT_GALILEAN from elimination from scratch. The ibe and vbe FTCS pins never
-changed: their bound stencils round as the central pair did. Every error must
-stay within PARITY of every kept set, so re-pinning can absorb roundoff but
-not a change of the scheme.
+PARENT_GALILEAN from elimination from scratch. The ibe and vbe FTCS pins come
+from their bound stencils, which fold tau into the coefficients and, for vbe,
+read the jets (tau u_x, tau nu u_xx) as one product of the neighbour windows;
+CENTRAL_RUN and CENTRAL_GALILEAN keep the values of those stencils in the
+central pair's rounded operations. Every error must stay within PARITY of
+every kept set, so re-pinning can absorb roundoff but not a change of the
+scheme.
 
 LONG_LINE pins the linf of a `symfd converge` study on 401 to 801 nodes,
 where the compact operators are the stored band of D; PARENT_LONG_LINE
-keeps the values of the substitution that served those lines before.
+keeps the values of the substitution that served those lines before, and
+CENTRAL_LONG_LINE those of the FTCS stencil in the central pair's order.
 """
 
 import csv
@@ -41,13 +45,13 @@ PARITY = 1e-13  # absolute
 
 # (pde, scheme) -> (rmse, linf) of `symfd run pde=... scheme=...`, as float.hex
 RUN = {
-    ("ibe", "ftcs"): ("0x1.3b0aa08a1ddfbp-7", "0x1.4809c5b631100p-5"),
+    ("ibe", "ftcs"): ("0x1.3b0aa08a1ddf8p-7", "0x1.4809c5b631100p-5"),
     ("ibe", "comp"): ("0x1.2e27a8b4a9b43p-10", "0x1.4dad23385f780p-8"),
     ("ibe", "sym"): ("0x1.2e226b1a0eee1p-10", "0x1.4da57d9554c80p-8"),
     ("ade1d", "ftcs"): ("0x1.82c2e72cd7595p-7", "0x1.dba255e87fb40p-6"),
     ("ade1d", "comp"): ("0x1.95c742d250167p-12", "0x1.2e793ec7b3800p-10"),
     ("ade1d", "sym"): ("0x1.c7365084d59fep-13", "0x1.e783e34f02800p-12"),
-    ("vbe", "ftcs"): ("0x1.04909cb4a01f4p-3", "0x1.d6d21f43d9958p-1"),
+    ("vbe", "ftcs"): ("0x1.04909cb4a01f5p-3", "0x1.d6d21f43d9958p-1"),
     ("vbe", "comp"): ("0x1.fb37a6e42ab76p-7", "0x1.d3908a4787080p-4"),
     ("vbe", "sym"): ("0x1.540b85eabc035p-6", "0x1.869ddcc729060p-3"),
     ("ade2d", "ftcs"): ("0x1.15100b3037e13p-11", "0x1.3ef75c66c5680p-9"),
@@ -58,13 +62,13 @@ RUN = {
 
 # (c, scheme, rmse, linf) rows of `symfd galilean`, errors as float.hex
 GALILEAN = [
-    (0.0, "ftcs", "0x1.04909cb4a01f4p-3", "0x1.d6d21f43d9958p-1"),
+    (0.0, "ftcs", "0x1.04909cb4a01f5p-3", "0x1.d6d21f43d9958p-1"),
     (0.0, "comp", "0x1.fb37a6e42ab76p-7", "0x1.d3908a4787080p-4"),
     (0.0, "sym", "0x1.540b85eabc035p-6", "0x1.869ddcc729060p-3"),
-    (0.5, "ftcs", "0x1.12eddfcff2208p-3", "0x1.d0ace365c1270p-1"),
+    (0.5, "ftcs", "0x1.12eddfcff2209p-3", "0x1.d0ace365c1248p-1"),
     (0.5, "comp", "0x1.03ed5b700c935p-6", "0x1.c2c0848935280p-4"),
     (0.5, "sym", "0x1.540b85eabc5dcp-6", "0x1.869ddcc729560p-3"),
-    (1.0, "ftcs", "0x1.2140a20222a37p-3", "0x1.c0cafdb718a00p-1"),
+    (1.0, "ftcs", "0x1.2140a20222a33p-3", "0x1.c0cafdb7189d0p-1"),
     (1.0, "comp", "0x1.0ce280bc19d08p-6", "0x1.b1f4496bdd200p-4"),
     (1.0, "sym", "0x1.540b85eabc1b8p-6", "0x1.869ddcc7291a0p-3"),
 ]
@@ -75,6 +79,20 @@ GALILEAN = [
 BAND_RUN = {
     ("ade1d", "ftcs"): ("0x1.82c2e72cd7597p-7", "0x1.dba255e87fb40p-6"),
     ("ade2d", "ftcs"): ("0x1.15100b3037e19p-11", "0x1.3ef75c66c5680p-9"),
+}
+
+# The Burgers FTCS pins as the stencil written in the central pair's rounded
+# operations computed them, u - tau (u u_x - nu u_xx) and u - (tau u) u_x,
+# before it folded tau into its coefficients and read the viscous jets as one
+# window product.
+CENTRAL_RUN = {
+    ("ibe", "ftcs"): ("0x1.3b0aa08a1ddfbp-7", "0x1.4809c5b631100p-5"),
+    ("vbe", "ftcs"): ("0x1.04909cb4a01f4p-3", "0x1.d6d21f43d9958p-1"),
+}
+CENTRAL_GALILEAN = {
+    (0.0, "ftcs"): ("0x1.04909cb4a01f4p-3", "0x1.d6d21f43d9958p-1"),
+    (0.5, "ftcs"): ("0x1.12eddfcff2208p-3", "0x1.d0ace365c1270p-1"),
+    (1.0, "ftcs"): ("0x1.2140a20222a37p-3", "0x1.c0cafdb718a00p-1"),
 }
 
 # The ade1d linear pins as one step per row computed them, before a full block
@@ -190,8 +208,8 @@ def test_default_run_errors(pde, scheme, tmp_path, capsys):
     fields = dict(zip(header.split(","), values.split(",")))
     pins = RUN[(pde, scheme)]
     tables = (
-        BAND_RUN, STEPWISE_RUN, UNFOLDED_RUN, SEPARATE_1D_RUN, EXPRESSION_RUN, EINSUM_RUN,
-        INVERSE_RUN, PARENT_RUN,
+        CENTRAL_RUN, BAND_RUN, STEPWISE_RUN, UNFOLDED_RUN, SEPARATE_1D_RUN, EXPRESSION_RUN,
+        EINSUM_RUN, INVERSE_RUN, PARENT_RUN,
     )
     earlier = [table.get((pde, scheme), pins) for table in tables]
     for name, pinned, *kept in zip(("rmse", "linf"), pins, *earlier):
@@ -207,7 +225,7 @@ def test_default_galilean_errors(tmp_path):
     for row, (c, scheme, *pins) in zip(rows, GALILEAN):
         earlier = [
             table.get((c, scheme), pins)
-            for table in (EINSUM_GALILEAN, INVERSE_GALILEAN, PARENT_GALILEAN)
+            for table in (CENTRAL_GALILEAN, EINSUM_GALILEAN, INVERSE_GALILEAN, PARENT_GALILEAN)
         ]
         for value, pinned, *kept in zip(row[2:], pins, *earlier):
             check(float(value), pinned, kept)
@@ -215,15 +233,22 @@ def test_default_galilean_errors(tmp_path):
 
 # (scheme, n) -> linf of `symfd converge pde=vbe sizes=401,601,801 t_final=0.01`
 LONG_LINE = {
-    ("ftcs", 401): "0x1.4cd313e1a8140p-5",
-    ("ftcs", 601): "0x1.21f1be7528100p-6",
-    ("ftcs", 801): "0x1.4e69f6fb24000p-7",
+    ("ftcs", 401): "0x1.4cd313e1a81c0p-5",
+    ("ftcs", 601): "0x1.21f1be7528080p-6",
+    ("ftcs", 801): "0x1.4e69f6fb23e00p-7",
     ("comp", 401): "0x1.0f8bf2f853000p-10",
     ("comp", 601): "0x1.3cc9fa3448000p-11",
     ("comp", 801): "0x1.18dc813994000p-11",
     ("sym", 401): "0x1.9a1d588c9b000p-10",
     ("sym", 601): "0x1.4353bc29dc000p-10",
     ("sym", 801): "0x1.3ddbc89fe3000p-10",
+}
+# The FTCS pins of the stencil in the central pair's rounded operations (see
+# CENTRAL_RUN).
+CENTRAL_LONG_LINE = {
+    ("ftcs", 401): "0x1.4cd313e1a8140p-5",
+    ("ftcs", 601): "0x1.21f1be7528100p-6",
+    ("ftcs", 801): "0x1.4e69f6fb24000p-7",
 }
 # The compact and sym pins as the prefactored substitution computed them.
 PARENT_LONG_LINE = {
@@ -245,7 +270,8 @@ def test_long_line_converge_errors(tmp_path):
     assert [(s, int(n)) for s, n, *_ in rows] == list(LONG_LINE)
     for scheme, n, _, linf, _ in rows:
         pinned = LONG_LINE[scheme, int(n)]
-        if scheme == "ftcs":  # no compact operator: the same arithmetic
+        if scheme == "ftcs":  # no compact operator: pinned bit for bit
             assert float(linf) == float.fromhex(pinned)
+            assert abs(float(linf) - float.fromhex(CENTRAL_LONG_LINE[scheme, int(n)])) <= PARITY
         else:
             check(float(linf), pinned, [PARENT_LONG_LINE[scheme, int(n)]])

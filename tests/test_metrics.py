@@ -679,6 +679,20 @@ MISUSE = {
         lambda: galilean_experiment("0.5"), ValueError, "^c_values "),
     "invariantize_check-no-speeds": (
         lambda: metrics.invariantize_check("vbe", []), ValueError, "^group_params "),
+    "galilean_experiment-word-speed": (
+        lambda: galilean_experiment(["fast"]), ValueError, "^c_values "),
+    "galilean_experiment-nan-speed": (
+        lambda: galilean_experiment([math.nan]), ValueError, "^c_values "),
+    "galilean_experiment-inf-speed": (
+        lambda: galilean_experiment([math.inf]), ValueError, "^c_values "),
+    "invariantize_check-inf-speed": (
+        lambda: metrics.invariantize_check("vbe", [math.inf]), ValueError, "^group_params "),
+    "invariantize_check-nan-scale": (
+        lambda: metrics.invariantize_check("ibe", [math.nan]), ValueError, "^group_params "),
+    "galilean_experiment-no-schemes": (
+        lambda: galilean_experiment([0.0], schemes=[]), ValueError, "^schemes "),
+    "galilean_experiment-string-schemes": (
+        lambda: galilean_experiment([0.0], schemes="sym"), ValueError, "^schemes "),
     "rmse-empty-fields": (lambda: rmse(np.zeros(0), np.zeros(0)), ShapeMismatch, "no node"),
     "linf-empty-fields": (lambda: linf(np.zeros(0), np.zeros(0)), ShapeMismatch, "no node"),
 }
