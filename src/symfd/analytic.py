@@ -48,7 +48,10 @@ def ibe_breaking_time(sigma: float) -> float:
 
     The t = 0 profile f(x) = exp(-x^2 / (2 sigma^2)) / sqrt(2 pi sigma^2)
     steepens fastest at x = sigma, so t_b = -1 / min f' = sigma^2 sqrt(2 pi e).
+    Raises ValueError unless sigma is positive and finite.
     """
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     return sigma * sigma * math.sqrt(2.0 * math.pi * math.e)
 
 
@@ -104,10 +107,11 @@ def ibe_exact(t, x, sigma: float = 0.5):
 
     Solves u = f(x - u t) with f the normalized Gaussian of width sigma;
     single-valued only before the breaking time, after which
-    PostBreakingTime is raised. The fixed point runs over all nodes at
-    once, each node stopping as _ibe_scalar would; a node whose fixed point
-    does not settle, or settles off the root, is handed to _ibe_scalar,
-    which bisects it. So every node gets the value _ibe_scalar gives it.
+    PostBreakingTime is raised, and a sigma that is not positive and finite
+    is a ValueError. The fixed point runs over all nodes at once, each node
+    stopping as _ibe_scalar would; a node whose fixed point does not settle,
+    or settles off the root, is handed to _ibe_scalar, which bisects it. So
+    every node gets the value _ibe_scalar gives it.
     """
     t_max = np.max(t)
     if t_max >= ibe_breaking_time(sigma):
@@ -151,8 +155,8 @@ def vbe_exact(t, x, nu: float):
     and Gaussian weights centred at 0 and 2 pi. The weights are rescaled
     by their max so far-field evaluation never underflows to 0/0.
     """
-    if nu <= 0:
-        raise ValueError(f"nu must be positive, got {nu}")
+    if not 0.0 < nu < math.inf:
+        raise ValueError(f"nu must be positive and finite, got {nu}")
     if np.any(np.asarray(t) <= -1.0):
         raise ValueError(f"t must exceed -1, got {np.min(t)}")
     big_t = t + 1.0

@@ -334,14 +334,14 @@ def _selftest_checks():
     from .compact_ops import d1, d2
     from .metrics import linf as metric_linf
     from .metrics import rmse as metric_rmse
-    from .tridiag import factor, solve
+    from .tridiag import solve
 
     def tridiag_identity():
         r = np.array([4.0, -1.0, 2.5])
-        return np.array_equal(solve(factor(np.zeros(2), np.ones(3), np.zeros(2)), r), r)
+        return np.array_equal(solve(np.zeros(2), np.ones(3), np.zeros(2), r), r)
 
     def tridiag_dense_oracle():
-        x = solve(factor([1.0, 1.0], [2.0, 2.0, 2.0], [1.0, 1.0]), [1.0, 2.0, 3.0])
+        x = solve([1.0, 1.0], [2.0, 2.0, 2.0], [1.0, 1.0], [1.0, 2.0, 3.0])
         return np.allclose(x, [0.5, 0.0, 1.5], rtol=0, atol=1e-13)
 
     grid = Grid1D(0.0, 0.1, 11)

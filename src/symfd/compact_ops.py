@@ -34,8 +34,8 @@ that overflows and no floating-point warning; no derivative operator is
 stored twice. A band's product writes its line buffer, and a dense product
 across the lines of a 2D field's x axis its transposed copy of the field, so
 one grid must not be stepped from two threads at once.
-The pinned-end closure builds B U and applies the factor of A (see tridiag),
-shared by every grid of that n.
+The pinned-end closure stores nothing: each call builds B U and solves A for
+it (see tridiag).
 
 The interior rows of A are (1, 4, 1)/6 and (1, 10, 1)/12, so the entries of
 A^-1, and of D, decay as r^|i-j| with r = 2 - sqrt(3) ~ 0.27 (order 1) and
@@ -54,13 +54,13 @@ at most 2^-52 sum_j |D_ij| max|U|, about one rounding of the dense sum.
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
 
 from .errors import ShapeMismatch
-from .tridiag import factor, solve
+from .tridiag import solve
 
 # A field is a plain array of node values: shape (n,) on Grid1D and
 # row-major (nx, ny) on Grid2D.
@@ -171,10 +171,10 @@ class BoundaryPolicy:
     "one_sided": third-order one-sided compact rows; keeps the system
     self-contained when only node values are known.
     "exact": identity end rows pinning the end derivatives to (left,
-    right); isolates the interior stencil order in property tests. On 2D
-    fields the two scalars apply to every grid line, so this kind is
-    only useful there when the true end derivative is constant along the
-    boundary.
+    right), which must be finite; isolates the interior stencil order in
+    property tests. On 2D fields the two scalars apply to every grid line,
+    so this kind is only useful there when the true end derivative is
+    constant along the boundary.
     """
 
     kind: str
@@ -184,6 +184,9 @@ class BoundaryPolicy:
     def __post_init__(self):
         if self.kind not in ("one_sided", "exact"):
             raise ValueError(f"unknown boundary policy kind {self.kind!r}")
+        for name in ("left", "right"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @classmethod
     def one_sided(cls) -> "BoundaryPolicy":
@@ -210,16 +213,6 @@ def _bands(order, n, kind):
     # one-sided end rows couple the end value to its neighbour; exact ones pin it
     upper[0] = lower[-1] = closure if kind == "one_sided" else 0.0
     return lower, diag, upper
-
-
-# A bound, so a process that visits many grid sizes does not keep every
-# factor (3n floats each); a study's few sizes and both orders fit.
-@lru_cache(maxsize=32)
-def _operator(order, n, kind):
-    """The factored system, built on first use; it depends on neither h nor
-    the pinned end values, so those never enter the key. Shared by every
-    caller, hence read-only (see tridiag.Factor)."""
-    return factor(*_bands(order, n, kind))
 
 
 def _first_derivative_rhs(u, h, bp):
@@ -279,7 +272,7 @@ _RHS = {1: _first_derivative_rhs, 2: _second_derivative_rhs}
 
 def _solved(lines, n, h, order, bp=ONE_SIDED):
     """The order's compact derivative of each column of lines, by one solve."""
-    return solve(_operator(order, n, bp.kind), _RHS[order](lines, h, bp))
+    return solve(*_bands(order, n, bp.kind), _RHS[order](lines, h, bp))
 
 
 def _probed(n, h):

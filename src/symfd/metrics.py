@@ -4,6 +4,7 @@ import math
 import numbers
 import time
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -400,18 +401,19 @@ def grid_for(pde: str, domain: Sequence[float], n) -> Grid:
 
     domain holds (lo, hi) for each axis of the pde, and n is the node count of
     every axis, or a sequence with one count per axis. Raises ValueError for an
-    unknown pde, a domain or n of another dimension, or a count below 2; the
-    grid checks the rest.
+    unknown pde, a domain or n of another dimension, or a count that is not an
+    integer of at least 2; the grid checks the rest.
     """
     if pde not in PDES:
         raise ValueError(f"unknown pde {pde!r}")
     dim = 2 if pde == "ade2d" else 1
-    if len(domain) != 2 * dim:
+    if np.ndim(domain) != 1 or len(domain) != 2 * dim:
         raise ValueError(f"domain of {pde!r} needs (lo, hi) per axis, {2 * dim} bounds: {domain}")
     lo, hi = domain[0::2], domain[1::2]
     counts = (n,) * dim if np.ndim(n) == 0 else tuple(n)
-    if len(counts) != dim or min(counts) < 2:
-        raise ValueError(f"n must give {dim} node count(s) of at least 2 for {pde!r}, got {n}")
+    integral = all(isinstance(c, numbers.Integral) for c in counts)
+    if len(counts) != dim or not integral or min(counts) < 2:
+        raise ValueError(f"n must give {dim} integer node count(s) >= 2 for {pde!r}, got {n!r}")
     h = [(b - a) / (c - 1) for a, b, c in zip(lo, hi, counts)]
     if pde == "ade2d":
         return Grid2D(lo[0], lo[1], h[0], h[1], counts[0], counts[1])
@@ -446,7 +448,7 @@ def convergence_study(
 ) -> ConvergenceTable:
     """One run per grid size at fixed small tau, plus the fitted slope. Raises
     ValueError unless sizes holds at least 3 distinct integers."""
-    if not all(isinstance(n, numbers.Integral) for n in sizes):
+    if not isinstance(sizes, Iterable) or not all(isinstance(n, numbers.Integral) for n in sizes):
         raise ValueError(f"sizes must be integer node counts, got {sizes}")
     sizes = sorted(set(int(n) for n in sizes))
     if len(sizes) < 3:
@@ -489,7 +491,8 @@ def galilean_experiment(
     its error independent of c.
     """
     c_values = _numbers("c_values", c_values)
-    names = [] if isinstance(schemes, (str, bytes)) else list(schemes)
+    iterable = isinstance(schemes, Iterable) and not isinstance(schemes, (str, bytes))
+    names = list(schemes) if iterable else []
     if not names:
         raise ValueError(f"schemes must be a non-empty sequence of scheme names, not {schemes!r}")
     if grid is None:

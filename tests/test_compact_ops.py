@@ -11,8 +11,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from symfd import BoundaryPolicy, Grid1D, Grid2D, PdeParams, ade1d_exact, ade2d_exact, d1, d2
 from symfd import fit_slope
 from symfd import compact_ops
-from symfd.compact_ops import DENSE_MAX, HALF_WIDTH, ONE_SIDED, _operator, derivatives, linear
-from symfd.compact_ops import _first_derivative_rhs, _second_derivative_rhs
+from symfd.compact_ops import DENSE_MAX, HALF_WIDTH, ONE_SIDED, derivatives, linear
+from symfd.compact_ops import _bands, _first_derivative_rhs, _second_derivative_rhs
 from symfd.errors import ShapeMismatch
 from symfd.metrics import _STEPPERS
 from symfd.tridiag import solve
@@ -314,23 +314,13 @@ def test_2d_inputs_are_left_untouched(n):
                 assert np.array_equal(field, before)
 
 
-def test_exact_policies_share_one_factor():
-    # the factor depends on the policy's kind, never on its pinned values
+def test_exact_policies_pin_their_end_values():
+    # each call solves with the policy's own pinned values
     grid = Grid1D(0.0, 0.1, 17)
     u = np.sin(grid.x)
-    _operator.cache_clear()
     for k in range(100):
         out = d1(u, grid, bp=BoundaryPolicy.exact(float(k), -0.5 * k))
         assert (out[0], out[-1]) == (k, -0.5 * k)
-    assert _operator.cache_info().currsize == 1
-
-
-def test_cached_factor_is_read_only():
-    f = _operator(2, 26, "one_sided")
-    assert f is _operator(2, 26, "one_sided")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        f.pivots = ()
-    assert all(type(v) is tuple for v in (f.multipliers, f.pivots, f.upper))
 
 
 def test_derivative_matrix_is_read_only():
@@ -346,9 +336,9 @@ def test_derivative_matrices_built_once_per_grid(monkeypatch):
     builds = []
     real_solve = compact_ops.solve
 
-    def counting_solve(f, rhs):
-        builds.append(f.n)
-        return real_solve(f, rhs)
+    def counting_solve(lower, diag, upper, rhs):
+        builds.append(len(diag))
+        return real_solve(lower, diag, upper, rhs)
 
     monkeypatch.setattr(compact_ops, "solve", counting_solve)
     grid = Grid2D(0.0, 0.0, 0.1, 0.2, 9, 7)
@@ -414,7 +404,7 @@ def separate_product(order, u, grid, axis):
     p = n if n <= DENSE_MAX else 2 * w + 1
     comb = np.zeros((n, p))
     comb[np.arange(n), np.arange(n) % p] = 1.0
-    d = solve(_operator(order, n, "one_sided"), rhs_of(comb, h, ONE_SIDED))
+    d = solve(*_bands(order, n, "one_sided"), rhs_of(comb, h, ONE_SIDED))
     if p == n:  # one matrix-vector product per contiguous line
         d = np.ascontiguousarray(d)
         lines = (u.T if across else u).reshape(-1, n)
@@ -517,7 +507,7 @@ def exact_band(order, n, h):
     entries of its band |i - j| <= HALF_WIDTH[order] and where they are on
     the line (band entries off it are 0)."""
     rhs_of = _first_derivative_rhs if order == 1 else _second_derivative_rhs
-    d = solve(_operator(order, n, "one_sided"), rhs_of(np.eye(n), h, ONE_SIDED))
+    d = solve(*_bands(order, n, "one_sided"), rhs_of(np.eye(n), h, ONE_SIDED))
     w = HALF_WIDTH[order]
     cols = np.arange(n)[:, None] + np.arange(-w, w + 1)
     on_line = (cols >= 0) & (cols < n)
@@ -691,9 +681,9 @@ def test_step_operator_built_once_per_grid(monkeypatch):
     builds = []
     real_solve = compact_ops.solve
 
-    def counting_solve(f, rhs):
-        builds.append(f.n)
-        return real_solve(f, rhs)
+    def counting_solve(lower, diag, upper, rhs):
+        builds.append(len(diag))
+        return real_solve(lower, diag, upper, rhs)
 
     monkeypatch.setattr(compact_ops, "solve", counting_solve)
     for n in (17, DENSE_MAX + 1):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from symfd import (
+    BoundaryPolicy,
     ConvergenceTable,
     ErrorReport,
     Grid1D,
@@ -15,14 +16,18 @@ from symfd import (
     StepContext,
     StepCountMismatch,
     convergence_study,
+    d1,
     evolve,
     fit_slope,
     galilean_exact,
     galilean_experiment,
     grid_for,
+    ibe_breaking_time,
+    ibe_exact,
     linf,
     rmse,
     step,
+    vbe_exact,
 )
 from symfd import compact_ops, metrics
 from symfd.errors import NonFinite, ShapeMismatch
@@ -695,6 +700,24 @@ MISUSE = {
         lambda: galilean_experiment([0.0], schemes="sym"), ValueError, "^schemes "),
     "rmse-empty-fields": (lambda: rmse(np.zeros(0), np.zeros(0)), ShapeMismatch, "no node"),
     "linf-empty-fields": (lambda: linf(np.zeros(0), np.zeros(0)), ShapeMismatch, "no node"),
+    "galilean_experiment-number-schemes": (
+        lambda: galilean_experiment([0.0], schemes=5), ValueError, "^schemes "),
+    "grid_for-string-n": (lambda: grid_for("ibe", (-3, 3), "31"), ValueError, "^n "),
+    "grid_for-no-domain": (lambda: grid_for("ibe", None, 31), ValueError, "^domain "),
+    "convergence_study-no-sizes": (
+        lambda: convergence_study("ibe", "ftcs", None, 1e-3, 2e-3, PdeParams(), (-3, 3)),
+        ValueError, "^sizes "),
+    "d1-nan-pinned-left": (
+        lambda: d1(np.zeros(11), Grid1D(0.0, 0.1, 11), bp=BoundaryPolicy.exact(math.nan, 0.0)),
+        ValueError, "^left "),
+    "d1-inf-pinned-right": (
+        lambda: d1(np.zeros(11), Grid1D(0.0, 0.1, 11), bp=BoundaryPolicy.exact(0.0, -math.inf)),
+        ValueError, "^right "),
+    "vbe_exact-nan-nu": (lambda: vbe_exact(0.1, 0.0, math.nan), ValueError, "^nu "),
+    "vbe_exact-inf-nu": (lambda: vbe_exact(0.1, 0.0, math.inf), ValueError, "^nu "),
+    "ibe_exact-zero-sigma": (lambda: ibe_exact(0.1, 0.0, sigma=0.0), ValueError, "^sigma "),
+    "ibe_exact-nan-sigma": (lambda: ibe_exact(0.1, 0.0, sigma=math.nan), ValueError, "^sigma "),
+    "ibe_breaking_time-inf-sigma": (lambda: ibe_breaking_time(math.inf), ValueError, "^sigma "),
 }
 
 

@@ -1,11 +1,11 @@
-"""Tests for the tridiagonal factor/solve pair."""
+"""Tests for the tridiagonal solve."""
 
 import numpy as np
 import pytest
 
 from symfd import ZeroPivot
 from symfd.errors import ShapeMismatch
-from symfd.tridiag import factor, solve
+from symfd.tridiag import solve
 
 
 def dense(lower, diag, upper):
@@ -14,12 +14,12 @@ def dense(lower, diag, upper):
 
 def test_identity_system_returns_rhs():
     rhs = np.array([4.0, -1.0, 2.5, 0.25])
-    assert np.array_equal(solve(factor(np.zeros(3), np.ones(4), np.zeros(3)), rhs), rhs)
+    assert np.array_equal(solve(np.zeros(3), np.ones(4), np.zeros(3), rhs), rhs)
 
 
 def test_three_by_three_hand_oracle():
     # [[2,1,0],[1,2,1],[0,1,2]] x = [1,2,3] has x = (1/2, 0, 3/2)
-    x = solve(factor([1.0, 1.0], [2.0, 2.0, 2.0], [1.0, 1.0]), [1.0, 2.0, 3.0])
+    x = solve([1.0, 1.0], [2.0, 2.0, 2.0], [1.0, 1.0], [1.0, 2.0, 3.0])
     assert x == pytest.approx([0.5, 0.0, 1.5], abs=1e-14)
 
 
@@ -30,7 +30,7 @@ def test_random_diagonally_dominant_residual(n):
     upper = rng.uniform(-1.0, 1.0, n - 1)
     diag = rng.uniform(2.5, 4.0, n) * rng.choice([-1.0, 1.0], n)
     rhs = rng.uniform(-10.0, 10.0, n)
-    x = solve(factor(lower, diag, upper), rhs)
+    x = solve(lower, diag, upper, rhs)
     residual = np.abs(dense(lower, diag, upper) @ x - rhs).max()
     assert residual <= 1e-12 * (1.0 + np.abs(rhs).max())
     if n <= 10:
@@ -42,7 +42,7 @@ def test_inputs_are_left_untouched():
     lower, diag, upper = np.ones(2), np.full(3, 3.0), np.ones(2)
     rhs = np.array([1.0, 2.0, 3.0])
     snapshots = [band.copy() for band in (lower, diag, upper, rhs)]
-    solve(factor(lower, diag, upper), rhs)
+    solve(lower, diag, upper, rhs)
     for band, before in zip((lower, diag, upper, rhs), snapshots):
         assert np.array_equal(band, before)
 
@@ -54,46 +54,48 @@ def test_many_rhs_matches_column_by_column():
     upper = rng.uniform(-1.0, 1.0, n - 1)
     diag = rng.uniform(3.0, 5.0, n)
     rhs = rng.uniform(-4.0, 4.0, (n, m))
-    block = solve(factor(lower, diag, upper), rhs)
+    block = solve(lower, diag, upper, rhs)
     for j in range(m):
-        single = solve(factor(lower, diag, upper), rhs[:, j])
+        single = solve(lower, diag, upper, rhs[:, j])
         assert np.abs(block[:, j] - single).max() <= 1e-13
 
 
 def test_zero_pivot_detected_mid_elimination():
     # zero inner diagonal entry with decoupled rows hits the pivot guard
     with pytest.raises(ZeroPivot) as err:
-        factor([0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0])
+        solve([0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0], np.ones(3))
     assert "zero pivot" in str(err.value)
     assert err.value.index == 1
 
 
 def test_zero_pivot_detected_in_last_row():
-    with pytest.raises(ZeroPivot):
-        factor([0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0])
+    with pytest.raises(ZeroPivot) as err:
+        solve([0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0], np.ones(3))
+    assert err.value.index == 2
 
 
 def test_many_rhs_zero_pivot():
-    # raised when the matrix is factored, before any right-hand side
-    with pytest.raises(ZeroPivot):
-        factor(np.zeros(2), np.array([1.0, 0.0, 1.0]), np.zeros(2))
+    # raised by the sweep over all the right-hand sides at once
+    with pytest.raises(ZeroPivot) as err:
+        solve(np.zeros(2), np.array([1.0, 0.0, 1.0]), np.zeros(2), np.ones((3, 4)))
+    assert err.value.index == 1
 
 
 def test_shape_validation():
     with pytest.raises(ShapeMismatch):
-        factor([], [1.0], [])  # n < 2
+        solve([], [1.0], [], [1.0])  # n < 2
     with pytest.raises(ShapeMismatch):
-        factor([1.0, 1.0], [1.0, 1.0], [1.0])  # lower too long
+        solve([1.0, 1.0], [1.0, 1.0], [1.0], [1.0, 1.0])  # lower too long
     with pytest.raises(ShapeMismatch):
-        solve(factor([1.0], [2.0, 2.0], [1.0]), [1.0, 1.0, 1.0])  # rhs too long
+        solve([1.0], [2.0, 2.0], [1.0], [1.0, 1.0, 1.0])  # rhs too long
     with pytest.raises(ShapeMismatch):
-        factor(np.zeros(3), np.ones(3), np.zeros(2))  # lower too long
+        solve(np.zeros(3), np.ones(3), np.zeros(2), np.ones(3))  # lower too long
     with pytest.raises(ShapeMismatch):
-        solve(factor(np.zeros(2), np.ones(3), np.zeros(2)), np.ones((4, 2)))  # rhs too long
+        solve(np.zeros(2), np.ones(3), np.zeros(2), np.ones((4, 2)))  # rhs too long
 
 
 def thomas(lower, diag, upper, rhs):
-    """Elimination from scratch, one rhs; the reference for the factored solve."""
+    """Elimination of one rhs, as a plain list loop; the reference for solve."""
     a, b, c, d = (list(map(float, v)) for v in (lower, diag, upper, rhs))
     n = len(b)
     for i in range(1, n):
@@ -118,21 +120,20 @@ def random_bands(rng, n):
 def test_substitution_is_bit_identical_to_elimination(n):
     rng = np.random.default_rng(n)
     bands = random_bands(rng, n)
-    f = factor(*bands)
     rhs = rng.uniform(-10.0, 10.0, (n, 3))
-    block = solve(f, rhs)
+    block = solve(*bands, rhs)
     for j in range(3):
         ref = thomas(*bands, rhs[:, j])
-        assert np.array_equal(solve(f, rhs[:, j]), ref)
+        assert np.array_equal(solve(*bands, rhs[:, j]), ref)
         assert np.array_equal(block[:, j], ref)
 
 
 def test_solve_leaves_rhs_untouched():
     rng = np.random.default_rng(5)
     for n in (12, 257):
-        f = factor(*random_bands(rng, n))
+        bands = random_bands(rng, n)
         rhs = rng.uniform(-1.0, 1.0, (n, 3))
         before = rhs.copy()
-        solve(f, rhs)
-        solve(f, rhs[:, 1])
+        solve(*bands, rhs)
+        solve(*bands, rhs[:, 1])
         assert np.array_equal(rhs, before)
