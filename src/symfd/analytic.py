@@ -60,46 +60,13 @@ def _hump(x, sigma: float):
     return amp * np.exp(-x * x / (2.0 * sigma * sigma))
 
 
-# Fixed-point iterations before a node falls back to bisection, and the
-# tolerances of the fixed point; shared by the scalar and array paths.
+# Fixed-point iterations before a node falls back to bisection, the
+# tolerances of the fixed point, and the bisection steps left of a node's
+# 200-step budget.
 _FIXED_POINT_STEPS = 60
 _SETTLED_REL = 1e-14
 _RESIDUAL = 1e-13
-
-
-def _ibe_scalar(t: float, x: float, sigma: float) -> float:
-    u = _hump(x, sigma)
-    if t == 0.0:
-        return float(u)
-    # Fixed point u <- f(x - u t) contracts with ratio t / t_b < 1
-    # before breaking; start from the t = 0 profile.
-    steps = 0
-    while steps < _FIXED_POINT_STEPS:
-        steps += 1
-        nxt = _hump(x - u * t, sigma)
-        if abs(nxt - u) <= _SETTLED_REL * (1.0 + abs(nxt)):
-            u = nxt
-            if abs(u - _hump(x - u * t, sigma)) <= _RESIDUAL:
-                return float(u)
-            break
-        u = nxt
-    # Close to breaking the contraction degrades; bisect F(u) = u - f(x - u t)
-    # on [0, max f], which always brackets the pre-breaking root.
-    lo = 0.0
-    hi = _hump(0.0, sigma) * (1.0 + 1e-12)
-    while steps < 200:
-        steps += 1
-        mid = 0.5 * (lo + hi)
-        fmid = mid - _hump(x - mid * t, sigma)
-        if abs(fmid) <= _RESIDUAL:
-            return float(mid)
-        if fmid <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise NoConvergence(
-        f"implicit hump solve stalled at t = {t}, x = {x} after 200 steps"
-    )
+_BISECTION_STEPS = 200 - _FIXED_POINT_STEPS
 
 
 def ibe_exact(t, x, sigma: float = 0.5):
@@ -108,10 +75,13 @@ def ibe_exact(t, x, sigma: float = 0.5):
     Solves u = f(x - u t) with f the normalized Gaussian of width sigma;
     single-valued only before the breaking time, after which
     PostBreakingTime is raised, and a sigma that is not positive and finite
-    is a ValueError. The fixed point runs over all nodes at once, each node
-    stopping as _ibe_scalar would; a node whose fixed point does not settle,
-    or settles off the root, is handed to _ibe_scalar, which bisects it. So
-    every node gets the value _ibe_scalar gives it.
+    is a ValueError. The fixed point u <- f(x - u t), which contracts with
+    ratio t / t_b < 1 before breaking, runs over all nodes at once from the
+    t = 0 profile, each node stopping once it settles. Close to breaking the
+    contraction degrades: a node that does not settle, or settles off the
+    root, is bisected on F(u) = u - f(x - u t) over [0, max f], which
+    brackets the pre-breaking root, until |F| <= _RESIDUAL, all such nodes
+    at once; one left after the budget raises NoConvergence naming it.
     """
     t_max = np.max(t)
     if t_max >= ibe_breaking_time(sigma):
@@ -131,9 +101,21 @@ def ibe_exact(t, x, sigma: float = 0.5):
         settled = np.abs(nxt - out) <= _SETTLED_REL * (1.0 + np.abs(nxt))
         out = np.where(active, nxt, out)
         active &= ~settled
-    unsettled = active | ~(np.abs(out - _hump(xx - out * tt, sigma)) <= _RESIDUAL)
-    for i in np.flatnonzero(unsettled):
-        out[i] = _ibe_scalar(tt[i], xx[i], sigma)
+    left = np.flatnonzero(active | ~(np.abs(out - _hump(xx - out * tt, sigma)) <= _RESIDUAL))
+    lo, hi = np.zeros(left.size), np.full(left.size, _hump(0.0, sigma) * (1.0 + 1e-12))
+    for _ in range(_BISECTION_STEPS):
+        if not left.size:
+            break
+        mid = 0.5 * (lo + hi)
+        residual = mid - _hump(xx[left] - mid * tt[left], sigma)
+        done = np.abs(residual) <= _RESIDUAL
+        out[left[done]] = mid[done]
+        below, keep = residual <= 0.0, ~done
+        lo, hi = np.where(below, mid, lo)[keep], np.where(below, hi, mid)[keep]
+        left = left[keep]
+    if left.size:
+        t, x = tt[left[0]], xx[left[0]]
+        raise NoConvergence(f"implicit hump solve stalled at t = {t}, x = {x} after 200 steps")
     if not shape:
         return float(out[0])
     return out.reshape(shape)

@@ -35,7 +35,8 @@ stored twice. A band's product writes its line buffer, and a dense product
 across the lines of a 2D field's x axis its transposed copy of the field, so
 one grid must not be stepped from two threads at once.
 The pinned-end closure stores nothing: each call builds B U and solves A for
-it (see tridiag).
+it (see tridiag). One builder, _rhs, writes B U of either order from a table
+of its rows, and the probes are its products with the comb below.
 
 The interior rows of A are (1, 4, 1)/6 and (1, 10, 1)/12, so the entries of
 A^-1, and of D, decay as r^|i-j| with r = 2 - sqrt(3) ~ 0.27 (order 1) and
@@ -74,9 +75,9 @@ Field = np.ndarray
 # 7.9 vs 4.4 us at n = 113, 10.5 vs 11.4 us at 201 and 12.0 vs 12.9 us at 256
 # (median of 5 processes of a best of 7 x 2,000 calls, one BLAS thread, 2-core
 # x86-64, numpy 2.4.6, OpenBLAS 0.3.31). It stays 112 because the ade1d block
-# path (metrics.AFFINE) is tied to it. Square 2D grids cross earlier, near 50
-# nodes a side (153 vs 129 us per pair at 61^2 with einsum), as a dense D
-# costs n^2 per line; no study grid has more than 26 a side.
+# map (baseline_schemes.bind_steps) is tied to it. Square 2D grids cross
+# earlier, near 50 nodes a side (153 vs 129 us per pair at 61^2 with einsum),
+# as a dense D costs n^2 per line; no study grid has more than 26 a side.
 DENSE_MAX = 112
 # Half-width of the stored band of D per derivative order (see above).
 HALF_WIDTH = {1: 29, 2: 18}
@@ -215,38 +216,39 @@ def _bands(order, n, kind):
     return lower, diag, upper
 
 
-def _first_derivative_rhs(u, h, bp):
-    """Right-hand side(s) of the U' system; u may be (n,) or (n, m)."""
-    rhs = np.empty_like(u)
-    inner = rhs[1:-1]  # (U_{i+1} - U_{i-1}) / (2h), written in place
-    np.subtract(u[2:], u[:-2], out=inner)
-    inner /= 2.0 * h
-    if bp.kind == "one_sided":
-        # U'_1 + 2 U'_2 = (-5 U_1 + 4 U_2 + U_3) / (2h), mirrored on the right
-        rhs[0] = (-5.0 * u[0] + 4.0 * u[1] + u[2]) / (2.0 * h)
-        rhs[-1] = (5.0 * u[-1] - 4.0 * u[-2] - u[-3]) / (2.0 * h)
-    else:
-        rhs[0] = bp.left
-        rhs[-1] = bp.right
-    return rhs
+# The right-hand side B U of each order: its interior row on (U_{i+1}, U_i,
+# U_{i-1}), its one-sided closure row on (U_1, U_2, ...), the sign of that
+# row's mirror on (U_n, U_{n-1}, ...), and its denominator. The closures are
+# U'_1 + 2 U'_2 = (-5 U_1 + 4 U_2 + U_3) / (2h) and
+# U''_1 + 11 U''_2 = (13 U_1 - 27 U_2 + 15 U_3 - U_4) / h^2.
+_B_ROWS = {
+    1: ((1.0, 0.0, -1.0), (-5.0, 4.0, 1.0), -1.0, lambda h: 2.0 * h),
+    2: ((1.0, -2.0, 1.0), (13.0, -27.0, 15.0, -1.0), 1.0, lambda h: h * h),
+}
 
 
-def _second_derivative_rhs(u, h, bp):
-    """Right-hand side(s) of the U'' system."""
-    h2 = h * h
-    rhs = np.empty_like(u)
-    inner = rhs[1:-1]  # (U_{i+1} - 2 U_i + U_{i-1}) / h^2, written in place
-    np.multiply(u[1:-1], 2.0, out=inner)
-    np.subtract(u[2:], inner, out=inner)
-    inner += u[:-2]
-    inner /= h2
+def _row(coefficients, terms, scale, out):
+    """out = (sum c_k terms_k) / scale, summed from the left over the nonzero c_k
+    in place: a unit c_k scales exactly, so these are the rounded operations
+    of the row written out, such as ((U_{i+1} - 2 U_i) + U_{i-1}) / h^2."""
+    (c, term), *rest = [(c, term) for c, term in zip(coefficients, terms) if c]
+    np.multiply(term, c, out=out)
+    for c, term in rest:
+        out += c * term
+    out /= scale
+
+
+def _rhs(order, u, h, bp):
+    """Right-hand side(s) B U of the order's system; u may be (n,) or (n, m).
+    The closure rows are those of the one-sided ends, or the pinned values."""
+    interior, closure, mirror, denominator = _B_ROWS[order]
+    scale, rhs = denominator(h), np.empty_like(u)
+    _row(interior, (u[2:], u[1:-1], u[:-2]), scale, rhs[1:-1])
     if bp.kind == "one_sided":
-        # U''_1 + 11 U''_2 = (13 U_1 - 27 U_2 + 15 U_3 - U_4) / h^2, mirrored
-        rhs[0] = (13.0 * u[0] - 27.0 * u[1] + 15.0 * u[2] - u[3]) / h2
-        rhs[-1] = (13.0 * u[-1] - 27.0 * u[-2] + 15.0 * u[-3] - u[-4]) / h2
+        _row(closure, u, scale, rhs[:1])
+        _row([mirror * c for c in closure], u[::-1], scale, rhs[-1:])
     else:
-        rhs[0] = bp.left
-        rhs[-1] = bp.right
+        rhs[0], rhs[-1] = bp.left, bp.right
     return rhs
 
 
@@ -267,12 +269,9 @@ def _comb(n, p):
     return comb
 
 
-_RHS = {1: _first_derivative_rhs, 2: _second_derivative_rhs}
-
-
 def _solved(lines, n, h, order, bp=ONE_SIDED):
     """The order's compact derivative of each column of lines, by one solve."""
-    return solve(*_bands(order, n, bp.kind), _RHS[order](lines, h, bp))
+    return solve(*_bands(order, n, bp.kind), _rhs(order, lines, h, bp))
 
 
 def _probed(n, h):

@@ -12,7 +12,6 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import baseline_schemes as base
-from . import compact_ops
 from . import invariant_schemes as inv
 from .analytic import (
     PdeParams,
@@ -22,6 +21,7 @@ from .analytic import (
     ibe_exact,
     vbe_exact,
 )
+from .baseline_schemes import BOUNDARY_BLOCK
 from .compact_ops import Field, Grid, Grid1D, Grid2D
 from .errors import ShapeMismatch, StepCountMismatch
 
@@ -49,25 +49,12 @@ PDES = tuple(dict.fromkeys(pde for pde, _ in _STEPPERS))
 SCHEMES_BY_PDE = {pde: tuple(s for p, s in _STEPPERS if p == pde) for pde in PDES}
 # The one pair whose nodes may slide with the mesh velocity.
 SLIDING = ("vbe", "sym")
-# The pairs whose step plus Dirichlet refresh is one affine map u <- M u + E b
-# (M = I + T with its Dirichlet rows zeroed, E b puts the row b on the
-# Dirichlet nodes). On lines of at most compact_ops.DENSE_MAX nodes a full
-# block of m steps is then one product, u <- [M^m G] [u; b_1 .. b_m] with
-# G = [M^(m-1) E, ..., M E, E]; longer lines keep the band step, as M^m is dense.
-AFFINE = (("ade1d", "ftcs"), ("ade1d", "comp"))
 
 # Forward Euler on nu u_xx is stable for nu tau / h^2 up to 2 over the largest
 # |eigenvalue| of h^2 D2: 4 for the central D2, which StepContext screens at
 # 1/2, and 6 for the compact D2 (its symbol at the grid frequency is
 # -4 / (8/12)), which every scheme but FTCS steps with.
 COMPACT_DIFFUSION_LIMIT = 1.0 / 3.0
-
-# Steps whose Dirichlet values evolve draws from one provider call, and so
-# the steps of one advance_block call. A block holds BOUNDARY_BLOCK x
-# (boundary nodes) values: 4 kB in 1D, 0.2 MB on a 26 x 26 grid, where the
-# 2D reference's temporaries peak near 1 MB. An AFFINE pair's block map holds
-# n x (n + 2 BOUNDARY_BLOCK) values: 0.3 MB on 61 nodes.
-BOUNDARY_BLOCK = 256
 
 # t_final must lie within this fraction of one step of a whole number of
 # steps; relative to tau, so that small steps are checked as tightly as
@@ -225,42 +212,16 @@ def boundary_values(ctx: StepContext, times: np.ndarray) -> np.ndarray:
         ) from None
 
 
-def _block_map(steps, grid, m):
-    """[M^m G] of an AFFINE pair (see AFFINE), for a block of m steps on the
-    vector [u; b_1 .. b_m]. M is probed through the pair's steps(u, rows) on the
-    unit vectors with a zero boundary row, so the table stays the one source of
-    each step. The power k runs up m's binary digits: doubling takes M^k to
-    M^2k and [M^(k-1) E, ..., E] to [M^(2k-1) E, ..., E] by prepending its
-    product with M^k; a one digit then prepends M^k E and multiplies M^k by M.
-    Every product is an einsum, which never warns."""
-    n, nodes = grid.shape[0], grid.dirichlet[0][0]
-    zero = np.zeros((1, len(nodes)))
-    single = np.stack([steps(e, zero) for e in np.eye(n)], axis=1)
-    power, inflow = np.eye(n), np.empty((n, 0))
-    for digit in bin(m)[2:]:
-        inflow = np.hstack((np.einsum("ij,jk->ik", power, inflow), inflow))
-        power = np.einsum("ij,jk->ik", power, power)
-        if digit == "1":
-            inflow = np.hstack((power[:, nodes], inflow))
-            power = np.einsum("ij,jk->ik", single, power)
-    block = np.hstack((power, inflow))
-    base.check_finite(block)
-    return block
-
-
 def _stepper(pde: str, scheme: str, ctx: StepContext) -> Callable:
     """step's body, resolved and bound once per pair and context as
     advance_block(u, rows): one step per boundary row of rows (None: one step,
     its row drawn for ctx.t + tau), each the update and the Dirichlet refresh,
     by the advance the pair's binder returns (see _STEPPERS), which checks the
     block as a block checked after every step would (see baseline_schemes).
-    An AFFINE pair on a line of at most DENSE_MAX nodes takes a block of
-    BOUNDARY_BLOCK rows as one product (see AFFINE), checked once per block;
-    its map is built on the first such block, so a run shorter than one block
-    or a step never builds it. advance_block.lambda_min() is the smallest
-    interior frame factor lambda the run's steps met, NaN for a pair without a
-    frame. It reads _STEPPERS on each call, so a patched table is seen, and
-    warns when a scheme other than FTCS exceeds COMPACT_DIFFUSION_LIMIT."""
+    advance_block.lambda_min() is the smallest interior frame factor lambda the
+    run's steps met, NaN for a pair without a frame. It reads _STEPPERS on each
+    call, so a patched table is seen, and warns when a scheme other than FTCS
+    exceeds COMPACT_DIFFUSION_LIMIT."""
     try:
         entry = _STEPPERS[(pde, scheme)]
     except KeyError:
@@ -268,7 +229,7 @@ def _stepper(pde: str, scheme: str, ctx: StepContext) -> Callable:
     extra = (ctx.mesh_velocity * ctx.tau,) if (pde, scheme) == SLIDING else ()
     if ctx.mesh_velocity != 0.0 and not extra:
         raise ValueError("only the invariant viscous Burgers step supports a sliding mesh")
-    grid, tau, index = ctx.grid, ctx.tau, ctx.grid.dirichlet[0]
+    grid, tau = ctx.grid, ctx.tau
     if len(grid.shape) != (2 if pde == "ade2d" else 1):
         raise ShapeMismatch(f"pde {pde!r} does not fit a grid of shape {grid.shape}")
     if scheme != "ftcs" and ctx.diffusion > COMPACT_DIFFUSION_LIMIT:
@@ -278,23 +239,13 @@ def _stepper(pde: str, scheme: str, ctx: StepContext) -> Callable:
         )
         warnings.warn(message, RuntimeWarning, stacklevel=3)
     steps = entry(grid, ctx.params, tau, *extra)
-    affine = (pde, scheme) in AFFINE and grid.shape[0] <= compact_ops.DENSE_MAX
-    block = None  # the AFFINE map, once built
 
     def advance_block(u, rows=None):
-        nonlocal block
         u = np.asarray(u, dtype=float)
         if u.shape != grid.shape:
             raise ShapeMismatch(f"field shape {u.shape} does not fit the grid {grid.shape}")
         if rows is None:  # one step, to ctx.t + tau
             rows = boundary_values(ctx, np.array([ctx.t + tau]))
-        if affine and len(rows) == BOUNDARY_BLOCK:
-            if block is None:
-                block = _block_map(steps, grid, BOUNDARY_BLOCK)
-            u = np.einsum("ij,j->i", block, np.concatenate((u, rows.ravel())))
-            u[index] = rows[-1]
-            base.check_finite(u)
-            return u
         return steps(u, rows)
 
     advance_block.lambda_min = getattr(steps, "lambda_min", lambda: math.nan)
@@ -347,13 +298,15 @@ def evolve(
     Returns (numeric, reference, report). The reference is the exact
     solution sampled on the final node positions, which differ from the
     initial ones only for the sliding-mesh runs (mesh_velocity != 0).
-    Every pair steps as step() does, bit for bit, except that an AFFINE pair
-    on a line of at most DENSE_MAX nodes takes each full block as one product:
-    that agrees with its steps to roundoff (within n_steps ulp of max|u|), and
-    an unstable run raises NonFinite up to a block later. Raises ValueError or
-    ShapeMismatch for the pair and grid before the initial data are drawn,
-    ValueError before the first step unless tau is positive and finite and
-    t_final nonnegative and finite, and NonFinite naming the initial data
+    Every pair steps as step() does, bit for bit, except that ade1d FTCS and
+    COMP on a line of at most DENSE_MAX nodes take each full block as one
+    product (see baseline_schemes), which agrees with their steps to roundoff
+    (within n_steps ulp of max|u|); a block whose product is not finite is
+    replayed step by step, so every pair raises NonFinite at the step whose
+    field is not finite. Raises ValueError or ShapeMismatch for the pair and
+    grid before the initial data are drawn, ValueError before the first step
+    unless tau is positive and finite, t_final nonnegative and finite and
+    t_final / tau a finite step count, and NonFinite naming the initial data
     before the first step unless they are finite.
     """
     if exact is None:
@@ -361,7 +314,10 @@ def evolve(
     ctx = StepContext(grid, params, tau, 0.0, exact, mesh_velocity)  # checks tau
     if not (math.isfinite(t_final) and t_final >= 0):
         raise ValueError(f"t_final must be nonnegative and finite, got {t_final}")
-    n_steps = int(round(t_final / tau))
+    count = t_final / tau
+    if math.isinf(count):
+        raise ValueError(f"tau = {tau} is too small: t_final / tau = {count} steps")
+    n_steps = int(round(count))
     if abs(n_steps * tau - t_final) > STEP_COUNT_TOLERANCE * tau:
         raise StepCountMismatch(
             f"t_final = {t_final} is not a whole number of steps of tau = {tau}"
@@ -399,16 +355,20 @@ def evolve(
 def grid_for(pde: str, domain: Sequence[float], n) -> Grid:
     """Uniform grid spanning the domain bounds.
 
-    domain holds (lo, hi) for each axis of the pde, and n is the node count of
-    every axis, or a sequence with one count per axis. Raises ValueError for an
-    unknown pde, a domain or n of another dimension, or a count that is not an
-    integer of at least 2; the grid checks the rest.
+    domain holds the real numbers (lo, hi) for each axis of the pde, and n is
+    the node count of every axis, or a sequence with one count per axis. Raises
+    ValueError for an unknown pde, a domain or n of another dimension, a bound
+    that is not a real number, or a count that is not an integer of at least 2;
+    the grid checks the rest.
     """
     if pde not in PDES:
         raise ValueError(f"unknown pde {pde!r}")
     dim = 2 if pde == "ade2d" else 1
-    if np.ndim(domain) != 1 or len(domain) != 2 * dim:
-        raise ValueError(f"domain of {pde!r} needs (lo, hi) per axis, {2 * dim} bounds: {domain}")
+    real = np.ndim(domain) == 1 and all(isinstance(b, numbers.Real) for b in domain)
+    if not real or len(domain) != 2 * dim:
+        raise ValueError(
+            f"domain of {pde!r} needs (lo, hi) per axis, {2 * dim} real bounds: {domain}"
+        )
     lo, hi = domain[0::2], domain[1::2]
     counts = (n,) * dim if np.ndim(n) == 0 else tuple(n)
     integral = all(isinstance(c, numbers.Integral) for c in counts)
@@ -446,13 +406,15 @@ def convergence_study(
     params: PdeParams,
     domain: Sequence[float],
 ) -> ConvergenceTable:
-    """One run per grid size at fixed small tau, plus the fitted slope. Raises
-    ValueError unless sizes holds at least 3 distinct integers."""
-    if not isinstance(sizes, Iterable) or not all(isinstance(n, numbers.Integral) for n in sizes):
+    """One run per grid size at fixed small tau, plus the fitted slope. sizes is
+    read once, so it may be any iterable; raises ValueError unless it holds at
+    least 3 distinct integers."""
+    counts = list(sizes) if isinstance(sizes, Iterable) else [sizes]
+    if not all(isinstance(n, numbers.Integral) for n in counts):
         raise ValueError(f"sizes must be integer node counts, got {sizes}")
-    sizes = sorted(set(int(n) for n in sizes))
+    sizes = sorted(set(int(n) for n in counts))
     if len(sizes) < 3:
-        raise ValueError(f"need at least 3 grid sizes, got {sizes}")
+        raise ValueError(f"sizes must hold at least 3 distinct grid sizes, got {sizes}")
     rows = []
     for n in sizes:
         grid = grid_for(pde, domain, n)
@@ -512,43 +474,48 @@ def galilean_experiment(
     return results
 
 
-def _galilean_deviation(c: float) -> float:
-    """One-step commutation defect of the invariant viscous step under a boost by c."""
-    tau = 1e-3
-    grid = Grid1D(0.0, 2.0 * np.pi / 40.0, 41)
-    plain = default_exact("vbe", _VBE_PARAMS)
-    worst = 0.0
-    for t0 in (0.0, 0.1):
-        base_data = plain(t0, grid.x)
-        stepped = step("vbe", "sym", base_data, StepContext(grid, _VBE_PARAMS, tau, t0, plain))
-        ctx_c = StepContext(grid, _VBE_PARAMS, tau, t0, galilean_exact(plain, c), mesh_velocity=c)
-        stepped_boosted = step("vbe", "sym", base_data + c, ctx_c)
-        worst = max(worst, float(np.abs(stepped_boosted - (stepped + c)).max()))
+def _commutation_defect(pde: str, grid: Grid1D, params: PdeParams, times, transform) -> float:
+    """One-step commutation defect of pde's invariant step under one group
+    element g: the largest |step(g u) - g step(u)| over the exact data u at
+    each of times, with tau = 1e-3. transform(ctx) returns g's image of the
+    step's context and g's map of a field, which maps both the data and the
+    stepped field."""
+    plain, worst = default_exact(pde, params), 0.0
+    for t0 in times:
+        ctx, data = StepContext(grid, params, 1e-3, t0, plain), plain(t0, grid.x)
+        ctx_g, act = transform(ctx)
+        defect = step(pde, "sym", act(data), ctx_g) - act(step(pde, "sym", data, ctx))
+        worst = max(worst, float(np.abs(defect).max()))
     return worst
+
+
+def _galilean_deviation(c: float) -> float:
+    """Defect of the invariant viscous step under a boost by c: the data and the
+    boundary values gain c, and the nodes slide with speed c."""
+
+    def boost(ctx):
+        exact = galilean_exact(ctx.boundary_provider, c)
+        boosted = StepContext(ctx.grid, ctx.params, ctx.tau, ctx.t, exact, mesh_velocity=c)
+        return boosted, lambda u: u + c
+
+    grid = Grid1D(0.0, 2.0 * np.pi / 40.0, 41)
+    return _commutation_defect("vbe", grid, _VBE_PARAMS, (0.0, 0.1), boost)
 
 
 def _scaling_deviation(s: float) -> float:
-    """One-step commutation defect of the invariant inviscid step under the
-    scaling (t, x, u) -> (e^{2s} t, e^s x, e^{-s} u) with tau, h rescaled along."""
-    tau = 1e-3
-    grid = Grid1D(-3.0, 0.15, 41)
-    plain = default_exact("ibe", _IBE_PARAMS)
+    """Defect of the invariant inviscid step under the scaling
+    (t, x, u) -> (e^{2s} t, e^s x, e^{-s} u), with tau and h rescaled along."""
     scale = float(np.exp(s))
-    worst = 0.0
-    for t0 in (0.0, 0.2):
-        base_data = plain(t0, grid.x)
-        stepped = step("ibe", "sym", base_data, StepContext(grid, _IBE_PARAMS, tau, t0, plain))
-        grid_s = Grid1D(grid.x0 * scale, grid.h * scale, grid.n)
 
-        def scaled_exact(t, x):
-            return plain(t / (scale * scale), np.asarray(x) / scale) / scale
+    def scaling(ctx):
+        plain, g = ctx.boundary_provider, ctx.grid
+        exact = lambda t, x: plain(t / (scale * scale), np.asarray(x) / scale) / scale
+        tau, t0 = ctx.tau * scale * scale, ctx.t * scale * scale
+        grid = Grid1D(g.x0 * scale, g.h * scale, g.n)
+        return StepContext(grid, ctx.params, tau, t0, exact), lambda u: u / scale
 
-        ctx_s = StepContext(
-            grid_s, _IBE_PARAMS, tau * scale * scale, t0 * scale * scale, scaled_exact
-        )
-        stepped_scaled = step("ibe", "sym", base_data / scale, ctx_s)
-        worst = max(worst, float(np.abs(stepped_scaled - stepped / scale).max()))
-    return worst
+    grid = Grid1D(-3.0, 0.15, 41)
+    return _commutation_defect("ibe", grid, _IBE_PARAMS, (0.0, 0.2), scaling)
 
 
 def invariantize_check(scheme: str, group_params) -> float:

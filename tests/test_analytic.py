@@ -7,6 +7,7 @@ import pytest
 
 from symfd import analytic
 from symfd import (
+    NoConvergence,
     PdeParams,
     PostBreakingTime,
     ade1d_exact,
@@ -19,6 +20,31 @@ from symfd import (
 )
 
 ADE_PARAMS = PdeParams(alpha=1.0, beta=1.0, nu=1.0 / 60.0, L=0.4)
+
+
+def scalar_hump(t, x, sigma=0.5):
+    """One node's hump solve as a scalar loop, the reference of ibe_exact:
+    (u, whether the fixed point left the node to the bisection)."""
+    hump = lambda y: analytic._hump(y, sigma)
+    u = hump(x)
+    if t == 0.0:
+        return float(u), False
+    for _ in range(analytic._FIXED_POINT_STEPS):
+        nxt = hump(x - u * t)
+        settled = abs(nxt - u) <= analytic._SETTLED_REL * (1.0 + abs(nxt))
+        u = nxt
+        if settled:
+            break
+    if settled and abs(u - hump(x - u * t)) <= analytic._RESIDUAL:
+        return float(u), False
+    lo, hi = 0.0, hump(0.0) * (1.0 + 1e-12)
+    for _ in range(analytic._BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        residual = mid - hump(x - mid * t)
+        if abs(residual) <= analytic._RESIDUAL:
+            return float(mid), True
+        lo, hi = (mid, hi) if residual <= 0.0 else (lo, mid)
+    raise AssertionError(f"no root at t = {t}, x = {x}")
 
 
 class TestHumpSolution:
@@ -222,26 +248,22 @@ def test_params_reject_non_finite_fields(field, value):
 class TestArrayTimes:
     """t may be an array that broadcasts against the coordinates."""
 
-    def test_vectorised_hump_matches_scalar_path(self, monkeypatch):
+    def test_vectorised_hump_matches_scalar_path(self):
         # Close to breaking some nodes do not settle in the fixed point and
-        # fall back to _ibe_scalar; every node must still match it.
-        fallback = []
-        scalar = analytic._ibe_scalar
-
-        def counted(t, x, sigma):
-            fallback.append((t, x))
-            return scalar(t, x, sigma)
-
-        monkeypatch.setattr(analytic, "_ibe_scalar", counted)
+        # are bisected; every node must still get the scalar loop's value.
         t_b = ibe_breaking_time(0.5)
         ts = np.array([0.0, 0.3, 0.9 * t_b, 0.999 * t_b])
         xs = np.linspace(-3.0, 3.0, 241)
         got = ibe_exact(ts[:, None], xs, 0.5)
         assert got.shape == (4, 241)
-        assert 0 < len(fallback) < xs.size
-        for t, row in zip(ts, got):
-            want = np.array([scalar(t, x, 0.5) for x in xs])
-            assert np.abs(row - want).max() <= 1e-15
+        want = [[scalar_hump(t, x) for x in xs] for t in ts]
+        assert 0 < sum(bisected for row in want for _, bisected in row) < xs.size
+        assert np.array_equal(got, [[u for u, _ in row] for row in want])
+
+    def test_a_node_left_after_the_budget_is_named(self, monkeypatch):
+        monkeypatch.setattr(analytic, "_RESIDUAL", -1.0)  # no node ever settles
+        with pytest.raises(NoConvergence, match="t = 0.3, x = 0.7 after 200 steps"):
+            ibe_exact(np.array([0.3, 0.3]), np.array([0.7, 0.8]), 0.5)
 
     def test_broadcast_shapes(self):
         ts = np.array([[0.1], [0.2]])

@@ -285,7 +285,7 @@ def test_report_carries_the_smallest_interior_lambda(pde, scheme, c):
 def test_a_pair_without_a_frame_reports_nan(scheme):
     grid, params, tau, _ = default_run("vbe")
     assert math.isnan(evolve("vbe", scheme, grid, tau, 10 * tau, params)[2].lambda_min)
-    grid, params, tau, _ = default_run("ade1d")  # the AFFINE block path too
+    grid, params, tau, _ = default_run("ade1d")  # the block map path too
     assert math.isnan(evolve("ade1d", scheme, grid, tau, 300 * tau, params)[2].lambda_min)
 
 

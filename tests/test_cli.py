@@ -304,6 +304,14 @@ class TestRunCommand:
         assert "whole number of steps" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_step_too_small_to_count_exits_nonzero(self, tmp_path, capsys):
+        # t_final / tau overflows to inf steps
+        out = tmp_path / "p.csv"
+        assert main(["run", "pde=ibe", "tau=5e-324", f"output_path={out}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: tau ") and "inf steps" in err
+        assert not out.exists()
+
 
 CHEAP_CONVERGE = ["pde=ade1d", "sizes=11,16,21", "tau=5e-3", "t_final=0.05", "schemes=comp"]
 

@@ -12,7 +12,7 @@ from symfd import BoundaryPolicy, Grid1D, Grid2D, PdeParams, ade1d_exact, ade2d_
 from symfd import fit_slope
 from symfd import compact_ops
 from symfd.compact_ops import DENSE_MAX, HALF_WIDTH, ONE_SIDED, derivatives, linear
-from symfd.compact_ops import _bands, _first_derivative_rhs, _second_derivative_rhs
+from symfd.compact_ops import _bands, _rhs
 from symfd.errors import ShapeMismatch
 from symfd.metrics import _STEPPERS
 from symfd.tridiag import solve
@@ -392,19 +392,44 @@ def test_2d_lines_are_bit_identical_to_1d_calls(op, n, axis):
             assert np.array_equal(out[line], op(u[line], line_grid))
 
 
+def written_out_rhs(order, u, h, bp):
+    """B U of the order's system with each row written out as an expression."""
+    rhs = np.empty_like(u)
+    if order == 1:
+        rhs[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
+        rhs[0] = (-5.0 * u[0] + 4.0 * u[1] + u[2]) / (2.0 * h)
+        rhs[-1] = (5.0 * u[-1] - 4.0 * u[-2] - u[-3]) / (2.0 * h)
+    else:
+        rhs[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
+        rhs[0] = (13.0 * u[0] - 27.0 * u[1] + 15.0 * u[2] - u[3]) / (h * h)
+        rhs[-1] = (13.0 * u[-1] - 27.0 * u[-2] + 15.0 * u[-3] - u[-4]) / (h * h)
+    if bp.kind == "exact":
+        rhs[0], rhs[-1] = bp.left, bp.right
+    return rhs
+
+
+@pytest.mark.parametrize("bp", [ONE_SIDED, BoundaryPolicy.exact(0.25, -1.5)], ids=["one", "pin"])
+@pytest.mark.parametrize("shape", [(9,), (9, 4)])
+@pytest.mark.parametrize("order", [1, 2])
+def test_rhs_rows_keep_the_rounding_of_the_written_out_rows(order, shape, bp):
+    u = np.random.default_rng(order).normal(size=shape)
+    u[3], u[5] = 0.0, -0.0  # order 1's row 4 is -0.0, its sign kept
+    got = _rhs(order, u, 0.3, bp)
+    assert got.tobytes() == written_out_rhs(order, u, 0.3, bp).tobytes()
+
+
 def separate_product(order, u, grid, axis):
     """The order's derivative of u as its own stored product computed it before
     the pair was stacked: its own dense D, times each line on its own, or its
     own band read through its own zero-padded lines; the reference for the
     stored pair [D1; D2]."""
     n, h = grid.shape[axis], grid.spacing[axis]
-    rhs_of = _first_derivative_rhs if order == 1 else _second_derivative_rhs
     across = u.ndim == 2 and axis == 0
     w = HALF_WIDTH[order]
     p = n if n <= DENSE_MAX else 2 * w + 1
     comb = np.zeros((n, p))
     comb[np.arange(n), np.arange(n) % p] = 1.0
-    d = solve(*_bands(order, n, "one_sided"), rhs_of(comb, h, ONE_SIDED))
+    d = solve(*_bands(order, n, "one_sided"), _rhs(order, comb, h, ONE_SIDED))
     if p == n:  # one matrix-vector product per contiguous line
         d = np.ascontiguousarray(d)
         lines = (u.T if across else u).reshape(-1, n)
@@ -506,8 +531,7 @@ def exact_band(order, n, h):
     """D = A^-1 B in full, by one solve on the identity, its row masses, the
     entries of its band |i - j| <= HALF_WIDTH[order] and where they are on
     the line (band entries off it are 0)."""
-    rhs_of = _first_derivative_rhs if order == 1 else _second_derivative_rhs
-    d = solve(*_bands(order, n, "one_sided"), rhs_of(np.eye(n), h, ONE_SIDED))
+    d = solve(*_bands(order, n, "one_sided"), _rhs(order, np.eye(n), h, ONE_SIDED))
     w = HALF_WIDTH[order]
     cols = np.arange(n)[:, None] + np.arange(-w, w + 1)
     on_line = (cols >= 0) & (cols < n)

@@ -29,11 +29,10 @@ from symfd import (
     step,
     vbe_exact,
 )
-from symfd import compact_ops, metrics
+from symfd import baseline_schemes, compact_ops, metrics
 from symfd.errors import NonFinite, ShapeMismatch
 from symfd.metrics import (
     _STEPPERS,
-    AFFINE,
     BOUNDARY_BLOCK,
     PDES,
     SCHEMES_BY_PDE,
@@ -43,6 +42,8 @@ from symfd.metrics import (
 )
 
 ADE_PARAMS = PdeParams(alpha=1.0, nu=1.0 / 60.0, L=0.4)
+# The pairs whose full blocks on short lines are one product with the block map.
+MAPPED = (("ade1d", "ftcs"), ("ade1d", "comp"))
 EPS = np.finfo(float).eps
 
 
@@ -270,7 +271,7 @@ class TestEvolve:
 class TestResolvedOnce:
     """evolve resolves the update once per run, step once per call; both run
     the same per-step body (TestBoundaryBlock checks they give the same bits),
-    except on the AFFINE pairs' full blocks (TestAffineBlock)."""
+    except on the MAPPED pairs' full blocks (TestAffineBlock)."""
 
     @pytest.mark.parametrize(
         "pde, scheme, velocity",
@@ -349,6 +350,11 @@ class TestConvergenceStudy:
     def test_needs_three_distinct_sizes(self):
         with pytest.raises(ValueError):
             convergence_study("ade1d", "comp", [11, 11, 21], 1e-3, 0.01, ADE_PARAMS, (-2.0, 4.0))
+
+    def test_sizes_may_be_a_generator(self):
+        args = ("ade1d", "comp", [21, 11, 16], 5e-3, 0.05, ADE_PARAMS, (-2.0, 4.0))
+        table = convergence_study(*args)
+        assert convergence_study(*args[:2], (n for n in args[2]), *args[3:]) == table
 
     def test_rows_are_sorted_and_slope_matches_fit(self):
         table = convergence_study(
@@ -483,12 +489,12 @@ class TestBoundaryBlock:
         assert [np.size(t) for t in calls[1:3]] == [BOUNDARY_BLOCK, 7]
 
         v = single_steps(pde, scheme, grid, params, exact, tau, n_steps, velocity)
-        if (pde, scheme) in AFFINE:  # the full block is one product: equal to roundoff
+        if (pde, scheme) in MAPPED:  # the full block is one product: equal to roundoff
             assert np.abs(u - v).max() <= n_steps * EPS * np.abs(v).max()
         else:
             assert np.array_equal(u, v)
 
-    @pytest.mark.parametrize("pde, scheme", AFFINE)
+    @pytest.mark.parametrize("pde, scheme", MAPPED)
     def test_run_shorter_than_a_block_matches_single_steps_bit_for_bit(self, pde, scheme):
         exact, grid, tau = default_exact(pde, ADE_PARAMS), BLOCK_GRIDS[pde], 1e-4
         n_steps = BOUNDARY_BLOCK - 1
@@ -518,33 +524,43 @@ class TestBoundaryBlock:
         assert np.array_equal(step(pde, scheme, u, ctx, row), out)
 
 
+def short_blocks(pde, scheme, grid, params, tau, n_steps):
+    """n_steps from the exact data at t = 0 in blocks one row short of
+    BOUNDARY_BLOCK, each stepped row by row: the step-by-step run, with
+    evolve's boundary rows and one bind."""
+    exact = default_exact(pde, params)
+    ctx = StepContext(grid, params, tau, 0.0, exact)
+    advance, u = metrics._stepper(pde, scheme, ctx), exact(0.0, grid.x)
+    for k0 in range(0, n_steps, BOUNDARY_BLOCK - 1):
+        k1 = min(k0 + BOUNDARY_BLOCK - 1, n_steps)
+        u = advance(u, boundary_values(ctx, np.arange(k0, k1) * tau + tau))
+    return u
+
+
 class TestAffineBlock:
-    """The AFFINE pairs take each full block of steps as one product with the
+    """The MAPPED pairs take each full block of steps as one product with the
     block map [M^m G]. They must agree with their step-by-step runs to
-    roundoff, fail as loudly, keep the band step on long lines, and build the
-    map only when a full block comes."""
+    roundoff, fail as loudly at the same block, fall back to their steps when
+    the map overflows, keep the band step on long lines, and build the map
+    only when a full block comes."""
 
     @pytest.mark.parametrize("n", [31, 41, 61])
     @pytest.mark.parametrize("scheme", ["ftcs", "comp"])
-    def test_criterion_5_runs_match_their_steps(self, scheme, n, monkeypatch):
+    def test_criterion_5_runs_match_their_steps(self, scheme, n):
         grid = grid_for("ade1d", (-2.0, 4.0), n)
         u, _, rep = evolve("ade1d", scheme, grid, 1e-5, 0.5, ADE_PARAMS)
-        monkeypatch.setattr(metrics, "AFFINE", ())  # one step per row
-        v, _, stepwise = evolve("ade1d", scheme, grid, 1e-5, 0.5, ADE_PARAMS)
-        assert rep.n_steps == stepwise.n_steps == 50_000
+        v = short_blocks("ade1d", scheme, grid, ADE_PARAMS, 1e-5, 50_000)
+        assert rep.n_steps == 50_000
         assert np.abs(u - v).max() <= rep.n_steps * EPS * np.abs(v).max()
 
     @pytest.mark.parametrize("scheme", ["ftcs", "comp"])
     def test_unstable_block_map_raises_when_built(self, scheme):
         # diffusion number 5: the FTCS factor 1 - 4 * 5 = -19 per step, and
-        # 19^256 is past the largest float
+        # 19^256 is past the largest float; the field overflows in the first
+        # block too
         grid, tau = BLOCK_GRIDS["ade1d"], 1e-3
         params = PdeParams(alpha=1.0, nu=5.0 * grid.h**2 / tau, L=0.4)
         exact, blocks = default_exact("ade1d", params), []
-        with pytest.warns(RuntimeWarning, match="diffusion number"):
-            steps = metrics._stepper("ade1d", scheme, StepContext(grid, params, tau, 0.0, exact))
-        with pytest.raises(NonFinite):
-            metrics._block_map(steps, grid, BOUNDARY_BLOCK)
 
         def provider(t, x):
             blocks.append(np.size(t))
@@ -557,16 +573,26 @@ class TestAffineBlock:
         assert blocks == [1, BOUNDARY_BLOCK]  # the initial data and the first block
 
     @pytest.mark.parametrize("scheme", ["ftcs", "comp"])
+    def test_overflowing_map_returns_the_stepwise_field(self, scheme):
+        # the map of the case above overflows, but data scaled by 1e-300 stay
+        # finite for a full block: max|u| ~ 2e21 (ftcs) and 3e67 (comp)
+        grid, tau = grid_for("ade1d", (-2.0, 4.0), 31), 1e-3
+        params = PdeParams(alpha=1.0, nu=5.0 * grid.h**2 / tau, L=0.4)
+        plain = default_exact("ade1d", params)
+        exact = lambda t, x: 1e-300 * plain(t, x)
+        with pytest.warns(RuntimeWarning, match="diffusion number"):
+            u = evolve("ade1d", scheme, grid, tau, BOUNDARY_BLOCK * tau, params, exact=exact)[0]
+            v = single_steps("ade1d", scheme, grid, params, exact, tau, BOUNDARY_BLOCK)
+        assert np.isfinite(v).all() and np.abs(v).max() > 1e20
+        assert np.array_equal(u, v)
+
+    @pytest.mark.parametrize("scheme", ["ftcs", "comp"])
     def test_unstable_field_raises_a_few_blocks_in(self, scheme):
         # diffusion number 0.7: the block map is finite, the field grows by
         # at most about 1.8^256 per block and overflows after a few
         grid, tau = BLOCK_GRIDS["ade1d"], 1e-3
         params = PdeParams(alpha=1.0, nu=0.7 * grid.h**2 / tau, L=0.4)
         exact, blocks = default_exact("ade1d", params), []
-        with pytest.warns(RuntimeWarning, match="diffusion number"):
-            steps = metrics._stepper("ade1d", scheme, StepContext(grid, params, tau, 0.0, exact))
-        block = metrics._block_map(steps, grid, BOUNDARY_BLOCK)
-        assert np.isfinite(block).all()
 
         def provider(t, x):
             blocks.append(np.size(t))
@@ -586,20 +612,23 @@ class TestAffineBlock:
         v = single_steps("ade1d", scheme, grid, ADE_PARAMS, exact, tau, n_steps)
         assert np.array_equal(u, v)
 
-    @pytest.mark.parametrize("pair", AFFINE)
+    @pytest.mark.parametrize("pair", MAPPED)
     def test_only_a_full_block_builds_the_map(self, pair, monkeypatch):
-        entry, calls = _STEPPERS[pair], []
+        bind, calls = baseline_schemes.bind_steps, []
 
-        def counted_binder(*bind):  # a bound advance steps each row it is given
-            advance = entry(*bind)
+        def counted_bind(grid, stencil, **kwargs):  # counts every step taken
+            def counted_stencil(src, dst):
+                step = stencil(src, dst)
 
-            def counting(u, rows):
-                calls.extend([u.shape] * len(rows))
-                return advance(u, rows)
+                def counting():
+                    calls.append(1)
+                    step()
 
-            return counting
+                return counting
 
-        monkeypatch.setitem(_STEPPERS, pair, counted_binder)
+            return bind(grid, counted_stencil, **kwargs)
+
+        monkeypatch.setattr(baseline_schemes, "bind_steps", counted_bind)
         grid, tau = BLOCK_GRIDS["ade1d"], 1e-4
         exact = default_exact("ade1d", ADE_PARAMS)
         ctx = StepContext(grid, ADE_PARAMS, tau, 0.0, exact)
@@ -718,6 +747,14 @@ MISUSE = {
     "ibe_exact-zero-sigma": (lambda: ibe_exact(0.1, 0.0, sigma=0.0), ValueError, "^sigma "),
     "ibe_exact-nan-sigma": (lambda: ibe_exact(0.1, 0.0, sigma=math.nan), ValueError, "^sigma "),
     "ibe_breaking_time-inf-sigma": (lambda: ibe_breaking_time(math.inf), ValueError, "^sigma "),
+    "evolve-subnormal-tau": (
+        lambda: evolve("ibe", "ftcs", Grid1D(-3.0, 0.2, 31), 5e-324, 0.2, PdeParams()),
+        ValueError, "^tau "),
+    "grid_for-string-bounds": (lambda: grid_for("ibe", ("a", "b"), 31), ValueError, "^domain "),
+    "convergence_study-generator-of-two-sizes": (
+        lambda: convergence_study("ibe", "ftcs", (n for n in (11, 21)), 1e-3, 2e-3, PdeParams(),
+                                  (-3, 3)),
+        ValueError, r"^sizes .*\[11, 21\]"),
 }
 
 
