@@ -73,22 +73,25 @@ def ibe_exact(t, x, sigma: float = 0.5):
     """Implicit traveling-hump solution of u_t + u u_x = 0.
 
     Solves u = f(x - u t) with f the normalized Gaussian of width sigma;
-    single-valued only before the breaking time, after which
-    PostBreakingTime is raised, and a sigma that is not positive and finite
-    is a ValueError. The fixed point u <- f(x - u t), which contracts with
-    ratio t / t_b < 1 before breaking, runs over all nodes at once from the
-    t = 0 profile, each node stopping once it settles. Close to breaking the
-    contraction degrades: a node that does not settle, or settles off the
-    root, is bisected on F(u) = u - f(x - u t) over [0, max f], which
-    brackets the pre-breaking root, until |F| <= _RESIDUAL, all such nodes
-    at once; one left after the budget raises NoConvergence naming it.
+    single-valued only for |t| < t_b, as the characteristics cross at the
+    breaking time t_b going forward and at -t_b going back, so any other t
+    raises PostBreakingTime; a t that is not finite, or a sigma that is not
+    positive and finite, is a ValueError. The fixed point u <- f(x - u t),
+    which contracts with ratio |t| / t_b < 1 before breaking, runs over all
+    nodes at once from the t = 0 profile, each node stopping once it
+    settles. Close to breaking the contraction degrades: a node that does
+    not settle, or settles off the root, is bisected on F(u) = u - f(x - u t)
+    over [0, max f], which brackets the pre-breaking root, until |F| <=
+    _RESIDUAL, all such nodes at once; one left after the budget raises
+    NoConvergence naming it.
     """
-    t_max = np.max(t)
-    if t_max >= ibe_breaking_time(sigma):
-        raise PostBreakingTime(
-            f"t = {t_max} is at or past breaking, t_b = {ibe_breaking_time(sigma):.6f}"
-        )
-    tt, xx = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+    times, t_b = np.asarray(t, dtype=float), ibe_breaking_time(sigma)
+    if not np.isfinite(times).all():
+        raise ValueError(f"t must be finite, got {times[~np.isfinite(times)][0]}")
+    t_far = times.flat[np.argmax(np.abs(times))]
+    if abs(t_far) >= t_b:
+        raise PostBreakingTime(f"t = {t_far} is at or past breaking, |t| >= t_b = {t_b:.6f}")
+    tt, xx = np.broadcast_arrays(times, np.asarray(x, dtype=float))
     shape = tt.shape
     tt, xx = tt.ravel(), xx.ravel()
     out = _hump(xx, sigma)

@@ -20,10 +20,13 @@ the output array its caller passes. A dense stack is applied by one matmul
 that runs one BLAS gemv per (operator, line), so a line's bits are those of
 its own 1D product whatever the other lines; one gemm over a block of lines
 would not keep that, as its summation order changes with the line count.
-Bands are read through their windows of one zero-padded line buffer of the
-widest band, so a call costs one copy of the field. A step binds its
-product and out once per run and reads its derivatives from that out with no
-allocation. The builder has three users, each storing its product in
+Bands are cut into tiles of TILE_ROWS rows, each row at its nodes' columns
+of the tile's window of one zero-padded line buffer, and applied by one
+matmul that runs one gemv per (operator, line, tile), so a line's bits do
+not depend on the other lines either, and a call costs one copy of the
+field into the buffer and one of the result into out. A step binds its
+product and out once per run and reads its derivatives from that out with
+no allocation. The builder has three users, each storing its product in
 grid.products and its stack in grid.derivative_matrices under a key:
 bound_pair binds [D1; D2] under ("pair", axis); d1 and d2 bind, on their
 first call, their one-operator view of that stack under (order, axis); and
@@ -31,9 +34,9 @@ bound_linear binds the step operator c1 D1 + c2 D2, formed from the pair's
 own operators, under (axis, c1, c2). derivatives, d1, d2 and linear are thin
 readers of these products into a fresh out, which give inf or NaN for a field
 that overflows and no floating-point warning; no derivative operator is
-stored twice. A band's product writes its line buffer, and a dense product
-across the lines of a 2D field's x axis its transposed copy of the field, so
-one grid must not be stepped from two threads at once.
+stored twice. A band's product writes its line and result buffers, and a
+dense product across the lines of a 2D field's x axis its transposed copy
+of the field, so one grid must not be stepped from two threads at once.
 The pinned-end closure stores nothing: each call builds B U and solves A for
 it (see tridiag). One builder, _rhs, writes B U of either order from a table
 of its rows, and the probes are its products with the comb below.
@@ -49,7 +52,13 @@ with no n x n array: one solve of A Y = B E for the (n, 2w+1) comb
 E[j, j mod (2w+1)] = 1 sums the columns of D of one residue, of which row i
 has exactly one in the band, so band[i, k] = Y[i, (i - w + k) mod (2w+1)].
 Each dropped column lands in one band entry, so the band product is off by
-at most 2^-52 sum_j |D_ij| max|U|, about one rounding of the dense sum.
+at most 2^-52 sum_j |D_ij| max|U|, about one rounding of the dense sum. The
+tiles hold exactly the band's entries and zeros, so the bound holds for
+them unchanged. The zeros do reach a non-finite node, though (0 inf is
+NaN): it spoils every row of each tile whose window holds it, up to b + 2W
+rows, where the band's 2w + 1 nearest rows were spoiled before. Either way
+the field it makes is not finite, so evolve still raises NonFinite at the
+same step.
 """
 
 import math
@@ -69,18 +78,24 @@ Field = np.ndarray
 
 
 # Largest line length whose operators are stored as a dense D. It was the
-# speed crossover of one (d1, d2) pair on one line when the dense stack was
+# speed crossover of one (d1, d2) pair on one line when both kinds were
 # applied by einsum (14.2 vs 11.2 us, dense vs band, at n = 116). With one
-# gemv per line the 1D crossover lies between 113 and 201 nodes: band vs dense
-# 7.9 vs 4.4 us at n = 113, 10.5 vs 11.4 us at 201 and 12.0 vs 12.9 us at 256
-# (median of 5 processes of a best of 7 x 2,000 calls, one BLAS thread, 2-core
-# x86-64, numpy 2.4.6, OpenBLAS 0.3.31). It stays 112 because the ade1d block
-# map (baseline_schemes.bind_steps) is tied to it. Square 2D grids cross
-# earlier, near 50 nodes a side (153 vs 129 us per pair at 61^2 with einsum),
-# as a dense D costs n^2 per line; no study grid has more than 26 a side.
+# gemv per line for a dense D and one per tile for a band (see _bind), the 1D
+# crossover lies between 113 and 129 nodes: dense vs tiled 4.7 vs 4.9 us at
+# n = 113, 6.0 vs 5.4 us at 129 and 12.6 vs 7.1 us at 201 (median of 8
+# processes of the median of 5 rounds of a best of 5 x 500 calls, one BLAS
+# thread, 2-core x86-64, numpy 2.4.6, OpenBLAS 0.3.31). It stays 112, the
+# bound of the ade1d block map too (baseline_schemes.bind_steps). On square
+# 2D grids the dense D wins at least to 61 a side (54 vs 97 us per pair at
+# 61^2 along x), as a tile's gemv costs b + 2W products per row where a
+# dense row costs n; no study grid has more than 26 a side.
 DENSE_MAX = 112
 # Half-width of the stored band of D per derivative order (see above).
 HALF_WIDTH = {1: 29, 2: 18}
+# Rows per tile of a band product (see _bind). One (d1, d2) pair call took
+# 7.0, 7.4 and 7.6 us at n = 201 and 22.6, 22.6 and 25.2 us at n = 801 with
+# tiles of 16, 24 and 32 rows (median of 5 processes, measured as above).
+TILE_ROWS = 24
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -290,22 +305,45 @@ def _probed(n, h):
     return tuple(bands)
 
 
+def _tiled(bands):
+    """The read-only (k, q, b, b + 2W) tiles of a stack of k bands of n rows, b
+    = TILE_ROWS and W the widest HALF_WIDTH: row r of tile q holds band row qb
+    + r at columns r + W - w .. r + W + w and zeros elsewhere, so its product
+    with the tile's window of the zero-padded line sums that row's band. Each
+    band is written once, through a strided view of its tiles' diagonal strip."""
+    b, widest = TILE_ROWS, max(HALF_WIDTH.values())
+    full, rest = divmod(len(bands[0]), b)
+    tiles = np.zeros((len(bands), full + (rest > 0), b, b + 2 * widest))
+    down, across = tiles.strides[-2:]
+    for tile, band in zip(tiles, bands):
+        w = band.shape[1] // 2
+        strip = np.ndarray(
+            tile.shape[:2] + band.shape[1:], float, tile, (widest - w) * across,
+            tile.strides[:1] + (down + across, across),
+        )
+        strip[:full] = band[: full * b].reshape(full, b, -1)
+        strip[full:, :rest] = band[full * b :]
+    return _read_only(tiles)
+
+
 def _bind(grid, axis, operators):
     """The product along axis of grid of a read-only stack of k operators: on
     lines of n <= DENSE_MAX nodes one (k, n, n) array, else k bands (n, 2w + 1)
     as _probed gives them. product(u, out) writes each operator's product of a
     C-contiguous field u of grid into out, of shape (k,) + grid.shape as
-    product.empty() makes it, and returns out; product.operator is the stack,
-    and product.dense says which of the two kinds it is. A dense stack is
-    applied by one matmul that runs one BLAS gemv per (operator, line); bands
-    are read through their windows of one zero-padded line buffer of the
-    widest w, into which a call copies u once."""
+    product.empty() makes it, and returns out; product.operator is the stack.
+    A dense stack is applied by one matmul that runs one BLAS gemv per
+    (operator, line). Bands are applied as their tiles (_tiled), built on the
+    first call, by one matmul that runs one gemv per (operator, line, tile)
+    over read-only windows of one zero-padded line buffer, into which a call
+    copies u; the result is copied into out. The tiles of every band have the
+    width of the widest HALF_WIDTH, so a band's bits are the same in any stack."""
     n, shape = grid.shape[axis], grid.shape
     dense = n <= DENSE_MAX
     across = len(shape) == 2 and axis == 0  # the lines are the columns of u
     empty = lambda: np.empty((len(operators),) + shape)
-    # One gemv per line sums that line's outputs in the same order alone as
-    # among many lines or operators, so its bits depend on neither the field
+    # One gemv per line, or per tile of a line, sums that line's outputs in the
+    # same order alone as among many lines or operators, so its bits depend on neither the field
     # nor the stacking; one gemm over a block of lines would not, its blocking
     # changing with the line count.
     if dense and across:
@@ -327,26 +365,32 @@ def _bind(grid, axis, operators):
     elif dense:
         product = lambda u, out: np.matmul(operators, u, out=out)
     else:
-        # band[i, k] meets node i - w + k: a window view of the zero-padded lines
-        widths = [band.shape[1] // 2 for band in operators]
-        widest, lined = max(widths), shape[::-1] if across else shape
-        padded = np.zeros(lined[:-1] + (n + 2 * widest,))
-        inner, strides = padded[..., widest : n + widest], padded.strides + padded.strides[-1:]
-        windows = [
-            np.ndarray(lined + (2 * w + 1,), float, padded, (widest - w) * padded.itemsize, strides)
-            for w in widths
-        ]
-        # written in u's layout: across, a (lines, n) result would need a copy
-        spec = "ik,...ik->i..." if across else "ik,...ik->...i"
-        applied = list(zip(operators, windows))
+        # tile q of a line reads its window of the zero-padded line: the b + 2W
+        # nodes from qb - W on, W the widest HALF_WIDTH, as a read-only view
+        b, widest = TILE_ROWS, max(HALF_WIDTH.values())
+        lined, count = shape[::-1] if across else shape, -(-n // b)
+        padded = np.zeros(lined[:-1] + (count * b + 2 * widest,))
+        inner, step = padded[..., widest : n + widest], padded.itemsize
+        windows = _read_only(np.ndarray(
+            lined[:-1] + (count, b + 2 * widest, 1), float, padded, 0,
+            padded.strides[:-1] + (b * step, step, step),
+        ))
+        res = np.empty((len(operators),) + lined[:-1] + (count, b, 1))
+        result = res.reshape(res.shape[:-3] + (count * b,))[..., :n]
+        result = result.swapaxes(1, 2) if across else result  # in out's layout
+        stacked = (len(operators),) + (1,) * (len(lined) - 1) + (count, b, b + 2 * widest)
+        tiles = None
 
         def product(u, out):
+            nonlocal tiles
+            if tiles is None:  # a stack bound only for its operators never pays for them
+                tiles = _tiled(operators).reshape(stacked)
             inner[...] = u.T if across else u
-            for k, (band, window) in enumerate(applied):
-                np.einsum(spec, band, window, out=out[k])
+            np.matmul(tiles, windows, out=res)
+            np.copyto(out, result)
             return out
 
-    product.operator, product.empty, product.dense = operators, empty, dense
+    product.operator, product.empty = operators, empty
     return product
 
 
@@ -369,12 +413,8 @@ def bound_pair(grid: Grid, axis: int = 0):
 
 def _read(product, u):
     """product of u into a fresh out, with no floating-point warning for a field
-    that overflows: matmul reports the flags of its BLAS sums, the band's
-    einsum none, and an errstate alone would add a quarter to a band read's
-    allocations. Steps ignore these flags once per block (see
-    baseline_schemes.bind_steps)."""
-    if not product.dense:
-        return product(u, product.empty())
+    that overflows: matmul reports the flags of its BLAS sums, dense or tiled.
+    Steps ignore these flags once per block (see baseline_schemes.bind_steps)."""
     with np.errstate(over="ignore", invalid="ignore"):
         return product(u, product.empty())
 

@@ -75,6 +75,20 @@ class TestHumpSolution:
         with pytest.raises(PostBreakingTime):
             ibe_exact(t_b + 0.1, np.zeros(3), 0.5)
 
+    def test_rejects_times_at_or_before_minus_breaking(self):
+        # going back the characteristics cross at -t_b: at -2 t_b and x = -1.7
+        # u = f(x - u t) has three roots in [0, 0.8]
+        t_b, x = ibe_breaking_time(0.5), -1.7
+        u = np.linspace(0.0, 0.8, 8001)
+        residual = u - analytic._hump(x + 2.0 * t_b * u, 0.5)
+        assert np.count_nonzero(np.diff(np.sign(residual))) == 3
+        with pytest.raises(PostBreakingTime, match="t = -2.06"):
+            ibe_exact(-2.0 * t_b, x, 0.5)
+        with pytest.raises(PostBreakingTime):
+            ibe_exact(np.array([[0.1], [-t_b]]), np.zeros(3), 0.5)
+        inside = ibe_exact(-0.9 * t_b, x, 0.5)
+        assert abs(inside - analytic._hump(x + 0.9 * t_b * inside, 0.5)) <= 1e-13
+
     def test_scalar_and_array_forms_agree(self):
         xs = np.array([-1.0, 0.2, 0.9])
         arr = ibe_exact(0.4, xs, 0.5)

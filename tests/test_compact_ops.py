@@ -419,10 +419,12 @@ def test_rhs_rows_keep_the_rounding_of_the_written_out_rows(order, shape, bp):
 
 
 def separate_product(order, u, grid, axis):
-    """The order's derivative of u as its own stored product computed it before
-    the pair was stacked: its own dense D, times each line on its own, or its
-    own band read through its own zero-padded lines; the reference for the
-    stored pair [D1; D2]."""
+    """The order's derivative of u as its own stored product computes it, apart
+    from the pair: its own dense D times each contiguous line, or its own band
+    cut into tiles of TILE_ROWS rows, each row at its node's place in the
+    window of the widest half-width, times each contiguous window of the
+    zero-padded line, one matrix-vector product per (line, tile); the
+    reference for the stored pair [D1; D2]."""
     n, h = grid.shape[axis], grid.spacing[axis]
     across = u.ndim == 2 and axis == 0
     w = HALF_WIDTH[order]
@@ -430,20 +432,28 @@ def separate_product(order, u, grid, axis):
     comb = np.zeros((n, p))
     comb[np.arange(n), np.arange(n) % p] = 1.0
     d = solve(*_bands(order, n, "one_sided"), _rhs(order, comb, h, ONE_SIDED))
+    lines = (u.T if across else u).reshape(-1, n)
     if p == n:  # one matrix-vector product per contiguous line
         d = np.ascontiguousarray(d)
-        lines = (u.T if across else u).reshape(-1, n)
         out = np.stack([np.matmul(d, np.ascontiguousarray(line)) for line in lines])
         return np.ascontiguousarray(out.T) if across else out.reshape(u.shape)
     j = np.arange(n)[:, None] + np.arange(p) - w
     d = np.take_along_axis(d, j % p, axis=1)
     d[(j < 0) | (j >= n)] = 0.0
-    lines = u.T if across else u
-    padded = np.zeros(lines.shape[:-1] + (n + 2 * w,))
-    padded[..., w : n + w] = lines
-    window = np.lib.stride_tricks.sliding_window_view(padded, p, axis=-1)
-    out = np.einsum("ik,...ik->...i", d, window)
-    return np.ascontiguousarray(out.T) if across else out
+    b, wide = compact_ops.TILE_ROWS, max(HALF_WIDTH.values())
+    count = -(-n // b)
+    rows = np.zeros((count * b, b + 2 * wide))  # tile q is rows qb .. qb + b - 1
+    i = np.arange(n)[:, None]
+    rows[i, i % b + wide - w + np.arange(p)] = d
+    out = []
+    for line in lines:
+        padded = np.zeros(count * b + 2 * wide)
+        padded[wide : n + wide] = line
+        windows = [np.ascontiguousarray(padded[q * b : (q + 1) * b + 2 * wide]) for q in range(count)]
+        tiles = [np.matmul(rows[q * b : (q + 1) * b], window) for q, window in enumerate(windows)]
+        out.append(np.concatenate(tiles)[:n])
+    out = np.stack(out)
+    return np.ascontiguousarray(out.T) if across else out.reshape(u.shape)
 
 
 # dense and band lines, and the 2D axes of each kind: (shape, axis)
@@ -465,10 +475,11 @@ def test_stacked_pair_is_bit_identical_to_separate_products(shape, axis, order):
 
 
 @pytest.mark.parametrize("axis", [0, 1])
-@pytest.mark.parametrize("n", [5, 26, 101, DENSE_MAX])
+@pytest.mark.parametrize("n", [5, 26, 101, DENSE_MAX, DENSE_MAX + 1, 257])
 def test_a_lines_derivatives_do_not_depend_on_the_line_count(n, axis):
-    # one gemv per line: a gemm over the block of lines sums in an order that
-    # changes with the line count; the line alone, on its 1D grid, is the first
+    # one gemv per line, and per tile on band lines: a gemm over the block of
+    # lines sums in an order that changes with the line count; the line alone,
+    # on its 1D grid, is the first
     line = np.random.default_rng(n).normal(size=n)
     alone = Grid1D(0.0, 0.1, n)
     seen = [np.stack([d1(line, alone), d2(line, alone), *derivatives(line, alone)])]

@@ -746,6 +746,9 @@ MISUSE = {
     "vbe_exact-inf-nu": (lambda: vbe_exact(0.1, 0.0, math.inf), ValueError, "^nu "),
     "ibe_exact-zero-sigma": (lambda: ibe_exact(0.1, 0.0, sigma=0.0), ValueError, "^sigma "),
     "ibe_exact-nan-sigma": (lambda: ibe_exact(0.1, 0.0, sigma=math.nan), ValueError, "^sigma "),
+    "ibe_exact-nan-t": (lambda: ibe_exact(math.nan, np.array([0.0, 1.0])), ValueError, "^t "),
+    "ibe_exact-inf-time-entry": (
+        lambda: ibe_exact(np.array([0.1, -math.inf]), 0.0), ValueError, "^t "),
     "ibe_breaking_time-inf-sigma": (lambda: ibe_breaking_time(math.inf), ValueError, "^sigma "),
     "evolve-subnormal-tau": (
         lambda: evolve("ibe", "ftcs", Grid1D(-3.0, 0.2, 31), 5e-324, 0.2, PdeParams()),
