@@ -6,13 +6,16 @@ returns the run's block advance(u, rows) from bind_steps: one step per
 boundary row, each the scheme's stencil and the Dirichlet refresh from the
 row, on two preallocated buffers that the steps swap; the stencil's views,
 scratch arrays and coefficients are made at the bind, and np.errstate is
-entered once per block. A block is one finite check of its rows, its steps
-unchecked and one finite check of the last field; only when that fails, or
-a guard raises, is it replayed from its input with the finite check after
-every step. The steps' arithmetic is the same in both passes, so a block
-returns the same bits, as a copy, and raises the same error at the same
-step as a block checked after every step: NonFinite at the first step whose
-field is not finite, unless a guard raises first.
+entered once per block. A step may also carry guards (Guard), floors on
+values it writes, such as the sym steps' frame factor lambda: it folds them
+into a running minimum by one elementwise call, with no reduction. A block is
+one finite check of its rows, its steps unchecked, one finite check of the
+last field and one reduction per guard; only when one of these fails is it
+replayed from its input, each step then checked for its guards, in order,
+and then for finiteness. The steps' arithmetic is the same in both passes,
+so a block returns the same bits, as a copy, and raises the same error at
+the same step as a block checked after every step: the first guard that
+fails, else NonFinite at the first step whose field is not finite.
 
 The advection-diffusion steps are affine: a step plus its refresh is
 u <- M u + E b, M = I + T with its Dirichlet rows zeroed and E b the row b on
@@ -28,7 +31,7 @@ row by row, and longer lines keep the band step, as M^m is dense.
 Two facts make the one check of the last field enough. A non-finite interior
 node stays non-finite: in every step the node's own old value enters its new
 value additively, before any product or quotient, so one step from it gives a
-non-finite field or raises a guard (tests/test_bound_steps.py steps every
+non-finite field or fails a guard (tests/test_bound_steps.py steps every
 pair from each such node). A Dirichlet node, though, is overwritten by the
 next step's refresh, and no interior stencil reads a 2D corner, so a
 non-finite row could leave the last field finite; the rows are checked first.
@@ -48,7 +51,9 @@ wraps across a row is a Dirichlet node, which the refresh overwrites.
 
 A COMP step is one forward-Euler step with the compact derivatives. The
 Burgers steps, like every sym step, are jet updates bound by bind_jets, which
-reads the jets from the grid's bound pair; the inviscid one adds the defect
+reads the jets from the grid's pair scaled by the step's scalars
+(compact_ops.bound_pair): (tau u_x, tau nu u_xx) for the viscous step and
+(tau u_x, (tau^2 / 2) u_xx) for the inviscid one, which adds the defect
 term. The advection-diffusion step has one binder for 1D and 2D: u + sum over
 the axes of T u, T = tau (nu D2 - speed D1) stored per axis
 (compact_ops.bound_linear), the speed being alpha on x and beta on y. Each
@@ -64,7 +69,7 @@ import numpy as np
 from . import compact_ops
 from .analytic import PdeParams
 from .compact_ops import Grid, Grid1D
-from .errors import FrameSingularity, NonFinite, ZeroState
+from .errors import NonFinite
 
 # Steps whose Dirichlet values evolve draws from one provider call, and so
 # the steps of one block advance. A block holds BOUNDARY_BLOCK x (boundary
@@ -81,15 +86,44 @@ def check_finite(values, what=None):
         raise NonFinite() if what is None else NonFinite(f"{what} must be finite")
 
 
-def bind_steps(grid: Grid, stencil, affine=False):
+class Guard:
+    """A floor that a bound step's values must keep, decided once per block (see
+    bind_steps). values is a view of scratch that every step writes, and the
+    step folds it into running by one elementwise np.minimum, with no
+    reduction. fails(lowest) says a value breaks the floor (a NaN does not:
+    NonFinite reports it), and error() makes the exception it raises.
+    lowest is the smallest value of the blocks that passed, inf before one."""
+
+    def __init__(self, values, fails, error):
+        self.values, self.fails, self.error = values, fails, error
+        self.running = np.empty(values.shape)
+        self.lowest = math.inf
+
+    def passed(self):
+        """Whether running, the steps since it was filled with inf, kept the floor
+        with no NaN; if so, its smallest value joins lowest."""
+        met = self.running.min()
+        if met != met or self.fails(met):
+            return False
+        self.lowest = min(self.lowest, met)
+        return True
+
+    def check(self):
+        """Raise error() if the values of the last step break the floor."""
+        if self.fails(self.values.min()):
+            raise self.error()
+
+
+def bind_steps(grid: Grid, stencil, affine=False, guards=()):
     """The block advance of a pair on grid (see the module docstring):
     advance(u, rows) checks the rows, steps them unchecked and checks the last
-    field, and replays the block from u with the check after every step only
-    when a check fails or a guard raises. stencil(src, dst) returns the step
-    from the field src to dst, two C-contiguous fields of grid: a call writes
-    dst's interior at least, through views and scratch made once. affine says
-    the step plus its refresh is affine, so that a full block on a short line
-    is one product with the block map."""
+    field and the guards, and replays the block from u with the checks after
+    every step only when one fails. stencil(src, dst) returns the step from
+    the field src to dst, two C-contiguous fields of grid: a call writes dst's
+    interior at least, through views and scratch made once, and folds its
+    values into each Guard's running. affine says the step plus its refresh is
+    affine, so that a full block on a short line is one product with the block
+    map. A replayed step checks the guards in order, then the field."""
     buffers = np.empty((2, math.prod(grid.shape)))
     fields = buffers.reshape((2,) + grid.shape)
     # (step, its destination) from buffer 0 and from buffer 1
@@ -132,6 +166,8 @@ def bind_steps(grid: Grid, stencil, affine=False):
         # an unstable run overflows to inf or NaN, which the checks report, and a
         # Dirichlet node may divide by zero before the refresh overwrites it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for guard in guards:
+                guard.running.fill(math.inf)
             try:
                 check_finite(rows)
                 if mapped and len(rows) == BOUNDARY_BLOCK:
@@ -140,14 +176,17 @@ def bind_steps(grid: Grid, stencil, affine=False):
                 else:
                     last = unchecked(u, rows)
                 check_finite(last)
-                return last.copy()
-            except (NonFinite, FrameSingularity, ZeroState):
+                if all(guard.passed() for guard in guards):
+                    return last.copy()
+            except NonFinite:
                 pass
             # the replay: from u again, checked after every step, to raise at the
             # step that fails
             last = u
             for row in rows[:, None]:
                 last = unchecked(last, row)
+                for guard in guards:
+                    guard.check()
                 check_finite(last)
         return last.copy()
 
@@ -235,14 +274,16 @@ def ade_ftcs(grid: Grid, params: PdeParams, tau: float):
     return bind_steps(grid, stencil, affine=True)
 
 
-def bind_jets(grid: Grid, update):
+def bind_jets(grid: Grid, update, scales=(1.0, 1.0), guards=()):
     """The block advance (bind_steps) of a jet update: each step runs the grid's
-    bound pair (compact_ops.bound_pair) along every axis into an out bound
-    once, then the update. update(u, jets, out), called once per buffer,
-    returns the step that writes the update of u into out from the jets
-    (u_x, u_xx[, u_y, u_yy]). The advance exposes update, and
-    update.lambda_min, where there is one, as its lambda_min."""
-    pairs = [compact_ops.bound_pair(grid, axis) for axis in range(len(grid.shape))]
+    pair scaled by scales = (c1, c2) (compact_ops.bound_pair) along every axis
+    into an out bound once, then the update. update(u, jets, out), called once
+    per buffer, returns the step that writes the update of u into out from the
+    jets (c1 u_x, c2 u_xx[, c1 u_y, c2 u_yy]) and folds its values into the
+    guards, which the advance checks (bind_steps). The advance exposes update,
+    scales, guards and update.lambda_min, where there is one, as its
+    lambda_min."""
+    pairs = [compact_ops.bound_pair(grid, axis, *scales) for axis in range(len(grid.shape))]
     (x_pair, x_out), *y_axis = bound = [(pair, pair.empty()) for pair in pairs]
     jets = tuple(jet for _, out in bound for jet in out)
 
@@ -257,8 +298,8 @@ def bind_jets(grid: Grid, update):
 
         return step
 
-    advance = bind_steps(grid, stencil)
-    advance.update = update
+    advance = bind_steps(grid, stencil, guards=guards)
+    advance.update, advance.scales, advance.guards = update, scales, guards
     if hasattr(update, "lambda_min"):
         advance.lambda_min = update.lambda_min
     return advance
@@ -269,50 +310,43 @@ def ibe_comp(grid: Grid1D, params: PdeParams, tau: float):
 
     The correction (tau^2/2)(u^2 u_xx + 2 u u_x^2) matches the exact
     second time derivative of the solution, lifting the update to second
-    order in time: u - (tau u) u_x + (tau^2 / 2)((u u) u_xx + ((2 u) u_x) u_x).
+    order in time. The jets are p = tau u_x and r = (tau^2 / 2) u_xx, read
+    from the pair scaled by them, and the update is u + u ((u r + p p) - p).
     """
-    tau, half_tau2, two = scalars(tau, 0.5 * tau * tau, 2.0)
-    first, second, third = (np.empty(grid.n) for _ in range(3))
+    t, square = np.empty(grid.n), np.empty(grid.n)
 
     def update(u, jets, out):
-        ux, uxx = jets
+        p, r = jets
 
         def step():
-            np.multiply(u, tau, first)
-            np.multiply(first, ux, first)
-            np.subtract(u, first, first)  # u - tau u u_x
-            np.multiply(u, u, second)
-            np.multiply(second, uxx, second)
-            np.multiply(u, two, third)
-            np.multiply(third, ux, third)
-            np.multiply(third, ux, third)
-            np.add(second, third, second)
-            np.multiply(second, half_tau2, second)
-            np.add(first, second, out)
+            np.multiply(u, r, t)
+            np.multiply(p, p, square)
+            np.add(t, square, t)
+            np.subtract(t, p, t)
+            np.multiply(t, u, t)
+            np.add(u, t, out)
 
         return step
 
-    return bind_jets(grid, update)
+    return bind_jets(grid, update, (tau, 0.5 * tau * tau))
 
 
 def vbe_comp(grid: Grid1D, params: PdeParams, tau: float):
-    """Bind the COMP steps of u_t + u u_x = nu u_xx: u - tau (u u_x - nu u_xx)."""
-    nu, tau = scalars(params.nu, tau)
-    t, diffusion = np.empty(grid.n), np.empty(grid.n)
+    """Bind the COMP steps of u_t + u u_x = nu u_xx from the jets p = tau u_x and
+    q = tau nu u_xx, read from the pair scaled by them: u - (u p - q)."""
+    t = np.empty(grid.n)
 
     def update(u, jets, out):
-        ux, uxx = jets
+        p, q = jets
 
         def step():
-            np.multiply(u, ux, t)
-            np.multiply(uxx, nu, diffusion)
-            np.subtract(t, diffusion, t)
-            np.multiply(t, tau, t)
+            np.multiply(u, p, t)
+            np.subtract(t, q, t)
             np.subtract(u, t, out)
 
         return step
 
-    return bind_jets(grid, update)
+    return bind_jets(grid, update, (tau, tau * params.nu))
 
 
 def ade_comp(grid: Grid, params: PdeParams, tau: float):

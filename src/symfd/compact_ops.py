@@ -28,13 +28,17 @@ field into the buffer and one of the result into out. A step binds its
 product and out once per run and reads its derivatives from that out with
 no allocation. The builder has three users, each storing its product in
 grid.products and its stack in grid.derivative_matrices under a key:
-bound_pair binds [D1; D2] under ("pair", axis); d1 and d2 bind, on their
-first call, their one-operator view of that stack under (order, axis); and
-bound_linear binds the step operator c1 D1 + c2 D2, formed from the pair's
-own operators, under (axis, c1, c2). derivatives, d1, d2 and linear are thin
-readers of these products into a fresh out, which give inf or NaN for a field
-that overflows and no floating-point warning; no derivative operator is
-stored twice. A band's product writes its line and result buffers, and a
+bound_pair binds [c1 D1; c2 D2] under ("pair", axis, c1, c2), the unit pair
+(c1 = c2 = 1) as probed and a scaled one, which the Burgers steps read
+their jets from with the step's scalars folded in, as the unit pair's
+operators times c1 and c2; d1 and d2 bind, on their first call, their
+one-operator view of the unit stack under (order, axis), which on long lines
+reads its slice of the pair's tiles; and bound_linear binds the step
+operator c1 D1 + c2 D2, formed from the unit pair's operators, under (axis,
+c1, c2). derivatives, d1, d2 and linear are thin readers of these products
+into a fresh out, which give inf or NaN for a field that overflows and no
+floating-point warning; no unit operator, and no tile, is stored twice. A
+band's product writes its line and result buffers, and a
 dense product across the lines of a 2D field's x axis its transposed copy
 of the field, so one grid must not be stepped from two threads at once.
 The pinned-end closure stores nothing: each call builds B U and solves A for
@@ -64,7 +68,7 @@ same step.
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Tuple
 
 import numpy as np
@@ -326,18 +330,21 @@ def _tiled(bands):
     return _read_only(tiles)
 
 
-def _bind(grid, axis, operators):
+def _bind(grid, axis, operators, tiles=None):
     """The product along axis of grid of a read-only stack of k operators: on
     lines of n <= DENSE_MAX nodes one (k, n, n) array, else k bands (n, 2w + 1)
     as _probed gives them. product(u, out) writes each operator's product of a
     C-contiguous field u of grid into out, of shape (k,) + grid.shape as
     product.empty() makes it, and returns out; product.operator is the stack.
     A dense stack is applied by one matmul that runs one BLAS gemv per
-    (operator, line). Bands are applied as their tiles (_tiled), built on the
-    first call, by one matmul that runs one gemv per (operator, line, tile)
-    over read-only windows of one zero-padded line buffer, into which a call
-    copies u; the result is copied into out. The tiles of every band have the
-    width of the widest HALF_WIDTH, so a band's bits are the same in any stack."""
+    (operator, line), and its product.tiles is None. Bands are applied as
+    their tiles, product.tiles(), by one matmul that runs one gemv per
+    (operator, line, tile) over read-only windows of one zero-padded line
+    buffer, into which a call copies u; the result is copied into out. tiles()
+    is called on the first call: given, it returns the stack's tiles from
+    another product's, else they are built once (_tiled). The tiles of every
+    band have the width of the widest HALF_WIDTH, so a band's bits are the
+    same in any stack."""
     n, shape = grid.shape[axis], grid.shape
     dense = n <= DENSE_MAX
     across = len(shape) == 2 and axis == 0  # the lines are the columns of u
@@ -379,36 +386,57 @@ def _bind(grid, axis, operators):
         result = res.reshape(res.shape[:-3] + (count * b,))[..., :n]
         result = result.swapaxes(1, 2) if across else result  # in out's layout
         stacked = (len(operators),) + (1,) * (len(lined) - 1) + (count, b, b + 2 * widest)
-        tiles = None
+        tiles = tiles or cache(lambda: _tiled(operators))
+        applied = None
 
         def product(u, out):
-            nonlocal tiles
-            if tiles is None:  # a stack bound only for its operators never pays for them
-                tiles = _tiled(operators).reshape(stacked)
+            nonlocal applied
+            if applied is None:  # a stack bound only for its operators never pays for them
+                applied = tiles().reshape(stacked)
             inner[...] = u.T if across else u
-            np.matmul(tiles, windows, out=res)
+            np.matmul(applied, windows, out=res)
             np.copyto(out, result)
             return out
 
-    product.operator, product.empty = operators, empty
+    product.operator, product.empty, product.tiles = operators, empty, tiles
     return product
 
 
-def _bound(grid, key, axis, operators):
-    """grid.products[key], bound on first use to the stack operators() returns."""
+def _bound(grid, key, axis, operators, tiles=None):
+    """grid.products[key], bound on first use to the stack operators() returns
+    (and its tiles, if given; see _bind)."""
     product = grid.products.get(key)
     if product is None:
-        product = grid.products[key] = _bind(grid, axis, operators())
+        product = grid.products[key] = _bind(grid, axis, operators(), tiles)
     return product
 
 
-def bound_pair(grid: Grid, axis: int = 0):
-    """The grid's product of the one-sided [D1; D2] along axis, bound on first
-    use: pair(u, out) writes (u', u'') of a C-contiguous field u of grid into
-    out, made once by pair.empty(), and returns out. A step binds it once per
-    run and reads both derivatives from its own out."""
+def _check_scales(**scales):
+    """ValueError naming the first scale that is not finite."""
+    for name, c in scales.items():
+        if not math.isfinite(c):
+            raise ValueError(f"{name} must be finite, not {c}")
+
+
+def bound_pair(grid: Grid, axis: int = 0, c1: float = 1.0, c2: float = 1.0):
+    """The grid's product of the one-sided pair [c1 D1; c2 D2] along axis, bound
+    on first use: pair(u, out) writes (c1 u', c2 u'') of a C-contiguous field u
+    of grid into out, made once by pair.empty(), and returns out. A step binds
+    it once per run and reads both derivatives, with its scalars folded in,
+    from its own out. The unit pair (c1 = c2 = 1) is probed; a scaled one is
+    the unit pair's operators times c1 and c2, one elementwise product per
+    operator, so a new step size or viscosity adds a stack. A non-finite c1 or
+    c2 is a ValueError."""
+    _check_scales(c1=c1, c2=c2)
     n, h = grid.shape[axis], grid.spacing[axis]
-    return _bound(grid, ("pair", axis), axis, lambda: _probed(n, h))
+
+    def operators():
+        if (c1, c2) == (1.0, 1.0):
+            return _probed(n, h)
+        scaled = [op * c for op, c in zip(bound_pair(grid, axis).operator, (c1, c2))]
+        return _read_only(np.stack(scaled)) if n <= DENSE_MAX else tuple(map(_read_only, scaled))
+
+    return _bound(grid, ("pair", axis, c1, c2), axis, operators)
 
 
 def _read(product, u):
@@ -428,10 +456,16 @@ def _derivative(order, u, grid, axis, bp):
         swap = lambda a: np.ascontiguousarray(a.swapaxes(0, axis))
         return swap(_solved(swap(u), n, h, order, bp))
     # a warm call finds its product before any fallback closure is made
-    product = grid.products.get((order, axis)) or _bound(
-        grid, (order, axis), axis, lambda: bound_pair(grid, axis).operator[order - 1 : order]
-    )
+    product = grid.products.get((order, axis)) or _view(grid, order, axis)
     return _read(product, u)[0]
+
+
+def _view(grid, order, axis):
+    """The product of the unit pair's one-operator view of order, bound on first
+    use: on long lines it reads its operator's slice of the pair's tiles."""
+    pair, k = bound_pair(grid, axis), slice(order - 1, order)
+    tiles = pair.tiles and (lambda: pair.tiles()[k])
+    return _bound(grid, (order, axis), axis, lambda: pair.operator[k], tiles)
 
 
 def d1(u: Field, grid: Grid, axis: int = 0, bp: BoundaryPolicy = ONE_SIDED) -> Field:
@@ -460,9 +494,7 @@ def bound_linear(grid: Grid, axis: int, c1: float, c2: float):
     operations D2 c2 + D1 c1; on long lines D2's band is zero-padded to the
     width of D1's. A new step size adds an operator; a non-finite c1 or c2 is
     a ValueError."""
-    for name, c in (("c1", c1), ("c2", c2)):
-        if not math.isfinite(c):
-            raise ValueError(f"{name} must be finite, not {c}")
+    _check_scales(c1=c1, c2=c2)
 
     def operator():
         first, second = bound_pair(grid, axis).operator

@@ -14,11 +14,14 @@ bound per run; it is the advance's update, so prescribed jets can be fed to it.
 
 The Burgers frames take s1 = -u_x and the projective factor lambda = 1 + tau
 u_x at the new time level; advection-diffusion takes s1 = sum_k u_kk / (2 d u)
-over its d framed axes and lambda = 1 - (4 nu tau) s1. ZeroState and
-FrameSingularity are checked on every step on interior views made at the
-bind; the advance's lambda_min() is the smallest interior lambda the guard
-met over a run that completes (a failed block is replayed, and its unchecked
-pass may have met lambdas past the step at which the run raises).
+over its d framed axes and lambda = 1 - (4 nu tau) s1. The Burgers steps read
+their jets with tau, and nu or tau / 2, folded in, from the pair scaled by
+them (see baseline_schemes). ZeroState and FrameSingularity are guards
+(baseline_schemes.Guard) on interior views made at the bind: each step folds
+|u| and lambda into running minima, and the block advance decides them once
+per block, replaying a failing block step by step to raise at its step. The
+advance's lambda_min() is the smallest interior lambda of the blocks that
+passed, one reduction per block.
 
 The updates commute with the projective groups (Olver, Applications of Lie
 Groups to Differential Equations, 1986). Put the node at x = 0 and the step
@@ -59,33 +62,22 @@ ADE2D_VARIANTS = ("sym1", "sym2")
 
 
 def _frame_guard(lam):
-    """guard() raises FrameSingularity when a node of lam, a view of the interior
-    of a bound frame factor, is at or below LAMBDA_TOL (a NaN passes, for
-    NonFinite to report), and keeps the smallest value met, which
-    guard.lowest() returns: NaN before the first step."""
-    met = [math.inf]
-
-    def guard():
-        lowest = lam.min()
-        if lowest <= LAMBDA_TOL:
-            raise FrameSingularity(
-                "projective factor lambda must stay positive for this frame; "
-                "an interior node reached lambda <= 1e-10"
-            )
-        if lowest < met[0]:
-            met[0] = lowest
-
-    guard.lowest = lambda: met[0] if met[0] < math.inf else math.nan
-    return guard
+    """The Guard of lam, a view of the interior of a bound frame factor:
+    FrameSingularity when a node is at or below LAMBDA_TOL. Its lowest is the
+    smallest interior lambda of a run."""
+    return base.Guard(
+        lam,
+        lambda lowest: lowest <= LAMBDA_TOL,
+        lambda: FrameSingularity(
+            "projective factor lambda must stay positive for this frame; "
+            "an interior node reached lambda <= 1e-10"
+        ),
+    )
 
 
-def _check_zero_state(u, magnitude):
-    """ZeroState if an interior node of the view u is below ZERO_STATE_TOL in
-    magnitude; magnitude is scratch of u's shape."""
-    if np.absolute(u, magnitude).min() < ZERO_STATE_TOL:
-        raise ZeroState(
-            "an interior node is too close to zero to normalize the frame"
-        )
+def _lambda_min(guard):
+    """The smallest interior lambda a frame guard met, NaN before any block."""
+    return lambda: guard.lowest if guard.lowest < math.inf else math.nan
 
 
 def ibe_sym(grid: Grid1D, params: PdeParams, tau: float):
@@ -93,32 +85,31 @@ def ibe_sym(grid: Grid1D, params: PdeParams, tau: float):
 
     u_new = (u + tau^2 u^2 u_xx / (2 lambda^2)) / lambda per node. The
     frame absorbs the advection term entirely; on locally linear data the
-    update is exact (see the one-step tests).
+    update is exact (see the one-step tests). The jets are p = tau u_x and
+    r = (tau^2 / 2) u_xx, read from the pair scaled by them: lambda = p + 1
+    and u_new = (u + (u / lambda)^2 r) / lambda.
     """
-    # 0.5 tau^2 / lambda^2 is tau^2 / (2 lambda^2) bit for bit: halving is exact
-    one, half_tau2, tau = base.scalars(1.0, 0.5 * tau * tau, tau)
+    (one,) = base.scalars(1.0)
     lam, t = np.empty(grid.n), np.empty(grid.n)
     guard = _frame_guard(lam[1:-1])
+    lam_inner, running = guard.values, guard.running
 
     def update(u, jets, out):
-        ux, uxx = jets
+        p, r = jets
 
         def step():
-            np.multiply(ux, tau, lam)
-            np.add(lam, one, lam)
-            guard()
-            np.multiply(lam, lam, t)
-            np.divide(half_tau2, t, t)
-            np.multiply(t, u, t)
-            np.multiply(t, u, t)
-            np.multiply(t, uxx, t)
+            np.add(p, one, lam)
+            np.minimum(lam_inner, running, out=running)
+            np.divide(u, lam, t)
+            np.multiply(t, t, t)
+            np.multiply(t, r, t)
             np.add(u, t, t)
             np.divide(t, lam, out)
 
         return step
 
-    update.lambda_min = guard.lowest
-    return base.bind_jets(grid, update)
+    update.lambda_min = _lambda_min(guard)
+    return base.bind_jets(grid, update, (tau, 0.5 * tau * tau), (guard,))
 
 
 def vbe_sym(grid: Grid1D, params: PdeParams, tau: float, dx_nodes: float = 0.0):
@@ -127,31 +118,33 @@ def vbe_sym(grid: Grid1D, params: PdeParams, tau: float, dx_nodes: float = 0.0):
     u_new = (u - s1 dx + tau nu u_xx / lambda) / lambda, where dx is the
     node displacement over the step. On the static mesh dx = 0 and the term
     is left out; a Galilean-boosted run slides the nodes with the boost
-    speed, which keeps the update exactly equivariant under the boost.
+    speed, which keeps the update exactly equivariant under the boost. The
+    jets are p = tau u_x and q = tau nu u_xx, read from the pair scaled by
+    them: lambda = p + 1, -s1 dx = p (dx / tau) and u_new = (u + q / lambda)
+    / lambda, u replaced by u + p (dx / tau) when dx is not 0.
     """
-    one, tau_nu, tau, dx = base.scalars(1.0, tau * params.nu, tau, dx_nodes)
+    one, speed = base.scalars(1.0, dx_nodes / tau)
     lam, t, moved = np.empty(grid.n), np.empty(grid.n), np.empty(grid.n)
     guard = _frame_guard(lam[1:-1])
+    lam_inner, running = guard.values, guard.running
 
     def update(u, jets, out):
-        ux, uxx = jets
+        p, q = jets
 
         def step():
-            np.multiply(ux, tau, lam)
-            np.add(lam, one, lam)
-            guard()
-            if dx_nodes:  # -s1 dx is u_x dx
-                np.multiply(ux, dx, moved)
+            np.add(p, one, lam)
+            np.minimum(lam_inner, running, out=running)
+            if dx_nodes:
+                np.multiply(p, speed, moved)
                 np.add(u, moved, moved)
-            np.divide(tau_nu, lam, t)
-            np.multiply(t, uxx, t)
+            np.divide(q, lam, t)
             np.add(moved if dx_nodes else u, t, t)
             np.divide(t, lam, out)
 
         return step
 
-    update.lambda_min = guard.lowest
-    return base.bind_jets(grid, update)
+    update.lambda_min = _lambda_min(guard)
+    return base.bind_jets(grid, update, (tau, tau * params.nu), (guard,))
 
 
 def ade_sym(grid: Grid, params: PdeParams, tau: float, variant: str):
@@ -164,8 +157,8 @@ def ade_sym(grid: Grid, params: PdeParams, tau: float, variant: str):
     shifted base point. In 1D, s1 = u_xx / 2u gives lambda = 1 - 2 nu tau
     u_xx / u, the same lambda as the 1 - 2 s1 tau of the 1D frame normalized
     as s1 = nu u_xx / u; it must stay positive. s1 holds no nu, so the weight
-    stays finite as nu -> 0. A step first raises ZeroState for an interior
-    node too close to zero to normalize.
+    stays finite as nu -> 0. A step from an interior node too close to zero
+    to normalize raises ZeroState, before FrameSingularity.
     """
     if variant not in ADE2D_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {ADE2D_VARIANTS}")
@@ -177,8 +170,14 @@ def ade_sym(grid: Grid, params: PdeParams, tau: float, variant: str):
               tau * p.nu, speed2 * tau * tau)
     one, two, tau_alpha, tau_beta, denominator, k, tau_nu, weight = base.scalars(*values)
     drift, s1, lam, t, w = (np.empty(shape) for _ in range(5))
-    magnitude = np.empty(tuple(n - 2 for n in shape))
+    zero = base.Guard(
+        np.empty(tuple(n - 2 for n in shape)),
+        lambda lowest: lowest < ZERO_STATE_TOL,
+        lambda: ZeroState("an interior node is too close to zero to normalize the frame"),
+    )
     guard = _frame_guard(lam[interior])
+    magnitude, zero_running = zero.values, zero.running
+    lam_inner, running = guard.values, guard.running
 
     def update(u, jets, out):
         ux, uxx, *y = jets
@@ -186,7 +185,9 @@ def ade_sym(grid: Grid, params: PdeParams, tau: float, variant: str):
         inner = u[interior]
 
         def step():
-            _check_zero_state(inner, magnitude)
+            # |u| of the interior, for ZeroState
+            np.absolute(inner, magnitude)
+            np.minimum(magnitude, zero_running, out=zero_running)
             # The slopes enter only as the drift alpha u_x (+ beta u_y), times tau.
             np.multiply(ux, tau_alpha, drift)
             if d == 2:  # the y axis, driven by beta
@@ -198,7 +199,7 @@ def ade_sym(grid: Grid, params: PdeParams, tau: float, variant: str):
             np.divide(curvature, t, s1)
             np.multiply(s1, k, lam)
             np.subtract(one, lam, lam)
-            guard()
+            np.minimum(lam_inner, running, out=running)
             # Transformed values at the base point, over lambda: the slopes carry
             # over; the curvature of an axis the frame leaves out (y for sym1 in
             # 2D) becomes u_yy - 2 s1 u.
@@ -220,5 +221,5 @@ def ade_sym(grid: Grid, params: PdeParams, tau: float, variant: str):
 
         return step
 
-    update.lambda_min = guard.lowest
-    return base.bind_jets(grid, update)
+    update.lambda_min = _lambda_min(guard)
+    return base.bind_jets(grid, update, guards=(zero, guard))

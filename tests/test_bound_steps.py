@@ -1,11 +1,13 @@
 """Every compact and invariant step is bound once per run (metrics._STEPPERS).
 
-The bound steps must give the bits of the per-step update expressions they
-replaced, kept below as the reference: the same derivatives (one call of
-compact_ops.derivatives or linear per axis) and the same rounded operations
-in the same order, stepped with the Dirichlet refresh and the finite check.
-They must also raise the same guard at the same step, and report the smallest
-interior frame factor lambda that the reference steps meet.
+The bound steps must give the bits of the per-step update expressions kept
+below as the reference: the same derivatives (one call of
+compact_ops.derivatives or linear per axis, or of the pair scaled by the
+Burgers step's scalars) and the same rounded operations in the same order,
+stepped with the Dirichlet refresh and the finite check. They must also raise
+the same guard at the same step, also when a block runs on past it, and
+report the smallest interior frame factor lambda that the reference steps
+meet.
 """
 
 import math
@@ -16,6 +18,7 @@ import pytest
 
 from symfd import FrameSingularity, NonFinite, PdeParams, StepContext, ZeroState, evolve
 from symfd import compact_ops, galilean_exact
+from symfd.baseline_schemes import BOUNDARY_BLOCK
 from symfd.cli import DEFAULTS
 from symfd.invariant_schemes import LAMBDA_TOL, ZERO_STATE_TOL
 from symfd.metrics import _STEPPERS, _stepper, boundary_values, default_exact, grid_for
@@ -23,14 +26,22 @@ from symfd.metrics import _STEPPERS, _stepper, boundary_values, default_exact, g
 # -- the reference: the per-step update expressions --------------------------
 
 
+def scaled_jets(u, grid, c1, c2):
+    """(c1 u_x, c2 u_xx) from the grid's pair scaled by c1 and c2, the stack the
+    Burgers steps read their jets from."""
+    pair = compact_ops.bound_pair(grid, 0, c1, c2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return pair(np.ascontiguousarray(u), pair.empty())
+
+
 def ibe_comp_update(u, grid, params, tau):
-    ux, uxx = compact_ops.derivatives(u, grid)
-    return u - tau * u * ux + 0.5 * tau * tau * (u * u * uxx + 2.0 * u * ux * ux)
+    p, r = scaled_jets(u, grid, tau, 0.5 * tau * tau)
+    return u + u * ((u * r + p * p) - p)
 
 
 def vbe_comp_update(u, grid, params, tau):
-    ux, uxx = compact_ops.derivatives(u, grid)
-    return u - tau * (u * ux - params.nu * uxx)
+    p, q = scaled_jets(u, grid, tau, tau * params.nu)
+    return u - (u * p - q)
 
 
 def ade_update(u, grid, params, tau):
@@ -41,6 +52,8 @@ def ade_update(u, grid, params, tau):
 
 
 def check_lambda(lam, interior, met):
+    if met is None:  # unguarded
+        return
     lowest = lam[interior].min()
     if lowest <= LAMBDA_TOL:
         raise FrameSingularity("lambda")
@@ -48,24 +61,25 @@ def check_lambda(lam, interior, met):
 
 
 def ibe_sym_update(u, grid, params, tau, met):
-    ux, uxx = compact_ops.derivatives(u, grid)
-    lam = 1.0 + tau * ux
+    p, r = scaled_jets(u, grid, tau, 0.5 * tau * tau)
+    lam = p + 1.0
     check_lambda(lam, np.s_[1:-1], met)
-    return (u + (0.5 * tau * tau / (lam * lam)) * u * u * uxx) / lam
+    t = u / lam
+    return (u + t * t * r) / lam
 
 
 def vbe_sym_update(u, grid, params, tau, met, dx_nodes=0.0):
-    ux, uxx = compact_ops.derivatives(u, grid)
-    lam = 1.0 + tau * ux
+    p, q = scaled_jets(u, grid, tau, tau * params.nu)
+    lam = p + 1.0
     check_lambda(lam, np.s_[1:-1], met)
-    moved = u + ux * dx_nodes if dx_nodes else u
-    return (moved + (tau * params.nu / lam) * uxx) / lam
+    moved = u + p * (dx_nodes / tau) if dx_nodes else u
+    return (moved + q / lam) / lam
 
 
 def ade_sym_update(u, grid, params, tau, met, variant):
     p, d = params, u.ndim
     interior = (slice(1, -1),) * d
-    if np.abs(u[interior]).min() < ZERO_STATE_TOL:
+    if met is not None and np.abs(u[interior]).min() < ZERO_STATE_TOL:
         raise ZeroState("zero")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ux, uxx = compact_ops.derivatives(u, grid, 0)
@@ -100,14 +114,15 @@ REFERENCE = {
 
 
 def reference_steps(pde, scheme, u, rows, grid, params, tau, met, dx_nodes=0.0):
-    """The reference block: update, Dirichlet refresh, finite check per row."""
+    """The reference block: update, Dirichlet refresh, finite check per row.
+    met None steps with no check at all: no guard and no finite check."""
     update, index = REFERENCE[pde, scheme], grid.dirichlet[0]
     extra = (met,) if scheme.startswith("sym") else ()
     extra += (dx_nodes,) if dx_nodes else ()
     for row in rows:
         u = update(u, grid, params, tau, *extra)
         u[index] = row
-        if not np.isfinite(u).all():
+        if met is not None and not np.isfinite(u).all():
             raise NonFinite()
     return u
 
@@ -224,17 +239,24 @@ GUARD_IDS = ["ibe-lambda", "vbe-lambda", "ade1d-zero", "ade2d-zero", "ade1d-lamb
              "ade2d-lambda", "vbe-comp-unstable"]
 
 
-@pytest.mark.parametrize("pde, scheme, grid, params, tau, provider", GUARDED, ids=GUARD_IDS)
-def test_a_guarded_run_raises_at_the_reference_step(pde, scheme, grid, params, tau, provider):
+def guarded_start(pde, grid, params, tau, provider):
+    """(ctx, u0, 1,000 boundary rows) of a GUARDED case."""
     exact = provider or default_exact(pde, params)
     u0 = exact(0.0, *np.meshgrid(*grid.axes, indexing="ij"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the unstable case's screens
         ctx = StepContext(grid, params, tau, 0.0, exact)
+    return ctx, u0, boundary_values(ctx, tau * np.arange(1, 1001))
+
+
+@pytest.mark.parametrize("pde, scheme, grid, params, tau, provider", GUARDED, ids=GUARD_IDS)
+def test_a_guarded_run_raises_at_the_reference_step(pde, scheme, grid, params, tau, provider):
+    ctx, u0, rows = guarded_start(pde, grid, params, tau, provider)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
         advance = _stepper(pde, scheme, ctx)
-    rows = boundary_values(ctx, tau * np.arange(1, 1001))
     fails_at, error = first_failure(pde, scheme, u0, rows, grid, params, tau)
-    assert fails_at >= 3  # mid-run, not on the initial data
+    assert 3 <= fails_at < BOUNDARY_BLOCK  # mid-run, not on the initial data
     u = advance(u0, rows[: fails_at - 1])
     v = reference_steps(pde, scheme, u0, rows[: fails_at - 1], grid, params, tau, [])
     assert np.array_equal(u, v)
@@ -242,6 +264,27 @@ def test_a_guarded_run_raises_at_the_reference_step(pde, scheme, grid, params, t
         advance(u0, rows[:fails_at])
     with pytest.raises(error):  # and from the field one step before
         advance(u, rows[fails_at - 1 : fails_at])
+    # blocks that run on past the failing step: the guards are decided once per
+    # block, so the block must be replayed to raise at its step
+    for block in (rows[: fails_at + 1], rows[:BOUNDARY_BLOCK]):
+        with pytest.raises(error):
+            advance(u0, block)
+    with pytest.raises(error):
+        advance(u, rows[fails_at - 1 : BOUNDARY_BLOCK])
+
+
+def test_some_guarded_blocks_end_finite_when_stepped_unchecked():
+    # in these cases only a guard decided per block, not the block's finite
+    # check, can send the full block to the replay that raises
+    finite = []
+    for case, name in zip(GUARDED, GUARD_IDS):
+        pde, scheme, grid, params, tau, provider = case
+        _, u0, rows = guarded_start(pde, grid, params, tau, provider)
+        with np.errstate(all="ignore"):
+            last = reference_steps(pde, scheme, u0, rows[:BOUNDARY_BLOCK], grid, params, tau, None)
+        if np.isfinite(last).all():
+            finite.append(name)
+    assert finite == ["ibe-lambda", "vbe-lambda", "ade1d-zero", "ade2d-zero"]
 
 
 # -- the smallest frame factor of a run -----------------------------------------

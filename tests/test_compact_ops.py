@@ -14,9 +14,11 @@ from symfd import compact_ops
 from symfd.compact_ops import DENSE_MAX, HALF_WIDTH, ONE_SIDED, derivatives, linear
 from symfd.compact_ops import _bands, _rhs
 from symfd.errors import ShapeMismatch
-from symfd.metrics import _STEPPERS
+from symfd.metrics import _STEPPERS, galilean_experiment
 from symfd.tridiag import solve
 
+# the keys of the unit pair [D1; D2] along x and y in grid.products
+UNIT_PAIR_X, UNIT_PAIR_Y = ("pair", 0, 1.0, 1.0), ("pair", 1, 1.0, 1.0)
 
 class Central:
     """Second-order central differences: the derivative pair of FTCS, kept here
@@ -350,7 +352,7 @@ def test_derivative_matrices_built_once_per_grid(monkeypatch):
                 op(u, grid, axis)
         stored.append(dict(grid.derivative_matrices))
     assert sorted(builds) == [7, 7, 9, 9]  # one probe of each order per axis
-    assert set(stored[0]) == {("pair", 0), ("pair", 1), (1, 0), (1, 1), (2, 0), (2, 1)}
+    assert set(stored[0]) == {UNIT_PAIR_X, UNIT_PAIR_Y, (1, 0), (1, 1), (2, 0), (2, 1)}
     assert all(later[k] is d for later in stored for k, d in stored[0].items())
     # the same for a banded D: one probe per (order, axis) on a 257 x 7 grid
     builds.clear()
@@ -519,11 +521,11 @@ def test_each_operator_is_stored_once(shape):
     u = np.random.default_rng(4).normal(size=shape)
     derivatives(u, grid)
     d2(u, grid)
-    assert set(grid.products) == {("pair", 0), (2, 0)}  # d1's view is bound on its first call
+    assert set(grid.products) == {UNIT_PAIR_X, (2, 0)}  # d1's view is bound on its first call
     d1(u, grid)
     (first,), (second,) = grid.derivative_matrices[1, 0], grid.derivative_matrices[2, 0]
-    pair = grid.derivative_matrices["pair", 0]
-    assert grid.products["pair", 0] is compact_ops.bound_pair(grid)
+    pair = grid.derivative_matrices[UNIT_PAIR_X]
+    assert grid.products[UNIT_PAIR_X] is compact_ops.bound_pair(grid)
     n = shape[0]
     if n <= DENSE_MAX:  # two halves of one stack
         assert pair.shape == (2, n, n)
@@ -533,6 +535,56 @@ def test_each_operator_is_stored_once(shape):
         assert second.shape == (n, 2 * HALF_WIDTH[2] + 1)
         assert first is pair[0] and second is pair[1]
         assert not np.shares_memory(first, second)
+
+
+@pytest.mark.parametrize("n", [31, DENSE_MAX + 1, 801])
+def test_the_views_of_a_long_line_read_the_pairs_tiles(n):
+    grid = Grid1D(0.0, 0.1, n)
+    u = np.random.default_rng(n).normal(size=n)
+    derivatives(u, grid)
+    first, second = d1(u, grid), d2(u, grid)
+    pair, views = grid.products[UNIT_PAIR_X], (grid.products[1, 0], grid.products[2, 0])
+    if n <= DENSE_MAX:  # dense: no tiles at all
+        assert pair.tiles is None and all(view.tiles is None for view in views)
+        return
+    tiles = pair.tiles()
+    for k, view in enumerate(views):
+        assert np.shares_memory(view.tiles(), tiles)
+        assert np.array_equal(view.tiles(), tiles[k : k + 1])
+    # the same bits as a view with tiles of its own
+    for order, got in ((1, first), (2, second)):
+        own = compact_ops._bind(grid, 0, pair.operator[order - 1 : order])
+        assert np.array_equal(got, own(u, own.empty())[0])
+
+
+@pytest.mark.parametrize("shape, axis", [((31,), 0), ((DENSE_MAX + 1,), 0), ((9, 13), 0),
+                                         ((9, 13), 1), ((DENSE_MAX + 1, 7), 0)])
+def test_a_scaled_pair_is_each_operator_times_its_scale(shape, axis):
+    grid = Grid1D(0.0, 0.1, *shape) if len(shape) == 1 else Grid2D(0, 0, 0.1, 0.2, *shape)
+    c1, c2 = 1e-4, 1e-4 / 12.0
+    unit, scaled = compact_ops.bound_pair(grid, axis), compact_ops.bound_pair(grid, axis, c1, c2)
+    assert grid.products["pair", axis, c1, c2] is scaled
+    assert compact_ops.bound_pair(grid, axis, c1, c2) is scaled  # bound once
+    for op, unit_op, c in zip(scaled.operator, unit.operator, (c1, c2)):
+        assert op.shape == unit_op.shape and not op.flags.writeable
+        assert np.array_equal(op, unit_op * c)
+    if shape[axis] <= DENSE_MAX:  # dense: one stack
+        assert isinstance(scaled.operator, np.ndarray) and scaled.operator.shape[0] == 2
+    else:
+        assert isinstance(scaled.operator, tuple)
+    u = np.random.default_rng(5).normal(size=shape)
+    jets = scaled(u, scaled.empty())
+    derivs = derivatives(u, grid, axis)
+    for jet, deriv, c in zip(jets, derivs, (c1, c2)):  # c D u is c (D u) to roundoff
+        np.testing.assert_allclose(jet, c * deriv, rtol=1e-12, atol=1e-12 * c * np.abs(deriv).max())
+
+
+def test_a_galilean_grid_binds_one_scaled_pair_for_its_compact_runs():
+    grid, tau, params = Grid1D(0.0, 2.0 * np.pi / 30.0, 31), 1e-3, PdeParams(nu=1.0 / 12.0)
+    galilean_experiment([0.0, 0.5, 1.0], grid=grid, tau=tau, t_final=5e-3, params=params)
+    pairs = [key for key in grid.products if key[0] == "pair"]
+    assert pairs == [UNIT_PAIR_X, ("pair", 0, tau, tau * params.nu)]
+    assert set(grid.products) == set(pairs)
 
 
 LONG_LINES = [DENSE_MAX + 1, 200, 257, 300, 401, 513, 801, 1601]
@@ -731,7 +783,7 @@ def test_step_operator_built_once_per_grid(monkeypatch):
                 linear(u, grid, axis, -0.01, 0.002)
             stored.append(dict(grid.derivative_matrices))
         assert sorted(builds) == sorted([n, n, 9, 9])  # one probe of each order per axis
-        assert set(stored[0]) == {("pair", 0), ("pair", 1), (0, -0.01, 0.002), (1, -0.01, 0.002)}
+        assert set(stored[0]) == {UNIT_PAIR_X, UNIT_PAIR_Y, (0, -0.01, 0.002), (1, -0.01, 0.002)}
         assert all(later[k] is t for later in stored for k, t in stored[0].items())
         (t,) = grid.derivative_matrices[0, -0.01, 0.002]
         width = n if n <= DENSE_MAX else 2 * HALF_WIDTH[1] + 1

@@ -24,14 +24,18 @@ PARENT_GALILEAN from elimination from scratch. The ibe and vbe FTCS pins come
 from their bound stencils, which fold tau into the coefficients and, for vbe,
 read the jets (tau u_x, tau nu u_xx) as one product of the neighbour windows;
 CENTRAL_RUN and CENTRAL_GALILEAN keep the values of those stencils in the
-central pair's rounded operations. Every error must stay within PARITY of
-every kept set, so re-pinning can absorb roundoff but not a change of the
-scheme.
+central pair's rounded operations. The ibe and vbe compact and sym steps read
+their jets from the pair scaled by the step's scalars, tau D1 and tau nu D2
+or (tau^2 / 2) D2; UNSCALED_RUN and UNSCALED_GALILEAN keep the values of the
+unit pair's jets, scaled within each step. Every error must stay within
+PARITY of every kept set, so re-pinning can absorb roundoff but not a change
+of the scheme.
 
 LONG_LINE pins the linf of a `symfd converge` study on 401 to 801 nodes,
 where the compact operators are the stored band of D, applied by one
-matmul as one gemv per tile of rows and its window of the line;
-EINSUM_LONG_LINE keeps the values of the band applied by one einsum per
+matmul as one gemv per tile of rows and its window of the line, and the
+steps read the scaled pair; UNSCALED_LONG_LINE keeps the values of the unit
+pair's jets, EINSUM_LONG_LINE the values of the band applied by one einsum per
 operator, PARENT_LONG_LINE those of the substitution that served those
 lines before, and CENTRAL_LONG_LINE those of the FTCS stencil in the
 central pair's order.
@@ -49,14 +53,14 @@ PARITY = 1e-13  # absolute
 # (pde, scheme) -> (rmse, linf) of `symfd run pde=... scheme=...`, as float.hex
 RUN = {
     ("ibe", "ftcs"): ("0x1.3b0aa08a1ddf8p-7", "0x1.4809c5b631100p-5"),
-    ("ibe", "comp"): ("0x1.2e27a8b4a9b43p-10", "0x1.4dad23385f780p-8"),
-    ("ibe", "sym"): ("0x1.2e226b1a0eee1p-10", "0x1.4da57d9554c80p-8"),
+    ("ibe", "comp"): ("0x1.2e27a8b4a9ae6p-10", "0x1.4dad23385f500p-8"),
+    ("ibe", "sym"): ("0x1.2e226b1a0ef9bp-10", "0x1.4da57d9554c80p-8"),
     ("ade1d", "ftcs"): ("0x1.82c2e72cd7595p-7", "0x1.dba255e87fb40p-6"),
     ("ade1d", "comp"): ("0x1.95c742d250167p-12", "0x1.2e793ec7b3800p-10"),
     ("ade1d", "sym"): ("0x1.c7365084d59fep-13", "0x1.e783e34f02800p-12"),
     ("vbe", "ftcs"): ("0x1.04909cb4a01f5p-3", "0x1.d6d21f43d9958p-1"),
-    ("vbe", "comp"): ("0x1.fb37a6e42ab76p-7", "0x1.d3908a4787080p-4"),
-    ("vbe", "sym"): ("0x1.540b85eabc035p-6", "0x1.869ddcc729060p-3"),
+    ("vbe", "comp"): ("0x1.fb37a6e42ab54p-7", "0x1.d3908a4787140p-4"),
+    ("vbe", "sym"): ("0x1.540b85eabc22dp-6", "0x1.869ddcc7291e0p-3"),
     ("ade2d", "ftcs"): ("0x1.15100b3037e13p-11", "0x1.3ef75c66c5680p-9"),
     ("ade2d", "comp"): ("0x1.180781ef9ccc4p-17", "0x1.3a5aa3fa22000p-15"),
     ("ade2d", "sym1"): ("0x1.14c6750d3032fp-17", "0x1.1aab7fa296000p-15"),
@@ -66,14 +70,14 @@ RUN = {
 # (c, scheme, rmse, linf) rows of `symfd galilean`, errors as float.hex
 GALILEAN = [
     (0.0, "ftcs", "0x1.04909cb4a01f5p-3", "0x1.d6d21f43d9958p-1"),
-    (0.0, "comp", "0x1.fb37a6e42ab76p-7", "0x1.d3908a4787080p-4"),
-    (0.0, "sym", "0x1.540b85eabc035p-6", "0x1.869ddcc729060p-3"),
+    (0.0, "comp", "0x1.fb37a6e42ab54p-7", "0x1.d3908a4787140p-4"),
+    (0.0, "sym", "0x1.540b85eabc22dp-6", "0x1.869ddcc7291e0p-3"),
     (0.5, "ftcs", "0x1.12eddfcff2209p-3", "0x1.d0ace365c1248p-1"),
-    (0.5, "comp", "0x1.03ed5b700c935p-6", "0x1.c2c0848935280p-4"),
-    (0.5, "sym", "0x1.540b85eabc5dcp-6", "0x1.869ddcc729560p-3"),
+    (0.5, "comp", "0x1.03ed5b700c9a0p-6", "0x1.c2c0848935580p-4"),
+    (0.5, "sym", "0x1.540b85eabc798p-6", "0x1.869ddcc729720p-3"),
     (1.0, "ftcs", "0x1.2140a20222a33p-3", "0x1.c0cafdb7189d0p-1"),
-    (1.0, "comp", "0x1.0ce280bc19d08p-6", "0x1.b1f4496bdd200p-4"),
-    (1.0, "sym", "0x1.540b85eabc1b8p-6", "0x1.869ddcc7291a0p-3"),
+    (1.0, "comp", "0x1.0ce280bc19d06p-6", "0x1.b1f4496bdd140p-4"),
+    (1.0, "sym", "0x1.540b85eabbfd6p-6", "0x1.869ddcc728fe0p-3"),
 ]
 
 # The advection-diffusion FTCS pins as the stored three-point band of the
@@ -96,6 +100,25 @@ CENTRAL_GALILEAN = {
     (0.0, "ftcs"): ("0x1.04909cb4a01f4p-3", "0x1.d6d21f43d9958p-1"),
     (0.5, "ftcs"): ("0x1.12eddfcff2208p-3", "0x1.d0ace365c1270p-1"),
     (1.0, "ftcs"): ("0x1.2140a20222a37p-3", "0x1.c0cafdb718a00p-1"),
+}
+
+# The Burgers compact and sym pins before their steps read the jets from the
+# pair scaled by the step's scalars, (tau u_x, tau nu u_xx) for vbe and
+# (tau u_x, (tau^2 / 2) u_xx) for ibe, when they read (u_x, u_xx) from the
+# unit pair and multiplied by tau, nu and tau^2 / 2 in each step.
+UNSCALED_RUN = {
+    ("ibe", "comp"): ("0x1.2e27a8b4a9b43p-10", "0x1.4dad23385f780p-8"),
+    ("ibe", "sym"): ("0x1.2e226b1a0eee1p-10", "0x1.4da57d9554c80p-8"),
+    ("vbe", "comp"): ("0x1.fb37a6e42ab76p-7", "0x1.d3908a4787080p-4"),
+    ("vbe", "sym"): ("0x1.540b85eabc035p-6", "0x1.869ddcc729060p-3"),
+}
+UNSCALED_GALILEAN = {
+    (0.0, "comp"): ("0x1.fb37a6e42ab76p-7", "0x1.d3908a4787080p-4"),
+    (0.0, "sym"): ("0x1.540b85eabc035p-6", "0x1.869ddcc729060p-3"),
+    (0.5, "comp"): ("0x1.03ed5b700c935p-6", "0x1.c2c0848935280p-4"),
+    (0.5, "sym"): ("0x1.540b85eabc5dcp-6", "0x1.869ddcc729560p-3"),
+    (1.0, "comp"): ("0x1.0ce280bc19d08p-6", "0x1.b1f4496bdd200p-4"),
+    (1.0, "sym"): ("0x1.540b85eabc1b8p-6", "0x1.869ddcc7291a0p-3"),
 }
 
 # The ade1d linear pins as one step per row computed them, before a full block
@@ -211,8 +234,8 @@ def test_default_run_errors(pde, scheme, tmp_path, capsys):
     fields = dict(zip(header.split(","), values.split(",")))
     pins = RUN[(pde, scheme)]
     tables = (
-        CENTRAL_RUN, BAND_RUN, STEPWISE_RUN, UNFOLDED_RUN, SEPARATE_1D_RUN, EXPRESSION_RUN,
-        EINSUM_RUN, INVERSE_RUN, PARENT_RUN,
+        UNSCALED_RUN, CENTRAL_RUN, BAND_RUN, STEPWISE_RUN, UNFOLDED_RUN, SEPARATE_1D_RUN,
+        EXPRESSION_RUN, EINSUM_RUN, INVERSE_RUN, PARENT_RUN,
     )
     earlier = [table.get((pde, scheme), pins) for table in tables]
     for name, pinned, *kept in zip(("rmse", "linf"), pins, *earlier):
@@ -228,7 +251,10 @@ def test_default_galilean_errors(tmp_path):
     for row, (c, scheme, *pins) in zip(rows, GALILEAN):
         earlier = [
             table.get((c, scheme), pins)
-            for table in (CENTRAL_GALILEAN, EINSUM_GALILEAN, INVERSE_GALILEAN, PARENT_GALILEAN)
+            for table in (
+                UNSCALED_GALILEAN, CENTRAL_GALILEAN, EINSUM_GALILEAN, INVERSE_GALILEAN,
+                PARENT_GALILEAN,
+            )
         ]
         for value, pinned, *kept in zip(row[2:], pins, *earlier):
             check(float(value), pinned, kept)
@@ -239,6 +265,16 @@ LONG_LINE = {
     ("ftcs", 401): "0x1.4cd313e1a81c0p-5",
     ("ftcs", 601): "0x1.21f1be7528080p-6",
     ("ftcs", 801): "0x1.4e69f6fb23e00p-7",
+    ("comp", 401): "0x1.0f8bf2f864000p-10",
+    ("comp", 601): "0x1.3cc9fa345a000p-11",
+    ("comp", 801): "0x1.18dc8139e0000p-11",
+    ("sym", 401): "0x1.9a1d588ca4000p-10",
+    ("sym", 601): "0x1.4353bc29e6000p-10",
+    ("sym", 801): "0x1.3ddbc89ffe000p-10",
+}
+# The compact and sym pins before the steps folded tau and nu into the pair
+# (see UNSCALED_RUN).
+UNSCALED_LONG_LINE = {
     ("comp", 401): "0x1.0f8bf2f857000p-10",
     ("comp", 601): "0x1.3cc9fa3442000p-11",
     ("comp", 801): "0x1.18dc8139a4000p-11",
@@ -286,5 +322,5 @@ def test_long_line_converge_errors(tmp_path):
             assert float(linf) == float.fromhex(pinned)
             assert abs(float(linf) - float.fromhex(CENTRAL_LONG_LINE[scheme, int(n)])) <= PARITY
         else:
-            kept = (EINSUM_LONG_LINE, PARENT_LONG_LINE)
+            kept = (UNSCALED_LONG_LINE, EINSUM_LONG_LINE, PARENT_LONG_LINE)
             check(float(linf), pinned, [table[scheme, int(n)] for table in kept])

@@ -37,11 +37,18 @@ def make_ctx(grid, tau, t, provider, nu=0.0, mesh_velocity=0.0):
 
 def jet_update(pde, scheme, grid, params):
     """The pair's production jet update (the advance's update) as a function
-    update(u, jets, tau) -> the new field, bound at that tau."""
+    update(u, jets, tau) -> the new field, bound at that tau: it scales the
+    jets (u_x, u_xx[, u_y, u_yy]) by the advance's own scales, steps as the
+    advance does, and checks the advance's guards as a replayed step does."""
 
     def update(u, jets, tau):
         out = np.empty(grid.shape)
-        _STEPPERS[pde, scheme](grid, params, tau).update(u, jets, out)()
+        advance = _STEPPERS[pde, scheme](grid, params, tau)
+        scaled = tuple(jet * c for jet, c in zip(jets, advance.scales * (len(jets) // 2)))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            advance.update(u, scaled, out)()
+        for guard in advance.guards:
+            guard.check()
         return out
 
     return update
@@ -300,12 +307,18 @@ class TestGuardThresholds:
 
     def test_frame_singularity_threshold_of_the_guard(self):
         interior = np.s_[1:-1]
-        with pytest.raises(FrameSingularity):
-            inv._frame_guard(self.lambda_at(LAMBDA_TOL, 4, 9)[interior])()
+        guard = inv._frame_guard(self.lambda_at(LAMBDA_TOL, 4, 9)[interior])
+        with pytest.raises(FrameSingularity):  # a replayed step
+            guard.check()
+        guard.running[...] = guard.values  # a block
+        assert not guard.passed() and guard.lowest == math.inf
         above = np.nextafter(LAMBDA_TOL, 1.0)
         guard = inv._frame_guard(self.lambda_at(above, 4, 9)[interior])
-        guard()
-        assert guard.lowest() == above
+        guard.check()
+        guard.running[...] = guard.values
+        assert guard.passed() and guard.lowest == above
+        guard.running[0] = np.nan  # a NaN sends the block to the replay
+        assert not guard.passed() and guard.lowest == above
 
     @pytest.mark.parametrize("pde", ["ibe", "vbe"])
     def test_burgers_lambda_is_one_plus_tau_ux_on_interior_nodes(self, pde):

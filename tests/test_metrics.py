@@ -695,6 +695,11 @@ MISUSE = {
     "linear-nan-c1": (
         lambda: compact_ops.linear(np.zeros(11), Grid1D(0.0, 0.1, 11), 0, math.nan, 1.0),
         ValueError, "^c1 "),
+    "bound_pair-nan-c1": (
+        lambda: compact_ops.bound_pair(Grid1D(0.0, 0.1, 11), 0, math.nan, 1.0), ValueError, "^c1 "),
+    "bound_pair-inf-c2": (
+        lambda: compact_ops.bound_pair(Grid1D(0.0, 0.1, 11), 0, 1.0, -math.inf), ValueError,
+        "^c2 "),
     "bound_linear-inf-c2": (
         lambda: compact_ops.bound_linear(Grid1D(0.0, 0.1, 11), 0, 1.0, math.inf), ValueError, "^c2 "),
     **{
