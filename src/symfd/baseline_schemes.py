@@ -55,7 +55,7 @@ reads the jets from the grid's pair scaled by the step's scalars
 (compact_ops.bound_pair): (tau u_x, tau nu u_xx) for the viscous step and
 (tau u_x, (tau^2 / 2) u_xx) for the inviscid one, which adds the defect
 term. The advection-diffusion step has one binder for 1D and 2D: u + sum over
-the axes of T u, T = tau (nu D2 - speed D1) stored per axis
+the axes of T u, T = tau (nu D2 - speed D1) bound per axis for the run
 (compact_ops.bound_linear), the speed being alpha on x and beta on y. Each
 keeps the rounded operations, in order, of the update expression in its
 docstring, so its bits are those of that expression.
@@ -276,24 +276,24 @@ def ade_ftcs(grid: Grid, params: PdeParams, tau: float):
 
 def bind_jets(grid: Grid, update, scales=(1.0, 1.0), guards=()):
     """The block advance (bind_steps) of a jet update: each step runs the grid's
-    pair scaled by scales = (c1, c2) (compact_ops.bound_pair) along every axis
-    into an out bound once, then the update. update(u, jets, out), called once
-    per buffer, returns the step that writes the update of u into out from the
-    jets (c1 u_x, c2 u_xx[, c1 u_y, c2 u_yy]) and folds its values into the
-    guards, which the advance checks (bind_steps). The advance exposes update,
-    scales, guards and update.lambda_min, where there is one, as its
-    lambda_min."""
+    pair scaled by scales = (c1, c2) (compact_ops.bound_pair) along every axis,
+    bound once per run, into the pair's own out, then the update. update(u,
+    jets, out), called once per buffer, returns the step that writes the update
+    of u into out from the jets (c1 u_x, c2 u_xx[, c1 u_y, c2 u_yy]) and folds
+    its values into the guards, which the advance checks (bind_steps). The
+    advance exposes update, scales, guards and update.lambda_min, where there is
+    one, as its lambda_min."""
     pairs = [compact_ops.bound_pair(grid, axis, *scales) for axis in range(len(grid.shape))]
-    (x_pair, x_out), *y_axis = bound = [(pair, pair.empty()) for pair in pairs]
-    jets = tuple(jet for _, out in bound for jet in out)
+    x_pair, *y_pairs = pairs
+    jets = tuple(jet for pair in pairs for jet in pair.out)
 
     def stencil(u, out):
         apply = update(u, jets, out)
 
         def step():
-            x_pair(u, x_out)
-            for y_pair, y_out in y_axis:
-                y_pair(u, y_out)
+            x_pair(u)
+            for y_pair in y_pairs:
+                y_pair(u)
             apply()
 
         return step
@@ -351,21 +351,20 @@ def vbe_comp(grid: Grid1D, params: PdeParams, tau: float):
 
 def ade_comp(grid: Grid, params: PdeParams, tau: float):
     """Bind the COMP steps of u_t + alpha u_x (+ beta u_y) = nu laplacian(u),
-    unsplit: u plus one stored product T u per axis (compact_ops.bound_linear)."""
+    unsplit: u plus one product T u per axis, bound for the run
+    (compact_ops.bound_linear)."""
     speeds = (params.alpha, params.beta)[: len(grid.shape)]
-    products = [
+    x_product, *y_products = products = [
         compact_ops.bound_linear(grid, axis, -tau * speed, tau * params.nu)
         for axis, speed in enumerate(speeds)
     ]
-    outs = [product.empty() for product in products]
-    t, *rest = [out[0] for out in outs]  # each axis's T u, in its one-operator out
-    (x_product, *y_product), (x_out, *y_out) = products, outs
+    t, *rest = [product.out[0] for product in products]  # each axis's T u
 
     def stencil(u, out):
         def step():
-            x_product(u, x_out)
-            for product, into, ty in zip(y_product, y_out, rest):
-                product(u, into)
+            x_product(u)
+            for product, ty in zip(y_products, rest):
+                product(u)
                 np.add(t, ty, t)  # in place: a sum from 0 would add a pass
             np.add(u, t, out)
 

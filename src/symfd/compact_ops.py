@@ -11,36 +11,33 @@ the end derivatives to caller-supplied exact values. d1 and d2 take the axis
 to differentiate along.
 
 Written as A U' = B U (Lele, J. Comput. Phys. 103, 1992), a one-sided
-derivative is one product with D = A^-1 B. A grid keeps, per axis and for its
-life, the one-sided pair [D1; D2], probed on first use: on axes of n <=
-DENSE_MAX nodes the stacked (2, n, n) D, and on longer ones the two bands
-|i - j| <= w = HALF_WIDTH[order]. One builder binds a read-only stack of
-operators to its product(u, out), which writes every operator's product into
-the output array its caller passes. A dense stack is applied by one matmul
-that runs one BLAS gemv per (operator, line), so a line's bits are those of
-its own 1D product whatever the other lines; one gemm over a block of lines
-would not keep that, as its summation order changes with the line count.
-Bands are cut into tiles of TILE_ROWS rows, each row at its nodes' columns
-of the tile's window of one zero-padded line buffer, and applied by one
-matmul that runs one gemv per (operator, line, tile), so a line's bits do
-not depend on the other lines either, and a call costs one copy of the
-field into the buffer and one of the result into out. A step binds its
-product and out once per run and reads its derivatives from that out with
-no allocation. The builder has three users, each storing its product in
-grid.products and its stack in grid.derivative_matrices under a key:
-bound_pair binds [c1 D1; c2 D2] under ("pair", axis, c1, c2), the unit pair
-(c1 = c2 = 1) as probed and a scaled one, which the Burgers steps read
-their jets from with the step's scalars folded in, as the unit pair's
-operators times c1 and c2; d1 and d2 bind, on their first call, their
-one-operator view of the unit stack under (order, axis), which on long lines
-reads its slice of the pair's tiles; and bound_linear binds the step
-operator c1 D1 + c2 D2, formed from the unit pair's operators, under (axis,
-c1, c2). derivatives, d1, d2 and linear are thin readers of these products
-into a fresh out, which give inf or NaN for a field that overflows and no
-floating-point warning; no unit operator, and no tile, is stored twice. A
-band's product writes its line and result buffers, and a
-dense product across the lines of a 2D field's x axis its transposed copy
-of the field, so one grid must not be stepped from two threads at once.
+derivative is one product with D = A^-1 B. A grid keeps one thing per axis,
+for its life: the product of the one-sided unit pair [D1; D2], probed on
+first use, in grid.products[axis]. The pair is on axes of n <= DENSE_MAX
+nodes the stacked (2, n, n) D, and on longer ones the two bands |i - j| <= w
+= HALF_WIDTH[order]. One builder binds a read-only stack of operators to its
+product(u), which writes every operator's product into the product's own
+output array, product.out, made at the bind, and returns it. A dense stack
+is applied by one matmul that runs one BLAS gemv per (operator, line), so a
+line's bits are those of its own 1D product whatever the other lines; one
+gemm over a block of lines would not keep that, as its summation order
+changes with the line count. Bands are cut into tiles of TILE_ROWS rows,
+each row at its nodes' columns of the tile's window of one zero-padded line
+buffer, and applied by one matmul that runs one gemv per (operator, line,
+tile), so a line's bits do not depend on the other lines either, and a call
+costs one copy of the field into the buffer and one of the result into out.
+An operator formed from the pair belongs to the caller that binds it and
+lives as long as the caller holds it: bound_pair with a scale other than 1
+binds [c1 D1; c2 D2], the unit pair's operators times c1 and c2, which the
+Burgers steps read their jets from with the step's scalars folded in, and
+bound_linear binds the step operator c1 D1 + c2 D2. A step binds its product
+once per run and reads its derivatives from the product's out with no
+allocation. derivatives, d1 and d2 are thin readers of the unit pair that
+return a copy of its out, or of their half of it, with inf or NaN for a
+field that overflows and no floating-point warning. A band's product writes
+its line and result buffers, and a dense product across the lines of a 2D
+field's x axis its transposed copy of the field, so one grid must not be
+stepped from two threads at once.
 The pinned-end closure stores nothing: each call builds B U and solves A for
 it (see tridiag). One builder, _rhs, writes B U of either order from a table
 of its rows, and the probes are its products with the comb below.
@@ -68,7 +65,7 @@ same step.
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -142,13 +139,9 @@ class Grid:
 
     @cached_property
     def products(self) -> dict:
-        """The product bound to each stored operator, by key (see the module docstring)."""
+        """The product of the probed unit pair [D1; D2] along each axis, by axis,
+        bound on first use (bound_pair)."""
         return {}
-
-    @property
-    def derivative_matrices(self) -> dict:
-        """The read-only operator stack each of products applies, by key."""
-        return {key: product.operator for key, product in self.products.items()}
 
 
 @dataclass(frozen=True)
@@ -271,13 +264,23 @@ def _rhs(order, u, h, bp):
     return rhs
 
 
+def _check(grid, axis, **scales):
+    """ValueError naming axis unless it is an integer in [0, ndim) of grid, else
+    naming the first of scales that is not a finite real number."""
+    ndim = len(grid.shape)
+    if not isinstance(axis, numbers.Integral) or not 0 <= axis < ndim:
+        raise ValueError(f"axis {axis!r} is not an axis of a {ndim}D grid")
+    for name, c in scales.items():
+        if not isinstance(c, numbers.Real) or not math.isfinite(c):
+            raise ValueError(f"{name} must be a finite real number, not {c!r}")
+
+
 def _checked(u, grid, axis):
     """u as a checked C-contiguous float field of grid, differentiated along axis."""
     u = np.ascontiguousarray(u, dtype=float)
     if u.shape != grid.shape:
         raise ShapeMismatch(f"field shape {u.shape} does not match grid {grid.shape}")
-    if not isinstance(axis, numbers.Integral) or not 0 <= axis < u.ndim:
-        raise ValueError(f"axis {axis!r} is not an axis of a {u.ndim}D grid")
+    _check(grid, axis)
     return u
 
 
@@ -330,25 +333,24 @@ def _tiled(bands):
     return _read_only(tiles)
 
 
-def _bind(grid, axis, operators, tiles=None):
+def _bind(grid, axis, operators):
     """The product along axis of grid of a read-only stack of k operators: on
     lines of n <= DENSE_MAX nodes one (k, n, n) array, else k bands (n, 2w + 1)
-    as _probed gives them. product(u, out) writes each operator's product of a
-    C-contiguous field u of grid into out, of shape (k,) + grid.shape as
-    product.empty() makes it, and returns out; product.operator is the stack.
-    A dense stack is applied by one matmul that runs one BLAS gemv per
-    (operator, line), and its product.tiles is None. Bands are applied as
-    their tiles, product.tiles(), by one matmul that runs one gemv per
-    (operator, line, tile) over read-only windows of one zero-padded line
-    buffer, into which a call copies u; the result is copied into out. tiles()
-    is called on the first call: given, it returns the stack's tiles from
-    another product's, else they are built once (_tiled). The tiles of every
-    band have the width of the widest HALF_WIDTH, so a band's bits are the
-    same in any stack."""
+    as _probed gives them. product(u) writes each operator's product of a
+    C-contiguous field u of grid into product.out, of shape (k,) + grid.shape
+    and made at the bind, and returns it; product.operator is the stack. A
+    dense stack is applied by one matmul that runs one BLAS gemv per
+    (operator, line). Bands are applied as their tiles (_tiled) by one matmul
+    that runs one gemv per (operator, line, tile) over read-only windows of
+    one zero-padded line buffer, into which a call copies u; the result is
+    copied into out. The tiles are built on the first call, so a unit pair
+    bound only for its operators (bound_linear) never pays for them, and have
+    the width of the widest HALF_WIDTH, so a band's bits are the same in any
+    stack."""
     n, shape = grid.shape[axis], grid.shape
     dense = n <= DENSE_MAX
     across = len(shape) == 2 and axis == 0  # the lines are the columns of u
-    empty = lambda: np.empty((len(operators),) + shape)
+    out = np.empty((len(operators),) + shape)
     # One gemv per line, or per tile of a line, sums that line's outputs in the
     # same order alone as among many lines or operators, so its bits depend on neither the field
     # nor the stacking; one gemm over a block of lines would not, its blocking
@@ -356,21 +358,22 @@ def _bind(grid, axis, operators, tiles=None):
     if dense and across:
         lines = np.empty(shape[::-1])  # u's columns as contiguous rows, per call
         stack, columns = operators[:, None], lines[None, :, :, None]  # (k, 1, n, n), (1, m, n, 1)
+        into = out.transpose(0, 2, 1)[..., None]
 
-        def product(u, out):
+        def product(u):
             lines[...] = u.T
-            np.matmul(stack, columns, out=out.transpose(0, 2, 1)[..., None])
+            np.matmul(stack, columns, out=into)
             return out
 
     elif dense and len(shape) == 2:
-        stack = operators[:, None]
+        stack, into = operators[:, None], out[..., None]
 
-        def product(u, out):
-            np.matmul(stack, u[None, :, :, None], out=out[..., None])
+        def product(u):
+            np.matmul(stack, u[None, :, :, None], out=into)
             return out
 
     elif dense:
-        product = lambda u, out: np.matmul(operators, u, out=out)
+        product = lambda u: np.matmul(operators, u, out=out)
     else:
         # tile q of a line reads its window of the zero-padded line: the b + 2W
         # nodes from qb - W on, W the widest HALF_WIDTH, as a read-only view
@@ -386,86 +389,64 @@ def _bind(grid, axis, operators, tiles=None):
         result = res.reshape(res.shape[:-3] + (count * b,))[..., :n]
         result = result.swapaxes(1, 2) if across else result  # in out's layout
         stacked = (len(operators),) + (1,) * (len(lined) - 1) + (count, b, b + 2 * widest)
-        tiles = tiles or cache(lambda: _tiled(operators))
-        applied = None
+        tiles = None
 
-        def product(u, out):
-            nonlocal applied
-            if applied is None:  # a stack bound only for its operators never pays for them
-                applied = tiles().reshape(stacked)
+        def product(u):
+            nonlocal tiles
+            if tiles is None:
+                tiles = _tiled(operators).reshape(stacked)
             inner[...] = u.T if across else u
-            np.matmul(applied, windows, out=res)
+            np.matmul(tiles, windows, out=res)
             np.copyto(out, result)
             return out
 
-    product.operator, product.empty, product.tiles = operators, empty, tiles
+    product.operator, product.out = operators, out
     return product
-
-
-def _bound(grid, key, axis, operators, tiles=None):
-    """grid.products[key], bound on first use to the stack operators() returns
-    (and its tiles, if given; see _bind)."""
-    product = grid.products.get(key)
-    if product is None:
-        product = grid.products[key] = _bind(grid, axis, operators(), tiles)
-    return product
-
-
-def _check_scales(**scales):
-    """ValueError naming the first scale that is not finite."""
-    for name, c in scales.items():
-        if not math.isfinite(c):
-            raise ValueError(f"{name} must be finite, not {c}")
 
 
 def bound_pair(grid: Grid, axis: int = 0, c1: float = 1.0, c2: float = 1.0):
-    """The grid's product of the one-sided pair [c1 D1; c2 D2] along axis, bound
-    on first use: pair(u, out) writes (c1 u', c2 u'') of a C-contiguous field u
-    of grid into out, made once by pair.empty(), and returns out. A step binds
-    it once per run and reads both derivatives, with its scalars folded in,
-    from its own out. The unit pair (c1 = c2 = 1) is probed; a scaled one is
-    the unit pair's operators times c1 and c2, one elementwise product per
-    operator, so a new step size or viscosity adds a stack. A non-finite c1 or
-    c2 is a ValueError."""
-    _check_scales(c1=c1, c2=c2)
-    n, h = grid.shape[axis], grid.spacing[axis]
+    """The product of the one-sided pair [c1 D1; c2 D2] along axis of grid:
+    pair(u) writes (c1 u', c2 u'') of a C-contiguous field u of grid into
+    pair.out and returns it. The unit pair (c1 = c2 = 1) is the grid's,
+    probed on first use and kept in grid.products[axis]. Any other is bound
+    anew for the caller, who holds it: the unit pair's operators times c1 and
+    c2, one elementwise product per operator. A step binds its pair once per
+    run and reads both derivatives, with its scalars folded in, from its out.
+    An axis that is not one of grid's, or a c1 or c2 that is not a finite
+    real number, is a ValueError."""
+    _check(grid, axis, c1=c1, c2=c2)
+    unit = grid.products.get(axis)
+    if unit is None:
+        probed = _probed(grid.shape[axis], grid.spacing[axis])
+        unit = grid.products[axis] = _bind(grid, axis, probed)
+    if (c1, c2) == (1.0, 1.0):
+        return unit
+    scaled = [_read_only(op * c) for op, c in zip(unit.operator, (c1, c2))]
+    dense = grid.shape[axis] <= DENSE_MAX
+    return _bind(grid, axis, _read_only(np.stack(scaled)) if dense else tuple(scaled))
 
-    def operators():
-        if (c1, c2) == (1.0, 1.0):
-            return _probed(n, h)
-        scaled = [op * c for op, c in zip(bound_pair(grid, axis).operator, (c1, c2))]
-        return _read_only(np.stack(scaled)) if n <= DENSE_MAX else tuple(map(_read_only, scaled))
 
-    return _bound(grid, ("pair", axis, c1, c2), axis, operators)
-
-
-def _read(product, u):
-    """product of u into a fresh out, with no floating-point warning for a field
-    that overflows: matmul reports the flags of its BLAS sums, dense or tiled.
-    Steps ignore these flags once per block (see baseline_schemes.bind_steps)."""
+def _read(u, grid, axis, k=slice(None)):
+    """A copy of out[k] of the unit pair's product of u along axis, with no
+    floating-point warning for a field that overflows: matmul reports the
+    flags of its BLAS sums, dense or tiled. Steps ignore these flags once per
+    block (see baseline_schemes.bind_steps)."""
+    u = _checked(u, grid, axis)
+    # a warm call finds its product before any fallback is called
+    pair = grid.products.get(axis) or bound_pair(grid, axis)
     with np.errstate(over="ignore", invalid="ignore"):
-        return product(u, product.empty())
+        return pair(u)[k].copy()
 
 
 def _derivative(order, u, grid, axis, bp):
-    """d1 or d2: a thin reader of its one-operator view of the stored pair,
-    bound on its first call, or with pinned ends one solve of the lines."""
-    u = _checked(u, grid, axis)
-    if bp.kind == "exact":  # nothing is stored: only the checks
-        n, h = grid.shape[axis], grid.spacing[axis]
-        swap = lambda a: np.ascontiguousarray(a.swapaxes(0, axis))
-        return swap(_solved(swap(u), n, h, order, bp))
-    # a warm call finds its product before any fallback closure is made
-    product = grid.products.get((order, axis)) or _view(grid, order, axis)
-    return _read(product, u)[0]
-
-
-def _view(grid, order, axis):
-    """The product of the unit pair's one-operator view of order, bound on first
-    use: on long lines it reads its operator's slice of the pair's tiles."""
-    pair, k = bound_pair(grid, axis), slice(order - 1, order)
-    tiles = pair.tiles and (lambda: pair.tiles()[k])
-    return _bound(grid, (order, axis), axis, lambda: pair.operator[k], tiles)
+    """d1 or d2: a copy of its half of the unit pair's out, or with pinned ends
+    one solve of the lines."""
+    if bp.kind == "one_sided":
+        return _read(u, grid, axis, order - 1)
+    u = _checked(u, grid, axis)  # nothing is stored: only the checks
+    n, h = grid.shape[axis], grid.spacing[axis]
+    swap = lambda a: np.ascontiguousarray(a.swapaxes(0, axis))
+    return swap(_solved(swap(u), n, h, order, bp))
 
 
 def d1(u: Field, grid: Grid, axis: int = 0, bp: BoundaryPolicy = ONE_SIDED) -> Field:
@@ -480,35 +461,23 @@ def d2(u: Field, grid: Grid, axis: int = 0, bp: BoundaryPolicy = ONE_SIDED) -> F
 
 def derivatives(u: Field, grid: Grid, axis: int = 0) -> np.ndarray:
     """(u', u'') along one axis with one-sided ends, bit for bit those of d1 and
-    d2, as the two halves of one (2,) + grid.shape array from bound_pair's
-    product: a caller that reads both pays for one call."""
-    u = _checked(u, grid, axis)
-    return _read(bound_pair(grid, axis), u)
+    d2, as a copy of the unit pair's (2,) + grid.shape out: a caller that
+    reads both pays for one call."""
+    return _read(u, grid, axis)
 
 
 def bound_linear(grid: Grid, axis: int, c1: float, c2: float):
-    """The grid's product of the step operator T = c1 D1 + c2 D2 along axis,
-    bound on first use as a one-operator stack: product(u, out) writes T u of a
-    C-contiguous field u of grid into out[0], out made once by product.empty(),
-    and returns out. T is formed from the pair's own operators in the rounded
-    operations D2 c2 + D1 c1; on long lines D2's band is zero-padded to the
-    width of D1's. A new step size adds an operator; a non-finite c1 or c2 is
-    a ValueError."""
-    _check_scales(c1=c1, c2=c2)
-
-    def operator():
-        first, second = bound_pair(grid, axis).operator
-        pad = (first.shape[1] - second.shape[1]) // 2
-        t = first * c1
-        s = np.pad(second, ((0, 0), (pad, pad))) * c2
-        s += t
-        return _read_only(s)[None]
-
-    return _bound(grid, (axis, c1, c2), axis, operator)
-
-
-def linear(u: Field, grid: Grid, axis: int, c1: float, c2: float) -> Field:
-    """(c1 D1 + c2 D2) u along axis: a thin reader of bound_linear's product."""
-    u = _checked(u, grid, axis)
-    product = grid.products.get((axis, c1, c2)) or bound_linear(grid, axis, c1, c2)
-    return _read(product, u)[0]
+    """The product of the step operator T = c1 D1 + c2 D2 along axis of grid,
+    bound anew for the caller, who holds it, as a one-operator stack:
+    product(u) writes T u of a C-contiguous field u of grid into
+    product.out[0] and returns product.out. T is formed from the grid's unit
+    pair's operators in the rounded operations D2 c2 + D1 c1; on long lines
+    D2's band is zero-padded to the width of D1's. An axis that is not one of
+    grid's, or a c1 or c2 that is not a finite real number, is a ValueError."""
+    _check(grid, axis, c1=c1, c2=c2)
+    first, second = bound_pair(grid, axis).operator
+    pad = (first.shape[1] - second.shape[1]) // 2
+    t = first * c1
+    s = np.pad(second, ((0, 0), (pad, pad))) * c2
+    s += t
+    return _bind(grid, axis, _read_only(s)[None])

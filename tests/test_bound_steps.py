@@ -2,8 +2,8 @@
 
 The bound steps must give the bits of the per-step update expressions kept
 below as the reference: the same derivatives (one call of
-compact_ops.derivatives or linear per axis, or of the pair scaled by the
-Burgers step's scalars) and the same rounded operations in the same order,
+compact_ops.derivatives or of the step operator's product per axis, or of
+the pair scaled by the Burgers step's scalars) and the same rounded operations in the same order,
 stepped with the Dirichlet refresh and the finite check. They must also raise
 the same guard at the same step, also when a block runs on past it, and
 report the smallest interior frame factor lambda that the reference steps
@@ -31,7 +31,7 @@ def scaled_jets(u, grid, c1, c2):
     Burgers steps read their jets from."""
     pair = compact_ops.bound_pair(grid, 0, c1, c2)
     with np.errstate(over="ignore", invalid="ignore"):
-        return pair(np.ascontiguousarray(u), pair.empty())
+        return pair(np.ascontiguousarray(u)).copy()
 
 
 def ibe_comp_update(u, grid, params, tau):
@@ -44,10 +44,17 @@ def vbe_comp_update(u, grid, params, tau):
     return u - (u * p - q)
 
 
+def linear(u, grid, axis, c1, c2):
+    """(c1 D1 + c2 D2) u along axis, from the step operator's product."""
+    product = compact_ops.bound_linear(grid, axis, c1, c2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return product(np.ascontiguousarray(u))[0].copy()
+
+
 def ade_update(u, grid, params, tau):
-    t = compact_ops.linear(u, grid, 0, -tau * params.alpha, tau * params.nu)
+    t = linear(u, grid, 0, -tau * params.alpha, tau * params.nu)
     if u.ndim == 2:
-        t += compact_ops.linear(u, grid, 1, -tau * params.beta, tau * params.nu)
+        t += linear(u, grid, 1, -tau * params.beta, tau * params.nu)
     return u + t
 
 

@@ -693,7 +693,7 @@ MISUSE = {
     "evolve-nan-initial-data-no-steps": (lambda: _evolve_from_nan(0.0), NonFinite, "initial data"),
     "evolve-nan-initial-data": (lambda: _evolve_from_nan(5e-3), NonFinite, "initial data"),
     "linear-nan-c1": (
-        lambda: compact_ops.linear(np.zeros(11), Grid1D(0.0, 0.1, 11), 0, math.nan, 1.0),
+        lambda: compact_ops.bound_linear(Grid1D(0.0, 0.1, 11), 0, math.nan, 1.0)(np.zeros(11)),
         ValueError, "^c1 "),
     "bound_pair-nan-c1": (
         lambda: compact_ops.bound_pair(Grid1D(0.0, 0.1, 11), 0, math.nan, 1.0), ValueError, "^c1 "),
@@ -703,6 +703,17 @@ MISUSE = {
     "bound_linear-inf-c2": (
         lambda: compact_ops.bound_linear(Grid1D(0.0, 0.1, 11), 0, 1.0, math.inf), ValueError, "^c2 "),
     **{
+        f"{name}-{case}": (lambda bind=bind, args=args: bind(*args), ValueError, names)
+        for name, bind in (("bound_pair", compact_ops.bound_pair),
+                           ("bound_linear", compact_ops.bound_linear))
+        for case, args, names in (
+            ("axis-past-1d", (Grid1D(0.0, 0.1, 11), 1, 1.0, 0.5), "^axis "),
+            ("fractional-axis", (Grid2D(0, 0, 0.1, 0.1, 7, 9), 0.5, 1.0, 0.5), "^axis "),
+            ("negative-axis", (Grid2D(0, 0, 0.1, 0.1, 7, 9), -1, 1.0, 0.5), "^axis "),
+            ("string-c1", (Grid1D(0.0, 0.1, 11), 0, "x", 0.5), "^c1 "),
+        )
+    },
+    **{
         f"{name}-fractional-axis": (
             lambda reader=reader: reader(np.zeros((7, 9)), Grid2D(0, 0, 0.1, 0.1, 7, 9), 0.5),
             ValueError, "^axis ")
@@ -710,7 +721,7 @@ MISUSE = {
             ("d1", compact_ops.d1),
             ("d2", compact_ops.d2),
             ("derivatives", compact_ops.derivatives),
-            ("linear", lambda u, grid, axis: compact_ops.linear(u, grid, axis, 1.0, 0.5)),
+            ("linear", lambda u, grid, axis: compact_ops.bound_linear(grid, axis, 1.0, 0.5)(u)),
         )
     },
     "galilean_experiment-no-speeds": (lambda: galilean_experiment([]), ValueError, "^c_values "),
