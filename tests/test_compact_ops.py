@@ -534,6 +534,23 @@ def test_each_operator_is_stored_once(shape):
         assert not np.shares_memory(first, second)
 
 
+@pytest.mark.parametrize("n", [31, DENSE_MAX + 1, 801])
+def test_the_views_of_a_long_line_read_the_pairs_tiles(n):
+    # d1 and d2 keep no views or tiles of their own: they read their half of
+    # the unit pair's out, with the bits of a product of their operator alone
+    grid = Grid1D(0.0, 0.1, n)
+    u = np.random.default_rng(n).normal(size=n)
+    both = derivatives(u, grid)
+    pair = grid.products[0]
+    first, second = d1(u, grid), d2(u, grid)
+    assert set(grid.products) == {0} and grid.products[0] is pair
+    assert not np.shares_memory(first, pair.out) and not np.shares_memory(second, pair.out)
+    for order, got in ((1, first), (2, second)):
+        assert np.array_equal(got, both[order - 1])
+        own = compact_ops._bind(grid, 0, pair.operator[order - 1 : order])
+        assert np.array_equal(got, own(u)[0])
+
+
 def test_d1_and_d2_after_derivatives_keep_only_their_outputs():
     # d1 and d2 run the pair that derivatives bound and copy their half of its
     # out: a product, tiles or a whole out of their own would stay behind
