@@ -28,6 +28,7 @@ from .errors import (
     PostBreakingTime,
     ShapeMismatch,
     StepCountMismatch,
+    StepFailure,
     SymfdError,
     ZeroPivot,
     ZeroState,
@@ -66,6 +67,7 @@ __all__ = [
     "ShapeMismatch",
     "StepContext",
     "StepCountMismatch",
+    "StepFailure",
     "SymfdError",
     "ZeroPivot",
     "ZeroState",

@@ -6,27 +6,33 @@ returns the run's block advance(u, rows) from bind_steps: one step per
 boundary row, each the scheme's stencil and the Dirichlet refresh from the
 row, on two preallocated buffers that the steps swap; the stencil's views,
 scratch arrays and coefficients are made at the bind, and np.errstate is
-entered once per block. A step may also carry guards (Guard), floors on
-values it writes, such as the sym steps' frame factor lambda: it folds them
-into a running minimum by one elementwise call, with no reduction. A block is
-one finite check of its rows, its steps unchecked, one finite check of the
-last field and one reduction per guard; only when one of these fails is it
-replayed from its input, each step then checked for its guards, in order,
-and then for finiteness. The steps' arithmetic is the same in both passes,
-so a block returns the same bits, as a copy, and raises the same error at
-the same step as a block checked after every step: the first guard that
-fails, else NonFinite at the first step whose field is not finite.
+entered once per block. evolve's blocks hold block_steps(grid) rows: 4,096 on
+a line, BOUNDARY_BLOCK (256) on a 2D grid of 32 or more Dirichlet nodes, and
+on fewer nodes as many as draw at most BLOCK_VALUES values from the provider,
+so that a line pays a block's fixed costs 16 times less often. A step may also
+carry guards (Guard), floors on values it writes, such as the sym steps' frame
+factor lambda: it folds them into a running minimum by one elementwise call,
+with no reduction. A block is one finite check of its rows, its steps
+unchecked, one finite check of the last field and one reduction per guard;
+only when one of these fails is it replayed from its input, each step then
+checked for its guards, in order, and then for finiteness. The steps'
+arithmetic is the same in both passes, so a block returns the same bits, as a
+copy, and raises the same error at the same step as a block checked after
+every step: the first guard that fails, else NonFinite at the first step whose
+field is not finite.
 
 The advection-diffusion steps are affine: a step plus its refresh is
 u <- M u + E b, M = I + T with its Dirichlet rows zeroed and E b the row b on
-the Dirichlet nodes. On a line of at most DENSE_MAX nodes a block of
-m = BOUNDARY_BLOCK rows is then one product, u <- [M^m G] [u; b_1 .. b_m]
-with G = [M^(m-1) E, ..., M E, E], which agrees with the steps to roundoff,
-not bit for bit. It is the block's unchecked pass, checked as the steps are
-and replayed step by step when a check fails, so a map that overflows only
-costs the replay. The
-map is probed once per run, on its first full block; a shorter block steps
-row by row, and longer lines keep the band step, as M^m is dense.
+the Dirichlet nodes. On a line of at most DENSE_MAX nodes each full chunk of
+m = BOUNDARY_BLOCK rows of a block, counted from its first, is then one
+product, u <- [M^m G] [u; b_1 .. b_m] with G = [M^(m-1) E, ..., M E, E],
+which agrees with the steps to roundoff, not bit for bit. The products and
+the remainder's steps are the block's unchecked pass, checked as the steps
+are and replayed step by step when a check fails, so a map that overflows
+only costs the replay. A non-finite interior value stays non-finite through
+a product, which sums it into every node. The map is probed once per run, on
+its first full chunk; the rows past the last full chunk step row by row, and
+longer lines keep the band step, as M^m is dense.
 
 Two facts make the one check of the last field enough. A non-finite interior
 node stays non-finite: in every step the node's own old value enters its new
@@ -69,14 +75,25 @@ import numpy as np
 from . import compact_ops
 from .analytic import PdeParams
 from .compact_ops import Grid, Grid1D
-from .errors import NonFinite
+from .errors import NonFinite, StepFailure
 
-# Steps whose Dirichlet values evolve draws from one provider call, and so
-# the steps of one block advance. A block holds BOUNDARY_BLOCK x (boundary
-# nodes) values: 4 kB in 1D, 0.2 MB on a 26 x 26 grid, where the 2D
-# reference's temporaries peak near 1 MB. An affine pair's block map holds
-# n x (n + 2 BOUNDARY_BLOCK) values: 0.3 MB on 61 nodes.
+# The steps of one block, and so of one provider call, on a grid of many
+# Dirichlet nodes, and the m of an affine pair's block map, which holds
+# n x (n + 2 m) values: 0.3 MB on 61 nodes. A block of 256 steps on a 26 x 26
+# grid holds 0.2 MB, where the 2D reference's temporaries peak near 1 MB. A
+# grid of fewer than BLOCK_VALUES / BOUNDARY_BLOCK = 32 Dirichlet nodes steps
+# more rows per block, up to BLOCK_VALUES values (block_steps): 4,096 steps of a
+# line's 2 nodes, 64 kB, whose provider call and block checks would otherwise
+# be paid every 256 steps.
 BOUNDARY_BLOCK = 256
+BLOCK_VALUES = 8192
+
+
+def block_steps(grid: Grid) -> int:
+    """The steps of one block on grid: BOUNDARY_BLOCK, or on a grid of fewer
+    than 32 Dirichlet nodes as many as draw at most BLOCK_VALUES values, 4,096
+    on a line."""
+    return max(BOUNDARY_BLOCK, BLOCK_VALUES // len(grid.dirichlet[0][0]))
 
 
 def check_finite(values, what=None):
@@ -170,24 +187,31 @@ def bind_steps(grid: Grid, stencil, affine=False, guards=()):
                 guard.running.fill(math.inf)
             try:
                 check_finite(rows)
-                if mapped and len(rows) == BOUNDARY_BLOCK:
-                    last = np.einsum("ij,j->i", block_map(), np.concatenate((u, rows.ravel())))
-                    last[dirichlet] = rows[-1]
-                else:
-                    last = unchecked(u, rows)
+                # each full BOUNDARY_BLOCK of a mapped block is one product
+                mapped_rows = len(rows) - len(rows) % BOUNDARY_BLOCK if mapped else 0
+                last = u
+                for chunk in rows[:mapped_rows].reshape(-1, BOUNDARY_BLOCK, rows.shape[1]):
+                    last = np.einsum("ij,j->i", block_map(), np.concatenate((last, chunk.ravel())))
+                    last[dirichlet] = chunk[-1]
+                if mapped_rows < len(rows):
+                    last = unchecked(last, rows[mapped_rows:])
                 check_finite(last)
                 if all(guard.passed() for guard in guards):
                     return last.copy()
             except NonFinite:
                 pass
             # the replay: from u again, checked after every step, to raise at the
-            # step that fails
+            # step that fails, which the error records as its step of the block
             last = u
-            for row in rows[:, None]:
+            for k, row in enumerate(rows[:, None], 1):
                 last = unchecked(last, row)
-                for guard in guards:
-                    guard.check()
-                check_finite(last)
+                try:
+                    for guard in guards:
+                        guard.check()
+                    check_finite(last)
+                except StepFailure as error:
+                    error.step = k
+                    raise
         return last.copy()
 
     return advance

@@ -20,18 +20,33 @@ class ShapeMismatch(SymfdError):
     """Array arguments do not agree with each other or with their grid."""
 
 
-class NonFinite(SymfdError):
+class StepFailure(SymfdError):
+    """A time step failed a check. step is the 1-based step that failed, of its
+    block (baseline_schemes.bind_steps) or, once located(), of its run; t is the
+    time of its field. Both are None where no step is known, such as for the
+    initial data."""
+
+    step = t = None
+
+    def located(self, step, t):
+        """Place the failure at the run's step and time t, which its message then
+        states."""
+        self.step, self.t = step, t
+        self.args = (f"{self} (step {step}, t = {t:.6g})",)
+
+
+class NonFinite(StepFailure):
     """A scheme produced NaN or infinity; the run is unstable."""
 
     def __init__(self, message="step produced non-finite values; the run is unstable"):
         super().__init__(message)
 
 
-class FrameSingularity(SymfdError):
+class FrameSingularity(StepFailure):
     """The projective factor lambda left its valid chart (lambda <= 0)."""
 
 
-class ZeroState(SymfdError):
+class ZeroState(StepFailure):
     """An interior node value is too close to zero to normalize a frame."""
 
 

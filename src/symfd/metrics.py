@@ -21,9 +21,8 @@ from .analytic import (
     ibe_exact,
     vbe_exact,
 )
-from .baseline_schemes import BOUNDARY_BLOCK
 from .compact_ops import Field, Grid, Grid1D, Grid2D
-from .errors import ShapeMismatch, StepCountMismatch
+from .errors import ShapeMismatch, StepCountMismatch, StepFailure
 
 # The step of each (pde, scheme) pair: a binder, called once per run as
 # binder(grid, params, tau) plus the node displacement over a step for SLIDING,
@@ -217,7 +216,10 @@ def _stepper(pde: str, scheme: str, ctx: StepContext) -> Callable:
     advance_block(u, rows): one step per boundary row of rows (None: one step,
     its row drawn for ctx.t + tau), each the update and the Dirichlet refresh,
     by the advance the pair's binder returns (see _STEPPERS), which checks the
-    block as a block checked after every step would (see baseline_schemes).
+    block as a block checked after every step would and, for any number of
+    rows, takes each full BOUNDARY_BLOCK of a mapped pair's rows as one
+    product (see baseline_schemes). A failed step's error carries its 1-based
+    step of the block as step.
     advance_block.lambda_min() is the smallest interior frame factor lambda the
     run's steps met, NaN for a pair without a frame. It reads _STEPPERS on each
     call, so a patched table is seen, and warns when a scheme other than FTCS
@@ -293,21 +295,26 @@ def evolve(
     mesh_velocity: float = 0.0,
 ) -> Tuple[Field, Field, ErrorReport]:
     """March from exact initial data to t_final with step()'s body, resolved once
-    and called once per block of BOUNDARY_BLOCK steps with that block's rows.
+    and called once per block with that block's rows: the grid's
+    baseline_schemes.block_steps steps, 4,096 on a line and BOUNDARY_BLOCK
+    (256) on a 2D grid of 32 or more Dirichlet nodes.
 
     Returns (numeric, reference, report). The reference is the exact
     solution sampled on the final node positions, which differ from the
     initial ones only for the sliding-mesh runs (mesh_velocity != 0).
     Every pair steps as step() does, bit for bit, except that ade1d FTCS and
-    COMP on a line of at most DENSE_MAX nodes take each full block as one
-    product (see baseline_schemes), which agrees with their steps to roundoff
-    (within n_steps ulp of max|u|); a block whose product is not finite is
-    replayed step by step, so every pair raises NonFinite at the step whose
-    field is not finite. Raises ValueError or ShapeMismatch for the pair and
-    grid before the initial data are drawn, ValueError before the first step
-    unless tau is positive and finite, t_final nonnegative and finite and
-    t_final / tau a finite step count, and NonFinite naming the initial data
-    before the first step unless they are finite.
+    COMP on a line of at most DENSE_MAX nodes take each full BOUNDARY_BLOCK of
+    steps, counted from the run's first, as one product (see
+    baseline_schemes), which agrees with their steps to roundoff (within
+    n_steps ulp of max|u|); a block whose product is not finite is replayed
+    step by step, so every pair raises NonFinite at the step whose field is
+    not finite. A failed step's NonFinite, FrameSingularity or ZeroState
+    carries its step (1-based) and t, which its message states. Raises
+    ValueError or ShapeMismatch for the pair and grid before the initial data
+    are drawn, ValueError before the first step unless tau is positive and
+    finite, t_final nonnegative and finite and t_final / tau a finite step
+    count, and NonFinite naming the initial data before the first step unless
+    they are finite.
     """
     if exact is None:
         exact = default_exact(pde, params)
@@ -327,10 +334,16 @@ def evolve(
     mesh = np.meshgrid(*grid.axes, indexing="ij")
     u = exact(0.0, *mesh)
     base.check_finite(u, "the initial data")
-    for k0 in range(0, n_steps, BOUNDARY_BLOCK):
-        k1 = min(k0 + BOUNDARY_BLOCK, n_steps)
+    block = base.block_steps(grid)
+    for k0 in range(0, n_steps, block):
         # k * tau + tau is the t + tau of step k, computed the same way.
-        u = advance_block(u, boundary_values(ctx, np.arange(k0, k1) * tau + tau))
+        times = np.arange(k0, min(k0 + block, n_steps)) * tau + tau
+        rows = boundary_values(ctx, times)
+        try:
+            u = advance_block(u, rows)
+        except StepFailure as error:
+            error.located(k0 + error.step, float(times[error.step - 1]))
+            raise
     ref = exact(t_final, *(c + mesh_velocity * t_final for c in mesh))
     # n and h stay one number in 1D, a tuple per axis in 2D
     n, h = (grid.shape, grid.spacing) if len(grid.shape) > 1 else (grid.n, grid.h)

@@ -280,6 +280,21 @@ def test_a_guarded_run_raises_at_the_reference_step(pde, scheme, grid, params, t
         advance(u, rows[fails_at - 1 : BOUNDARY_BLOCK])
 
 
+@pytest.mark.parametrize("pde, scheme, grid, params, tau, provider", GUARDED, ids=GUARD_IDS)
+def test_a_guarded_evolve_names_the_reference_step(pde, scheme, grid, params, tau, provider):
+    exact = provider or default_exact(pde, params)
+    ctx, u0, _ = guarded_start(pde, grid, params, tau, provider)
+    rows = boundary_values(ctx, np.arange(1000) * tau + tau)  # evolve's times
+    fails_at, error = first_failure(pde, scheme, u0, rows, grid, params, tau)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(error) as raised:
+            evolve(pde, scheme, grid, tau, 1000 * tau, params, exact=exact)
+    t = (fails_at - 1) * tau + tau
+    assert (raised.value.step, raised.value.t) == (fails_at, t)
+    assert str(raised.value).endswith(f"(step {fails_at}, t = {t:.6g})")
+
+
 def test_some_guarded_blocks_end_finite_when_stepped_unchecked():
     # in these cases only a guard decided per block, not the block's finite
     # check, can send the full block to the replay that raises

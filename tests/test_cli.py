@@ -22,7 +22,7 @@ from symfd.cli import (
     main,
     parse_config_file,
 )
-from symfd.errors import ConfigInvalid
+from symfd.errors import ConfigInvalid, NonFinite
 from symfd.metrics import evolve, fit_slope, grid_for
 
 
@@ -310,6 +310,22 @@ class TestRunCommand:
         assert main(["run", "pde=ibe", "tau=5e-324", f"output_path={out}"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: tau ") and "inf steps" in err
+        assert not out.exists()
+
+    def test_unstable_run_names_the_failing_step(self, tmp_path, capsys):
+        # diffusion number 10 * 0.01 / 0.3^2 = 1.1, past FTCS's 1/2
+        out = tmp_path / "p.csv"
+        args = ["pde=ade1d", "scheme=ftcs", "nx=21", "tau=0.01", "t_final=20", "nu=10"]
+        cfg = build_run_config(apply_overrides({}, args), "run")
+        with pytest.warns(RuntimeWarning, match="diffusion number"):
+            with pytest.raises(NonFinite) as raised:
+                evolve("ade1d", "ftcs", grid_for("ade1d", cfg.domain, cfg.n), cfg.tau,
+                       cfg.t_final, cfg.params)
+            assert main(["run", *args, f"output_path={out}"]) == 1
+        step, t = raised.value.step, raised.value.t
+        assert 1 < step < 2000 and t == (step - 1) * 0.01 + 0.01
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.rstrip().endswith(f"(step {step}, t = {t:.6g})")
         assert not out.exists()
 
 

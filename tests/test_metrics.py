@@ -30,10 +30,10 @@ from symfd import (
     vbe_exact,
 )
 from symfd import baseline_schemes, compact_ops, metrics
+from symfd.baseline_schemes import BLOCK_VALUES, BOUNDARY_BLOCK, block_steps
 from symfd.errors import NonFinite, ShapeMismatch
 from symfd.metrics import (
     _STEPPERS,
-    BOUNDARY_BLOCK,
     PDES,
     SCHEMES_BY_PDE,
     SLIDING,
@@ -425,8 +425,8 @@ BLOCK_GRIDS = {
 
 
 class TestBoundaryBlock:
-    """evolve draws the Dirichlet values of BOUNDARY_BLOCK steps from one
-    provider call; they must be the per-step values bit for bit."""
+    """evolve draws the Dirichlet values of a block of block_steps(grid) steps
+    from one provider call; they must be the per-step values bit for bit."""
 
     @pytest.mark.parametrize("pde", ["ibe", "ade1d", "vbe", "ade2d"])
     def test_nodes_are_the_boundary_once_each(self, pde):
@@ -474,7 +474,8 @@ class TestBoundaryBlock:
             exact = galilean_exact(exact, velocity)
         grid = BLOCK_GRIDS[pde]
         tau = 1e-4
-        n_steps = BOUNDARY_BLOCK + 7
+        rows = block_steps(grid)
+        n_steps = rows + 7
         calls = []
 
         def provider(*args):
@@ -486,7 +487,7 @@ class TestBoundaryBlock:
         assert rep.n_steps == n_steps
         # the initial data, two blocks of boundary values, the reference
         assert len(calls) == 4
-        assert [np.size(t) for t in calls[1:3]] == [BOUNDARY_BLOCK, 7]
+        assert [np.size(t) for t in calls[1:3]] == [rows, 7]
 
         v = single_steps(pde, scheme, grid, params, exact, tau, n_steps, velocity)
         if (pde, scheme) in MAPPED:  # the full block is one product: equal to roundoff
@@ -523,6 +524,31 @@ class TestBoundaryBlock:
         row = boundary_values(ctx, np.array([t0 + tau]))[0]
         assert np.array_equal(step(pde, scheme, u, ctx, row), out)
 
+    @pytest.mark.parametrize(
+        "pde, grid, rows",
+        [
+            ("ibe", BLOCK_GRIDS["ibe"], 4096),
+            ("ade1d", BLOCK_GRIDS["ade1d"], 4096),
+            ("vbe", BLOCK_GRIDS["vbe"], 4096),
+            ("ade2d", BLOCK_GRIDS["ade2d"], BOUNDARY_BLOCK),  # 40 Dirichlet nodes
+            ("ade2d", Grid2D(-1.92, -1.6, 0.32, 0.4, 5, 5), 512),  # 16 nodes
+        ],
+    )
+    def test_a_block_draws_at_most_block_values_on_few_nodes(self, pde, grid, rows):
+        exact, sizes = default_exact(pde, ADE_PARAMS), []
+
+        def provider(t, *coords):
+            sizes.append(np.broadcast(t, *coords).size)
+            return exact(t, *coords)
+
+        nodes, tau = len(grid.dirichlet[0][0]), 1e-5
+        evolve(pde, "ftcs", grid, tau, (2 * rows + 3) * tau, ADE_PARAMS, exact=provider)
+        assert block_steps(grid) == rows
+        # the initial data, two full blocks and the last three steps, the reference
+        assert sizes[1:-1] == [rows * nodes, rows * nodes, 3 * nodes]
+        if nodes < BLOCK_VALUES // BOUNDARY_BLOCK:
+            assert BLOCK_VALUES // 2 < rows * nodes <= BLOCK_VALUES
+
 
 def short_blocks(pde, scheme, grid, params, tau, n_steps):
     """n_steps from the exact data at t = 0 in blocks one row short of
@@ -537,12 +563,27 @@ def short_blocks(pde, scheme, grid, params, tau, n_steps):
     return u
 
 
+def first_non_finite_step(scheme, grid, params, exact, tau):
+    """The 1-based step at which an ade1d run of step() calls from the exact
+    data at t = 0 first raises NonFinite."""
+    v = exact(0.0, grid.x)
+    ctx = StepContext(grid, params, tau, 0.0, exact)
+    for k in range(100 * BOUNDARY_BLOCK):
+        ctx.t = k * tau
+        try:
+            v = step("ade1d", scheme, v, ctx)
+        except NonFinite:
+            return k + 1
+    raise AssertionError("the steps never failed")
+
+
 class TestAffineBlock:
-    """The MAPPED pairs take each full block of steps as one product with the
-    block map [M^m G]. They must agree with their step-by-step runs to
-    roundoff, fail as loudly at the same block, fall back to their steps when
-    the map overflows, keep the band step on long lines, and build the map
-    only when a full block comes."""
+    """The MAPPED pairs take each full BOUNDARY_BLOCK of a block's steps as one
+    product with the block map [M^m G]. They must agree with their
+    step-by-step runs to roundoff, keep the bits of 256-row blocks, fail as
+    loudly at the same step, fall back to their steps when the map overflows,
+    keep the band step on long lines, and build the map only when a full
+    BOUNDARY_BLOCK of rows comes."""
 
     @pytest.mark.parametrize("n", [31, 41, 61])
     @pytest.mark.parametrize("scheme", ["ftcs", "comp"])
@@ -560,17 +601,15 @@ class TestAffineBlock:
         # block too
         grid, tau = BLOCK_GRIDS["ade1d"], 1e-3
         params = PdeParams(alpha=1.0, nu=5.0 * grid.h**2 / tau, L=0.4)
-        exact, blocks = default_exact("ade1d", params), []
-
-        def provider(t, x):
-            blocks.append(np.size(t))
-            return exact(t, x)
-
+        exact = default_exact("ade1d", params)
         with pytest.warns(RuntimeWarning, match="diffusion number"):
-            with pytest.raises(NonFinite):
-                evolve("ade1d", scheme, grid, tau, 10 * BOUNDARY_BLOCK * tau, params,
-                       exact=provider)
-        assert blocks == [1, BOUNDARY_BLOCK]  # the initial data and the first block
+            with pytest.raises(NonFinite) as raised:
+                evolve("ade1d", scheme, grid, tau, 10 * BOUNDARY_BLOCK * tau, params)
+            fails_at = first_non_finite_step(scheme, grid, params, exact, tau)
+        assert fails_at <= BOUNDARY_BLOCK  # in the first chunk, which the map takes
+        assert raised.value.step == fails_at
+        assert raised.value.t == (fails_at - 1) * tau + tau
+        assert f"(step {fails_at}, t = " in str(raised.value)
 
     @pytest.mark.parametrize("scheme", ["ftcs", "comp"])
     def test_overflowing_map_returns_the_stepwise_field(self, scheme):
@@ -592,17 +631,30 @@ class TestAffineBlock:
         # at most about 1.8^256 per block and overflows after a few
         grid, tau = BLOCK_GRIDS["ade1d"], 1e-3
         params = PdeParams(alpha=1.0, nu=0.7 * grid.h**2 / tau, L=0.4)
-        exact, blocks = default_exact("ade1d", params), []
-
-        def provider(t, x):
-            blocks.append(np.size(t))
-            return exact(t, x)
-
+        exact = default_exact("ade1d", params)
         with pytest.warns(RuntimeWarning, match="diffusion number"):
-            with pytest.raises(NonFinite):
-                evolve("ade1d", scheme, grid, tau, 10 * BOUNDARY_BLOCK * tau, params,
-                       exact=provider)
-        assert 3 <= len(blocks) - 1 < 10
+            with pytest.raises(NonFinite) as raised:
+                evolve("ade1d", scheme, grid, tau, 10 * BOUNDARY_BLOCK * tau, params)
+            fails_at = first_non_finite_step(scheme, grid, params, exact, tau)
+        # in the third to ninth chunk of 256 steps, where 256-row blocks raised
+        assert 2 * BOUNDARY_BLOCK < fails_at <= 9 * BOUNDARY_BLOCK
+        assert raised.value.step == fails_at
+        assert raised.value.t == (fails_at - 1) * tau + tau
+
+    @pytest.mark.parametrize("pde, scheme", MAPPED)
+    def test_a_long_block_keeps_the_bits_of_256_row_blocks(self, pde, scheme):
+        # one block of 3 x 256 + 5 rows: three products with the map, then
+        # five steps, as a run fed 256-row blocks takes them
+        grid, tau, n_steps = BLOCK_GRIDS[pde], 1e-4, 3 * BOUNDARY_BLOCK + 5
+        exact = default_exact(pde, ADE_PARAMS)
+        assert block_steps(grid) > n_steps
+        u = evolve(pde, scheme, grid, tau, n_steps * tau, ADE_PARAMS)[0]
+        ctx = StepContext(grid, ADE_PARAMS, tau, 0.0, exact)
+        advance, v = metrics._stepper(pde, scheme, ctx), exact(0.0, grid.x)
+        for k0 in range(0, n_steps, BOUNDARY_BLOCK):
+            k1 = min(k0 + BOUNDARY_BLOCK, n_steps)
+            v = advance(v, boundary_values(ctx, np.arange(k0, k1) * tau + tau))
+        assert np.array_equal(u, v)
 
     @pytest.mark.parametrize("scheme", ["ftcs", "comp"])
     def test_line_past_dense_max_keeps_the_stepwise_bits(self, scheme):
