@@ -336,13 +336,15 @@ def evolve(
     base.check_finite(u, "the initial data")
     block = base.block_steps(grid)
     for k0 in range(0, n_steps, block):
-        # k * tau + tau is the t + tau of step k, computed the same way.
+        # k * tau + tau is the t + tau of step k, computed the same way. No
+        # name holds a block's rows, so the next provider call does not run
+        # beside them.
         times = np.arange(k0, min(k0 + block, n_steps)) * tau + tau
-        rows = boundary_values(ctx, times)
         try:
-            u = advance_block(u, rows)
+            u = advance_block(u, boundary_values(ctx, times))
         except StepFailure as error:
-            error.located(k0 + error.step, float(times[error.step - 1]))
+            k = k0 + error.step
+            error.located(k, float((k - 1) * tau + tau))
             raise
     ref = exact(t_final, *(c + mesh_velocity * t_final for c in mesh))
     # n and h stay one number in 1D, a tuple per axis in 2D

@@ -180,6 +180,33 @@ class TestMergingFrontSolution:
         uxx = (u(t, x + h) - 2 * u(t, x) + u(t, x - h)) / h**2
         assert np.abs(ut + u(t, x) * ux - nu * uxx).max() <= 1e-4
 
+    @pytest.mark.parametrize(
+        "t, x",
+        [
+            (0.3, 1.0),
+            (0.0, np.linspace(-100.0, 100.0, 41)),
+            (np.linspace(1e-3, 2.0, 300)[:, None], np.array([0.0, 2.0 * math.pi])),
+            (np.linspace(-0.5, 3.0, 12).reshape(3, 4), np.linspace(-30.0, 30.0, 4)),
+        ],
+    )
+    def test_in_place_form_keeps_the_bits_of_the_expression(self, t, x):
+        # the formula of the docstring, written as one expression
+        nu = 1.0 / 12.0
+        big_t = t + 1.0
+        xi = np.asarray(x, dtype=float) - 4.0 * t
+        xi2 = xi - 2.0 * math.pi
+        a1 = -xi * xi / (4.0 * nu * big_t)
+        a2 = -xi2 * xi2 / (4.0 * nu * big_t)
+        m = np.maximum(a1, a2)
+        w1, w2 = np.exp(a1 - m), np.exp(a2 - m)
+        expected = 4.0 + (xi * w1 + xi2 * w2) / (big_t * (w1 + w2))
+        x_before = np.array(x, copy=True)
+        u = vbe_exact(t, x, nu)
+        assert type(u) is type(expected)
+        assert np.shape(u) == np.shape(expected)
+        assert np.array_equal(u, expected)
+        assert np.array_equal(x, x_before)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             vbe_exact(0.1, 1.0, 0.0)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -548,6 +549,26 @@ class TestBoundaryBlock:
         assert sizes[1:-1] == [rows * nodes, rows * nodes, 3 * nodes]
         if nodes < BLOCK_VALUES // BOUNDARY_BLOCK:
             assert BLOCK_VALUES // 2 < rows * nodes <= BLOCK_VALUES
+
+    @pytest.mark.parametrize("pde, scheme", [("vbe", "ftcs"), ("ade1d", "ftcs"),
+                                             ("ade2d", "ftcs"), ("ibe", "sym")])
+    def test_a_block_frees_its_rows_before_the_next_provider_call(self, pde, scheme):
+        # a block's rows held through the next call would add one block to
+        # the run's peak memory
+        params = PdeParams(nu=1.0 / 12.0) if pde == "vbe" else ADE_PARAMS
+        exact, grid, tau = default_exact(pde, params), BLOCK_GRIDS[pde], 1e-5
+        drawn, alive = [], []
+
+        def provider(*args):
+            alive.append([ref() is not None for ref in drawn])
+            values = np.array(exact(*args), dtype=float)
+            drawn.append(weakref.ref(values))
+            return values
+
+        evolve(pde, scheme, grid, tau, 3 * block_steps(grid) * tau, params, exact=provider)
+        # the initial data, three blocks, the reference
+        assert len(alive) == 5
+        assert not any(any(flags) for flags in alive[2:])
 
 
 def short_blocks(pde, scheme, grid, params, tau, n_steps):

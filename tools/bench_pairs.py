@@ -6,11 +6,13 @@ odd seeds and the change first on even ones; seed S is fresh for every pair
 (first_seed, first_seed + 1, ... across the workloads in order). The metrics
 are the end-to-end ones of the change's BENCHMARK.json. For each workload and
 metric it prints each side's median and quartiles (statistics.quantiles,
-n=4) and the pairs the change won, and it writes every run to the JSON file
-in the layout of the earlier BENCH_<pr>.json files.
+n=4), the pairs the change won and whether the gain is resolved: the change
+better in at least nine tenths of the pairs, ties counting for neither, and
+the medians further apart than the parent's quartiles. It writes every run to
+the JSON file in the layout of the earlier BENCH_<pr>.json files.
 
     python3 tools/bench_pairs.py PARENT CHANGE --pr 25 [--workloads explicit,tables]
-        [--pairs 10] [--seconds 30] [--first-seed 2501] [--claimed wall_s:explicit]
+        [--pairs 10] [--seconds 30] [--first-seed 2501]
 
 PARENT and CHANGE are the roots of two source checkouts; the file is written
 into CHANGE unless --out says otherwise. A side that exits non-zero or fails a
@@ -51,12 +53,18 @@ def summary(values):
 
 
 def won(parent, change, better):
-    """How many pairs the change won on a metric, in words, with the ties."""
+    """How many pairs the change won on a metric, with the ties, and whether
+    that is a resolved gain, in words."""
     sign = 1 if better == "lower" else -1
     wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     ties = sum(c == p for p, c in zip(parent, change))
     text = f"change {better} in {wins} of {len(parent)} pairs"
-    return text + (f", equal in {ties}" if ties else "")
+    text += f", equal in {ties}" if ties else ""
+    gap = sign * (statistics.median(parent) - statistics.median(change)) + 0.0  # no -0
+    q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else parent * 3
+    resolved = 10 * wins >= 9 * len(parent) and gap > q3 - q1
+    return text + (f"; median gap {gap:.6g} against parent IQR {q3 - q1:.6g}: gain "
+                   + ("resolved" if resolved else "not resolved"))
 
 
 def git_commit(checkout):
@@ -124,8 +132,8 @@ def main(argv=None):
     parser.add_argument("--seconds", type=float, default=None,
                         help="default the run_seconds of BENCHMARK.json")
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--claimed", default=None, help="the claimed metric, as metric:workload")
     parser.add_argument("--out", type=Path, default=None)
+    argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -147,11 +155,14 @@ def main(argv=None):
                  f"side run from its own copy of the tree, one process at a time, one run per "
                  f"side and seed, alternating which side runs first (odd seed parent first), "
                  f"{args.pairs} pairs per workload. Quartiles are statistics.quantiles(n=4). "
-                 f"Every run is listed."),
+                 f"A pairs entry reads 'gain resolved' when the change is better in at least "
+                 f"nine tenths of the pairs, ties counting for neither, and the medians differ "
+                 f"by more than the parent's interquartile range. Every run is listed."),
+        "command": " ".join(["python3", "tools/bench_pairs.py", *argv]),
         "parent_commit": git_commit(checkouts["parent"]),
+        "change_commit": git_commit(checkouts["change"]),
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
                     "blas_threads": 1, "machine": platform.machine(), "nproc": os.cpu_count()},
-        "claimed": args.claimed,
         "workloads": workloads,
     }
     out = args.out or args.change / f"BENCH_{args.pr}.json"
