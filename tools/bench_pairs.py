@@ -14,8 +14,9 @@ the JSON file in the layout of the earlier BENCH_<pr>.json files.
     python3 tools/bench_pairs.py PARENT CHANGE --pr 25 [--workloads explicit,tables]
         [--pairs 10] [--seconds 30] [--first-seed 2501]
 
-PARENT and CHANGE are the roots of two source checkouts; the file is written
-into CHANGE unless --out says otherwise. A side that exits non-zero or fails a
+PARENT and CHANGE are the roots of two source checkouts, made the same way
+(say, two git clones, so that each side records its commit); the file is
+written into CHANGE unless --out says otherwise. A side that exits non-zero or fails a
 cell is recorded, not hidden: its exit code and cell counts go into the file.
 """
 
