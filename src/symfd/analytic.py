@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, PostBreakingTime
+from .errors import NoConvergence, PostBreakingTime, finite
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,8 @@ class PdeParams:
 
     alpha, beta: advection speeds (beta only used in 2D); nu: diffusion
     coefficient; sigma: width of the inviscid-Burgers hump; L: width of
-    the advection-diffusion kernel at t = 0. Every field must be finite.
+    the advection-diffusion kernel at t = 0. Every field must be a finite
+    real number (errors.finite).
     """
 
     alpha: float = 1.0
@@ -33,8 +34,7 @@ class PdeParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "nu", "sigma", "L"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            finite(name, getattr(self, name))
         if self.nu < 0:
             raise ValueError(f"nu must be nonnegative, got {self.nu}")
         if self.sigma <= 0:
@@ -50,8 +50,8 @@ def ibe_breaking_time(sigma: float) -> float:
     steepens fastest at x = sigma, so t_b = -1 / min f' = sigma^2 sqrt(2 pi e).
     Raises ValueError unless sigma is positive and finite.
     """
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if finite("sigma", sigma) <= 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
     return sigma * sigma * math.sqrt(2.0 * math.pi * math.e)
 
 
@@ -141,11 +141,16 @@ def vbe_exact(t, x, nu: float):
     by their max so far-field evaluation never underflows to 0/0. The
     arithmetic runs in place, in the order of that expression and so to its
     bits, on about half the arrays the expression would allocate: a call of
-    many boundary rows otherwise lifts the run's peak memory.
+    many boundary rows otherwise lifts the run's peak memory. Raises
+    ValueError naming nu unless it is positive and finite, and naming t
+    unless every t is a real number above -1.
     """
-    if not 0.0 < nu < math.inf:
-        raise ValueError(f"nu must be positive and finite, got {nu}")
-    if np.any(np.asarray(t) <= -1.0):
+    if finite("nu", nu) <= 0:
+        raise ValueError(f"nu must be positive, got {nu}")
+    times = np.asarray(t)
+    if times.dtype.kind not in "iuf":
+        raise ValueError(f"t must be real numbers, not {t!r}")
+    if np.any(times <= -1.0):
         raise ValueError(f"t must exceed -1, got {np.min(t)}")
     big_t = t + 1.0
     xi = np.asarray(x, dtype=float) - 4.0 * t
@@ -195,7 +200,9 @@ def galilean_transform_field(u, c: float):
 
 
 def galilean_exact(base_exact, c: float):
-    """Boosted reference solution: (t, x) -> base(t, x - c t) + c."""
+    """Boosted reference solution: (t, x) -> base(t, x - c t) + c. c must be a
+    finite real number."""
+    finite("c", c)
 
     def boosted(t, x):
         return base_exact(t, np.asarray(x, dtype=float) - c * t) + c

@@ -64,27 +64,58 @@ CONVERGE_DEFAULTS = {
     "ade2d": dict(tau=1e-5, t_final=0.05, sizes="16,21,26"),
 }
 
-# The keys each command reads; any other key is a typo or belongs to another
-# command, and is rejected rather than silently left at its default.
-_COMMON_KEYS = {
-    "pde", "x_lo", "x_hi", "y_lo", "y_hi", "nx", "ny", "tau", "t_final",
-    "alpha", "beta", "nu", "sigma", "L", "output_path",
+
+def _list(kind):
+    """A parser of comma-separated values of kind; empty entries are skipped."""
+    return lambda text: tuple(kind(part) for part in str(text).split(",") if part.strip() != "")
+
+
+# The parser of each kind of value, and what a value it fails to parse must be.
+_NUMBER, _COUNT, _NAME = (float, "a number"), (int, "an integer"), (str, "text")
+_NUMBERS = (_list(float), "comma-separated numbers")
+_COUNTS = (_list(int), "comma-separated integers")
+_NAMES = (_list(str), "comma-separated names")
+_ALL, _SQUARE = ("run", "converge", "galilean"), ("ade2d",)
+# Every key the CLI reads: its parser, the commands that read it and the pdes
+# they read it for. The library checks every value's range when the command
+# runs.
+FIELDS = {
+    "pde": (_NAME, _ALL, PDES),
+    "scheme": (_NAME, ("run",), PDES),
+    "schemes": (_NAMES, ("converge", "galilean"), PDES),
+    **dict.fromkeys(("x_lo", "x_hi"), (_NUMBER, _ALL, PDES)),
+    **dict.fromkeys(("y_lo", "y_hi"), (_NUMBER, _ALL, _SQUARE)),
+    "nx": (_COUNT, ("run", "galilean"), PDES),
+    "ny": (_COUNT, ("run",), _SQUARE),
+    "sizes": (_COUNTS, ("converge",), PDES),
+    **dict.fromkeys(("tau", "t_final", "alpha", "beta", "nu", "sigma", "L"), (_NUMBER, _ALL, PDES)),
+    "galilean_c": (_NUMBER, ("run",), ("vbe",)),
+    "c_values": (_NUMBERS, ("galilean",), ("vbe",)),
+    "output_path": (_NAME, _ALL, PDES),
 }
+# The pdes each command runs.
+PDES_BY_COMMAND = {"run": PDES, "converge": PDES, "galilean": ("vbe",)}
+# The keys each command reads for each pde it runs, in FIELDS' order. Any other
+# key is a typo or belongs to another command or pde, and is rejected rather
+# than silently left unread.
 KEYS = {
-    "run": _COMMON_KEYS | {"scheme", "galilean_c"},
-    "converge": _COMMON_KEYS | {"schemes", "sizes"},
-    "galilean": _COMMON_KEYS | {"schemes", "c_values"},
+    (command, pde): tuple(
+        key for key, (_, commands, pdes) in FIELDS.items() if command in commands and pde in pdes
+    )
+    for command, pdes in PDES_BY_COMMAND.items()
+    for pde in pdes
 }
 
 
 @dataclass
 class RunConfig:
-    """Validated settings of one command: a run, or a study over schemes."""
+    """Parsed settings of one command: a run, or a study over schemes. The
+    library checks their ranges when the command runs."""
 
     pde: str
     schemes: Tuple[str, ...]  # the one scheme of a run, or a study's schemes
     domain: Tuple[float, ...]  # (x_lo, x_hi) or (x_lo, x_hi, y_lo, y_hi)
-    n: Tuple[int, ...]  # (nx,) or (nx, ny)
+    n: Tuple[int, ...]  # (nx,) or (nx, ny) of a run or a galilean study, else ()
     sizes: Tuple[int, ...]  # node counts of a convergence study, else ()
     tau: float
     t_final: float
@@ -124,111 +155,50 @@ def apply_overrides(mapping: dict, pairs) -> dict:
     return merged
 
 
-def _as_float(mapping: dict, key: str) -> float:
+def _parse(key: str, text):
+    (parser, what), *_ = FIELDS[key]
     try:
-        value = float(mapping[key])
+        return parser(text)
     except (ValueError, TypeError):
-        raise ConfigInvalid(f"field {key!r} must be a number, got {mapping[key]!r}") from None
-    if not math.isfinite(value):
-        raise ConfigInvalid(f"field {key!r} must be finite, got {value}")
-    return value
-
-
-def _as_int(mapping: dict, key: str) -> int:
-    try:
-        return int(mapping[key])
-    except (ValueError, TypeError):
-        raise ConfigInvalid(f"field {key!r} must be an integer, got {mapping[key]!r}") from None
-
-
-def _parse_list(text: str, kind, field_name: str) -> list:
-    try:
-        values = [kind(part) for part in str(text).split(",") if part.strip() != ""]
-    except ValueError:
-        raise ConfigInvalid(f"field {field_name!r} must be comma-separated, got {text!r}") from None
-    if kind is float and not all(map(math.isfinite, values)):
-        raise ConfigInvalid(f"field {field_name!r} must list finite numbers, got {text!r}")
-    return values
+        raise ConfigInvalid(f"field {key!r} must be {what}, got {text!r}") from None
 
 
 def build_run_config(mapping: dict, command: str = "run") -> RunConfig:
-    """Layer the command's defaults under the mapping and validate every field.
+    """Layer the command's defaults under the mapping and parse each key the
+    command reads for its pde, KEYS[command, pde], to its type (FIELDS).
 
-    command is the subcommand; a key outside KEYS[command] raises ConfigInvalid.
+    Raises ConfigInvalid for any other key, a pde or scheme the command does
+    not run, no scheme, or a value that does not parse.
+    Every range is the library's to check, which raises a ValueError naming
+    the argument before the command writes anything.
     """
-    unknown = sorted(set(mapping) - KEYS[command])
-    if unknown:
-        raise ConfigInvalid(f"unknown field(s) for {command}: {', '.join(map(repr, unknown))}")
+    allowed = PDES_BY_COMMAND[command]
     pde = mapping.get("pde", "vbe" if command == "galilean" else None)
-    allowed = ("vbe",) if command == "galilean" else PDES
     if pde not in allowed:
         raise ConfigInvalid(f"field 'pde' must be one of {allowed} for {command}, got {pde!r}")
-    merged = dict(DEFAULTS[pde])
+    keys = KEYS[command, pde]
+    unknown = sorted(set(mapping) - set(keys))
+    if unknown:
+        raise ConfigInvalid(
+            f"unknown field(s) for {command} on {pde}: {', '.join(map(repr, unknown))}"
+        )
+    valid = SCHEMES_BY_PDE[pde]
+    merged = dict(DEFAULTS[pde], sigma=0.5, L=0.4, schemes=",".join(valid))
     if command == "converge":
         merged.update(CONVERGE_DEFAULTS[pde])
     merged.update(mapping)
-    valid = SCHEMES_BY_PDE[pde]
-    if command == "run":
-        schemes = [merged.get("scheme")]
-        if schemes[0] not in valid:
-            raise ConfigInvalid(
-                f"field 'scheme' must be one of {valid} for pde {pde!r}, got {schemes[0]!r}"
-            )
-    else:
-        schemes = _parse_list(merged.get("schemes", ",".join(valid)), str, "schemes")
-        if not schemes:
-            raise ConfigInvalid("field 'schemes' must list at least one scheme")
-        for scheme in schemes:
-            if scheme not in valid:
-                raise ConfigInvalid(f"field 'schemes' contains {scheme!r}, invalid for {pde!r}")
-    merged.setdefault("sigma", 0.5)
-    merged.setdefault("L", 0.4)
-    if pde == "ade2d":
-        domain = tuple(_as_float(merged, k) for k in ("x_lo", "x_hi", "y_lo", "y_hi"))
-        if "nx" in mapping and "ny" not in mapping:
-            merged["ny"] = merged["nx"]  # an explicit nx alone means a square grid
-        n = (_as_int(merged, "nx"), _as_int(merged, "ny"))
-    else:
-        domain = (_as_float(merged, "x_lo"), _as_float(merged, "x_hi"))
-        n = (_as_int(merged, "nx"),)
-    sizes = []
-    if command == "converge":
-        sizes = _parse_list(merged["sizes"], int, "sizes")
-        if len(set(sizes)) < 3:
-            raise ConfigInvalid(f"field 'sizes' needs at least 3 distinct grid sizes, got {sizes}")
-    for name, count in [*zip(("nx", "ny"), n), *(("sizes", size) for size in sizes)]:
-        if count < 5:
-            raise ConfigInvalid(f"field {name!r} must be >= 5, got {count}")
-    for axis in range(len(n)):
-        if domain[2 * axis + 1] <= domain[2 * axis]:
-            raise ConfigInvalid(
-                f"domain bounds {domain[2 * axis]} .. {domain[2 * axis + 1]} are not increasing"
-            )
-    tau = _as_float(merged, "tau")
-    if tau <= 0:
-        raise ConfigInvalid(f"field 'tau' must be positive, got {tau}")
-    t_final = _as_float(merged, "t_final")
-    if t_final < 0:
-        raise ConfigInvalid(f"field 't_final' must be nonnegative, got {t_final}")
-    c_values = []
-    if command == "galilean":
-        c_values = _parse_list(merged["c_values"], float, "c_values")
-        if not c_values:
-            raise ConfigInvalid("field 'c_values' must list at least one boost speed")
-    galilean_c = None
-    if "galilean_c" in merged and str(merged["galilean_c"]) != "":
-        if pde != "vbe":
-            raise ConfigInvalid("field 'galilean_c' only applies to pde 'vbe'")
-        galilean_c = _as_float(merged, "galilean_c")
-    sigma = _as_float(merged, "sigma")
-    big_l = _as_float(merged, "L")
-    if sigma <= 0:
-        raise ConfigInvalid(f"field 'sigma' must be positive, got {sigma}")
-    if big_l <= 0:
-        raise ConfigInvalid(f"field 'L' must be positive, got {big_l}")
-    nu = _as_float(merged, "nu")
-    if nu < 0:
-        raise ConfigInvalid(f"field 'nu' must be nonnegative, got {nu}")
+    if "nx" in mapping and "ny" not in mapping:
+        merged["ny"] = merged["nx"]  # an explicit nx alone means a square grid
+    if merged.get("galilean_c") == "":
+        del merged["galilean_c"]  # an empty galilean_c means no boost
+    value = {key: _parse(key, merged[key]) for key in keys if key in merged}
+    schemes = (value["scheme"],) if command == "run" else value["schemes"]
+    if not schemes:
+        raise ConfigInvalid("field 'schemes' must list at least one scheme")
+    for scheme in schemes:
+        if scheme not in valid:
+            key = "scheme" if command == "run" else "schemes"
+            raise ConfigInvalid(f"field {key!r} has {scheme!r}, not one of {valid} for {pde!r}")
     default_output = {
         "run": f"{pde}_{schemes[0]}_profile.csv",
         "converge": f"{pde}_convergence.csv",
@@ -236,19 +206,16 @@ def build_run_config(mapping: dict, command: str = "run") -> RunConfig:
     }[command]
     return RunConfig(
         pde=pde,
-        schemes=tuple(schemes),
-        domain=domain,
-        n=n,
-        sizes=tuple(sizes),
-        tau=tau,
-        t_final=t_final,
-        params=PdeParams(
-            alpha=_as_float(merged, "alpha"), beta=_as_float(merged, "beta"), nu=nu,
-            sigma=sigma, L=big_l,
-        ),
-        galilean_c=galilean_c,
-        c_values=tuple(c_values),
-        output_path=str(merged.get("output_path", default_output)),
+        schemes=schemes,
+        domain=tuple(value[k] for k in ("x_lo", "x_hi", "y_lo", "y_hi") if k in value),
+        n=tuple(value[k] for k in ("nx", "ny") if k in value),
+        sizes=value.get("sizes", ()),
+        tau=value["tau"],
+        t_final=value["t_final"],
+        params=PdeParams(**{k: value[k] for k in ("alpha", "beta", "nu", "sigma", "L")}),
+        galilean_c=value.get("galilean_c"),
+        c_values=value.get("c_values", ()),
+        output_path=value.get("output_path", default_output),
     )
 
 

@@ -62,15 +62,14 @@ the field it makes is not finite, so evolve still raises NonFinite at the
 same step.
 """
 
-import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Tuple
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, finite
 from .tridiag import solve
 
 # A field is a plain array of node values: shape (n,) on Grid1D and
@@ -97,6 +96,16 @@ HALF_WIDTH = {1: 29, 2: 18}
 # 7.0, 7.4 and 7.6 us at n = 201 and 22.6, 22.6 and 25.2 us at n = 801 with
 # tiles of 16, 24 and 32 rows (median of 5 processes, measured as above).
 TILE_ROWS = 24
+# Fewest nodes per axis for the one-sided closures; Grid and grid_for both
+# check a node count by node_count.
+MIN_NODES = 5
+
+
+def node_count(name, n):
+    """n, if it is an integer of at least MIN_NODES; else a ValueError naming name."""
+    if not isinstance(n, numbers.Integral) or n < MIN_NODES:
+        raise ValueError(f"{name} must be an integer node count >= {MIN_NODES}, not {n!r}")
+    return n
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -109,13 +118,17 @@ class Grid:
     axis k sits at origin[k] + i * spacing[k], for shape[k] nodes."""
 
     def __post_init__(self):
-        geometry = (*self.origin, *self.spacing)
-        if not all(map(math.isfinite, geometry)) or min(self.spacing) <= 0:
-            raise ValueError(f"grid origin and spacing must be finite, spacing positive: {self}")
-        if not all(isinstance(n, numbers.Integral) for n in self.shape):
-            raise ValueError(f"node counts must be integers: {self}")
-        if min(self.shape) < 5:
-            raise ValueError(f"need at least 5 nodes per axis for the closures: {self}")
+        # A grid's fields are its origin, its spacing and its node counts, in
+        # that order, one of each per axis.
+        names = [field.name for field in fields(self)]
+        dim = len(names) // 3
+        for name in names[: 2 * dim]:
+            finite(name, getattr(self, name))
+        for name in names[dim : 2 * dim]:
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, not {getattr(self, name)!r}")
+        for name in names[2 * dim :]:
+            node_count(name, getattr(self, name))
 
     @property
     def axes(self) -> tuple:
@@ -197,9 +210,8 @@ class BoundaryPolicy:
     def __post_init__(self):
         if self.kind not in ("one_sided", "exact"):
             raise ValueError(f"unknown boundary policy kind {self.kind!r}")
-        for name in ("left", "right"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        finite("left", self.left)
+        finite("right", self.right)
 
     @classmethod
     def one_sided(cls) -> "BoundaryPolicy":
@@ -271,8 +283,7 @@ def _check(grid, axis, **scales):
     if not isinstance(axis, numbers.Integral) or not 0 <= axis < ndim:
         raise ValueError(f"axis {axis!r} is not an axis of a {ndim}D grid")
     for name, c in scales.items():
-        if not isinstance(c, numbers.Real) or not math.isfinite(c):
-            raise ValueError(f"{name} must be a finite real number, not {c!r}")
+        finite(name, c)
 
 
 def _checked(u, grid, axis):

@@ -1,4 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for a finite number."""
+
+import math
+import numbers
+
+
+def finite(name, value):
+    """value, if it is a finite real number; else a ValueError naming name. Each
+    caller keeps its own range check (such as > 0) beside the call."""
+    try:
+        if isinstance(value, numbers.Real) and math.isfinite(value):
+            return value
+    except OverflowError:  # an integer past the float range
+        pass
+    raise ValueError(f"{name} must be a finite real number, not {value!r}")
 
 
 class SymfdError(Exception):

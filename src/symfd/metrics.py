@@ -1,7 +1,6 @@
 """Error measures, the time loop, convergence, Galilean and equivariance studies."""
 
 import math
-import numbers
 import time
 import warnings
 from collections.abc import Iterable
@@ -21,8 +20,8 @@ from .analytic import (
     ibe_exact,
     vbe_exact,
 )
-from .compact_ops import Field, Grid, Grid1D, Grid2D
-from .errors import ShapeMismatch, StepCountMismatch, StepFailure
+from .compact_ops import Field, Grid, Grid1D, Grid2D, node_count
+from .errors import ShapeMismatch, StepCountMismatch, StepFailure, finite
 
 # The step of each (pde, scheme) pair: a binder, called once per run as
 # binder(grid, params, tau) plus the node displacement over a step for SLIDING,
@@ -87,12 +86,12 @@ class StepContext:
     mesh_velocity: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
-        if not math.isfinite(self.t):
-            raise ValueError(f"t must be finite, got {self.t}")
-        if not math.isfinite(self.mesh_velocity):
-            raise ValueError(f"mesh_velocity must be finite, got {self.mesh_velocity}")
+        if not isinstance(self.params, PdeParams):
+            raise ValueError(f"params must be a PdeParams, not {self.params!r}")
+        if finite("tau", self.tau) <= 0:
+            raise ValueError(f"tau must be positive, got {self.tau}")
+        finite("t", self.t)
+        finite("mesh_velocity", self.mesh_velocity)
         # Advisory stability screens on the constant speeds alpha (x) and beta
         # (y), not the Burgers speed u, at FTCS's limits; forward Euler shows
         # NonFinite if ignored. _stepper adds the compact schemes' tighter
@@ -319,8 +318,8 @@ def evolve(
     if exact is None:
         exact = default_exact(pde, params)
     ctx = StepContext(grid, params, tau, 0.0, exact, mesh_velocity)  # checks tau
-    if not (math.isfinite(t_final) and t_final >= 0):
-        raise ValueError(f"t_final must be nonnegative and finite, got {t_final}")
+    if finite("t_final", t_final) < 0:
+        raise ValueError(f"t_final must be nonnegative, got {t_final}")
     count = t_final / tau
     if math.isinf(count):
         raise ValueError(f"tau = {tau} is too small: t_final / tau = {count} steps")
@@ -332,7 +331,7 @@ def evolve(
     start = time.perf_counter()
     advance_block = _stepper(pde, scheme, ctx)  # checks the pair and grid first
     mesh = np.meshgrid(*grid.axes, indexing="ij")
-    u = exact(0.0, *mesh)
+    u = np.asarray(exact(0.0, *mesh), dtype=float)  # None becomes NaN
     base.check_finite(u, "the initial data")
     block = base.block_steps(grid)
     for k0 in range(0, n_steps, block):
@@ -370,25 +369,29 @@ def evolve(
 def grid_for(pde: str, domain: Sequence[float], n) -> Grid:
     """Uniform grid spanning the domain bounds.
 
-    domain holds the real numbers (lo, hi) for each axis of the pde, and n is
-    the node count of every axis, or a sequence with one count per axis. Raises
-    ValueError for an unknown pde, a domain or n of another dimension, a bound
-    that is not a real number, or a count that is not an integer of at least 2;
-    the grid checks the rest.
+    domain holds the bounds (lo, hi) for each axis of the pde, and n is the
+    node count of every axis, or a sequence with one count per axis. Raises
+    ValueError naming the argument for an unknown pde, a domain or n of
+    another dimension, a bound that is not a finite real number, bounds that
+    do not increase, or a count that is not an integer of at least
+    compact_ops.MIN_NODES; the grid checks the rest.
     """
     if pde not in PDES:
         raise ValueError(f"unknown pde {pde!r}")
     dim = 2 if pde == "ade2d" else 1
-    real = np.ndim(domain) == 1 and all(isinstance(b, numbers.Real) for b in domain)
-    if not real or len(domain) != 2 * dim:
+    if np.ndim(domain) != 1 or len(domain) != 2 * dim:
         raise ValueError(
             f"domain of {pde!r} needs (lo, hi) per axis, {2 * dim} real bounds: {domain}"
         )
-    lo, hi = domain[0::2], domain[1::2]
+    bounds = [finite("domain bound", b) for b in domain]
+    lo, hi = bounds[0::2], bounds[1::2]
+    if any(b <= a for a, b in zip(lo, hi)):
+        raise ValueError(f"domain bounds of {pde!r} are not increasing (lo < hi): {domain}")
     counts = (n,) * dim if np.ndim(n) == 0 else tuple(n)
-    integral = all(isinstance(c, numbers.Integral) for c in counts)
-    if len(counts) != dim or not integral or min(counts) < 2:
-        raise ValueError(f"n must give {dim} integer node count(s) >= 2 for {pde!r}, got {n!r}")
+    if len(counts) != dim:
+        raise ValueError(f"n must give {dim} node count(s) for {pde!r}, got {n!r}")
+    for count in counts:
+        node_count("n", count)
     h = [(b - a) / (c - 1) for a, b, c in zip(lo, hi, counts)]
     if pde == "ade2d":
         return Grid2D(lo[0], lo[1], h[0], h[1], counts[0], counts[1])
@@ -422,12 +425,10 @@ def convergence_study(
     domain: Sequence[float],
 ) -> ConvergenceTable:
     """One run per grid size at fixed small tau, plus the fitted slope. sizes is
-    read once, so it may be any iterable; raises ValueError unless it holds at
-    least 3 distinct integers."""
+    read once, so it may be any iterable; raises ValueError naming sizes unless
+    it holds at least 3 distinct integers, each at least compact_ops.MIN_NODES."""
     counts = list(sizes) if isinstance(sizes, Iterable) else [sizes]
-    if not all(isinstance(n, numbers.Integral) for n in counts):
-        raise ValueError(f"sizes must be integer node counts, got {sizes}")
-    sizes = sorted(set(int(n) for n in counts))
+    sizes = sorted(set(int(node_count("sizes", n)) for n in counts))
     if len(sizes) < 3:
         raise ValueError(f"sizes must hold at least 3 distinct grid sizes, got {sizes}")
     rows = []
@@ -441,14 +442,14 @@ def convergence_study(
 
 def _numbers(name, values):
     """values as a list of floats; a string, an empty sequence or an entry that
-    is not a finite number is a ValueError naming the argument."""
+    is not a finite real number is a ValueError naming the argument."""
     try:
-        floats = [] if isinstance(values, (str, bytes)) else [float(v) for v in values]
-    except (TypeError, ValueError):
-        floats = []
-    if not floats or not all(map(math.isfinite, floats)):
+        entries = [] if isinstance(values, (str, bytes)) else list(values)
+    except TypeError:
+        entries = []
+    if not entries:
         raise ValueError(f"{name} must be a non-empty sequence of finite numbers, not {values!r}")
-    return floats
+    return [float(finite(name, v)) for v in entries]
 
 
 def galilean_experiment(

@@ -282,7 +282,7 @@ def test_params_validation():
 @pytest.mark.parametrize("field", ["alpha", "beta", "nu", "sigma", "L"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_params_reject_non_finite_fields(field, value):
-    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite real number"):
         PdeParams(**{field: value})
 
 

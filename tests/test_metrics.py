@@ -847,6 +847,47 @@ MISUSE = {
         lambda: convergence_study("ibe", "ftcs", (n for n in (11, 21)), 1e-3, 2e-3, PdeParams(),
                                   (-3, 3)),
         ValueError, r"^sizes .*\[11, 21\]"),
+    "PdeParams-string-nu": (lambda: PdeParams(nu="0.1"), ValueError, "^nu "),
+    "PdeParams-no-sigma": (lambda: PdeParams(sigma=None), ValueError, "^sigma "),
+    "PdeParams-integer-past-the-float-range": (
+        lambda: PdeParams(nu=10**400), ValueError, "^nu "),
+    "Grid1D-string-spacing": (lambda: Grid1D(0.0, "0.1", 11), ValueError, "^h "),
+    "Grid1D-no-origin": (lambda: Grid1D(None, 0.1, 11), ValueError, "^x0 "),
+    "StepContext-string-tau": (
+        lambda: StepContext(Grid1D(0.0, 0.1, 11), PdeParams(), "1e-3", 0.0,
+                            default_exact("ibe", PdeParams())),
+        ValueError, "^tau "),
+    "evolve-string-tau": (
+        lambda: evolve("ibe", "ftcs", Grid1D(-3.0, 0.2, 31), "1e-3", 2e-3, PdeParams()),
+        ValueError, "^tau "),
+    "evolve-string-t_final": (
+        lambda: evolve("ibe", "ftcs", Grid1D(-3.0, 0.2, 31), 1e-3, "2e-3", PdeParams()),
+        ValueError, "^t_final "),
+    "evolve-string-mesh_velocity": (
+        lambda: evolve("vbe", "sym", Grid1D(0.0, 0.2, 31), 1e-3, 2e-3, PdeParams(nu=0.1),
+                       mesh_velocity="0.5"),
+        ValueError, "^mesh_velocity "),
+    "evolve-no-params": (
+        lambda: evolve("ibe", "ftcs", Grid1D(-3.0, 0.2, 31), 1e-3, 2e-3, None),
+        ValueError, "^params "),
+    "evolve-exact-returns-none": (
+        lambda: evolve("ibe", "ftcs", Grid1D(-3.0, 0.2, 31), 1e-3, 2e-3, PdeParams(),
+                       exact=lambda t, x: None),
+        NonFinite, "initial data"),
+    "convergence_study-string-tau": (
+        lambda: convergence_study("ibe", "ftcs", [11, 21, 31], "1e-3", 2e-3, PdeParams(),
+                                  (-3, 3)),
+        ValueError, "^tau "),
+    "galilean_experiment-string-tau": (
+        lambda: galilean_experiment([0.0], schemes=["ftcs"], tau="1e-3"), ValueError, "^tau "),
+    "galilean_experiment-numeric-string-speed": (
+        lambda: galilean_experiment(["0.5"]), ValueError, "^c_values "),
+    "invariantize_check-numeric-string-scale": (
+        lambda: metrics.invariantize_check("ibe", ["0.1"]), ValueError, "^group_params "),
+    "vbe_exact-string-t": (lambda: vbe_exact("0.1", 0.0, 0.1), ValueError, "^t "),
+    "galilean_exact-nan-c": (
+        lambda: galilean_exact(default_exact("vbe", PdeParams(nu=0.1)), math.nan), ValueError,
+        "^c "),
 }
 
 
