@@ -143,13 +143,15 @@ def vbe_exact(t, x, nu: float):
     bits, on about half the arrays the expression would allocate: a call of
     many boundary rows otherwise lifts the run's peak memory. Raises
     ValueError naming nu unless it is positive and finite, and naming t
-    unless every t is a real number above -1.
+    unless every t is a finite real number above -1.
     """
     if finite("nu", nu) <= 0:
         raise ValueError(f"nu must be positive, got {nu}")
     times = np.asarray(t)
     if times.dtype.kind not in "iuf":
         raise ValueError(f"t must be real numbers, not {t!r}")
+    if not np.isfinite(times).all():
+        raise ValueError(f"t must be finite, got {times[~np.isfinite(times)][0]}")
     if np.any(times <= -1.0):
         raise ValueError(f"t must exceed -1, got {np.min(t)}")
     big_t = t + 1.0

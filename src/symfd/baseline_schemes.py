@@ -84,7 +84,8 @@ from .errors import NonFinite, StepFailure
 # grid of fewer than BLOCK_VALUES / BOUNDARY_BLOCK = 32 Dirichlet nodes steps
 # more rows per block, up to BLOCK_VALUES values (block_steps): 4,096 steps of a
 # line's 2 nodes, 64 kB, whose provider call and block checks would otherwise
-# be paid every 256 steps.
+# be paid every 256 steps. BOUNDARY_BLOCK is a power of two, which the block
+# map is squared up to (bind_steps).
 BOUNDARY_BLOCK = 256
 BLOCK_VALUES = 8192
 
@@ -164,19 +165,16 @@ def bind_steps(grid: Grid, stencil, affine=False, guards=()):
     def block_map():
         """[M^m G] for m = BOUNDARY_BLOCK, on the vector [u; b_1 .. b_m], built on
         the first call. M is probed through the unchecked steps on the unit
-        vectors with a zero boundary row. The power k runs up m's binary digits:
-        doubling takes M^k to M^2k and [M^(k-1) E, ..., E] to [M^(2k-1) E, ...,
-        E] by prepending its product with M^k; a one digit then prepends M^k E
-        and multiplies M^k by M. Every product is an einsum, which never warns."""
+        vectors with a zero boundary row. m is a power of two, reached from
+        M and [E] by squaring: each squaring takes M^k to M^2k and [M^(k-1)
+        E, ..., E] to [M^(2k-1) E, ..., E] by prepending its product with
+        M^k. Every product is an einsum, which never warns."""
         n, zero = grid.shape[0], np.zeros((1, len(dirichlet)))
-        single = np.stack([unchecked(e, zero).copy() for e in np.eye(n)], axis=1)
-        power, inflow = np.eye(n), np.empty((n, 0))
-        for digit in bin(BOUNDARY_BLOCK)[2:]:
+        power = np.stack([unchecked(e, zero).copy() for e in np.eye(n)], axis=1)
+        inflow = np.eye(n)[:, dirichlet]
+        for _ in range(BOUNDARY_BLOCK.bit_length() - 1):
             inflow = np.hstack((np.einsum("ij,jk->ik", power, inflow), inflow))
             power = np.einsum("ij,jk->ik", power, power)
-            if digit == "1":
-                inflow = np.hstack((power[:, dirichlet], inflow))
-                power = np.einsum("ij,jk->ik", single, power)
         return np.hstack((power, inflow))
 
     def advance(u, rows):

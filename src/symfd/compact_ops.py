@@ -13,28 +13,32 @@ to differentiate along.
 Written as A U' = B U (Lele, J. Comput. Phys. 103, 1992), a one-sided
 derivative is one product with D = A^-1 B. A grid keeps one thing per axis,
 for its life: the product of the one-sided unit pair [D1; D2], probed on
-first use, in grid.products[axis]. The pair is on axes of n <= DENSE_MAX
-nodes the stacked (2, n, n) D, and on longer ones the two bands |i - j| <= w
-= HALF_WIDTH[order]. One builder binds a read-only stack of operators to its
-product(u), which writes every operator's product into the product's own
-output array, product.out, made at the bind, and returns it. A dense stack
-is applied by one matmul that runs one BLAS gemv per (operator, line), so a
-line's bits are those of its own 1D product whatever the other lines; one
-gemm over a block of lines would not keep that, as its summation order
-changes with the line count. Bands are cut into tiles of TILE_ROWS rows,
-each row at its nodes' columns of the tile's window of one zero-padded line
-buffer, and applied by one matmul that runs one gemv per (operator, line,
-tile), so a line's bits do not depend on the other lines either, and a call
-costs one copy of the field into the buffer and one of the result into out.
-An operator formed from the pair belongs to the caller that binds it and
-lives as long as the caller holds it: bound_pair with a scale other than 1
-binds [c1 D1; c2 D2], the unit pair's operators times c1 and c2, which the
-Burgers steps read their jets from with the step's scalars folded in, and
-bound_linear binds the step operator c1 D1 + c2 D2. A step binds its product
-once per run and reads its derivatives from the product's out with no
-allocation. derivatives, d1 and d2 are thin readers of the unit pair that
-return a copy of its out, or of their half of it, with inf or NaN for a
-field that overflows and no floating-point warning. A band's product writes
+first use, in grid.products[axis]. Each operator is stored in one form, the
+one its product applies: on axes of n <= DENSE_MAX nodes the pair is the
+stacked (2, n, n) D, and on longer ones the tiles of the two bands |i - j|
+<= w = HALF_WIDTH[order], each band cut into tiles of TILE_ROWS rows as it
+is probed, each row at its nodes' columns of the tile's window of one
+zero-padded line buffer; the band itself is not kept. One builder binds a
+read-only stack of operators, dense or tiled, to its product(u), which
+writes every operator's product into the product's own output array,
+product.out, made at the bind, and returns it. A dense stack is applied by
+one matmul that runs one BLAS gemv per (operator, line), so a line's bits
+are those of its own 1D product whatever the other lines; one gemm over a
+block of lines would not keep that, as its summation order changes with the
+line count. Tiles are applied by one matmul that runs one gemv per
+(operator, line, tile), so a line's bits do not depend on the other lines
+either, and a call costs one copy of the field into the buffer and one of
+the result into out. An operator formed from the pair belongs to the caller
+that binds it and lives as long as the caller holds it: bound_pair with a
+scale other than 1 binds [c1 D1; c2 D2], the unit pair's stack times c1 and
+c2, which the Burgers steps read their jets from with the step's scalars
+folded in, and bound_linear binds the step operator c1 D1 + c2 D2, formed
+from the stored stacks as they are, tiles included: every entry is the
+stored one times the same scalar, summed in the same order. A step binds
+its product once per run and reads its derivatives from the product's out
+with no allocation. derivatives, d1 and d2 are thin readers of the unit pair
+that return a copy of its out, or of their half of it, with inf or NaN for a
+field that overflows and no floating-point warning. A tiled product writes
 its line and result buffers, and a dense product across the lines of a 2D
 field's x axis its transposed copy of the field, so one grid must not be
 stepped from two threads at once.
@@ -309,8 +313,9 @@ def _solved(lines, n, h, order, bp=ONE_SIDED):
 
 def _probed(n, h):
     """The one-sided [D1; D2] of a line of n nodes spaced h, probed on the comb
-    (see above): the read-only (2, n, n) D for n <= DENSE_MAX, else the tuple of
-    the two read-only bands, band[i, k] being the entry of node i - w + k."""
+    (see above): the read-only (2, n, n) D for n <= DENSE_MAX, else the
+    read-only tiles (_tiled) of its two bands, band[i, k] being the entry of
+    node i - w + k; the bands do not outlive the probe."""
     if n <= DENSE_MAX:
         return _read_only(np.stack([_solved(_comb(n, n), n, h, order) for order in (1, 2)]))
     bands = []
@@ -319,8 +324,8 @@ def _probed(n, h):
         j = np.arange(n)[:, None] + np.arange(p) - w  # the node of band[i, k]
         band = np.take_along_axis(_solved(_comb(n, p), n, h, order), j % p, axis=1)
         band[(j < 0) | (j >= n)] = 0.0
-        bands.append(_read_only(band))
-    return tuple(bands)
+        bands.append(band)
+    return _tiled(bands)
 
 
 def _tiled(bands):
@@ -345,21 +350,20 @@ def _tiled(bands):
 
 
 def _bind(grid, axis, operators):
-    """The product along axis of grid of a read-only stack of k operators: on
-    lines of n <= DENSE_MAX nodes one (k, n, n) array, else k bands (n, 2w + 1)
-    as _probed gives them. product(u) writes each operator's product of a
-    C-contiguous field u of grid into product.out, of shape (k,) + grid.shape
-    and made at the bind, and returns it; product.operator is the stack. A
-    dense stack is applied by one matmul that runs one BLAS gemv per
-    (operator, line). Bands are applied as their tiles (_tiled) by one matmul
-    that runs one gemv per (operator, line, tile) over read-only windows of
-    one zero-padded line buffer, into which a call copies u; the result is
-    copied into out. The tiles are built on the first call, so a unit pair
-    bound only for its operators (bound_linear) never pays for them, and have
-    the width of the widest HALF_WIDTH, so a band's bits are the same in any
-    stack."""
+    """The product along axis of grid of a read-only stack of k operators, in
+    one of the two forms _probed gives: on lines of n <= DENSE_MAX nodes one
+    (k, n, n) array, else the (k, q, b, b + 2W) tiles of k bands (_tiled).
+    product(u) writes each operator's product of a C-contiguous field u of
+    grid into product.out, of shape (k,) + grid.shape and made at the bind,
+    and returns it; product.operator is the stack. A dense stack is applied by
+    one matmul that runs one BLAS gemv per (operator, line). Tiles are applied
+    by one matmul that runs one gemv per (operator, line, tile) over
+    read-only windows of one zero-padded line buffer, into which a call copies
+    u; the result is copied into out. Every operator's tiles have the width of
+    the widest HALF_WIDTH, so a band's bits are the same in any stack, and
+    the bind builds nothing but out and the line buffers."""
     n, shape = grid.shape[axis], grid.shape
-    dense = n <= DENSE_MAX
+    dense = operators.ndim == 3  # else (k, q, b, b + 2W) tiles
     across = len(shape) == 2 and axis == 0  # the lines are the columns of u
     out = np.empty((len(operators),) + shape)
     # One gemv per line, or per tile of a line, sums that line's outputs in the
@@ -387,25 +391,21 @@ def _bind(grid, axis, operators):
         product = lambda u: np.matmul(operators, u, out=out)
     else:
         # tile q of a line reads its window of the zero-padded line: the b + 2W
-        # nodes from qb - W on, W the widest HALF_WIDTH, as a read-only view
-        b, widest = TILE_ROWS, max(HALF_WIDTH.values())
-        lined, count = shape[::-1] if across else shape, -(-n // b)
+        # nodes from qb - W on, as a read-only view
+        count, b, span = operators.shape[1:]
+        widest, lined = (span - b) // 2, shape[::-1] if across else shape
         padded = np.zeros(lined[:-1] + (count * b + 2 * widest,))
         inner, step = padded[..., widest : n + widest], padded.itemsize
         windows = _read_only(np.ndarray(
-            lined[:-1] + (count, b + 2 * widest, 1), float, padded, 0,
+            lined[:-1] + (count, span, 1), float, padded, 0,
             padded.strides[:-1] + (b * step, step, step),
         ))
         res = np.empty((len(operators),) + lined[:-1] + (count, b, 1))
         result = res.reshape(res.shape[:-3] + (count * b,))[..., :n]
         result = result.swapaxes(1, 2) if across else result  # in out's layout
-        stacked = (len(operators),) + (1,) * (len(lined) - 1) + (count, b, b + 2 * widest)
-        tiles = None
+        tiles = operators[:, None] if len(shape) == 2 else operators  # one stack for all lines
 
         def product(u):
-            nonlocal tiles
-            if tiles is None:
-                tiles = _tiled(operators).reshape(stacked)
             inner[...] = u.T if across else u
             np.matmul(tiles, windows, out=res)
             np.copyto(out, result)
@@ -420,8 +420,8 @@ def bound_pair(grid: Grid, axis: int = 0, c1: float = 1.0, c2: float = 1.0):
     pair(u) writes (c1 u', c2 u'') of a C-contiguous field u of grid into
     pair.out and returns it. The unit pair (c1 = c2 = 1) is the grid's,
     probed on first use and kept in grid.products[axis]. Any other is bound
-    anew for the caller, who holds it: the unit pair's operators times c1 and
-    c2, one elementwise product per operator. A step binds its pair once per
+    anew for the caller, who holds it: the unit pair's stack, dense or tiled,
+    times (c1, c2) by one broadcast product. A step binds its pair once per
     run and reads both derivatives, with its scalars folded in, from its out.
     An axis that is not one of grid's, or a c1 or c2 that is not a finite
     real number, is a ValueError."""
@@ -432,9 +432,8 @@ def bound_pair(grid: Grid, axis: int = 0, c1: float = 1.0, c2: float = 1.0):
         unit = grid.products[axis] = _bind(grid, axis, probed)
     if (c1, c2) == (1.0, 1.0):
         return unit
-    scaled = [_read_only(op * c) for op, c in zip(unit.operator, (c1, c2))]
-    dense = grid.shape[axis] <= DENSE_MAX
-    return _bind(grid, axis, _read_only(np.stack(scaled)) if dense else tuple(scaled))
+    scales = np.array([c1, c2], float).reshape((2,) + (1,) * (unit.operator.ndim - 1))
+    return _bind(grid, axis, _read_only(unit.operator * scales))
 
 
 def _read(u, grid, axis, k=slice(None)):
@@ -482,13 +481,12 @@ def bound_linear(grid: Grid, axis: int, c1: float, c2: float):
     bound anew for the caller, who holds it, as a one-operator stack:
     product(u) writes T u of a C-contiguous field u of grid into
     product.out[0] and returns product.out. T is formed from the grid's unit
-    pair's operators in the rounded operations D2 c2 + D1 c1; on long lines
-    D2's band is zero-padded to the width of D1's. An axis that is not one of
-    grid's, or a c1 or c2 that is not a finite real number, is a ValueError."""
+    pair's operators, dense or tiled, in the rounded operations D2 c2 + D1 c1;
+    the tiles of both orders share the widest window, so they add as they
+    are. An axis that is not one of grid's, or a c1 or c2 that is not a
+    finite real number, is a ValueError."""
     _check(grid, axis, c1=c1, c2=c2)
     first, second = bound_pair(grid, axis).operator
-    pad = (first.shape[1] - second.shape[1]) // 2
-    t = first * c1
-    s = np.pad(second, ((0, 0), (pad, pad))) * c2
-    s += t
-    return _bind(grid, axis, _read_only(s)[None])
+    t = second * c2
+    t += first * c1
+    return _bind(grid, axis, _read_only(t)[None])

@@ -379,7 +379,8 @@ def grid_for(pde: str, domain: Sequence[float], n) -> Grid:
     if pde not in PDES:
         raise ValueError(f"unknown pde {pde!r}")
     dim = 2 if pde == "ade2d" else 1
-    if np.ndim(domain) != 1 or len(domain) != 2 * dim:
+    # numpy would refuse a ragged sequence in its own words, not naming domain
+    if not (isinstance(domain, Sequence) or np.ndim(domain) == 1) or len(domain) != 2 * dim:
         raise ValueError(
             f"domain of {pde!r} needs (lo, hi) per axis, {2 * dim} real bounds: {domain}"
         )

@@ -1,7 +1,7 @@
-"""Tests for the verdict of tools/bench_pairs.py: the pairs the change won and
+"""Tests for tools/bench_pairs.py: the verdict, the pairs the change won and
 whether that is a resolved gain (at least nine tenths of the pairs, ties
 counting for neither, and the medians further apart than the parent's
-quartiles)."""
+quartiles), and the command line the file records."""
 
 import importlib.util
 from pathlib import Path
@@ -47,3 +47,13 @@ def test_a_higher_is_better_metric_wins_upwards():
     change = [p + 0.2 for p in PARENT]
     assert bench_pairs.won(PARENT, change, "higher").endswith("gain resolved")
     assert bench_pairs.won(PARENT, change, "lower").startswith("change lower in 0 of 10")
+
+
+def test_the_recorded_command_names_no_local_path():
+    args = bench_pairs.parse(["/work/a/parent-copy", "../b", "--pr", "27", "--workloads", "fine",
+                              "--out", "/work/BENCH_27.json", "--seconds", "8"])
+    assert bench_pairs.command(args) == ("python3 tools/bench_pairs.py parent change --pr 27 "
+                                         "--workloads fine --pairs 10 --seconds 8.0 --first-seed 1")
+    defaults = bench_pairs.parse(["--pr", "3", "x", "y", "--first-seed", "301"])
+    assert bench_pairs.command(defaults) == ("python3 tools/bench_pairs.py parent change --pr 3 "
+                                             "--pairs 10 --first-seed 301")

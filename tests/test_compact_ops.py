@@ -1,6 +1,7 @@
 """Tests for the compact derivative operators and grid types."""
 
 import dataclasses
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -51,6 +52,30 @@ class Central:
 # The longest line a dense D served before DENSE_MAX was set at the measured
 # crossover, and one past it: two band lines now, checked beside the new bound.
 OLD_BOUNDARY = (256, 257)
+# The widest half-width, that of the window every tile row is placed in.
+WIDEST = max(HALF_WIDTH.values())
+
+
+def band_of(tiles, n, w):
+    """The (n, 2w + 1) band of one operator of a line of n nodes, read back from
+    its (q, b, b + 2 WIDEST) tiles (compact_ops._tiled): band row qb + r is
+    row r of tile q at columns r + WIDEST - w .. r + WIDEST + w."""
+    b = tiles.shape[1]
+    i = np.arange(n)[:, None]
+    return tiles[i // b, i % b, i % b + WIDEST - w + np.arange(2 * w + 1)]
+
+
+@pytest.mark.parametrize("n", [DENSE_MAX + 1, 201, 801])
+def test_bands_come_back_from_their_tiles(n):
+    rng = np.random.default_rng(n)
+    bands = [rng.normal(size=(n, 2 * w + 1)) for w in HALF_WIDTH.values()]
+    tiles = compact_ops._tiled(bands)
+    rest = tiles.reshape(len(bands), -1).copy()
+    where = np.arange(rest.shape[1]).reshape(tiles.shape[1:])  # each tile entry's index
+    for k, (band, w) in enumerate(zip(bands, HALF_WIDTH.values())):
+        assert band_of(tiles[k], n, w).tobytes() == band.tobytes()
+        rest[k, band_of(where, n, w)] = 0.0
+    assert not rest.any()  # every other entry, rows past n included, is 0
 
 
 def cubic(x):
@@ -362,9 +387,10 @@ def test_derivative_matrices_built_once_per_grid(monkeypatch):
                 op(field, long, axis)
     assert sorted(builds) == [7, 7, DENSE_MAX + 1, DENSE_MAX + 1]
     for order in (1, 2):
-        band = long.products[0].operator[order - 1]
+        tiles = long.products[0].operator[order - 1]
+        band = band_of(tiles, DENSE_MAX + 1, HALF_WIDTH[order])
         assert band.shape == (DENSE_MAX + 1, 2 * HALF_WIDTH[order] + 1)
-        assert not band.flags.writeable
+        assert not tiles.flags.writeable
     # grids that differ only in h share no D: a cache keyed without h fails here
     for n in (17, DENSE_MAX + 1):
         fine, coarse = Grid1D(0.0, 0.1, n), Grid1D(0.0, 0.2, n)
@@ -525,13 +551,16 @@ def test_each_operator_is_stored_once(shape):
     assert pair is compact_ops.bound_pair(grid)
     first, second = pair.operator
     n = shape[0]
-    if n <= DENSE_MAX:  # two halves of one stack
+    # two halves of one stack: the dense D, or on long lines the tiles alone
+    assert first.base is second.base is pair.operator
+    assert not np.shares_memory(first, second)
+    if n <= DENSE_MAX:
         assert pair.operator.shape == (2, n, n)
-        assert first.base is second.base is pair.operator
     else:
-        assert first.shape == (n, 2 * HALF_WIDTH[1] + 1)
-        assert second.shape == (n, 2 * HALF_WIDTH[2] + 1)
-        assert not np.shares_memory(first, second)
+        bands = [band_of(first, n, HALF_WIDTH[1]), band_of(second, n, HALF_WIDTH[2])]
+        assert bands[0].shape == (n, 2 * HALF_WIDTH[1] + 1)
+        assert bands[1].shape == (n, 2 * HALF_WIDTH[2] + 1)
+        assert np.array_equal(compact_ops._tiled(bands), pair.operator)  # and nothing else
 
 
 @pytest.mark.parametrize("n", [31, DENSE_MAX + 1, 801])
@@ -576,19 +605,47 @@ def test_a_scaled_pair_is_each_operator_times_its_scale(shape, axis):
     unit, scaled = compact_ops.bound_pair(grid, axis), compact_ops.bound_pair(grid, axis, c1, c2)
     assert set(grid.products) == {axis}  # the scaled pair is its caller's
     assert compact_ops.bound_pair(grid, axis, c1, c2) is not scaled  # bound anew per caller
-    for op, unit_op, c in zip(scaled.operator, unit.operator, (c1, c2)):
+    n = shape[axis]
+    for op, unit_op, c, w in zip(scaled.operator, unit.operator, (c1, c2), HALF_WIDTH.values()):
         assert op.shape == unit_op.shape and not op.flags.writeable
         assert np.array_equal(op, unit_op * c)
-    if shape[axis] <= DENSE_MAX:  # dense: one stack
-        assert isinstance(scaled.operator, np.ndarray) and scaled.operator.shape[0] == 2
-    else:
-        assert isinstance(scaled.operator, tuple)
+        if n > DENSE_MAX:  # each band, read back from its tiles
+            assert np.array_equal(band_of(op, n, w), band_of(unit_op, n, w) * c)
+    # one stack of the unit pair's form: dense, or on long lines its tiles
+    assert isinstance(scaled.operator, np.ndarray) and scaled.operator.shape[0] == 2
+    assert scaled.operator.shape == unit.operator.shape
     u = np.random.default_rng(5).normal(size=shape)
     jets = scaled(u)
     assert jets is scaled.out and jets.shape == (2,) + shape
     derivs = derivatives(u, grid, axis)
     for jet, deriv, c in zip(jets, derivs, (c1, c2)):  # c D u is c (D u) to roundoff
         np.testing.assert_allclose(jet, c * deriv, rtol=1e-12, atol=1e-12 * c * np.abs(deriv).max())
+
+
+@pytest.mark.parametrize("shape", [(801,), (DENSE_MAX + 1, 7)], ids=["801", "113x7"])
+@pytest.mark.parametrize(
+    "bind, k",
+    [(lambda grid: compact_ops.bound_pair(grid, 0, 1e-3, 2e-4), 2),
+     (lambda grid: compact_ops.bound_linear(grid, 0, -0.01, 0.002), 1)],
+    ids=["scaled_pair", "step_operator"],
+)
+def test_a_long_lines_product_holds_only_its_tiles_and_buffers(bind, k, shape):
+    # a band kept beside the tiles, or a padded copy of one, would show here
+    grid = Grid1D(0.0, 0.1, *shape) if len(shape) == 1 else Grid2D(0, 0, 0.1, 0.2, *shape)
+    u = np.random.default_rng(6).normal(size=shape)
+    compact_ops.bound_pair(grid)  # the grid's unit pair, which it keeps
+    tracemalloc.start()
+    try:
+        product = bind(grid)
+        product(u)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    n, b = shape[0], compact_ops.TILE_ROWS
+    lines, count = math.prod(shape) // n, -(-n // b)
+    tiles = k * count * b * (b + 2 * WIDEST)
+    buffers = lines * (count * b + 2 * WIDEST) + k * lines * count * b  # padded lines, results
+    assert held <= 8 * (tiles + k * math.prod(shape) + buffers) + 2048
 
 
 def test_a_galilean_study_leaves_its_grid_only_the_unit_pair():
@@ -638,7 +695,7 @@ def test_probed_band_matches_exact_band(op, order, n):
     grid = Grid1D(0.0, 1.0 / (n - 1), n)
     op(np.sin(grid.x), grid)
     _, mass, band, on_line = exact_band(order, n, grid.h)
-    probed = grid.products[0].operator[order - 1]
+    probed = band_of(grid.products[0].operator[order - 1], n, HALF_WIDTH[order])
     assert np.all(np.abs(probed - band).sum(axis=1) <= 2.0**-53 * mass)
     assert not probed[~on_line].any()
 
@@ -757,7 +814,9 @@ def test_probed_step_operator_reproduces_stored_operators(n):
         (formed,) = compact_ops.bound_linear(grid, 0, c1, c2).operator
         stored = grid.products[0].operator[order - 1]
         if n > DENSE_MAX:  # D2's band is the middle of T's wider one
-            pad = HALF_WIDTH[1] - HALF_WIDTH[order]
+            formed = band_of(formed, n, WIDEST)
+            stored = band_of(stored, n, HALF_WIDTH[order])
+            pad = WIDEST - HALF_WIDTH[order]
             stored = np.pad(stored, ((0, 0), (pad, pad)))
         assert np.array_equal(formed, stored)
 
@@ -800,8 +859,10 @@ STEP_OPERATOR_CASES += [
 )
 def test_step_operator_is_bit_identical_to_its_probe(shape, axis):
     grid = Grid1D(-1.0, 0.05, *shape) if len(shape) == 1 else Grid2D(-1, 0, 0.05, 0.07, *shape)
+    n = shape[axis]
     for c1, c2 in ((-0.01, 0.002), (-1e-3, 1e-3 / 60.0), (0.37, -1.3e-4), (-2.5e-5, 3e-7)):
         (t,) = compact_ops.bound_linear(grid, axis, c1, c2).operator
+        t = t if n <= DENSE_MAX else band_of(t, n, WIDEST)
         assert np.array_equal(t, probed_step_operator(grid, axis, c1, c2))
 
 
@@ -827,8 +888,9 @@ def test_step_operator_built_once_per_grid(monkeypatch):
         assert all(np.array_equal(later.operator, first.operator)
                    for later, first in zip(steps[2:], steps))
         (t,) = steps[0].operator
-        width = n if n <= DENSE_MAX else 2 * HALF_WIDTH[1] + 1
-        assert t.shape == (n, width) and not t.flags.writeable
+        width = n if n <= DENSE_MAX else 2 * WIDEST + 1
+        band = t if n <= DENSE_MAX else band_of(t, n, WIDEST)
+        assert band.shape == (n, width) and not t.flags.writeable
         with pytest.raises(ValueError):
             t[0, 0] = 0.0
         # other coefficients are another operator, formed from the same pair

@@ -606,6 +606,10 @@ class TestAffineBlock:
     keep the band step on long lines, and build the map only when a full
     BOUNDARY_BLOCK of rows comes."""
 
+    def test_boundary_block_is_a_power_of_two(self):
+        # the block map is squared up from M, so it reaches only powers of two
+        assert BOUNDARY_BLOCK > 1 and BOUNDARY_BLOCK & (BOUNDARY_BLOCK - 1) == 0
+
     @pytest.mark.parametrize("n", [31, 41, 61])
     @pytest.mark.parametrize("scheme", ["ftcs", "comp"])
     def test_criterion_5_runs_match_their_steps(self, scheme, n):
@@ -822,6 +826,7 @@ MISUSE = {
         lambda: galilean_experiment([0.0], schemes=5), ValueError, "^schemes "),
     "grid_for-string-n": (lambda: grid_for("ibe", (-3, 3), "31"), ValueError, "^n "),
     "grid_for-no-domain": (lambda: grid_for("ibe", None, 31), ValueError, "^domain "),
+    "grid_for-ragged-domain": (lambda: grid_for("ibe", [(0, 1), 2], 11), ValueError, "^domain "),
     "convergence_study-no-sizes": (
         lambda: convergence_study("ibe", "ftcs", None, 1e-3, 2e-3, PdeParams(), (-3, 3)),
         ValueError, "^sizes "),
@@ -833,6 +838,8 @@ MISUSE = {
         ValueError, "^right "),
     "vbe_exact-nan-nu": (lambda: vbe_exact(0.1, 0.0, math.nan), ValueError, "^nu "),
     "vbe_exact-inf-nu": (lambda: vbe_exact(0.1, 0.0, math.inf), ValueError, "^nu "),
+    "vbe_exact-nan-t": (lambda: vbe_exact(math.nan, 1.0, 0.1), ValueError, "^t "),
+    "vbe_exact-inf-t": (lambda: vbe_exact(math.inf, 1.0, 0.1), ValueError, "^t "),
     "ibe_exact-zero-sigma": (lambda: ibe_exact(0.1, 0.0, sigma=0.0), ValueError, "^sigma "),
     "ibe_exact-nan-sigma": (lambda: ibe_exact(0.1, 0.0, sigma=math.nan), ValueError, "^sigma "),
     "ibe_exact-nan-t": (lambda: ibe_exact(math.nan, np.array([0.0, 1.0])), ValueError, "^t "),

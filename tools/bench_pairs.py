@@ -16,8 +16,10 @@ the JSON file in the layout of the earlier BENCH_<pr>.json files.
 
 PARENT and CHANGE are the roots of two source checkouts, made the same way
 (say, two git clones, so that each side records its commit); the file is
-written into CHANGE unless --out says otherwise. A side that exits non-zero or fails a
-cell is recorded, not hidden: its exit code and cell counts go into the file.
+written into CHANGE unless --out says otherwise. The file's command names the
+two checkouts `parent change` and leaves out --out, so no local path enters
+it. A side that exits non-zero or fails a cell is recorded, not hidden: its
+exit code and cell counts go into the file.
 """
 
 import argparse
@@ -122,7 +124,8 @@ def report(workload, entry, metrics):
         print(f"  {name}: {'  '.join(cells)}  {entry.get('pairs', {}).get(name, '')}")
 
 
-def main(argv=None):
+def parse(argv):
+    """The parsed command line argv."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
@@ -134,9 +137,21 @@ def main(argv=None):
                         help="default the run_seconds of BENCHMARK.json")
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--out", type=Path, default=None)
-    argv = sys.argv[1:] if argv is None else argv
-    args = parser.parse_args(argv)
+    return parser.parse_args(argv)
 
+
+def command(args):
+    """The command line of the parsed args as the file records it: the two
+    checkouts as `parent change` and no --out, whose values are local paths."""
+    words = ["python3", "tools/bench_pairs.py", "parent", "change", "--pr", str(args.pr)]
+    for name in ("workloads", "pairs", "seconds", "first_seed"):
+        if getattr(args, name) is not None:
+            words += ["--" + name.replace("_", "-"), str(getattr(args, name))]
+    return " ".join(words)
+
+
+def main(argv=None):
+    args = parse(sys.argv[1:] if argv is None else argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     names = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
@@ -159,7 +174,7 @@ def main(argv=None):
                  f"A pairs entry reads 'gain resolved' when the change is better in at least "
                  f"nine tenths of the pairs, ties counting for neither, and the medians differ "
                  f"by more than the parent's interquartile range. Every run is listed."),
-        "command": " ".join(["python3", "tools/bench_pairs.py", *argv]),
+        "command": command(args),
         "parent_commit": git_commit(checkouts["parent"]),
         "change_commit": git_commit(checkouts["change"]),
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
