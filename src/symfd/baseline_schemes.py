@@ -104,13 +104,23 @@ def check_finite(values, what=None):
         raise NonFinite() if what is None else NonFinite(f"{what} must be finite")
 
 
+def check_field(field):
+    """check_finite of a step's field, its NonFinite placed at the first node,
+    in the grid's flat order, whose value is not finite."""
+    finite = np.isfinite(field)
+    if not finite.all():
+        node = int(finite.argmin())
+        raise NonFinite().at(node, float(field.flat[node]))
+
+
 class Guard:
     """A floor that a bound step's values must keep, decided once per block (see
-    bind_steps). values is a view of scratch that every step writes, and the
-    step folds it into running by one elementwise np.minimum, with no
-    reduction. fails(lowest) says a value breaks the floor (a NaN does not:
-    NonFinite reports it), and error() makes the exception it raises.
-    lowest is the smallest value of the blocks that passed, inf before one."""
+    bind_steps). values is a view of scratch that every step writes, one value
+    per interior node of the grid in its order, and the step folds it into
+    running by one elementwise np.minimum, with no reduction. fails(lowest)
+    says a value breaks the floor (a NaN does not: NonFinite reports it), and
+    error() makes the exception it raises. lowest is the smallest value of the
+    blocks that passed, inf before one."""
 
     def __init__(self, values, fails, error):
         self.values, self.fails, self.error = values, fails, error
@@ -127,9 +137,14 @@ class Guard:
         return True
 
     def check(self):
-        """Raise error() if the values of the last step break the floor."""
-        if self.fails(self.values.min()):
-            raise self.error()
+        """Raise error() if the values of the last step break the floor, placed
+        at the grid's flat index of the node of the lowest value."""
+        i = np.unravel_index(self.values.argmin(), self.values.shape)  # a NaN's, as min()'s
+        lowest = float(self.values[i])
+        if self.fails(lowest):
+            shape = [n + 2 for n in self.values.shape]  # the grid's, as values are its interior
+            node = np.ravel_multi_index([k + 1 for k in i], shape)
+            raise self.error().at(int(node), lowest)
 
 
 def bind_steps(grid: Grid, stencil, affine=False, guards=()):
@@ -199,14 +214,15 @@ def bind_steps(grid: Grid, stencil, affine=False, guards=()):
             except NonFinite:
                 pass
             # the replay: from u again, checked after every step, to raise at the
-            # step that fails, which the error records as its step of the block
+            # step that fails, which the error records as its step of the block,
+            # and at the node it failed at
             last = u
             for k, row in enumerate(rows[:, None], 1):
                 last = unchecked(last, row)
                 try:
                     for guard in guards:
                         guard.check()
-                    check_finite(last)
+                    check_field(last)
                 except StepFailure as error:
                     error.step = k
                     raise

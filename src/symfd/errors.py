@@ -37,10 +37,20 @@ class ShapeMismatch(SymfdError):
 class StepFailure(SymfdError):
     """A time step failed a check. step is the 1-based step that failed, of its
     block (baseline_schemes.bind_steps) or, once located(), of its run; t is the
-    time of its field. Both are None where no step is known, such as for the
-    initial data."""
+    time of its field. node is the flat index on the grid of the node the step
+    failed at, and value what it met there, the quantity its class names: the
+    frame factor lambda, |u| or a non-finite value of u. Each is None where it
+    is not known, such as for the initial data."""
 
-    step = t = None
+    step = t = node = value = None
+    quantity = "u"
+
+    def at(self, node, value):
+        """Place the failure at the grid's flat node index node, where the step
+        met value, which its message then states; returns the failure."""
+        self.node, self.value = node, value
+        self.args = (f"{self}: node {node} has {self.quantity} = {value:.6g}",)
+        return self
 
     def located(self, step, t):
         """Place the failure at the run's step and time t, which its message then
@@ -59,9 +69,13 @@ class NonFinite(StepFailure):
 class FrameSingularity(StepFailure):
     """The projective factor lambda left its valid chart (lambda <= 0)."""
 
+    quantity = "lambda"
+
 
 class ZeroState(StepFailure):
     """An interior node value is too close to zero to normalize a frame."""
+
+    quantity = "|u|"
 
 
 class NoConvergence(SymfdError):

@@ -69,8 +69,7 @@ def _frame_guard(lam):
         lam,
         lambda lowest: lowest <= LAMBDA_TOL,
         lambda: FrameSingularity(
-            "projective factor lambda must stay positive for this frame; "
-            "an interior node reached lambda <= 1e-10"
+            f"projective factor lambda fell to {LAMBDA_TOL:g} or below, out of this frame's chart"
         ),
     )
 

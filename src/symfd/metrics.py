@@ -210,19 +210,27 @@ def boundary_values(ctx: StepContext, times: np.ndarray) -> np.ndarray:
         ) from None
 
 
+def _on_grid(u: Field, grid: Grid) -> np.ndarray:
+    """u as a float array; ShapeMismatch unless it has the grid's shape."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != grid.shape:
+        raise ShapeMismatch(f"field shape {u.shape} does not fit the grid {grid.shape}")
+    return u
+
+
 def _stepper(pde: str, scheme: str, ctx: StepContext) -> Callable:
     """step's body, resolved and bound once per pair and context as
-    advance_block(u, rows): one step per boundary row of rows (None: one step,
-    its row drawn for ctx.t + tau), each the update and the Dirichlet refresh,
-    by the advance the pair's binder returns (see _STEPPERS), which checks the
-    block as a block checked after every step would and, for any number of
-    rows, takes each full BOUNDARY_BLOCK of a mapped pair's rows as one
-    product (see baseline_schemes). A failed step's error carries its 1-based
-    step of the block as step.
-    advance_block.lambda_min() is the smallest interior frame factor lambda the
-    run's steps met, NaN for a pair without a frame. It reads _STEPPERS on each
-    call, so a patched table is seen, and warns when a scheme other than FTCS
-    exceeds COMPACT_DIFFUSION_LIMIT."""
+    advance_block(u, rows): one step per boundary row of rows, each the update
+    and the Dirichlet refresh, by the advance the pair's binder returns (see
+    _STEPPERS), which checks the block as a block checked after every step
+    would and, for any number of rows, takes each full BOUNDARY_BLOCK of a
+    mapped pair's rows as one product (see baseline_schemes). A failed step's
+    error carries its 1-based step of the block as step, and the node and
+    value it failed at. advance_block.lambda_min() is the smallest interior
+    frame factor lambda the run's steps met, NaN for a pair without a frame.
+    The binding reads everything of ctx but t, which advance_block never reads.
+    It reads _STEPPERS on each call, so a patched table is seen, and warns when
+    a scheme other than FTCS exceeds COMPACT_DIFFUSION_LIMIT."""
     try:
         entry = _STEPPERS[(pde, scheme)]
     except KeyError:
@@ -241,13 +249,8 @@ def _stepper(pde: str, scheme: str, ctx: StepContext) -> Callable:
         warnings.warn(message, RuntimeWarning, stacklevel=3)
     steps = entry(grid, ctx.params, tau, *extra)
 
-    def advance_block(u, rows=None):
-        u = np.asarray(u, dtype=float)
-        if u.shape != grid.shape:
-            raise ShapeMismatch(f"field shape {u.shape} does not fit the grid {grid.shape}")
-        if rows is None:  # one step, to ctx.t + tau
-            rows = boundary_values(ctx, np.array([ctx.t + tau]))
-        return steps(u, rows)
+    def advance_block(u, rows):
+        return steps(_on_grid(u, grid), rows)
 
     advance_block.lambda_min = getattr(steps, "lambda_min", lambda: math.nan)
     return advance_block
@@ -269,18 +272,30 @@ def step(
     or a sliding mesh on a static-mesh scheme, and NonFinite when the new
     field is not finite. It is a block of one row, so it takes the step
     by step path of every pair.
+
+    The context keeps the advance that step last bound, keyed on all that the
+    binding reads: the pair and the context's grid, params, tau, mesh_velocity
+    and boundary_provider. A caller that moves only ctx.t between calls binds
+    once, and is warned of COMPACT_DIFFUSION_LIMIT once; any other change
+    binds anew.
     """
-    rows = None
     if boundary is not None:
         nodes = (len(ctx.grid.dirichlet[0][0]),)
         try:
-            rows = np.broadcast_to(boundary, nodes)[None]
+            boundary = np.broadcast_to(boundary, nodes)[None]
         except ValueError:
             raise ShapeMismatch(
                 f"boundary of shape {np.shape(boundary)} does not broadcast to the "
                 f"Dirichlet nodes' shape {nodes}"
             ) from None
-    return _stepper(pde, scheme, ctx)(u, rows)
+    key = (pde, scheme, ctx.grid, ctx.params, ctx.tau, ctx.mesh_velocity, ctx.boundary_provider)
+    bound = ctx.__dict__.get("_bound")
+    if bound is None or bound[0] != key:
+        bound = ctx.__dict__["_bound"] = (key, _stepper(pde, scheme, ctx))
+    if boundary is None:  # drawn for t + tau once the field is known to fit
+        u = _on_grid(u, ctx.grid)
+        boundary = boundary_values(ctx, np.array([ctx.t + ctx.tau]))
+    return bound[1](u, boundary)
 
 
 def evolve(

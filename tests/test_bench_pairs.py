@@ -1,7 +1,8 @@
 """Tests for tools/bench_pairs.py: the verdict, the pairs the change won and
 whether that is a resolved gain (at least nine tenths of the pairs, ties
 counting for neither, and the medians further apart than the parent's
-quartiles), and the command line the file records."""
+quartiles) or, where the change's median is worse, a resolved loss by the
+mirror rule, and the command line the file records."""
 
 import importlib.util
 from pathlib import Path
@@ -47,6 +48,25 @@ def test_a_higher_is_better_metric_wins_upwards():
     change = [p + 0.2 for p in PARENT]
     assert bench_pairs.won(PARENT, change, "higher").endswith("gain resolved")
     assert bench_pairs.won(PARENT, change, "lower").startswith("change lower in 0 of 10")
+
+
+def test_worse_in_nine_of_ten_pairs_and_a_gap_past_the_parent_iqr_is_a_resolved_loss():
+    change = [p + 0.2 for p in PARENT]
+    change[0] = PARENT[0] - 0.1
+    verdict = bench_pairs.won(PARENT, change, "lower")
+    assert verdict.startswith("change lower in 1 of 10 pairs; median gap -0.2 ")
+    assert verdict.endswith("loss resolved")
+    lower = bench_pairs.won(PARENT, [p - 0.2 for p in PARENT], "higher")
+    assert lower.startswith("change higher in 0 of 10") and lower.endswith("loss resolved")
+
+
+def test_a_loss_in_eight_pairs_or_inside_the_parent_iqr_is_not_resolved():
+    change = [p + 0.2 for p in PARENT]
+    change[0] = change[1] = PARENT[1] - 0.1
+    assert bench_pairs.won(PARENT, change, "lower").endswith("loss not resolved")
+    verdict = bench_pairs.won(PARENT, [p + 0.01 for p in PARENT], "lower")
+    assert verdict.startswith("change lower in 0 of 10 pairs")
+    assert verdict.endswith("loss not resolved")
 
 
 def test_the_recorded_command_names_no_local_path():

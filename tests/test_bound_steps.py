@@ -58,12 +58,21 @@ def ade_update(u, grid, params, tau):
     return u + t
 
 
+def placed(error, values, interior):
+    """error at the lowest of values on the interior: its node, the grid's flat
+    index, and that value."""
+    nodes = np.arange(values.size).reshape(values.shape)[interior]
+    i = np.argmin(values[interior])
+    error.node, error.value = int(nodes.flat[i]), float(values[interior].flat[i])
+    return error
+
+
 def check_lambda(lam, interior, met):
     if met is None:  # unguarded
         return
     lowest = lam[interior].min()
     if lowest <= LAMBDA_TOL:
-        raise FrameSingularity("lambda")
+        raise placed(FrameSingularity("lambda"), lam, interior)
     met.append(lowest)
 
 
@@ -87,7 +96,7 @@ def ade_sym_update(u, grid, params, tau, met, variant):
     p, d = params, u.ndim
     interior = (slice(1, -1),) * d
     if met is not None and np.abs(u[interior]).min() < ZERO_STATE_TOL:
-        raise ZeroState("zero")
+        raise placed(ZeroState("zero"), np.abs(u), interior)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ux, uxx = compact_ops.derivatives(u, grid, 0)
         drift, curvatures, speed2 = (tau * p.alpha) * ux, [uxx], p.alpha * p.alpha
@@ -130,7 +139,10 @@ def reference_steps(pde, scheme, u, rows, grid, params, tau, met, dx_nodes=0.0):
         u = update(u, grid, params, tau, *extra)
         u[index] = row
         if met is not None and not np.isfinite(u).all():
-            raise NonFinite()
+            error = NonFinite()
+            error.node = int(np.flatnonzero(~np.isfinite(u))[0])
+            error.value = float(u.flat[error.node])
+            raise error
     return u
 
 
@@ -196,14 +208,15 @@ def test_bound_steps_are_bit_identical_to_the_update_expressions(pde, scheme, n,
 
 
 def first_failure(pde, scheme, u, rows, grid, params, tau, dx_nodes=0.0):
-    """(the 1-based step at which the reference raises, its error type)."""
+    """(the 1-based step at which the reference raises, its error, which holds
+    the node and value it failed at)."""
     for k in range(len(rows)):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 u = reference_steps(pde, scheme, u, rows[k : k + 1], grid, params, tau, [],
                                     dx_nodes)
         except (FrameSingularity, ZeroState, NonFinite) as error:
-            return k + 1, type(error)
+            return k + 1, error
     raise AssertionError("the reference never failed")
 
 
@@ -263,6 +276,7 @@ def test_a_guarded_run_raises_at_the_reference_step(pde, scheme, grid, params, t
         warnings.simplefilter("ignore", RuntimeWarning)
         advance = _stepper(pde, scheme, ctx)
     fails_at, error = first_failure(pde, scheme, u0, rows, grid, params, tau)
+    error = type(error)
     assert 3 <= fails_at < BOUNDARY_BLOCK  # mid-run, not on the initial data
     u = advance(u0, rows[: fails_at - 1])
     v = reference_steps(pde, scheme, u0, rows[: fails_at - 1], grid, params, tau, [])
@@ -285,14 +299,21 @@ def test_a_guarded_evolve_names_the_reference_step(pde, scheme, grid, params, ta
     exact = provider or default_exact(pde, params)
     ctx, u0, _ = guarded_start(pde, grid, params, tau, provider)
     rows = boundary_values(ctx, np.arange(1000) * tau + tau)  # evolve's times
-    fails_at, error = first_failure(pde, scheme, u0, rows, grid, params, tau)
+    fails_at, reference = first_failure(pde, scheme, u0, rows, grid, params, tau)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(error) as raised:
+        with pytest.raises(type(reference)) as raised:
             evolve(pde, scheme, grid, tau, 1000 * tau, params, exact=exact)
     t = (fails_at - 1) * tau + tau
     assert (raised.value.step, raised.value.t) == (fails_at, t)
     assert str(raised.value).endswith(f"(step {fails_at}, t = {t:.6g})")
+    # the node and the value met there: lambda, |u| or the non-finite value
+    assert raised.value.node == reference.node
+    assert np.array_equal(raised.value.value, reference.value, equal_nan=True)
+    quantity = {FrameSingularity: "lambda", ZeroState: "|u|", NonFinite: "u"}[type(reference)]
+    assert f": node {reference.node} has {quantity} = {reference.value:.6g} (step " in str(
+        raised.value
+    )
 
 
 def test_some_guarded_blocks_end_finite_when_stepped_unchecked():

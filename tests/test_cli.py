@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import symfd
-from symfd import Grid1D, Grid2D, PdeParams
+from symfd import Grid1D, Grid2D, PdeParams, cli
 from symfd.cli import (
     CONVERGE_DEFAULTS,
+    CSV_CHUNK_ROWS,
     DEFAULTS,
     KEYS,
     apply_overrides,
@@ -23,7 +24,14 @@ from symfd.cli import (
     parse_config_file,
 )
 from symfd.errors import ConfigInvalid, NonFinite
-from symfd.metrics import SCHEMES_BY_PDE, evolve, fit_slope, grid_for
+from symfd.metrics import (
+    SCHEMES_BY_PDE,
+    convergence_study,
+    evolve,
+    fit_slope,
+    galilean_experiment,
+    grid_for,
+)
 
 
 def assert_rejected(command, mapping, fragment, tmp_path, capsys):
@@ -349,10 +357,12 @@ class TestRunCommand:
                 evolve("ade1d", "ftcs", grid_for("ade1d", cfg.domain, cfg.n), cfg.tau,
                        cfg.t_final, cfg.params)
             assert main(["run", *args, f"output_path={out}"]) == 1
-        step, t = raised.value.step, raised.value.t
+        step, t, node = raised.value.step, raised.value.t, raised.value.node
         assert 1 < step < 2000 and t == (step - 1) * 0.01 + 0.01
+        assert 0 <= node < 21 and not math.isfinite(raised.value.value)
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.rstrip().endswith(f"(step {step}, t = {t:.6g})")
+        assert f": node {node} has u = {raised.value.value:.6g} (step " in err
         assert not out.exists()
 
 
@@ -490,3 +500,102 @@ def test_missing_subcommand_is_usage_error(capsys):
         main([])
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys):
+    # a usage error and --help exit through the parser, which later calls reuse
+    cli._build_parser.cache_clear()
+    first, last = tmp_path / "first.csv", tmp_path / "last.csv"
+    assert main(["run", *CHEAP_RUN, f"output_path={first}"]) == 0
+    for argv, code in ((["frobnicate"], 2), (["--help"], 0)):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == code
+    assert main(["run", *CHEAP_RUN, f"output_path={last}"]) == 0
+    assert last.read_bytes() == first.read_bytes()
+    assert cli._build_parser.cache_info().misses == 1
+    capsys.readouterr()
+
+
+# -- the CSV bytes: csv.writer's rendering of format(v, ".17g") -----------------
+
+
+def reference_csv(path, header, rows):
+    """The CSV as csv.writer writes it, each number as format(v, ".17g"), each
+    count as str and each name as it is."""
+
+    def text(value):
+        if isinstance(value, (str, int)):
+            return str(value)
+        return format(float(value), ".17g")
+
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows([text(v) for v in row] for row in rows)
+    return Path(path).read_bytes()
+
+
+def run_config(command, argv):
+    return build_run_config(dict(arg.split("=", 1) for arg in argv), command)
+
+
+class TestCsvBytes:
+    """Every command's CSV has the bytes of csv.writer on format(v, ".17g") of
+    each number, '\r\n' after each row, computed here from the library."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [CHEAP_RUN, ["pde=ade2d", "scheme=sym2", "nx=8", "ny=11", "tau=1e-3", "t_final=0.002"]],
+        ids=["line", "plane"],
+    )
+    def test_run_profile(self, argv, tmp_path, capsys):
+        out = tmp_path / "profile.csv"
+        assert main(["run", *argv, f"output_path={out}"]) == 0
+        capsys.readouterr()
+        cfg = run_config("run", argv)
+        grid = grid_for(cfg.pde, cfg.domain, cfg.n)
+        numeric, reference, _ = evolve(cfg.pde, cfg.scheme, grid, cfg.tau, cfg.t_final,
+                                       cfg.params)
+        columns = [*np.meshgrid(*grid.axes, indexing="ij"), numeric, reference,
+                   numeric - reference]
+        header = ["x", "y"][: len(grid.shape)] + ["u_numeric", "u_exact", "error"]
+        rows = zip(*(c.ravel() for c in columns))
+        assert out.read_bytes() == reference_csv(tmp_path / "reference.csv", header, rows)
+
+    def test_converge_table(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        argv = [*CHEAP_CONVERGE[:-1], "schemes=ftcs,comp"]
+        assert main(["converge", *argv, f"output_path={out}"]) == 0
+        capsys.readouterr()
+        cfg, rows = run_config("converge", argv), []
+        for scheme in cfg.schemes:
+            table = convergence_study(cfg.pde, scheme, cfg.sizes, cfg.tau, cfg.t_final,
+                                      cfg.params, cfg.domain)
+            rows += [(scheme, n, h, err, table.slope) for n, h, err in table.rows]
+        header = ["scheme", "n", "h", "linf", "slope"]
+        assert out.read_bytes() == reference_csv(tmp_path / "reference.csv", header, rows)
+
+    def test_galilean_table(self, tmp_path):
+        out = tmp_path / "boost.csv"
+        argv = [*CHEAP_GALILEAN[:1], "schemes=comp,sym", *CHEAP_GALILEAN[2:]]
+        assert main(["galilean", *argv, f"output_path={out}"]) == 0
+        cfg = run_config("galilean", argv)
+        results = galilean_experiment(cfg.c_values, cfg.schemes, grid_for("vbe", cfg.domain, cfg.n),
+                                      cfg.tau, cfg.t_final, cfg.params)
+        rows = [(c, scheme, rep.rmse, rep.linf) for c, scheme, rep in results]
+        header = ["c", "scheme", "rmse", "linf"]
+        assert out.read_bytes() == reference_csv(tmp_path / "reference.csv", header, rows)
+
+    @pytest.mark.parametrize("count", [7, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 3])
+    def test_the_writer_renders_every_float_as_format_does(self, count, tmp_path):
+        special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1]
+        rng = np.random.default_rng(count)
+        noise = rng.integers(0, 2**64, count, dtype=np.uint64).view(np.float64).tolist()
+        rows = [(("sym", "comp")[k % 2], k, special[k % 7], noise[k], -noise[k])
+                for k in range(count)]
+        columns = dict(scheme=str, n=int, a=float, b=float, c=float)
+        cli._write_csv(tmp_path / "out.csv", columns, iter(rows))
+        expected = reference_csv(tmp_path / "reference.csv", list(columns), rows)
+        assert (tmp_path / "out.csv").read_bytes() == expected
+        assert expected.count(b"\r\n") == count + 1

@@ -270,9 +270,64 @@ class TestEvolve:
 
 
 class TestResolvedOnce:
-    """evolve resolves the update once per run, step once per call; both run
-    the same per-step body (TestBoundaryBlock checks they give the same bits),
-    except on the MAPPED pairs' full blocks (TestAffineBlock)."""
+    """evolve resolves the update once per run, step once per context until
+    what the binding reads changes; both run the same per-step body
+    (TestBoundaryBlock checks they give the same bits), except on the MAPPED
+    pairs' full blocks (TestAffineBlock)."""
+
+    @staticmethod
+    def counted_binds(pde, scheme, monkeypatch):
+        """The arguments of each bind of the pair from here on."""
+        binder, binds = _STEPPERS[pde, scheme], []
+
+        def counted(*args):
+            binds.append(args)
+            return binder(*args)
+
+        monkeypatch.setitem(_STEPPERS, (pde, scheme), counted)
+        return binds
+
+    @pytest.mark.parametrize(
+        "pde, scheme, velocity", [(*pair, 0.0) for pair in _STEPPERS] + [(*SLIDING, 0.7)]
+    )
+    def test_step_binds_once_per_context(self, pde, scheme, velocity, monkeypatch):
+        binds = self.counted_binds(pde, scheme, monkeypatch)
+        grid, tau = BLOCK_GRIDS[pde], 1e-3
+        exact = default_exact(pde, ADE_PARAMS)
+        if velocity:
+            exact = galilean_exact(exact, velocity)
+        ctx = StepContext(grid, ADE_PARAMS, tau, 0.0, exact, velocity)
+        u = v = exact(0.0, *np.meshgrid(*grid.axes, indexing="ij"))
+        steps = []
+        for k in range(5):
+            ctx.t = k * tau
+            u = step(pde, scheme, u, ctx)
+            steps.append(u)
+        assert len(binds) == 1
+        for k in range(5):  # each from a fresh context, so each binds
+            v = step(pde, scheme, v, StepContext(grid, ADE_PARAMS, tau, k * tau, exact, velocity))
+            assert np.array_equal(v, steps[k])
+        assert len(binds) == 6
+
+    def test_step_rebinds_when_what_the_binding_reads_changes(self, monkeypatch):
+        binds = self.counted_binds("vbe", "sym", monkeypatch)
+        grid, params = BLOCK_GRIDS["vbe"], PdeParams(nu=0.1)
+        exact = default_exact("vbe", params)
+        ctx = StepContext(grid, params, 1e-3, 0.0, exact)
+        u = exact(0.0, grid.x)
+        step("vbe", "sym", u, ctx)
+        finer = Grid1D(0.0, 2.0 * math.pi / 40.0, 41)
+        changes = [("tau", 2e-3), ("params", PdeParams(nu=0.2)), ("mesh_velocity", 0.5),
+                   ("boundary_provider", galilean_exact(exact, 0.5)), ("grid", finer)]
+        for count, (name, value) in enumerate(changes, 2):
+            setattr(ctx, name, value)
+            u = exact(0.0, ctx.grid.x)
+            fresh = StepContext(ctx.grid, ctx.params, ctx.tau, 0.0, ctx.boundary_provider,
+                                ctx.mesh_velocity)
+            assert np.array_equal(step("vbe", "sym", u, ctx), step("vbe", "sym", u, fresh))
+            assert len(binds) == 2 * count - 1  # one for ctx, one for fresh
+            step("vbe", "sym", u, ctx)
+            assert len(binds) == 2 * count - 1
 
     @pytest.mark.parametrize(
         "pde, scheme, velocity",

@@ -8,8 +8,11 @@ are the end-to-end ones of the change's BENCHMARK.json. For each workload and
 metric it prints each side's median and quartiles (statistics.quantiles,
 n=4), the pairs the change won and whether the gain is resolved: the change
 better in at least nine tenths of the pairs, ties counting for neither, and
-the medians further apart than the parent's quartiles. It writes every run to
-the JSON file in the layout of the earlier BENCH_<pr>.json files.
+the medians further apart than the parent's quartiles. Where the change's
+median is worse, it says instead whether that loss is resolved, by the mirror
+rule: the change worse in at least nine tenths of the pairs, and the same
+gap. It writes every run to the JSON file in the layout of the earlier
+BENCH_<pr>.json files.
 
     python3 tools/bench_pairs.py PARENT CHANGE --pr 25 [--workloads explicit,tables]
         [--pairs 10] [--seconds 30] [--first-seed 2501]
@@ -57,16 +60,21 @@ def summary(values):
 
 def won(parent, change, better):
     """How many pairs the change won on a metric, with the ties, and whether
-    that is a resolved gain, in words."""
+    that is a resolved gain or, where the change's median is worse, a resolved
+    loss, in words. A loss is the mirror of a gain: the change worse in at
+    least nine tenths of the pairs and the medians further apart than the
+    parent's quartiles."""
     sign = 1 if better == "lower" else -1
     wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     ties = sum(c == p for p, c in zip(parent, change))
     text = f"change {better} in {wins} of {len(parent)} pairs"
     text += f", equal in {ties}" if ties else ""
     gap = sign * (statistics.median(parent) - statistics.median(change)) + 0.0  # no -0
     q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else parent * 3
-    resolved = 10 * wins >= 9 * len(parent) and gap > q3 - q1
-    return text + (f"; median gap {gap:.6g} against parent IQR {q3 - q1:.6g}: gain "
+    kind, count = ("loss", losses) if gap < 0 else ("gain", wins)
+    resolved = 10 * count >= 9 * len(parent) and abs(gap) > q3 - q1
+    return text + (f"; median gap {gap:.6g} against parent IQR {q3 - q1:.6g}: {kind} "
                    + ("resolved" if resolved else "not resolved"))
 
 
@@ -173,7 +181,9 @@ def main(argv=None):
                  f"{args.pairs} pairs per workload. Quartiles are statistics.quantiles(n=4). "
                  f"A pairs entry reads 'gain resolved' when the change is better in at least "
                  f"nine tenths of the pairs, ties counting for neither, and the medians differ "
-                 f"by more than the parent's interquartile range. Every run is listed."),
+                 f"by more than the parent's interquartile range; where the change's median "
+                 f"is worse, 'loss resolved' by the mirror rule, the change worse in at least "
+                 f"nine tenths of the pairs and the same gap. Every run is listed."),
         "command": command(args),
         "parent_commit": git_commit(checkouts["parent"]),
         "change_commit": git_commit(checkouts["change"]),
